@@ -4,7 +4,9 @@
 // the JSON report into BENCH_wire.json; the wire_* counters carry the
 // byte accounting (per ψ, per round, and the compression ratio vs fp32),
 // which must agree with the traffic meters in fl::Server / net::RemoteServer
-// (both charge util::codec_span_wire_size for the ψ direction).
+// (both charge util::codec_span_wire_size for the ψ direction). The socket
+// round's byte path is timed at the paper CNN's ψ0: the frame CRC-32 and the
+// one-buffer RoundRequest frame the root broadcasts every round.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "net/message.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
@@ -24,9 +27,10 @@ using util::WireCodec;
 constexpr std::size_t kPsiDim = 101770;       // paper-scale CNN ψ (~100k params)
 constexpr std::size_t kClientsPerRound = 50;  // paper m
 constexpr std::size_t kChunk = util::kDefaultQ8ChunkSize;
+constexpr std::size_t kPaperCnnDim = 1662752;  // Table II classifier, 6.65 MB fp32
 
-std::vector<float> random_psi(std::uint64_t seed) {
-  std::vector<float> psi(kPsiDim);
+std::vector<float> random_psi(std::uint64_t seed, std::size_t dim = kPsiDim) {
+  std::vector<float> psi(dim);
   util::Rng rng{seed};
   for (auto& v : psi) v = rng.uniform_float(-0.5f, 0.5f);
   return psi;
@@ -108,6 +112,36 @@ BENCHMARK_CAPTURE(BM_WireSimulatedRoundtrip, q8, WireCodec::Q8)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_WireSimulatedRoundtrip, fp16, WireCodec::Fp16)
     ->Unit(benchmark::kMicrosecond);
+
+// CRC-32 over one fp32 ψ0 frame payload: run by the root once per round and
+// by every client to verify the frame it receives.
+void BM_Crc32(benchmark::State& state) {
+  const std::vector<float> psi = random_psi(24, kPaperCnnDim);
+  const std::span<const std::byte> bytes = std::as_bytes(std::span{psi});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond);
+
+// The root's whole per-round broadcast encode: header, fields, ψ0 and CRC in
+// one buffer, shared by every shard and cohort connection.
+void BM_EncodeRoundRequestFrame(benchmark::State& state) {
+  net::RoundRequest request;
+  request.global_parameters = random_psi(25, kPaperCnnDim);
+  std::size_t frame_bytes = 0;
+  for (auto _ : state) {
+    const std::vector<std::byte> frame = net::encode_round_request_frame(request);
+    frame_bytes = frame.size();
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frame_bytes));
+}
+BENCHMARK(BM_EncodeRoundRequestFrame)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -69,6 +69,9 @@ struct ShardPartial {
   std::size_t client_count = 0;
   /// Ground-truth malicious rows among them (round bookkeeping at the root).
   std::size_t malicious_count = 0;
+  /// Ground-truth malicious rows among rejected_clients (the root's
+  /// detection tally; the rest of rejected_clients are benign rejects).
+  std::size_t rejected_malicious_count = 0;
 
   // ---- Exact path (supports_exact_merge() strategies) -----------------------
   bool exact = false;
@@ -95,6 +98,7 @@ struct ShardPartial {
     shard_id = 0;
     client_count = 0;
     malicious_count = 0;
+    rejected_malicious_count = 0;
     exact = false;
     weight_sum = 0.0;
     psi_weighted_sum.clear();

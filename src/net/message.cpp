@@ -1,6 +1,7 @@
 #include "net/message.hpp"
 
 #include <array>
+#include <bit>
 
 #include "obs/trace.hpp"
 #include "util/serialize.hpp"
@@ -22,16 +23,55 @@ const char* to_string(DecodeErrorCode code) noexcept {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() noexcept {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-16 CRC tables: kCrcTables[0] is the classic reflected table;
+// kCrcTables[k][b] is the CRC register contribution of byte b followed by k
+// zero bytes, so sixteen lookups fold sixteen input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr CrcTables make_crc_tables() noexcept {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t value = i;
     for (int bit = 0; bit < 8; ++bit) {
       value = (value >> 1) ^ ((value & 1u) ? 0xedb88320u : 0u);
     }
-    table[i] = value;
+    tables[0][i] = value;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t previous = tables[k - 1][i];
+      tables[k][i] = (previous >> 8) ^ tables[0][previous & 0xffu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+// The word loads below read the stream in little-endian order (as the whole
+// wire format does, via memcpy'd native integers).
+static_assert(std::endian::native == std::endian::little,
+              "crc32's sliced loop assumes a little-endian host");
+
+// Frame building without a payload copy: reserve the header, let the payload
+// encoder append after it, then seal the header over the appended bytes.
+util::ByteWriter begin_frame(std::size_t payload_bytes) {
+  util::ByteWriter writer;
+  writer.reserve(kFrameHeaderBytes + payload_bytes);
+  writer.write_raw(std::array<std::byte, kFrameHeaderBytes>{});
+  return writer;
+}
+
+std::vector<std::byte> seal_frame(MessageType type, util::ByteWriter& writer) {
+  std::vector<std::byte> frame = writer.release();
+  const std::span<const std::byte> payload =
+      std::span<const std::byte>{frame}.subspan(kFrameHeaderBytes);
+  std::byte* header = frame.data();
+  util::store_trivial(header, kFrameMagic);
+  util::store_trivial(header + 4, static_cast<std::uint32_t>(type));
+  util::store_trivial(header + 8, static_cast<std::uint64_t>(payload.size()));
+  util::store_trivial(header + 16, crc32(payload));
+  return frame;
 }
 
 util::WireCodec read_codec_tag(util::ByteReader& reader) {
@@ -64,13 +104,51 @@ void read_psi_span(util::ByteReader& reader, util::WireCodec codec, std::span<fl
   reader.read_f32_into(out);
 }
 
+// round, want_decoder, psi codec, psi chunk, trace_id, parent_span: the
+// RoundRequest fields ahead of the ψ0 span.
+constexpr std::size_t kRoundRequestFieldBytes = 8 + 4 + 4 + 4 + 8 + 8;
+
+void write_round_request(util::ByteWriter& writer, const RoundRequest& request) {
+  writer.write_u64(request.round);
+  writer.write_u32(request.want_decoder ? 1 : 0);
+  writer.write_u32(static_cast<std::uint32_t>(request.psi_codec));
+  writer.write_u32(static_cast<std::uint32_t>(request.psi_chunk));
+  writer.write_u64(request.trace_id);
+  writer.write_u64(request.parent_span);
+  writer.write_f32_span(request.global_parameters);
+}
+
+void write_round_reply(util::ByteWriter& writer, const RoundReply& reply) {
+  writer.write_u64(reply.round);
+  writer.write_u64(reply.trace_id);
+  writer.write_u32(static_cast<std::uint32_t>(reply.update.client_id));
+  writer.write_u64(reply.update.num_samples);
+  writer.write_u32(reply.update.truly_malicious ? 1 : 0);
+  writer.write_u32(static_cast<std::uint32_t>(reply.psi_codec));
+  write_psi_span(writer, reply.psi_codec, reply.update.psi, reply.psi_chunk);
+  writer.write_f32_span(reply.update.theta);
+}
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> data) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t crc = 0xffffffffu;
-  for (const std::byte b : data) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<std::uint32_t>(b)) & 0xffu];
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 16; n -= 16, p += 16) {
+    const std::uint32_t a = util::load_trivial<std::uint32_t>(p) ^ crc;
+    const auto b = util::load_trivial<std::uint32_t>(p + 4);
+    const auto c = util::load_trivial<std::uint32_t>(p + 8);
+    const auto d = util::load_trivial<std::uint32_t>(p + 12);
+    crc = t[15][a & 0xffu] ^ t[14][(a >> 8) & 0xffu] ^ t[13][(a >> 16) & 0xffu] ^
+          t[12][a >> 24] ^ t[11][b & 0xffu] ^ t[10][(b >> 8) & 0xffu] ^
+          t[9][(b >> 16) & 0xffu] ^ t[8][b >> 24] ^ t[7][c & 0xffu] ^
+          t[6][(c >> 8) & 0xffu] ^ t[5][(c >> 16) & 0xffu] ^ t[4][c >> 24] ^
+          t[3][d & 0xffu] ^ t[2][(d >> 8) & 0xffu] ^ t[1][(d >> 16) & 0xffu] ^ t[0][d >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = (crc >> 8) ^ t[0][(crc ^ std::to_integer<std::uint32_t>(*p)) & 0xffu];
   }
   return crc ^ 0xffffffffu;
 }
@@ -125,20 +203,15 @@ Message decode_frame(std::span<const std::byte> buffer) {
 }
 
 std::vector<std::byte> encode_frame(const Message& message) {
-  util::ByteWriter writer;
-  writer.write_u32(kFrameMagic);
-  writer.write_u32(static_cast<std::uint32_t>(message.type));
-  writer.write_u64(message.payload.size());
-  writer.write_u32(crc32(message.payload));
-  std::vector<std::byte> out = writer.bytes();
-  out.insert(out.end(), message.payload.begin(), message.payload.end());
-  return out;
+  util::ByteWriter writer = begin_frame(message.payload.size());
+  writer.write_raw(message.payload);
+  return seal_frame(message.type, writer);
 }
 
 std::vector<std::byte> encode_hello(int client_id) {
   util::ByteWriter writer;
   writer.write_u32(static_cast<std::uint32_t>(client_id));
-  return writer.bytes();
+  return writer.release();
 }
 
 int decode_hello(std::span<const std::byte> payload) {
@@ -153,48 +226,61 @@ int decode_hello(std::span<const std::byte> payload) {
 std::vector<std::byte> encode_round_request(const RoundRequest& request) {
   FEDGUARD_TRACE_SPAN("serialize", "encode_round_request");
   util::ByteWriter writer;
-  writer.write_u64(request.round);
-  writer.write_u32(request.want_decoder ? 1 : 0);
-  writer.write_u32(static_cast<std::uint32_t>(request.psi_codec));
-  writer.write_u32(static_cast<std::uint32_t>(request.psi_chunk));
-  writer.write_u64(request.trace_id);
-  writer.write_u64(request.parent_span);
-  writer.write_f32_span(request.global_parameters);
-  return writer.bytes();
+  write_round_request(writer, request);
+  return writer.release();
+}
+
+std::vector<std::byte> encode_round_request_frame(const RoundRequest& request) {
+  FEDGUARD_TRACE_SPAN("serialize", "encode_round_request");
+  util::ByteWriter writer = begin_frame(
+      kRoundRequestFieldBytes + util::f32_vector_wire_size(request.global_parameters.size()));
+  write_round_request(writer, request);
+  return seal_frame(MessageType::RoundRequest, writer);
 }
 
 RoundRequest decode_round_request(std::span<const std::byte> payload) {
+  RoundRequest request;
+  decode_round_request_into(payload, request);
+  return request;
+}
+
+void decode_round_request_into(std::span<const std::byte> payload, RoundRequest& out) {
   FEDGUARD_TRACE_SPAN("serialize", "decode_round_request");
   util::ByteReader reader{payload};
-  RoundRequest request;
   try {
-    request.round = static_cast<std::size_t>(reader.read_u64());
-    request.want_decoder = reader.read_u32() != 0;
-    request.psi_codec = read_codec_tag(reader);
-    request.psi_chunk = static_cast<std::size_t>(reader.read_u32());
-    request.trace_id = reader.read_u64();
-    request.parent_span = reader.read_u64();
+    out.round = static_cast<std::size_t>(reader.read_u64());
+    out.want_decoder = reader.read_u32() != 0;
+    out.psi_codec = read_codec_tag(reader);
+    out.psi_chunk = static_cast<std::size_t>(reader.read_u32());
+    out.trace_id = reader.read_u64();
+    out.parent_span = reader.read_u64();
     const auto count = static_cast<std::size_t>(reader.read_u64());
-    request.global_parameters = reader.read_f32_vector(count);
+    // Bound the declared count by the bytes actually present before sizing
+    // the destination: a corrupt count must not become a huge allocation.
+    if (count > reader.remaining() / sizeof(float)) throw std::out_of_range{"psi0 count"};
+    out.global_parameters.resize(count);
+    reader.read_f32_into(out.global_parameters);
   } catch (const std::out_of_range&) {
     throw DecodeError{DecodeErrorCode::Truncated,
                       "decode_round_request: truncated payload"};
   }
-  return request;
 }
 
 std::vector<std::byte> encode_round_reply(const RoundReply& reply) {
   FEDGUARD_TRACE_SPAN("serialize", "encode_round_reply");
   util::ByteWriter writer;
-  writer.write_u64(reply.round);
-  writer.write_u64(reply.trace_id);
-  writer.write_u32(static_cast<std::uint32_t>(reply.update.client_id));
-  writer.write_u64(reply.update.num_samples);
-  writer.write_u32(reply.update.truly_malicious ? 1 : 0);
-  writer.write_u32(static_cast<std::uint32_t>(reply.psi_codec));
-  write_psi_span(writer, reply.psi_codec, reply.update.psi, reply.psi_chunk);
-  writer.write_f32_span(reply.update.theta);
-  return writer.bytes();
+  write_round_reply(writer, reply);
+  return writer.release();
+}
+
+std::vector<std::byte> encode_round_reply_frame(const RoundReply& reply) {
+  FEDGUARD_TRACE_SPAN("serialize", "encode_round_reply");
+  util::ByteWriter writer =
+      begin_frame(client_update_frame_bytes(reply.update.psi.size(), reply.update.theta.size(),
+                                            reply.psi_codec, reply.psi_chunk) -
+                  kFrameHeaderBytes);
+  write_round_reply(writer, reply);
+  return seal_frame(MessageType::RoundReply, writer);
 }
 
 RoundReply decode_round_reply(std::span<const std::byte> payload) {
@@ -274,7 +360,7 @@ std::vector<std::byte> encode_telemetry_report(const TelemetryFrame& report) {
     writer.write_string(name);
     writer.write_u64(delta);
   }
-  return writer.bytes();
+  return writer.release();
 }
 
 TelemetryFrame decode_telemetry_report(std::span<const std::byte> payload) {

@@ -21,6 +21,7 @@
 // server can count corrupt traffic separately from transport failures.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -73,7 +74,9 @@ class DecodeError : public std::runtime_error {
   DecodeErrorCode code_;
 };
 
-/// CRC-32 (IEEE 802.3, reflected) of `data`.
+/// CRC-32 (IEEE 802.3, reflected) of `data`. Slicing-by-16: sixteen bytes
+/// per step through sixteen 256-entry tables, the same value as the classic
+/// one-table bytewise loop.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::byte> data) noexcept;
 
 struct FrameHeader {
@@ -96,6 +99,11 @@ void verify_payload_crc(const FrameHeader& header, std::span<const std::byte> pa
 
 /// Serialize a message into a framed byte buffer.
 [[nodiscard]] std::vector<std::byte> encode_frame(const Message& message);
+
+/// A complete encoded frame (header + payload) shared, read-only, by every
+/// connection it is queued on: a broadcast is encoded and CRC'd once, then
+/// enqueued N times without a copy.
+using SharedFrame = std::shared_ptr<const std::vector<std::byte>>;
 
 /// Payload encoders / decoders. Decoders throw DecodeError{Truncated} on
 /// short payloads.
@@ -120,7 +128,14 @@ struct RoundRequest {
   std::vector<float> global_parameters;
 };
 [[nodiscard]] std::vector<std::byte> encode_round_request(const RoundRequest& request);
+/// The whole RoundRequest frame in one buffer — exactly
+/// encode_frame({RoundRequest, encode_round_request(request)}), without the
+/// intermediate payload copy. The server's ψ0 broadcast.
+[[nodiscard]] std::vector<std::byte> encode_round_request_frame(const RoundRequest& request);
 [[nodiscard]] RoundRequest decode_round_request(std::span<const std::byte> payload);
+/// Decode into `out`, reusing its ψ0 vector's capacity (the client loop keeps
+/// one RoundRequest across rounds instead of allocating ψ0 per round).
+void decode_round_request_into(std::span<const std::byte> payload, RoundRequest& out);
 
 /// A client's answer to one RoundRequest, tagged with the round it answers.
 struct RoundReply {
@@ -137,6 +152,8 @@ struct RoundReply {
   defenses::ClientUpdate update;
 };
 [[nodiscard]] std::vector<std::byte> encode_round_reply(const RoundReply& reply);
+/// The whole RoundReply frame in one buffer (see encode_round_request_frame).
+[[nodiscard]] std::vector<std::byte> encode_round_reply_frame(const RoundReply& reply);
 [[nodiscard]] RoundReply decode_round_reply(std::span<const std::byte> payload);
 
 /// Zero-copy decode: ψ is deserialized straight into `row.psi` (whose size is

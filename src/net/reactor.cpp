@@ -243,14 +243,12 @@ bool Reactor::advance_http(ConnectionId id, Connection& connection) {
     return false;
   }
   const std::string response = obs::http_response_for(http_, request.path);
-  std::vector<std::byte> bytes(response.size());
-  std::memcpy(bytes.data(), response.data(), response.size());
+  const std::span<const std::byte> bytes = std::as_bytes(std::span{response});
   connection.read_state = Connection::ReadState::HttpDrain;
   connection.read_pos = 0;
   connection.close_after_flush = true;
-  connection.write_queue.push_back(std::move(bytes));
-  flush_writes(id, connection);
-  return connections_.find(id) != connections_.end();
+  return send_frame(id, std::make_shared<const std::vector<std::byte>>(bytes.begin(),
+                                                                       bytes.end()));
 }
 
 bool Reactor::advance_frame(ConnectionId id, Connection& connection) {
@@ -304,10 +302,14 @@ bool Reactor::advance_frame_payload_done(ConnectionId id, Connection& connection
 }
 
 bool Reactor::send(ConnectionId id, const Message& message) {
+  return send_frame(id, std::make_shared<const std::vector<std::byte>>(encode_frame(message)));
+}
+
+bool Reactor::send_frame(ConnectionId id, SharedFrame frame) {
   auto it = connections_.find(id);
   if (it == connections_.end()) return false;
   Connection& connection = it->second;
-  connection.write_queue.push_back(encode_frame(message));
+  connection.write_queue.push_back(std::move(frame));
   flush_writes(id, connection);
   return connections_.find(id) != connections_.end();
 }
@@ -333,7 +335,7 @@ void Reactor::arm_writes(Connection& connection, int fd, ConnectionId id, bool e
 
 void Reactor::flush_writes(ConnectionId id, Connection& connection) {
   while (!connection.write_queue.empty()) {
-    const std::vector<std::byte>& front = connection.write_queue.front();
+    const std::vector<std::byte>& front = *connection.write_queue.front();
     std::span<const std::byte> remaining{front.data() + connection.write_offset,
                                          front.size() - connection.write_offset};
     std::size_t transferred = 0;
@@ -371,7 +373,7 @@ void Reactor::flush_writes(ConnectionId id, Connection& connection) {
 std::size_t Reactor::pending_write_bytes() const noexcept {
   std::size_t total = 0;
   for (const auto& [id, connection] : connections_) {
-    for (const auto& buffer : connection.write_queue) total += buffer.size();
+    for (const SharedFrame& frame : connection.write_queue) total += frame->size();
     total -= connection.write_offset;
   }
   return total;

@@ -88,8 +88,13 @@ class Reactor {
   /// socket readiness returns early.
   std::size_t poll_once(std::chrono::milliseconds timeout);
 
-  /// Queue one framed message for `id`; bytes drain as the socket accepts
-  /// them. Returns false when the connection is unknown (already closed).
+  /// Queue one already-encoded frame for `id`; bytes drain as the socket
+  /// accepts them. The queue holds a reference, not a copy, so one broadcast
+  /// frame queued on N connections stays one buffer, released when the last
+  /// connection has written it (or closed). Returns false when the
+  /// connection is unknown (already closed).
+  bool send_frame(ConnectionId id, SharedFrame frame);
+  /// Encode `message` and send_frame it.
   bool send(ConnectionId id, const Message& message);
 
   /// Deregister + close a connection (fires on_close). Unknown ids are a
@@ -99,7 +104,8 @@ class Reactor {
   [[nodiscard]] std::size_t connection_count() const noexcept {
     return connections_.size();
   }
-  /// Bytes queued but not yet written, across all connections.
+  /// Bytes queued but not yet written, across all connections (a shared
+  /// frame counts once per connection it is queued on).
   [[nodiscard]] std::size_t pending_write_bytes() const noexcept;
 
   /// Close connections with no read/write activity for longer than
@@ -122,7 +128,7 @@ class Reactor {
     std::vector<std::byte> read_buffer;
     std::size_t read_pos = 0;
     FrameHeader header{};
-    std::deque<std::vector<std::byte>> write_queue;
+    std::deque<SharedFrame> write_queue;
     std::size_t write_offset = 0;  // bytes of write_queue.front() already sent
     bool write_armed = false;      // EPOLLOUT currently registered
     bool close_after_flush = false;  // drop once write_queue drains (HTTP)

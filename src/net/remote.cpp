@@ -552,10 +552,13 @@ std::size_t run_remote_client(const std::string& host, std::uint16_t port,
   };
 
   std::size_t rounds_served = 0;
+  // Reused across rounds: the ψ0 frame lands in one receive buffer and
+  // decodes into one parameter vector instead of two fresh allocations.
+  Message message;
+  RoundRequest request;
   for (;;) {
-    Message message;
     try {
-      message = stream.receive_message();
+      stream.receive_message_into(message);
     } catch (const std::exception&) {
       if (!rejoin()) return rounds_served;
       continue;
@@ -564,7 +567,7 @@ std::size_t run_remote_client(const std::string& host, std::uint16_t port,
     if (message.type != MessageType::RoundRequest) {
       throw std::runtime_error{"run_remote_client: unexpected message"};
     }
-    const RoundRequest request = decode_round_request(message.payload);
+    decode_round_request_into(message.payload, request);
     // Adopt the server's trace context for the round's work: every span below
     // (per-layer training included) gets stamped with the federation-wide id.
     obs::set_trace_context(
@@ -592,8 +595,7 @@ std::size_t run_remote_client(const std::string& host, std::uint16_t port,
     reply.psi_chunk =
         request.psi_chunk == 0 ? util::kDefaultQ8ChunkSize : request.psi_chunk;
     reply.update = std::move(update);
-    const std::vector<std::byte> frame =
-        encode_frame({MessageType::RoundReply, encode_round_reply(reply)});
+    const std::vector<std::byte> frame = encode_round_reply_frame(reply);
 
     switch (fault) {
       case FaultKind::None:

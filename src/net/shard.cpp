@@ -94,7 +94,7 @@ void ShardAggregator::start_round(RoundCommand command) {
 }
 
 bool ShardAggregator::wait_partial(Clock::time_point deadline, std::size_t round,
-                                   defenses::ShardPartial& out) {
+                                   defenses::ShardPartial& out, RoundTraffic& traffic) {
   util::MutexLock lock{mutex_};
   while (!(published_ && published_round_ == round)) {
     if (!running_) return false;
@@ -106,6 +106,7 @@ bool ShardAggregator::wait_partial(Clock::time_point deadline, std::size_t round
   }
   out = std::move(published_partial_);
   published_partial_.clear();
+  traffic = published_traffic_;
   published_ = false;
   return true;
 }
@@ -178,19 +179,21 @@ void ShardAggregator::begin_round(RoundCommand command) {
   building_.clear();
   building_.shard_id = config_.shard_id;
   building_.exact = exact_;
+  traffic_ = {};
   in_round_ = true;
   round_deadline_ = Clock::now() + config_.round_timeout;
 
-  Message request;
-  request.type = MessageType::RoundRequest;
-  request.payload = *round_command_.request_payload;
+  // Every cohort connection queues the root's one frame: no per-shard
+  // payload copy, no per-client framing or CRC.
   for (std::size_t slot = 0; slot < cohort_size; ++slot) {
     const int client_id = round_command_.cohort[slot];
     const auto it = client_connections_.find(client_id);
-    if (it == client_connections_.end() || !reactor_.send(it->second, request)) {
+    if (it == client_connections_.end() ||
+        !reactor_.send_frame(it->second, round_command_.request_frame)) {
       ++slots_missing_;  // never joined, or already gone: slot cannot fill
       continue;
     }
+    traffic_.request_bytes += round_command_.request_frame->size();
     pending_slots_[it->second] = slot;
   }
   finish_round_if_done();  // an entirely-absent cohort publishes immediately
@@ -249,6 +252,7 @@ void ShardAggregator::handle_reply(Reactor::ConnectionId connection, const Messa
     corrupt_frames_total_.add(1);
     return;
   }
+  traffic_.reply_bytes += kFrameHeaderBytes + message.payload.size();
   if (reply_round != round_command_.round) return;  // stale answer, keep waiting
   pending_slots_.erase(pending);
   slot_filled_[slot] = true;
@@ -313,11 +317,20 @@ void ShardAggregator::publish_partial() {
   }
   // (0 replies: building_ stays cleared with client_count == 0 — the root
   // skips it when merging.)
+  for (const std::size_t slot : filled_slots_) {
+    const defenses::UpdateMeta& meta = arena_.meta(slot);
+    if (meta.truly_malicious &&
+        std::find(building_.rejected_clients.begin(), building_.rejected_clients.end(),
+                  meta.client_id) != building_.rejected_clients.end()) {
+      building_.rejected_malicious_count += 1;
+    }
+  }
   in_round_ = false;
   rounds_total_.add(1);
   {
     util::MutexLock lock{mutex_};
     published_partial_ = std::move(building_);
+    published_traffic_ = traffic_;
     published_ = true;
     published_round_ = round_command_.round;
   }
@@ -332,9 +345,10 @@ void ShardAggregator::stop(bool graceful) {
     scratch_connection_ids_.push_back(connection);
   }
   if (graceful) {
-    const Message bye{MessageType::Shutdown, {}};
+    const auto bye = std::make_shared<const std::vector<std::byte>>(
+        encode_frame({MessageType::Shutdown, {}}));
     for (const Reactor::ConnectionId connection : scratch_connection_ids_) {
-      (void)reactor_.send(connection, bye);
+      (void)reactor_.send_frame(connection, bye);
     }
     // Drain the farewell frames (bounded: peers may already be gone).
     const auto flush_deadline = Clock::now() + milliseconds{1000};
@@ -486,6 +500,8 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
     cohorts_[shard_of(client)].push_back(static_cast<int>(client));
   }
 
+  // The broadcast is framed (header + CRC) once per round; every shard and
+  // cohort connection then shares this one buffer.
   RoundRequest request;
   request.round = round;
   request.want_decoder = merge_strategy_->wants_decoders();
@@ -493,9 +509,10 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
   request.psi_chunk = config_.psi_chunk;
   request.trace_id = trace_id;
   request.global_parameters = global_parameters_;
-  const auto payload =
-      std::make_shared<const std::vector<std::byte>>(encode_round_request(request));
-  const auto globals = std::make_shared<const std::vector<float>>(global_parameters_);
+  const auto frame =
+      std::make_shared<const std::vector<std::byte>>(encode_round_request_frame(request));
+  const auto globals =
+      std::make_shared<const std::vector<float>>(std::move(request.global_parameters));
   const std::size_t theta_dim =
       merge_strategy_->wants_decoders() ? merge_strategy_->decoder_parameter_count() : 0;
 
@@ -507,7 +524,7 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
     ShardAggregator::RoundCommand command;
     command.round = round;
     command.cohort = cohorts_[shard];
-    command.request_payload = payload;
+    command.request_frame = frame;
     command.global_parameters = globals;
     command.theta_dim = theta_dim;
     shards_[shard]->start_round(std::move(command));
@@ -525,11 +542,15 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
       degraded = degraded || !cohorts_[shard].empty();
       continue;
     }
-    if (!shards_[shard]->wait_partial(deadline, round, partials_[shard])) {
+    ShardAggregator::RoundTraffic traffic;
+    if (!shards_[shard]->wait_partial(deadline, round, partials_[shard], traffic)) {
       util::log_warn("hierarchical server: shard %zu missed round %zu", shard, round);
       partials_[shard].clear();  // merges as an empty (skipped) partial
       degraded = true;
+      continue;
     }
+    record.server_upload_bytes += traffic.request_bytes;
+    record.server_download_bytes += traffic.reply_bytes;
   }
 
   std::size_t responded = 0;
@@ -564,6 +585,14 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
                                (result_.parameters[i] - global_parameters_[i]);
     }
     record.rejected_clients = result_.rejected_clients.size();
+    // The merged reject set is the union of the shards' (every strategy's
+    // merge), so the shard tallies add up to the round's detection split.
+    for (const auto& partial : partials_) {
+      if (partial.client_count == 0) continue;
+      record.rejected_malicious += partial.rejected_malicious_count;
+      record.rejected_benign +=
+          partial.rejected_clients.size() - partial.rejected_malicious_count;
+    }
   } else {
     degraded = true;  // nothing arrived: the model carries over unchanged
   }

@@ -80,22 +80,30 @@ class ShardAggregator {
 
   /// Fan one round out to this shard's slice of the sample. `cohort` lists
   /// the sampled client ids this shard owns, in root sample order (= cohort
-  /// slot order); the pre-encoded RoundRequest payload and the raw globals
-  /// (for the strategy's AggregationContext) are shared across shards.
+  /// slot order); the RoundRequest frame (encoded and CRC'd once by the
+  /// root) and the raw globals (for the strategy's AggregationContext) are
+  /// shared across shards and cohort connections.
   struct RoundCommand {
     std::size_t round = 0;
     std::vector<int> cohort;
-    std::shared_ptr<const std::vector<std::byte>> request_payload;
+    SharedFrame request_frame;
     std::shared_ptr<const std::vector<float>> global_parameters;
     std::size_t theta_dim = 0;
   };
   void start_round(RoundCommand command);
 
+  /// Frame bytes this shard moved for one round: RoundRequest frames it
+  /// enqueued, and RoundReply frames it received and decoded.
+  struct RoundTraffic {
+    std::size_t request_bytes = 0;
+    std::size_t reply_bytes = 0;
+  };
+
   /// Block until this shard publishes `round`'s partial or `deadline`
   /// passes. True = `out` holds the partial (possibly with client_count 0
-  /// when nobody in the cohort replied).
+  /// when nobody in the cohort replied) and `traffic` the round's bytes.
   bool wait_partial(std::chrono::steady_clock::time_point deadline, std::size_t round,
-                    defenses::ShardPartial& out);
+                    defenses::ShardPartial& out, RoundTraffic& traffic);
 
   /// Graceful stop: broadcast Shutdown to the cohort, close, join.
   void shutdown();
@@ -136,6 +144,7 @@ class ShardAggregator {
   std::size_t next_fold_ = 0;      // exact path: first unfolded slot
   bool exact_ = false;
   defenses::ShardPartial building_;
+  RoundTraffic traffic_;
   std::vector<std::size_t> filled_slots_;  // selection scratch (metadata path)
   std::vector<Reactor::ConnectionId> scratch_connection_ids_;  // stop() iteration
 
@@ -148,6 +157,7 @@ class ShardAggregator {
   bool published_ FEDGUARD_GUARDED_BY(mutex_) = false;
   std::size_t published_round_ FEDGUARD_GUARDED_BY(mutex_) = 0;
   defenses::ShardPartial published_partial_ FEDGUARD_GUARDED_BY(mutex_);
+  RoundTraffic published_traffic_ FEDGUARD_GUARDED_BY(mutex_);
   bool running_ FEDGUARD_GUARDED_BY(mutex_) = true;
 
   // Per-shard instruments (docs/OBSERVABILITY.md §net_shard_*).

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -185,10 +186,15 @@ void TcpStream::send_message(const Message& message) {
 }
 
 Message TcpStream::receive_message() {
-  std::vector<std::byte> header(kFrameHeaderBytes);
+  Message message;
+  receive_message_into(message);
+  return message;
+}
+
+void TcpStream::receive_message_into(Message& message) {
+  std::array<std::byte, kFrameHeaderBytes> header{};
   recv_all(header);
   const FrameHeader parsed = decode_frame_header(header);
-  Message message;
   message.type = parsed.type;
   message.payload.resize(parsed.payload_bytes);
   if (parsed.payload_bytes > 0) {
@@ -202,7 +208,6 @@ Message TcpStream::receive_message() {
     }
   }
   verify_payload_crc(parsed, message.payload);
-  return message;
 }
 
 TcpListener::TcpListener(std::uint16_t port, int backlog) {

@@ -93,6 +93,9 @@ class TcpStream {
   /// a peer that closes mid-payload (DecodeErrorCode::Truncated) — and
   /// SocketTimeout / ConnectionClosed for transport failures.
   [[nodiscard]] Message receive_message();
+  /// receive_message into `message`, reusing its payload buffer's capacity
+  /// (a client receiving a multi-MB ψ0 every round allocates it once).
+  void receive_message_into(Message& message);
 
   void close() noexcept;
 

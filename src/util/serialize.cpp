@@ -171,6 +171,7 @@ void ByteWriter::write_q8_span(std::span<const float> values, std::size_t chunk_
   if (chunk_size == 0) {
     throw std::invalid_argument{"write_q8_span: chunk_size must be positive"};
   }
+  reserve(q8_span_wire_size(values.size(), chunk_size));
   write_u64(values.size());
   write_u32(static_cast<std::uint32_t>(chunk_size));
   for (std::size_t base = 0; base < values.size(); base += chunk_size) {
@@ -203,6 +204,13 @@ void ByteWriter::write_string(const std::string& value) {
   const auto old = buffer_.size();
   buffer_.resize(old + value.size());
   std::memcpy(buffer_.data() + old, value.data(), value.size());
+}
+
+void ByteWriter::write_raw(std::span<const std::byte> bytes) {
+  if (bytes.empty()) return;
+  const auto old = buffer_.size();
+  buffer_.resize(old + bytes.size());
+  std::memcpy(buffer_.data() + old, bytes.data(), bytes.size());
 }
 
 void ByteReader::require(std::size_t count) const {

@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace fedguard::util {
@@ -83,9 +84,17 @@ class ByteWriter {
   /// even, overflow to inf, NaN preserved).
   void write_f16_span(std::span<const float> values);
   void write_string(const std::string& value);
+  /// Append `bytes` verbatim (no length prefix).
+  void write_raw(std::span<const std::byte> bytes);
+  /// Pre-size the buffer for `bytes` more bytes, so a large payload is
+  /// written without reallocating (and re-copying) as it grows.
+  void reserve(std::size_t bytes) { buffer_.reserve(buffer_.size() + bytes); }
 
   [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept { return buffer_; }
   [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
+  /// Move the written bytes out, leaving the writer empty: the copy-free
+  /// alternative to bytes() for encoders that return their buffer.
+  [[nodiscard]] std::vector<std::byte> release() noexcept { return std::exchange(buffer_, {}); }
 
  private:
   std::vector<std::byte> buffer_;

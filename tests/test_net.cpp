@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <span>
+#include <string>
 #include <thread>
 
 #include "data/partition.hpp"
@@ -130,6 +133,97 @@ TEST(Messages, TruncatedFrameIsTyped) {
             DecodeErrorCode::Truncated);
   EXPECT_EQ(decode_failure({frame.data(), kFrameHeaderBytes - 1}),
             DecodeErrorCode::Truncated);
+}
+
+// ---- CRC-32: the sliced loop must keep the bytewise loop's values --------------
+
+/// Bit-at-a-time reflected CRC-32: the definition, kept here as the oracle.
+std::uint32_t reference_crc32(std::span<const std::byte> data) {
+  std::uint32_t crc = 0xffffffffu;
+  for (const std::byte b : data) {
+    crc ^= std::to_integer<std::uint32_t>(b);
+    for (int bit = 0; bit < 8; ++bit) crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
+  }
+  return crc ^ 0xffffffffu;
+}
+
+std::vector<std::byte> pseudo_random_bytes(std::size_t count, std::uint64_t seed) {
+  std::vector<std::byte> bytes(count);
+  for (std::byte& b : bytes) {
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    b = static_cast<std::byte>(seed >> 56);
+  }
+  return bytes;
+}
+
+TEST(Crc32, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(std::as_bytes(std::span{check.data(), check.size()})), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(Crc32, SlicedMatchesBytewiseAtEveryShortLengthAndOffset) {
+  const std::vector<std::byte> bytes = pseudo_random_bytes(16 + 64, 7);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::span<const std::byte> window{bytes.data() + offset, length};
+      ASSERT_EQ(crc32(window), reference_crc32(window))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, SlicedMatchesBytewiseOnABroadcastSizedBuffer) {
+  // 6.6 MB: the fp32 ψ0 of the paper CNN (d ≈ 1.66M), the frame the socket
+  // round CRCs on both ends every round.
+  const std::vector<std::byte> bytes = pseudo_random_bytes(6'630'000 + 3, 11);
+  EXPECT_EQ(crc32(bytes), reference_crc32(bytes));
+}
+
+// ---- One-buffer frame encoders: byte-identical to payload + encode_frame -------
+
+TEST(Messages, RoundRequestFrameEqualsFramedPayload) {
+  RoundRequest request;
+  request.round = 9;
+  request.want_decoder = true;
+  request.psi_codec = util::WireCodec::Q8;
+  request.psi_chunk = 64;
+  request.trace_id = 0x1234;
+  request.parent_span = 0x55;
+  request.global_parameters = {0.25f, -1.0f, 3.0f, 8.5f, -0.125f};
+  EXPECT_EQ(encode_round_request_frame(request),
+            encode_frame({MessageType::RoundRequest, encode_round_request(request)}));
+}
+
+TEST(Messages, RoundRequestDecodeIntoReusesTheVector) {
+  RoundRequest request;
+  request.round = 2;
+  request.global_parameters.assign(1000, 0.5f);
+  RoundRequest decoded;
+  decode_round_request_into(encode_round_request(request), decoded);
+  const float* storage = decoded.global_parameters.data();
+  request.round = 3;
+  request.global_parameters.assign(1000, -0.5f);
+  decode_round_request_into(encode_round_request(request), decoded);
+  EXPECT_EQ(decoded.round, 3u);
+  EXPECT_EQ(decoded.global_parameters, request.global_parameters);
+  EXPECT_EQ(decoded.global_parameters.data(), storage) << "ψ0 was reallocated";
+}
+
+TEST(Messages, RoundRequestWithInflatedCountIsTruncated) {
+  RoundRequest request;
+  request.global_parameters = {1.0f, 2.0f};
+  std::vector<std::byte> payload = encode_round_request(request);
+  // The u64 ψ0 count sits right after the 36 bytes of scalar fields: claim
+  // far more floats than the payload holds.
+  util::store_trivial(payload.data() + 36, std::uint64_t{1} << 40);
+  RoundRequest decoded;
+  try {
+    decode_round_request_into(payload, decoded);
+    FAIL() << "inflated ψ0 count must not decode";
+  } catch (const DecodeError& e) {
+    EXPECT_EQ(e.code(), DecodeErrorCode::Truncated);
+  }
 }
 
 TEST(Sockets, LoopbackSendReceive) {

@@ -252,10 +252,16 @@ TEST_F(ObsDistributedFixture, TwoTierFederationServesScrapesAndCorrelatesTrace) 
     });
   }
 
-  const fl::RunHistory history = server->run();
-  EXPECT_EQ(history.rounds.size(), 3u);
-  for (auto& thread : threads) thread.join();
+  // The rounds run while the probe works, and the shards stay up until the
+  // probe is done: a federation that finishes first would leave the probe's
+  // last exchanges talking to closed shards.
+  server->await_clients();
+  for (std::size_t round = 0; round < config.rounds; ++round) {
+    EXPECT_GT(server->run_round(round).sampled_clients, 0u) << "round " << round;
+  }
   probe.join();
+  server.reset();  // closes every shard; the clients see the link drop and return
+  for (auto& thread : threads) thread.join();
   session.reset();  // flush + write the merged trace
 
   // (a) Live exposition answered mid-run on both serving paths.

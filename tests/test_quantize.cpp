@@ -375,6 +375,8 @@ TEST(CodecNegotiation, FrameBytesHelperMatchesEncodedFrames) {
     const net::RoundReply reply = make_reply(codec, 64, rng);
     const std::vector<std::byte> frame = net::encode_frame(
         {net::MessageType::RoundReply, net::encode_round_reply(reply)});
+    // The client's one-buffer reply frame is byte-identical.
+    EXPECT_EQ(net::encode_round_reply_frame(reply), frame) << util::to_string(codec);
     EXPECT_EQ(frame.size(),
               net::client_update_frame_bytes(reply.update.psi.size(),
                                              reply.update.theta.size(), codec, 64))

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstring>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
@@ -236,6 +239,89 @@ TEST_F(ReactorFixture, ThousandSocketSmoke) {
   for (TcpStream& client : clients) client.close();
   ASSERT_TRUE(pump_until([&] { return closed.size() == kClients; }, 120000ms));
   EXPECT_EQ(reactor->connection_count(), 0u);
+}
+
+TEST_F(ReactorFixture, SharedFrameReachesEveryPeerAndIsReleasedAfterTheLastDrain) {
+  // One broadcast frame queued on several connections: every peer receives
+  // the same bytes, writes resume mid-frame once a stalled socket drains,
+  // pending_write_bytes counts the frame once per connection, and the
+  // buffer lives exactly until the last connection has written it.
+  constexpr std::size_t kPeers = 3;
+  std::vector<TcpStream> peers;
+  for (std::size_t i = 0; i < kPeers; ++i) peers.push_back(connect_client());
+  ASSERT_TRUE(pump_until([&] { return accepted.size() == kPeers; }));
+
+  const auto make_frame = [](MessageType type, std::size_t bytes, unsigned salt) {
+    Message message{type, std::vector<std::byte>(bytes)};
+    for (std::size_t i = 0; i < bytes; ++i) {
+      message.payload[i] = static_cast<std::byte>((i * 131 + salt) >> 3);
+    }
+    return std::make_shared<const std::vector<std::byte>>(encode_frame(message));
+  };
+  // A filler far larger than a loopback socket's buffers stalls every
+  // connection first, so the broadcast behind it is queued whole.
+  const SharedFrame filler = make_frame(MessageType::TelemetryReport, 16u << 20, 1);
+  SharedFrame broadcast = make_frame(MessageType::RoundRequest, 2u << 20, 2);
+  const std::vector<std::byte> broadcast_bytes = *broadcast;
+  for (const Reactor::ConnectionId id : accepted) ASSERT_TRUE(reactor->send_frame(id, filler));
+  // Let delayed ACKs land and their freed space refill, so every socket sits
+  // at a closed receive window before the broadcast is queued.
+  const auto settle = std::chrono::steady_clock::now() + 300ms;
+  while (std::chrono::steady_clock::now() < settle) (void)reactor->poll_once(10ms);
+  ASSERT_GT(reactor->pending_write_bytes(), 0u);
+  // Queued twice per connection: the first pass may still top up a socket
+  // whose send buffer grew meanwhile; the second finds every socket full, so
+  // it adds exactly one frame's bytes per connection.
+  for (const Reactor::ConnectionId id : accepted) {
+    ASSERT_TRUE(reactor->send_frame(id, broadcast));
+  }
+  const std::size_t queued_once = reactor->pending_write_bytes();
+  for (const Reactor::ConnectionId id : accepted) {
+    ASSERT_TRUE(reactor->send_frame(id, broadcast));
+  }
+  EXPECT_EQ(reactor->pending_write_bytes(), queued_once + kPeers * broadcast_bytes.size());
+  const std::weak_ptr<const std::vector<std::byte>> watch = broadcast;
+  broadcast.reset();
+
+  // Peers read and compare in 64 KiB chunks; each thread owns its slot.
+  std::atomic<std::size_t> drained{0};
+  std::vector<char> identical(kPeers, 0);
+  const auto read_peer = [&](std::size_t peer) {
+    peers[peer].set_receive_timeout(60000ms);
+    std::vector<std::byte> chunk(1u << 16);
+    bool same = true;
+    try {
+      for (const std::vector<std::byte>* expected :
+           {filler.get(), &broadcast_bytes, &broadcast_bytes}) {
+        for (std::size_t offset = 0; offset < expected->size();) {
+          const std::size_t n = std::min(chunk.size(), expected->size() - offset);
+          peers[peer].recv_all({chunk.data(), n});
+          same = same && std::memcmp(chunk.data(), expected->data() + offset, n) == 0;
+          offset += n;
+        }
+      }
+    } catch (const std::exception&) {
+      same = false;  // a stalled or closed link fails the byte check below
+    }
+    identical[peer] = same ? 1 : 0;
+    drained.fetch_add(1);
+  };
+  // Every peer but the first drains; the first still holds the frame queued.
+  std::vector<std::thread> readers;
+  for (std::size_t peer = 1; peer < kPeers; ++peer) readers.emplace_back(read_peer, peer);
+  EXPECT_TRUE(pump_until([&] { return drained.load() == kPeers - 1; }, 60000ms));
+  EXPECT_FALSE(watch.expired()) << "released while a connection still queues it";
+  EXPECT_GE(reactor->pending_write_bytes(), 2 * broadcast_bytes.size());
+  readers.emplace_back(read_peer, 0);
+  const bool done = pump_until(
+      [&] { return drained.load() == kPeers && reactor->pending_write_bytes() == 0; },
+      60000ms);
+  for (std::thread& reader : readers) reader.join();
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(watch.expired()) << "the last drain must release the shared frame";
+  for (std::size_t peer = 0; peer < kPeers; ++peer) {
+    EXPECT_EQ(identical[peer], 1) << "peer " << peer << " received different bytes";
+  }
 }
 
 // ---- HTTP scrape auto-detection on the data port ------------------------------

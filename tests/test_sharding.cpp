@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "attacks/attack.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "defenses/fedavg.hpp"
@@ -330,6 +331,45 @@ TEST(ShardedFedGuard, AcceptSetDivergesFromUnsharded) {
   EXPECT_NE(single_accept, merged_accept);
 }
 
+/// Rejects, per cohort, the one update farthest from the global model and
+/// averages the rest: every shard rejects exactly one client, so both
+/// detection tallies move in a federation with one poisoned client.
+class RejectFarthest final : public defenses::AggregationStrategy {
+ public:
+  [[nodiscard]] std::string name() const override { return "reject_farthest"; }
+
+ private:
+  void do_aggregate(const AggregationContext& context, const UpdateView& updates,
+                    AggregationResult& out) override {
+    std::size_t farthest = 0;
+    double farthest_distance = -1.0;
+    for (std::size_t k = 0; k < updates.count(); ++k) {
+      double distance = 0.0;
+      const std::span<const float> psi = updates.psi(k);
+      for (std::size_t i = 0; i < psi.size(); ++i) {
+        const double delta = static_cast<double>(psi[i]) - context.global_parameters[i];
+        distance += delta * delta;
+      }
+      if (distance > farthest_distance) {
+        farthest_distance = distance;
+        farthest = k;
+      }
+    }
+    std::vector<std::size_t> kept;
+    for (std::size_t k = 0; k < updates.count(); ++k) {
+      if (k == farthest && updates.count() > 1) {
+        out.rejected_clients.push_back(updates.meta(k).client_id);
+      } else {
+        kept.push_back(k);
+        out.accepted_clients.push_back(updates.meta(k).client_id);
+      }
+    }
+    defenses::mean_of_into(updates, kept, accumulator_, out.parameters);
+  }
+
+  std::vector<double> accumulator_;
+};
+
 // ---------------------------------------------------------------------------
 // Federation-level goldens: the in-process two-tier simulation and the socket
 // deployment agree with each other and (for FedAvg) with single-tier.
@@ -438,6 +478,73 @@ TEST_F(ShardedFederationFixture, TwoTierSocketMatchesInProcessBitForBit) {
   for (std::size_t i = 0; i < local_params.size(); ++i) {
     ASSERT_EQ(local_params[i], remote_params[i]) << "parameter " << i;
   }
+}
+
+TEST_F(ShardedFederationFixture, TwoTierSocketRoundRecordMatchesInProcessTwin) {
+  // q8 uploads, one poisoned client, a selector that rejects one client per
+  // shard: the socket tier's RoundRecord must carry the twin's detection
+  // split, and its traffic must be the twin's ψ spans plus the fixed framing.
+  constexpr std::size_t kShards = 2;
+  constexpr std::uint64_t kSeed = 961;
+  const attacks::SameValueAttack attack{1.0f};
+
+  auto local_clients = make_clients(960);
+  local_clients[3]->corrupt_with_model_attack(&attack);
+  RejectFarthest local_strategy;
+  fl::ServerConfig local_config;
+  local_config.clients_per_round = 4;
+  local_config.rounds = 3;
+  local_config.seed = kSeed;
+  local_config.shards = kShards;
+  local_config.psi_codec = util::WireCodec::Q8;
+  fl::Server twin{local_config, local_clients, local_strategy, test,
+                  models::ClassifierArch::Mlp, geometry};
+  const fl::RunHistory local = twin.run();
+
+  auto remote_clients = make_clients(960);
+  remote_clients[3]->corrupt_with_model_attack(&attack);
+  net::HierarchicalServerConfig config;
+  config.shards = kShards;
+  config.expected_clients = 4;
+  config.clients_per_round = 4;
+  config.rounds = 3;
+  config.seed = kSeed;
+  config.psi_codec = util::WireCodec::Q8;
+  net::HierarchicalServer server{config, [] { return std::make_unique<RejectFarthest>(); },
+                                 test, models::ClassifierArch::Mlp, geometry};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::uint16_t port = server.shard_port(server.shard_of(i));
+    threads.emplace_back(
+        [&, i, port] { (void)net::run_remote_client("127.0.0.1", port, *remote_clients[i]); });
+  }
+  const fl::RunHistory remote = server.run();
+  for (auto& thread : threads) thread.join();
+
+  // The twin charges bare ψ spans; every frame adds a 20-byte header and its
+  // message's scalar fields (36 bytes each way), and a reply without θ still
+  // carries its 8-byte θ count.
+  constexpr std::size_t kRequestFraming = net::kFrameHeaderBytes + 36;
+  constexpr std::size_t kReplyFraming = net::kFrameHeaderBytes + 36 + 8;
+  std::size_t rejected_malicious = 0;
+  std::size_t rejected_benign = 0;
+  ASSERT_EQ(local.rounds.size(), remote.rounds.size());
+  for (std::size_t r = 0; r < local.rounds.size(); ++r) {
+    const fl::RoundRecord& x = local.rounds[r];
+    const fl::RoundRecord& y = remote.rounds[r];
+    EXPECT_EQ(y.test_accuracy, x.test_accuracy) << "round " << r;
+    EXPECT_EQ(y.server_upload_bytes, x.server_upload_bytes + 4 * kRequestFraming)
+        << "round " << r;
+    EXPECT_EQ(y.server_download_bytes, x.server_download_bytes + 4 * kReplyFraming)
+        << "round " << r;
+    EXPECT_EQ(y.rejected_clients, x.rejected_clients) << "round " << r;
+    EXPECT_EQ(y.rejected_malicious, x.rejected_malicious) << "round " << r;
+    EXPECT_EQ(y.rejected_benign, x.rejected_benign) << "round " << r;
+    rejected_malicious += y.rejected_malicious;
+    rejected_benign += y.rejected_benign;
+  }
+  EXPECT_GT(rejected_malicious, 0u);
+  EXPECT_GT(rejected_benign, 0u);
 }
 
 TEST_F(ShardedFederationFixture, ShardKillDegradesGracefully) {
