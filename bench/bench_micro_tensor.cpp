@@ -1,5 +1,6 @@
-// Micro-benchmarks of the numeric substrate: GEMM variants, im2col, and full
-// layer forward/backward passes at the shapes used by the paper's models.
+// Micro-benchmarks of the numeric substrate: GEMM variants, im2col, optimizer
+// steps, and full layer forward/backward passes at the shapes used by the
+// paper's models.
 
 #include <benchmark/benchmark.h>
 
@@ -7,6 +8,7 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
+#include "nn/optimizer.hpp"
 #include "parallel/kernel_config.hpp"
 #include "tensor/kernels/kernel_arch.hpp"
 #include "tensor/ops.hpp"
@@ -132,6 +134,95 @@ BENCHMARK(BM_MatmulTransB)
     ->Args({256, 1})
     ->Args({256, 4})
     ->Unit(benchmark::kMicrosecond);
+
+// Per-tier A * B^T rows (m x k x n, then threads) at the shapes the round
+// workloads run: the CVAE encoder and decoder forward (8x794x96, 8x96x794),
+// the MLP fc1 forward in training and evaluation (16x784x128, 256x784x128),
+// the paper CNN's fc1 forward (16x3136x512) and its conv2 weight gradient
+// (64x3136x800).
+void BM_MatmulTransBKernelArch(benchmark::State& state, tensor::kernels::KernelArch arch) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  set_kernel_threads(static_cast<std::size_t>(state.range(3)));
+  tensor::kernels::set_kernel_arch(arch);
+  const Tensor a = random_tensor({m, k}, 18);
+  const Tensor b = random_tensor({n, k}, 19);
+  Tensor c{{m, n}};
+  for (auto _ : state) {
+    tensor::matmul_trans_b(a, b, c);
+    benchmark::DoNotOptimize(c.raw());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * m * k * n));
+  tensor::kernels::set_kernel_arch(tensor::kernels::KernelArch::Auto);
+  parallel::set_kernel_config(parallel::KernelConfig{});
+}
+
+// One optimizer step over a single flat parameter of the given size: SGD with
+// the clients' momentum 0.9 at the MLP's 101,770 and the paper CNN's
+// 1,663,370 parameters, Adam at the small-scale CVAE's 154,974. No items
+// counter: merge_kernel_bench.py would read it as GFLOP/s.
+void BM_SgdStepKernelArch(benchmark::State& state, tensor::kernels::KernelArch arch) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  tensor::kernels::set_kernel_arch(arch);
+  nn::Parameter param{{size}, "w"};
+  param.value = random_tensor({size}, 20);
+  param.grad = random_tensor({size}, 21);
+  nn::Sgd sgd{{&param}, 1e-6f, 0.9f};
+  for (auto _ : state) {
+    sgd.step();
+    benchmark::DoNotOptimize(param.value.raw());
+    benchmark::ClobberMemory();
+  }
+  tensor::kernels::set_kernel_arch(tensor::kernels::KernelArch::Auto);
+}
+
+void BM_AdamStepKernelArch(benchmark::State& state, tensor::kernels::KernelArch arch) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  tensor::kernels::set_kernel_arch(arch);
+  nn::Parameter param{{size}, "w"};
+  param.value = random_tensor({size}, 22);
+  param.grad = random_tensor({size}, 23);
+  nn::Adam adam{{&param}, 1e-6f};
+  for (auto _ : state) {
+    adam.step();
+    benchmark::DoNotOptimize(param.value.raw());
+    benchmark::ClobberMemory();
+  }
+  tensor::kernels::set_kernel_arch(tensor::kernels::KernelArch::Auto);
+}
+
+const int register_arch_client_step = [] {
+  namespace kernels = fedguard::tensor::kernels;
+  for (const kernels::KernelArch arch : {kernels::KernelArch::Serial,
+                                         kernels::KernelArch::Avx2,
+                                         kernels::KernelArch::Avx512}) {
+    if (!kernels::kernel_arch_available(arch)) continue;
+    const std::string tier{kernels::to_string(arch)};
+    benchmark::RegisterBenchmark(
+        ("BM_MatmulTransB_" + tier).c_str(),
+        [arch](benchmark::State& s) { BM_MatmulTransBKernelArch(s, arch); })
+        ->Args({8, 794, 96, 1})
+        ->Args({8, 96, 794, 1})
+        ->Args({16, 784, 128, 1})
+        ->Args({256, 784, 128, 1})
+        ->Args({16, 3136, 512, 1})
+        ->Args({64, 3136, 800, 1})
+        ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark(("BM_SgdStep_" + tier).c_str(),
+                                 [arch](benchmark::State& s) { BM_SgdStepKernelArch(s, arch); })
+        ->Arg(101770)
+        ->Arg(1663370)
+        ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark(("BM_AdamStep_" + tier).c_str(),
+                                 [arch](benchmark::State& s) { BM_AdamStepKernelArch(s, arch); })
+        ->Arg(154974)
+        ->Unit(benchmark::kMicrosecond);
+  }
+  return 0;
+}();
 
 void BM_Im2Col(benchmark::State& state) {
   // The paper CNN's first layer geometry: 1x28x28, 5x5 kernel, pad 2.

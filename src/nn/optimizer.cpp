@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "tensor/kernels/kernel_arch.hpp"
+
 namespace fedguard::nn {
 
 void Optimizer::zero_grad() {
@@ -23,23 +25,12 @@ Sgd::Sgd(std::vector<Parameter*> parameters, float learning_rate, float momentum
 }
 
 void Sgd::step() {
+  const tensor::kernels::SgdStepFn sgd_step = tensor::kernels::kernel_table().sgd_step;
   for (std::size_t k = 0; k < parameters_.size(); ++k) {
     Parameter& p = *parameters_[k];
-    auto value = p.value.data();
-    auto grad = p.grad.data();
-    if (momentum_ != 0.0f) {
-      auto vel = velocity_[k].data();
-      for (std::size_t i = 0; i < value.size(); ++i) {
-        const float g = grad[i] + weight_decay_ * value[i];
-        vel[i] = momentum_ * vel[i] + g;
-        value[i] -= learning_rate_ * vel[i];
-      }
-    } else {
-      for (std::size_t i = 0; i < value.size(); ++i) {
-        const float g = grad[i] + weight_decay_ * value[i];
-        value[i] -= learning_rate_ * g;
-      }
-    }
+    float* velocity = momentum_ != 0.0f ? velocity_[k].raw() : nullptr;
+    sgd_step(p.value.raw(), p.grad.raw(), velocity, p.value.size(), learning_rate_, momentum_,
+             weight_decay_);
   }
 }
 
@@ -64,18 +55,13 @@ void Adam::step() {
   const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(step_count_));
   const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(step_count_));
   const float alpha = learning_rate_ * std::sqrt(bias2) / bias1;
+  const tensor::kernels::AdamCoefficients coefficients{alpha, beta1_, beta2_, epsilon_,
+                                                       weight_decay_};
+  const tensor::kernels::AdamStepFn adam_step = tensor::kernels::kernel_table().adam_step;
   for (std::size_t k = 0; k < parameters_.size(); ++k) {
     Parameter& p = *parameters_[k];
-    auto value = p.value.data();
-    auto grad = p.grad.data();
-    auto m = m_[k].data();
-    auto v = v_[k].data();
-    for (std::size_t i = 0; i < value.size(); ++i) {
-      const float g = grad[i] + weight_decay_ * value[i];
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * g;
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * g * g;
-      value[i] -= alpha * m[i] / (std::sqrt(v[i]) + epsilon_);
-    }
+    adam_step(p.value.raw(), p.grad.raw(), m_[k].raw(), v_[k].raw(), p.value.size(),
+              coefficients);
   }
 }
 

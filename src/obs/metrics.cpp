@@ -307,8 +307,13 @@ void Registry::zero_all() {
 }
 
 Registry& Registry::global() {
-  static Registry registry;
-  return registry;
+  // Never destroyed. A pool worker updates its pool_* instruments after the
+  // task that completed a batch returns, so at exit it can still be writing
+  // while static destructors run; a registry built after the pool's owner
+  // would otherwise be freed first.
+  // fedguard-lint: allow(naked-new) deliberately leaked so it outlives every static
+  static Registry* const registry = new Registry;
+  return *registry;
 }
 
 }  // namespace fedguard::obs

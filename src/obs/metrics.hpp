@@ -187,7 +187,8 @@ class Registry {
   /// total; quiesce instrumented threads when exact zeroes matter.
   void zero_all();
 
-  /// The process-wide registry every built-in instrument registers with.
+  /// The process-wide registry every built-in instrument registers with. It
+  /// is never destroyed, so handles stay valid through static destruction.
   [[nodiscard]] static Registry& global();
 
  private:

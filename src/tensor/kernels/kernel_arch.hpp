@@ -5,12 +5,13 @@
 
 namespace fedguard::tensor::kernels {
 
-// Runtime-selected ISA tier for the numeric hot loops (GEMM micro-kernels and
-// the defense distance passes). `Serial` is the always-available determinism
-// oracle — the same scalar loops the library shipped with — and the wider
-// tiers are hand-written SIMD kernels compiled into dedicated translation
-// units under src/tensor/kernels/ (the only directory where raw intrinsics
-// are permitted; fedguard-lint rule `no-raw-intrinsics`).
+// Runtime-selected ISA tier for the numeric hot loops (GEMM micro-kernels,
+// the defense distance passes and the optimizer updates). `Serial` is the
+// always-available determinism oracle — the same scalar loops the library
+// shipped with — and the wider tiers are hand-written SIMD kernels compiled
+// into dedicated translation units under src/tensor/kernels/ (the only
+// directory where raw intrinsics are permitted; fedguard-lint rule
+// `no-raw-intrinsics`).
 //
 // Selection order mirrors the thread-count knob: explicit set_kernel_arch()
 // (descriptor key `kernel_arch`) > FEDGUARD_KERNEL_ARCH env var > Auto.
@@ -29,9 +30,33 @@ using GemmMicroKernelFn = void (*)(const float* a, std::size_t a_rs, std::size_t
                                    std::size_t ldc, std::size_t mr, std::size_t nr,
                                    std::size_t kc);
 
-/// One C row of A * B^T: c_row[j] = dot(a_row, b + j * k) for j in [0, n).
-using GemmTbRowFn = void (*)(const float* a_row, const float* b, float* c_row,
-                             std::size_t k, std::size_t n);
+/// C = A * B^T over m rows of A and n rows of B (both row-major, k wide):
+/// c[i * n + j] = dot(a + i * k, b + j * k). The result of each element
+/// depends only on its two operand rows, never on m, n or the tiling.
+using GemmTbFn = void (*)(const float* a, const float* b, float* c, std::size_t m,
+                          std::size_t k, std::size_t n);
+
+/// One SGD step over n parameters: g = grad + weight_decay * value; with a
+/// velocity buffer, velocity = momentum * velocity + g and
+/// value -= learning_rate * velocity; without one (nullptr),
+/// value -= learning_rate * g.
+using SgdStepFn = void (*)(float* value, const float* grad, float* velocity, std::size_t n,
+                           float learning_rate, float momentum, float weight_decay);
+
+/// Per-step Adam coefficients; alpha already folds in the bias correction.
+struct AdamCoefficients {
+  float alpha;
+  float beta1;
+  float beta2;
+  float epsilon;
+  float weight_decay;
+};
+
+/// One Adam step over n parameters: g = grad + weight_decay * value,
+/// m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g,
+/// value -= alpha * m / (sqrt(v) + epsilon).
+using AdamStepFn = void (*)(float* value, const float* grad, float* m, float* v,
+                            std::size_t n, const AdamCoefficients& coefficients);
 
 /// sum((a[i] - b[i])^2) accumulated in double.
 using SquaredDistanceFn = double (*)(const float* a, const float* b, std::size_t n);
@@ -48,12 +73,19 @@ struct KernelTable {
   std::size_t gemm_mr = 4;
   std::size_t gemm_nr = 16;
   // nullptr selects the inlined lane-blocked dot loop in ops.cpp.
-  GemmTbRowFn gemm_tb_row = nullptr;
+  GemmTbFn gemm_tb = nullptr;
+  // A rows per gemm_tb register tile; the parallel row split aligns to it.
+  std::size_t gemm_tb_mr = 1;
   // Distance kernels are never null; the serial entries are compiled with
   // FP contraction off so they stay bit-identical to util::squared_distance
   // and the original GeoMed loop.
   SquaredDistanceFn squared_distance = nullptr;
   SquaredDistanceWideFn squared_distance_wide = nullptr;
+  // Optimizer updates are never null and bit-identical on every tier: every
+  // entry, SIMD ones included, builds with FP contraction off and performs
+  // the same IEEE multiply, add, sqrt and divide per element.
+  SgdStepFn sgd_step = nullptr;
+  AdamStepFn adam_step = nullptr;
 };
 
 /// Accepts "auto", "serial", "avx2", "avx512". Returns false (out untouched)

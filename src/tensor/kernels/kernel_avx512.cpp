@@ -5,6 +5,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 #include "tensor/kernels/kernel_impl.hpp"
 
 namespace fedguard::tensor::kernels::avx512 {
@@ -56,27 +58,137 @@ void gemm_micro_8x32(const float* a, std::size_t a_rs, std::size_t a_cs, const f
   }
 }
 
-void gemm_tb_row(const float* a_row, const float* b, float* c_row, std::size_t k,
-                 std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const float* b_row = b + j * k;
-    __m512 acc0 = _mm512_setzero_ps();
-    __m512 acc1 = _mm512_setzero_ps();
-    std::size_t p = 0;
-    for (; p + 32 <= k; p += 32) {
-      acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a_row + p), _mm512_loadu_ps(b_row + p), acc0);
-      acc1 = _mm512_fmadd_ps(_mm512_loadu_ps(a_row + p + 16), _mm512_loadu_ps(b_row + p + 16),
-                             acc1);
+namespace {
+
+// A * B^T register tile: up to kGemmTbMr rows of A against up to kTbNr rows
+// of B. Every element keeps the arithmetic of a one-element dot kernel: two
+// FMA chains over 32-float steps, one 16-float half step into chain 0, the
+// chain sum, the scalar fmaf tail into lane 0, then lanes 0..15 summed in
+// order from 0.0f. The tile only shares operand loads between elements, so
+// each result is independent of m, n and where the tile boundaries fall.
+constexpr std::size_t kTbNr = 2;
+// Bytes of B rows one block keeps resident in L2 while every A tile of the
+// call streams past them.
+constexpr std::size_t kTbBlockBytes = std::size_t{512} << 10;
+
+/// out[e] = lanes[e][0] + lanes[e][1] + ... + lanes[e][15], summed left to
+/// right from 0.0f, for 8 elements at once: each 8x4 block of lanes is
+/// transposed so that one vector add advances all eight sums by one lane.
+void ordered_lane_sums8(const float (*lanes)[16], float* out) {
+  __m256 total = _mm256_setzero_ps();
+  for (std::size_t l = 0; l < 16; l += 4) {
+    // Register r holds lanes l..l+3 of element r (low half) and r + 4 (high).
+    __m256 r[4];
+    for (std::size_t e = 0; e < 4; ++e) {
+      r[e] = _mm256_insertf128_ps(_mm256_castps128_ps256(_mm_load_ps(lanes[e] + l)),
+                                  _mm_load_ps(lanes[e + 4] + l), 1);
     }
-    for (; p + 16 <= k; p += 16) {
-      acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a_row + p), _mm512_loadu_ps(b_row + p), acc0);
+    const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    total = _mm256_add_ps(total, _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0)));
+    total = _mm256_add_ps(total, _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2)));
+    total = _mm256_add_ps(total, _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0)));
+    total = _mm256_add_ps(total, _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2)));
+  }
+  _mm256_storeu_ps(out, total);
+}
+
+/// Loads 16 floats into a register that stays put: without the empty asm,
+/// GCC folds the load into every FMA that uses the value, and the tile then
+/// reads each operand once per use instead of once.
+__m512 load_in_register(const float* p) {
+  __m512 v = _mm512_loadu_ps(p);
+  asm("" : "+v"(v));
+  return v;
+}
+
+/// acc[i][j] += A row i * B row j over the 16 floats at depth p.
+template <std::size_t MR, std::size_t NR>
+inline void gemm_tb_step(__m512 (&acc)[MR][NR], const float* a, const float* b,
+                         std::size_t k, std::size_t p) {
+  __m512 bv[NR];
+  for (std::size_t j = 0; j < NR; ++j) bv[j] = load_in_register(b + j * k + p);
+  for (std::size_t i = 0; i < MR; ++i) {
+    const __m512 av = load_in_register(a + i * k + p);
+    for (std::size_t j = 0; j < NR; ++j) acc[i][j] = _mm512_fmadd_ps(av, bv[j], acc[i][j]);
+  }
+}
+
+template <std::size_t MR, std::size_t NR>
+void gemm_tb_tile(const float* a, const float* b, float* c, std::size_t k, std::size_t ldc) {
+  __m512 acc0[MR][NR];
+  __m512 acc1[MR][NR];
+  for (std::size_t i = 0; i < MR; ++i) {
+    for (std::size_t j = 0; j < NR; ++j) {
+      acc0[i][j] = _mm512_setzero_ps();
+      acc1[i][j] = _mm512_setzero_ps();
     }
-    alignas(64) float lanes[16];
-    _mm512_store_ps(lanes, _mm512_add_ps(acc0, acc1));
-    for (; p < k; ++p) lanes[0] = __builtin_fmaf(a_row[p], b_row[p], lanes[0]);
-    float total = 0.0f;
-    for (std::size_t l = 0; l < 16; ++l) total += lanes[l];
-    c_row[j] = total;
+  }
+  std::size_t p = 0;
+  for (; p + 32 <= k; p += 32) {
+    gemm_tb_step(acc0, a, b, k, p);
+    gemm_tb_step(acc1, a, b, k, p + 16);
+  }
+  if (p + 16 <= k) {
+    gemm_tb_step(acc0, a, b, k, p);
+    p += 16;
+  }
+  alignas(64) float lanes[MR * NR][16];
+  for (std::size_t i = 0; i < MR; ++i) {
+    for (std::size_t j = 0; j < NR; ++j) {
+      _mm512_store_ps(lanes[i * NR + j], _mm512_add_ps(acc0[i][j], acc1[i][j]));
+    }
+  }
+  for (; p < k; ++p) {
+    for (std::size_t i = 0; i < MR; ++i) {
+      for (std::size_t j = 0; j < NR; ++j) {
+        lanes[i * NR + j][0] = __builtin_fmaf(a[i * k + p], b[j * k + p], lanes[i * NR + j][0]);
+      }
+    }
+  }
+  float totals[MR * NR];
+  if constexpr (MR * NR == 8) {
+    ordered_lane_sums8(lanes, totals);
+  } else {
+    for (std::size_t e = 0; e < MR * NR; ++e) {
+      float total = 0.0f;
+      for (std::size_t l = 0; l < 16; ++l) total += lanes[e][l];
+      totals[e] = total;
+    }
+  }
+  for (std::size_t i = 0; i < MR; ++i) {
+    for (std::size_t j = 0; j < NR; ++j) c[i * ldc + j] = totals[i * NR + j];
+  }
+}
+
+using GemmTbTileFn = void (*)(const float* a, const float* b, float* c, std::size_t k,
+                              std::size_t ldc);
+
+// Indexed [rows of A - 1][rows of B - 1]: the full tile and its edge tiles.
+constexpr GemmTbTileFn kGemmTbTiles[kGemmTbMr][kTbNr] = {
+    {&gemm_tb_tile<1, 1>, &gemm_tb_tile<1, 2>},
+    {&gemm_tb_tile<2, 1>, &gemm_tb_tile<2, 2>},
+    {&gemm_tb_tile<3, 1>, &gemm_tb_tile<3, 2>},
+    {&gemm_tb_tile<4, 1>, &gemm_tb_tile<4, 2>},
+};
+
+}  // namespace
+
+void gemm_tb(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
+             std::size_t n) {
+  const std::size_t row_bytes = std::max<std::size_t>(k, 1) * sizeof(float);
+  const std::size_t block = std::max(kTbNr, kTbBlockBytes / row_bytes / kTbNr * kTbNr);
+  for (std::size_t j0 = 0; j0 < n; j0 += block) {
+    const std::size_t j_end = std::min(n, j0 + block);
+    for (std::size_t i = 0; i < m; i += kGemmTbMr) {
+      const std::size_t mr = std::min(kGemmTbMr, m - i);
+      for (std::size_t j = j0; j < j_end; j += kTbNr) {
+        const std::size_t nr = std::min(kTbNr, j_end - j);
+        kGemmTbTiles[mr - 1][nr - 1](a + i * k, b + j * k, c + i * n + j, k, n);
+      }
+    }
   }
 }
 

@@ -145,20 +145,23 @@ void gemm_dispatch(const float* a, std::size_t a_rs, std::size_t a_cs, const flo
 // instead of transposing B we compute four dot products at a time with
 // kLanes-wide partial sums that the compiler maps onto vector registers. The
 // lanes are reduced in a fixed order, so output is deterministic and
-// thread-count independent (rows are partitioned, never split).
+// thread-count independent (rows are partitioned, never split). The SIMD
+// tiers replace this loop with a register-tiled kernel from the dispatch
+// table; its per-element arithmetic is likewise fixed, so their results do
+// not depend on the row split either.
 
 constexpr std::size_t kLanes = 8;
 constexpr std::size_t kDotCols = 4;
 
 void gemm_tb_rows(const float* a, const float* b, float* c, std::size_t k, std::size_t n,
-                  std::size_t row_begin, std::size_t row_end, kernels::GemmTbRowFn simd_row) {
+                  std::size_t row_begin, std::size_t row_end, kernels::GemmTbFn simd_tile) {
+  if (simd_tile != nullptr) {
+    simd_tile(a + row_begin * k, b, c + row_begin * n, row_end - row_begin, k, n);
+    return;
+  }
   for (std::size_t i = row_begin; i < row_end; ++i) {
     const float* a_row = a + i * k;
     float* c_row = c + i * n;
-    if (simd_row != nullptr) {
-      simd_row(a_row, b, c_row, k, n);
-      continue;
-    }
     std::size_t j = 0;
     for (; j + kDotCols <= n; j += kDotCols) {
       float acc[kDotCols][kLanes] = {};
@@ -204,15 +207,17 @@ void gemm_tb_dispatch(const float* a, const float* b, float* c, std::size_t m, s
     std::fill(c, c + m * n, 0.0f);
     return;
   }
-  const kernels::GemmTbRowFn simd_row = kernels::kernel_table().gemm_tb_row;
+  const kernels::KernelTable& kt = kernels::kernel_table();
   const parallel::KernelConfig config = parallel::kernel_config();
   const std::size_t flops = 2 * m * k * n;
   if (!parallel::should_parallelize(flops, config.gemm_min_flops)) {
-    gemm_tb_rows(a, b, c, k, n, 0, m, simd_row);
+    gemm_tb_rows(a, b, c, k, n, 0, m, kt.gemm_tb);
     return;
   }
-  parallel::kernel_parallel_ranges(m, 1, [&](std::size_t row_begin, std::size_t row_end) {
-    gemm_tb_rows(a, b, c, k, n, row_begin, row_end, simd_row);
+  // Split on whole register tiles, so that no range ends inside a tile.
+  parallel::kernel_parallel_ranges(m, kt.gemm_tb_mr,
+                                   [&](std::size_t row_begin, std::size_t row_end) {
+    gemm_tb_rows(a, b, c, k, n, row_begin, row_end, kt.gemm_tb);
   });
 }
 

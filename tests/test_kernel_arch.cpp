@@ -3,14 +3,19 @@
 // must agree with the serial determinism oracle on GEMM and the defense
 // distance kernels, within reduction-reorder tolerance; the serial distance
 // tier must agree with util::squared_distance bit-for-bit (it backs the
-// pinned goldens in test_update_pipeline).
+// pinned goldens in test_update_pipeline). The register-tiled A * B^T kernel
+// must equal its own tier one element at a time bit for bit, and the
+// optimizer updates must equal the serial tier bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "parallel/kernel_config.hpp"
 #include "tensor/kernels/kernel_arch.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -22,10 +27,13 @@ namespace {
 namespace kernels = tensor::kernels;
 using kernels::KernelArch;
 
-// Every test must leave the process-wide dispatch override cleared, or later
-// tests in the same binary would silently inherit a pinned tier.
+// Every test must leave the process-wide dispatch override and kernel config
+// cleared, or later tests in the same binary would silently inherit them.
 struct KernelArchTest : ::testing::Test {
-  void TearDown() override { kernels::set_kernel_arch(KernelArch::Auto); }
+  void TearDown() override {
+    kernels::set_kernel_arch(KernelArch::Auto);
+    parallel::set_kernel_config(parallel::KernelConfig{});
+  }
 };
 
 std::vector<float> random_values(std::size_t n, util::Rng& rng) {
@@ -40,6 +48,43 @@ std::vector<KernelArch> available_simd_tiers() {
     if (kernels::kernel_arch_available(arch)) tiers.push_back(arch);
   }
   return tiers;
+}
+
+kernels::KernelTable table_for(KernelArch arch) {
+  kernels::set_kernel_arch(arch);
+  const kernels::KernelTable table = kernels::kernel_table();
+  kernels::set_kernel_arch(KernelArch::Auto);
+  return table;
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// The SIMD row kernel's arithmetic spelled out lane by lane for a tier of
+/// `width` float lanes: two FMA chains over 2 * width-float steps, one half
+/// step into chain 0, the chain sum, the fmaf tail into lane 0, and the
+/// lanes summed in order from 0.0f.
+float lanewise_simd_dot(const float* a, const float* b, std::size_t k, std::size_t width) {
+  std::vector<float> chain0(width, 0.0f);
+  std::vector<float> chain1(width, 0.0f);
+  std::size_t p = 0;
+  for (; p + 2 * width <= k; p += 2 * width) {
+    for (std::size_t l = 0; l < width; ++l) {
+      chain0[l] = std::fma(a[p + l], b[p + l], chain0[l]);
+      chain1[l] = std::fma(a[p + width + l], b[p + width + l], chain1[l]);
+    }
+  }
+  if (p + width <= k) {
+    for (std::size_t l = 0; l < width; ++l) chain0[l] = std::fma(a[p + l], b[p + l], chain0[l]);
+    p += width;
+  }
+  for (std::size_t l = 0; l < width; ++l) chain0[l] = chain0[l] + chain1[l];
+  for (; p < k; ++p) chain0[0] = std::fma(a[p], b[p], chain0[0]);
+  float total = 0.0f;
+  for (std::size_t l = 0; l < width; ++l) total += chain0[l];
+  return total;
 }
 
 TEST_F(KernelArchTest, ParseAndToStringRoundTrip) {
@@ -178,6 +223,119 @@ TEST_F(KernelArchTest, SimdTransposedGemmVariantsMatchSerial) {
     tensor::matmul_trans_b(a.data(), bt.data(), simd_c.data(), m, k, n);
     for (std::size_t i = 0; i < simd_c.size(); ++i) {
       EXPECT_NEAR(simd_c[i], serial_c[i], 1e-4f) << kernels::to_string(arch) << " " << i;
+    }
+  }
+}
+
+TEST_F(KernelArchTest, TiledTransBGemmEqualsItsTierElementByElement) {
+  // Each output of the register tile must carry the arithmetic of a single
+  // dot product, whatever tile, edge tile, B block or thread range it falls
+  // in: compare a whole tensor::matmul_trans_b against the same tier's
+  // kernel called one A row and one B row at a time, and against the lane
+  // arithmetic spelled out in scalar code.
+  const std::vector<KernelArch> tiers = available_simd_tiers();
+  if (tiers.empty()) GTEST_SKIP() << "no SIMD tier compiled in / supported";
+  const std::size_t ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 33};
+  const std::size_t ks[] = {1, 12, 15, 16, 17, 31, 32, 33, 48, 96, 794, 3136};
+  const std::size_t ns[] = {1, 2, 3, 10, 25, 129};
+  util::Rng rng{0xa1bull};
+  const std::vector<float> a_pool = random_values(std::size_t{33} * 3136, rng);
+  const std::vector<float> b_pool = random_values(std::size_t{129} * 3136, rng);
+  for (const KernelArch arch : tiers) {
+    const kernels::KernelTable table = table_for(arch);
+    ASSERT_NE(table.gemm_tb, nullptr) << kernels::to_string(arch);
+    const std::size_t width = arch == KernelArch::Avx512 ? 16 : 8;
+    for (const std::size_t threads : {1u, 4u}) {
+      parallel::KernelConfig config;
+      config.threads = threads;
+      config.gemm_min_flops = 1;  // split even the smallest shapes
+      parallel::set_kernel_config(config);
+      for (const std::size_t k : ks) {
+        for (const std::size_t m : ms) {
+          for (const std::size_t n : ns) {
+            const float* a = a_pool.data();
+            const float* b = b_pool.data();
+            std::vector<float> tiled(m * n);
+            kernels::set_kernel_arch(arch);
+            tensor::matmul_trans_b(a, b, tiled.data(), m, k, n);
+            kernels::set_kernel_arch(KernelArch::Auto);
+            std::vector<float> one_by_one(m * n);
+            std::vector<float> lanewise(m * n);
+            for (std::size_t i = 0; i < m; ++i) {
+              for (std::size_t j = 0; j < n; ++j) {
+                table.gemm_tb(a + i * k, b + j * k, &one_by_one[i * n + j], 1, k, 1);
+                lanewise[i * n + j] = lanewise_simd_dot(a + i * k, b + j * k, k, width);
+              }
+            }
+            EXPECT_TRUE(bitwise_equal(tiled, one_by_one))
+                << kernels::to_string(arch) << " threads " << threads << " shape " << m << "x"
+                << k << "x" << n;
+            EXPECT_TRUE(bitwise_equal(one_by_one, lanewise))
+                << kernels::to_string(arch) << " shape " << m << "x" << k << "x" << n;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelArchTest, OptimizerKernelsAreBitIdenticalToSerial) {
+  // Every tier builds its updates without FP contraction and does the same
+  // multiply, add, sqrt and divide per element, so values, velocity and both
+  // Adam moments must match the serial tier exactly, full vectors and masked
+  // tails alike.
+  const std::vector<KernelArch> tiers = available_simd_tiers();
+  if (tiers.empty()) GTEST_SKIP() << "no SIMD tier compiled in / supported";
+  const kernels::KernelTable serial = table_for(KernelArch::Serial);
+  constexpr int kSteps = 4;
+  util::Rng rng{0xa1cull};
+  for (const std::size_t n : {0u, 1u, 15u, 16u, 17u, 101770u}) {
+    const std::vector<float> init = random_values(n, rng);
+    std::vector<std::vector<float>> grads;
+    grads.reserve(kSteps);
+    for (int step = 0; step < kSteps; ++step) grads.push_back(random_values(n, rng));
+    for (const KernelArch arch : tiers) {
+      const kernels::KernelTable table = table_for(arch);
+      ASSERT_EQ(table.arch, arch);
+      const std::string where = std::string{kernels::to_string(arch)} + " n=" + std::to_string(n);
+      for (const float momentum : {0.0f, 0.9f}) {
+        for (const float weight_decay : {0.0f, 1e-4f}) {
+          std::vector<float> value = init;
+          std::vector<float> expect_value = init;
+          std::vector<float> velocity(n, 0.0f);
+          std::vector<float> expect_velocity(n, 0.0f);
+          float* vel = momentum != 0.0f ? velocity.data() : nullptr;
+          float* expect_vel = momentum != 0.0f ? expect_velocity.data() : nullptr;
+          for (int step = 0; step < kSteps; ++step) {
+            table.sgd_step(value.data(), grads[step].data(), vel, n, 0.05f, momentum,
+                           weight_decay);
+            serial.sgd_step(expect_value.data(), grads[step].data(), expect_vel, n, 0.05f,
+                            momentum, weight_decay);
+          }
+          EXPECT_TRUE(bitwise_equal(value, expect_value))
+              << "sgd value " << where << " momentum " << momentum << " wd " << weight_decay;
+          EXPECT_TRUE(bitwise_equal(velocity, expect_velocity))
+              << "sgd velocity " << where << " momentum " << momentum << " wd " << weight_decay;
+        }
+      }
+      for (const float weight_decay : {0.0f, 1e-4f}) {
+        std::vector<float> value = init;
+        std::vector<float> expect_value = init;
+        std::vector<float> m(n, 0.0f), v(n, 0.0f), expect_m(n, 0.0f), expect_v(n, 0.0f);
+        for (int step = 0; step < kSteps; ++step) {
+          const float t = static_cast<float>(step + 1);
+          const float alpha =
+              1e-3f * std::sqrt(1.0f - std::pow(0.999f, t)) / (1.0f - std::pow(0.9f, t));
+          const kernels::AdamCoefficients coefficients{alpha, 0.9f, 0.999f, 1e-8f, weight_decay};
+          table.adam_step(value.data(), grads[step].data(), m.data(), v.data(), n, coefficients);
+          serial.adam_step(expect_value.data(), grads[step].data(), expect_m.data(),
+                           expect_v.data(), n, coefficients);
+        }
+        EXPECT_TRUE(bitwise_equal(value, expect_value)) << "adam value " << where << " wd "
+                                                        << weight_decay;
+        EXPECT_TRUE(bitwise_equal(m, expect_m)) << "adam m " << where << " wd " << weight_decay;
+        EXPECT_TRUE(bitwise_equal(v, expect_v)) << "adam v " << where << " wd " << weight_decay;
+      }
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -407,31 +408,50 @@ TEST_F(ObsTest, ZeroAllNeverExposesHalfZeroedSnapshot) {
   // Contract (documented on Registry::zero_all): a scrape sees either the
   // fully pre-reset or the fully post-reset registry, never a mix. All cells
   // hold the same value, so any exposition mixing states is detectable.
+  // The writer's adds are lock-free and one cell at a time, so a scrape that
+  // overlaps them legitimately sees a mix; a seqlock-style generation
+  // (odd while the adds run) lets the scraper judge only the scrapes that
+  // did not overlap an add loop, which leaves zero_all() as the only writer
+  // they race with.
   Registry registry;
   std::vector<Counter> counters;
   counters.reserve(16);
   for (int i = 0; i < 16; ++i) {
     counters.push_back(registry.counter("race_c" + std::to_string(i) + "_total"));
   }
+  std::atomic<std::uint64_t> generation{0};
   std::atomic<bool> stop{false};
   std::atomic<int> mixed{0};
+  std::atomic<int> checked{0};
   std::thread scraper{[&] {
     while (!stop.load(std::memory_order_relaxed)) {
+      const std::uint64_t before = generation.load(std::memory_order_acquire);
       const auto values = registry.counter_values();
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (before % 2 != 0 || generation.load(std::memory_order_relaxed) != before) continue;
       bool any_set = false;
       bool any_zero = false;
       for (const auto& [name, value] : values) {
         (value != 0 ? any_set : any_zero) = true;
       }
       if (any_set && any_zero) mixed.fetch_add(1, std::memory_order_relaxed);
+      checked.fetch_add(1, std::memory_order_relaxed);
     }
   }};
-  for (int iteration = 0; iteration < 200; ++iteration) {
+  // Keep going past 200 iterations until the scraper has judged at least one
+  // scrape, however the two threads get scheduled.
+  for (int iteration = 0;
+       iteration < 200 || (checked.load(std::memory_order_relaxed) == 0 && iteration < 1000000);
+       ++iteration) {
+    generation.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
     for (auto& counter : counters) counter.add(7);
+    generation.fetch_add(1, std::memory_order_release);
     registry.zero_all();
   }
   stop.store(true, std::memory_order_relaxed);
   scraper.join();
+  EXPECT_GT(checked.load(), 0) << "no scrape fell outside an add loop";
   EXPECT_EQ(mixed.load(), 0) << "scrape observed a half-zeroed registry";
 }
 

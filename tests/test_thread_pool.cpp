@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
+
+#include "parallel/kernel_config.hpp"
 
 namespace fedguard::parallel {
 namespace {
@@ -115,6 +118,36 @@ TEST(GlobalPool, IsSingletonAndUsable) {
   EXPECT_GE(a.thread_count(), 1u);
   auto future = a.submit([] { return 7; });
   EXPECT_EQ(future.get(), 7);
+}
+
+// A worker updates its pool_* instruments after the task that completed a
+// batch returns, so it can still be running when the batch's caller exits.
+// In a fresh process whose first registry user is the kernel pool, the
+// registry is built after the pool's owner; if exit destroyed it first, that
+// worker would write into freed cells. Each child runs kernel-pool batches
+// and exits straight away, and must exit cleanly every time.
+TEST(ThreadPoolDeathTest, KernelPoolBatchesThenExitIsClean) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  constexpr std::size_t kBatches = 64;
+  constexpr std::size_t kRanges = 4;
+  for (int trial = 0; trial < 20; ++trial) {
+    EXPECT_EXIT(
+        {
+          KernelConfig config;
+          config.threads = kRanges;
+          set_kernel_config(config);
+          std::atomic<std::size_t> covered{0};
+          for (std::size_t batch = 0; batch < kBatches; ++batch) {
+            kernel_parallel_ranges(kRanges, 1, [&covered](std::size_t begin, std::size_t end) {
+              covered.fetch_add(end - begin);
+            });
+          }
+          // NOLINTNEXTLINE(concurrency-mt-unsafe) exit-time static destruction is under test
+          std::exit(covered.load() == kRanges * kBatches ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "")
+        << "trial " << trial;
+  }
 }
 
 }  // namespace
