@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "defenses/fedavg.hpp"
 #include "defenses/fedguard.hpp"
 #include "defenses/geomed.hpp"
@@ -13,6 +15,7 @@
 #include "defenses/median.hpp"
 #include "defenses/trimmed_mean.hpp"
 #include "parallel/kernel_config.hpp"
+#include "tensor/kernels/kernel_arch.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -103,6 +106,54 @@ BENCHMARK(BM_KrumPairwise)
     ->Args({100, 100000, 1})
     ->Args({100, 100000, 4})
     ->Unit(benchmark::kMillisecond);
+
+// The pairwise pass alone (pairwise_squared_distances, no scoring), pinned to
+// each kernel tier this CPU supports, at the MLP's d = 101,770 for m = 50 (the
+// paper) and m = 100; arguments are count, dim, then kernel threads. The tier
+// is the op-name suffix (BM_KrumPairwise_serial / _avx2 / _avx512), which
+// merge_kernel_bench.py turns into the kernel_arch record field. Items are
+// 3 flops (subtract, multiply, add) per float of each pair, per second of
+// wall time.
+void BM_KrumPairwiseKernelArch(benchmark::State& state, tensor::kernels::KernelArch arch) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  const auto dim = static_cast<std::size_t>(state.range(1));
+  parallel::KernelConfig config;
+  config.threads = static_cast<std::size_t>(state.range(2));
+  parallel::set_kernel_config(config);
+  tensor::kernels::set_kernel_arch(arch);
+  util::Rng rng{7};
+  std::vector<float> points(count * dim);
+  for (auto& v : points) v = rng.uniform_float(-1.0f, 1.0f);
+  std::vector<double> distance2;
+  for (auto _ : state) {
+    defenses::pairwise_squared_distances(defenses::PointsView{points, count, dim}, distance2);
+    benchmark::DoNotOptimize(distance2.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(3 * count * (count - 1) / 2 * dim));
+  tensor::kernels::set_kernel_arch(tensor::kernels::KernelArch::Auto);
+  parallel::set_kernel_config(parallel::KernelConfig{});
+}
+
+const int register_arch_pairwise = [] {
+  namespace kernels = fedguard::tensor::kernels;
+  for (const kernels::KernelArch arch : {kernels::KernelArch::Serial,
+                                         kernels::KernelArch::Avx2,
+                                         kernels::KernelArch::Avx512}) {
+    if (!kernels::kernel_arch_available(arch)) continue;
+    benchmark::RegisterBenchmark(
+        ("BM_KrumPairwise_" + std::string{kernels::to_string(arch)}).c_str(),
+        [arch](benchmark::State& s) { BM_KrumPairwiseKernelArch(s, arch); })
+        ->Args({50, 101770, 1})
+        ->Args({50, 101770, 4})
+        ->Args({100, 101770, 1})
+        ->Args({100, 101770, 4})
+        ->UseRealTime()
+        ->Unit(benchmark::kMillisecond);
+  }
+  return 0;
+}();
 
 }  // namespace
 

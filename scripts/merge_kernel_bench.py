@@ -9,7 +9,8 @@ binary). Output: a JSON list with one record per benchmark run::
 
 Threaded benches follow the repo convention that the LAST slash-separated
 benchmark argument is the kernel thread count (see bench/bench_micro_tensor.cpp);
-single-argument benches report threads = 1. ``gflops`` is derived from
+single-argument benches report threads = 1. The "/real_time" suffix that
+google-benchmark appends to wall-clock-timed benches is not an argument. ``gflops`` is derived from
 google-benchmark's ``items_per_second`` counter, which the GEMM/axpy benches
 set to flops per iteration; benches without it omit the field.
 
@@ -36,7 +37,8 @@ def parse_benchmark(entry, shape_only=False):
     name = entry["name"]
     parts = name.split("/")
     op = parts[0]
-    args = parts[1:]
+    # Benches timed by wall clock (UseRealTime) carry a trailing "real_time".
+    args = [a for a in parts[1:] if a != "real_time"]
     # Last argument is the thread count when the bench has >= 2 args.
     if len(args) >= 2 and not shape_only:
         threads = int(args[-1])

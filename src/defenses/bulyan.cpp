@@ -36,7 +36,7 @@ void BulyanAggregator::do_aggregate(const AggregationContext& /*context*/,
     const std::vector<double> scores =
         krum_scores_from_distances(distance2_, count, remaining, f);
     const std::size_t best = static_cast<std::size_t>(
-        std::min_element(scores.begin(), scores.end()) - scores.begin());
+        std::min_element(scores.begin(), scores.end(), nan_last_less) - scores.begin());
     selected.push_back(remaining[best]);
     remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(best));
   }

@@ -12,36 +12,80 @@
 
 namespace fedguard::defenses {
 
+namespace {
+
+using tensor::kernels::DistanceTile;
+
+/// Adds tiles covering every pair among rows [a, a + n), n <= kDistanceTileRows:
+/// the first half against the second, then each half on its own.
+void add_block_tiles(std::size_t a, std::size_t n, std::vector<DistanceTile>& tiles) {
+  if (n < 2) return;
+  const std::size_t half = n / 2;
+  tiles.push_back({a, a + half, half, n - half});
+  add_block_tiles(a, half, tiles);
+  add_block_tiles(a + half, n - half, tiles);
+}
+
+/// Cuts the strict upper triangle of a count x count matrix into tiles, each
+/// pair in exactly one: for every block of kDistanceTileRows rows, the pairs
+/// inside the block, then the block against the rows after it,
+/// kDistanceTileCols at a time. first_pair[t] counts the pairs before tile t.
+void plan_distance_tiles(std::size_t count, std::vector<DistanceTile>& tiles,
+                         std::vector<std::size_t>& first_pair) {
+  constexpr std::size_t kRows = tensor::kernels::kDistanceTileRows;
+  constexpr std::size_t kCols = tensor::kernels::kDistanceTileCols;
+  static_assert(kRows <= 2 * kCols, "each half of a row block must fit a tile");
+  for (std::size_t a = 0; a < count; a += kRows) {
+    const std::size_t rows = std::min(kRows, count - a);
+    add_block_tiles(a, rows, tiles);
+    for (std::size_t b = a + rows; b < count; b += kCols) {
+      tiles.push_back({a, b, rows, std::min(kCols, count - b)});
+    }
+  }
+  first_pair.resize(tiles.size());
+  std::size_t pairs = 0;
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    first_pair[t] = pairs;
+    pairs += tiles[t].rows * tiles[t].cols;
+  }
+}
+
+}  // namespace
+
 void pairwise_squared_distances(const PointsView& points, std::vector<double>& distance2) {
   const std::size_t count = points.count();
   const std::size_t dim = points.dim();
   if (count == 0 || dim == 0) {
     throw std::invalid_argument{"pairwise_squared_distances: bad dimensions"};
   }
-  // The O(n^2 * d) hot spot. Rows of the upper triangle are partitioned
-  // across the kernel pool; row `a` writes only entries [a][b] and [b][a] for
-  // b > a, so partitions never collide, and each distance is computed exactly
-  // once regardless of thread count. The inner loop goes through the runtime
-  // kernel dispatch; the serial tier is bit-identical to
-  // util::squared_distance.
+  // The O(n^2 * d) hot spot. The upper triangle is cut into tiles of up to
+  // 4 rows x 2 rows, and the kernel pool gets contiguous runs of tiles that
+  // hold equal numbers of pairs. The kernel advances all of a task's tiles
+  // through one chunk of the dimension before the next, so each row chunk is
+  // read from memory once per task, not once per pair. Every pair lies in one
+  // tile, the diagonal stays 0, and each distance carries its tier's one-pair
+  // arithmetic, so the matrix never depends on the thread count or the split.
+  // The serial tier is bit-identical to util::squared_distance.
   distance2.assign(count * count, 0.0);
-  const auto squared_distance = tensor::kernels::kernel_table().squared_distance;
-  const auto distance_row = [&](std::size_t a) {
-    const std::span<const float> row_a = points.row(a);
-    for (std::size_t b = a + 1; b < count; ++b) {
-      const double d2 = squared_distance(row_a.data(), points.row(b).data(), dim);
-      distance2[a * count + b] = d2;
-      distance2[b * count + a] = d2;
-    }
+  std::vector<const float*> rows(count);
+  for (std::size_t k = 0; k < count; ++k) rows[k] = points.row(k).data();
+  std::vector<DistanceTile> tiles;
+  std::vector<std::size_t> first_pair;
+  plan_distance_tiles(count, tiles, first_pair);
+  const auto squared_distance_tiles = tensor::kernels::kernel_table().squared_distance_tiles;
+  // Runs the tiles whose first pair falls in [begin, end).
+  const auto run_pairs = [&](std::size_t begin, std::size_t end) {
+    const auto first = std::lower_bound(first_pair.begin(), first_pair.end(), begin);
+    const auto last = std::lower_bound(first, first_pair.end(), end);
+    squared_distance_tiles(rows.data(), dim, tiles.data() + (first - first_pair.begin()),
+                           static_cast<std::size_t>(last - first), distance2.data(), count);
   };
-  const std::size_t work = count * dim;
+  const std::size_t pairs = count * (count - 1) / 2;
   const parallel::KernelConfig config = parallel::kernel_config();
-  if (parallel::should_parallelize(work, config.distance_min_elements)) {
-    parallel::kernel_parallel_ranges(count, 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t a = begin; a < end; ++a) distance_row(a);
-    });
+  if (parallel::should_parallelize(count * dim, config.distance_min_elements)) {
+    parallel::kernel_parallel_ranges(pairs, 1, run_pairs);
   } else {
-    for (std::size_t a = 0; a < count; ++a) distance_row(a);
+    run_pairs(0, pairs);
   }
 }
 
@@ -76,7 +120,8 @@ std::vector<double> krum_scores_from_distances(std::span<const double> distance2
         if (b != a) row.push_back(distance2[rows[a] * stride + rows[b]]);
       }
       const std::size_t k = std::min(neighbours, row.size());
-      std::partial_sort(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(k), row.end());
+      std::partial_sort(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(k), row.end(),
+                        nan_last_less);
       scores[a] =
           std::accumulate(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(k), 0.0);
     }
@@ -130,8 +175,9 @@ void KrumAggregator::do_aggregate(const AggregationContext& /*context*/,
   FEDGUARD_TRACE_SPAN("agg.krum", "pick");
   order_.resize(count);
   std::iota(order_.begin(), order_.end(), std::size_t{0});
-  std::sort(order_.begin(), order_.end(),
-            [this](std::size_t a, std::size_t b) { return scores_[a] < scores_[b]; });
+  std::sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
+    return nan_last_less(scores_[a], scores_[b]);
+  });
 
   const std::size_t keep = std::min(std::max<std::size_t>(multi_k_, 1), count);
   selected_.assign(order_.begin(), order_.begin() + static_cast<std::ptrdiff_t>(keep));

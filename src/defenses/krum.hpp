@@ -4,6 +4,8 @@
 // the single best-scored update as the global model, Multi-Krum averages the
 // k best.
 
+#include <cmath>
+
 #include "defenses/aggregation.hpp"
 
 namespace fedguard::defenses {
@@ -40,6 +42,14 @@ class KrumAggregator final : public AggregationStrategy {
   std::vector<std::size_t> selected_;
   std::vector<double> accumulator_;
 };
+
+/// The order Krum's distances and scores are ranked by: `<` on numbers, with
+/// NaN after every number. With the asserts off a non-finite update reaches
+/// the sorts, where a plain `<` breaks the ordering; this one ranks its NaN
+/// distances and score last instead.
+[[nodiscard]] inline bool nan_last_less(double a, double b) noexcept {
+  return std::isnan(b) ? !std::isnan(a) : a < b;
+}
 
 /// Krum scores for an [count, dim] point set given the byzantine count f
 /// (clamped internally). The PointsView form reads rows through the view's

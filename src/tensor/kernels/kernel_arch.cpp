@@ -47,30 +47,30 @@ bool cpu_supports(KernelArch arch) {
 }
 
 constexpr KernelTable kSerialTable{
-    KernelArch::Serial,        nullptr,
-    4,                         16,
-    nullptr,                   1,
-    &serial::squared_distance, &serial::squared_distance_wide,
-    &serial::sgd_step,         &serial::adam_step,
+    KernelArch::Serial,              nullptr,
+    4,                               16,
+    nullptr,                         1,
+    &serial::squared_distance_tiles, &serial::squared_distance_wide,
+    &serial::sgd_step,               &serial::adam_step,
 };
 
 #if FEDGUARD_HAVE_AVX2
 constexpr KernelTable kAvx2Table{
-    KernelArch::Avx2,        &avx2::gemm_micro_6x16,
-    6,                       16,
-    &avx2::gemm_tb,          avx2::kGemmTbMr,
-    &avx2::squared_distance, &avx2::squared_distance_wide,
-    &avx2::sgd_step,         &avx2::adam_step,
+    KernelArch::Avx2,              &avx2::gemm_micro_6x16,
+    6,                             16,
+    &avx2::gemm_tb,                avx2::kGemmTbMr,
+    &avx2::squared_distance_tiles, &avx2::squared_distance_wide,
+    &avx2::sgd_step,               &avx2::adam_step,
 };
 #endif
 
 #if FEDGUARD_HAVE_AVX512
 constexpr KernelTable kAvx512Table{
-    KernelArch::Avx512,        &avx512::gemm_micro_8x32,
-    8,                         32,
-    &avx512::gemm_tb,          avx512::kGemmTbMr,
-    &avx512::squared_distance, &avx512::squared_distance_wide,
-    &avx512::sgd_step,         &avx512::adam_step,
+    KernelArch::Avx512,              &avx512::gemm_micro_8x32,
+    8,                               32,
+    &avx512::gemm_tb,                avx512::kGemmTbMr,
+    &avx512::squared_distance_tiles, &avx512::squared_distance_wide,
+    &avx512::sgd_step,               &avx512::adam_step,
 };
 #endif
 

@@ -58,8 +58,30 @@ struct AdamCoefficients {
 using AdamStepFn = void (*)(float* value, const float* grad, float* m, float* v,
                             std::size_t n, const AdamCoefficients& coefficients);
 
-/// sum((a[i] - b[i])^2) accumulated in double.
-using SquaredDistanceFn = double (*)(const float* a, const float* b, std::size_t n);
+/// Most rows on either side of a DistanceTile.
+inline constexpr std::size_t kDistanceTileRows = 4;
+inline constexpr std::size_t kDistanceTileCols = 2;
+
+/// A block of row pairs: rows [a, a + rows) of the caller's row list against
+/// rows [b, b + cols), with a + rows <= b, so every pair lies strictly above
+/// the diagonal. 1 <= rows <= kDistanceTileRows, 1 <= cols <= kDistanceTileCols.
+struct DistanceTile {
+  std::size_t a;
+  std::size_t b;
+  std::size_t rows;
+  std::size_t cols;
+};
+
+/// For every pair (i, j) of every tile, sets out[i * stride + j] and
+/// out[j * stride + i] to sum((rows[i][k] - rows[j][k])^2) over k < n,
+/// accumulated in double, and writes nothing else. The tiles advance through
+/// the n floats together, one chunk at a time, so a call reads each row chunk
+/// from memory once however many tiles share the row. Each distance carries
+/// the arithmetic of its tier's one-pair kernel (kernel_impl.hpp), so it
+/// depends only on its two rows, never on the tiles or how they were split.
+using SquaredDistanceTilesFn = void (*)(const float* const* rows, std::size_t n,
+                                        const DistanceTile* tiles, std::size_t tile_count,
+                                        double* out, std::size_t stride);
 
 /// sum((point[i] - center[i])^2) with a float point against a double center
 /// (the GeoMed Weiszfeld inner loop).
@@ -79,7 +101,7 @@ struct KernelTable {
   // Distance kernels are never null; the serial entries are compiled with
   // FP contraction off so they stay bit-identical to util::squared_distance
   // and the original GeoMed loop.
-  SquaredDistanceFn squared_distance = nullptr;
+  SquaredDistanceTilesFn squared_distance_tiles = nullptr;
   SquaredDistanceWideFn squared_distance_wide = nullptr;
   // Optimizer updates are never null and bit-identical on every tier: every
   // entry, SIMD ones included, builds with FP contraction off and performs

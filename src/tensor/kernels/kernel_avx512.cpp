@@ -6,6 +6,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "tensor/kernels/kernel_impl.hpp"
 
@@ -194,13 +195,17 @@ void gemm_tb(const float* a, const float* b, float* c, std::size_t m, std::size_
 
 namespace {
 
+double reduce_lanes(const double* lanes, double tail) {
+  double total = 0.0;
+  for (std::size_t l = 0; l < 16; ++l) total += lanes[l];
+  return total + tail;
+}
+
 double reduce_lanes(__m512d acc0, __m512d acc1, double tail) {
   alignas(64) double lanes[16];
   _mm512_store_pd(lanes, acc0);
   _mm512_store_pd(lanes + 8, acc1);
-  double total = 0.0;
-  for (std::size_t l = 0; l < 16; ++l) total += lanes[l];
-  return total + tail;
+  return reduce_lanes(lanes, tail);
 }
 
 }  // namespace
@@ -223,6 +228,115 @@ double squared_distance(const float* a, const float* b, std::size_t n) {
     tail += d * d;
   }
   return reduce_lanes(acc0, acc1, tail);
+}
+
+namespace {
+
+// Squared-distance tiles. Every pair keeps squared_distance's arithmetic:
+// two accumulators over 16-float steps (cvtps_pd, sub_pd, fmadd_pd(d, d,
+// acc)), the scalar tail once after the last full step, then reduce_lanes.
+// Between chunks each pair's lanes wait in memory, which keeps them exact,
+// and every chunk ends on a whole step, so each tile result equals the
+// one-pair kernel's bit for bit. The tail is written exactly as there: this
+// file's flags contract `tail += d * d` into an FMA in both places.
+constexpr std::size_t kDistanceStep = 16;
+static_assert(kDistanceChunk % kDistanceStep == 0);
+constexpr std::size_t kTilePairs = kDistanceTileRows * kDistanceTileCols;
+
+// One pair's lanes between chunks: acc0, then acc1, the order reduce_lanes
+// sums them in.
+struct alignas(64) PairLanes {
+  double lanes[16];
+};
+
+/// Advances the lanes of an MR x NR tile, pair (i, j) at state[i * NR + j],
+/// over the 16-float steps in [begin, end). Each row's step is widened to
+/// double once and reused by every pair of the tile that holds the row.
+template <std::size_t MR, std::size_t NR>
+void distance_tile_chunk(const float* const* a, const float* const* b, std::size_t begin,
+                         std::size_t end, PairLanes* state) {
+  const float* x[MR];
+  const float* y[NR];
+  __m512d acc0[MR][NR];
+  __m512d acc1[MR][NR];
+  for (std::size_t j = 0; j < NR; ++j) y[j] = b[j];
+  for (std::size_t i = 0; i < MR; ++i) {
+    x[i] = a[i];
+    for (std::size_t j = 0; j < NR; ++j) {
+      acc0[i][j] = _mm512_load_pd(state[i * NR + j].lanes);
+      acc1[i][j] = _mm512_load_pd(state[i * NR + j].lanes + 8);
+    }
+  }
+  for (std::size_t p = begin; p < end; p += kDistanceStep) {
+    __m512d y0[NR];
+    __m512d y1[NR];
+    for (std::size_t j = 0; j < NR; ++j) {
+      y0[j] = _mm512_cvtps_pd(_mm256_loadu_ps(y[j] + p));
+      y1[j] = _mm512_cvtps_pd(_mm256_loadu_ps(y[j] + p + 8));
+    }
+    for (std::size_t i = 0; i < MR; ++i) {
+      const __m512d x0 = _mm512_cvtps_pd(_mm256_loadu_ps(x[i] + p));
+      const __m512d x1 = _mm512_cvtps_pd(_mm256_loadu_ps(x[i] + p + 8));
+      for (std::size_t j = 0; j < NR; ++j) {
+        const __m512d d0 = _mm512_sub_pd(x0, y0[j]);
+        const __m512d d1 = _mm512_sub_pd(x1, y1[j]);
+        acc0[i][j] = _mm512_fmadd_pd(d0, d0, acc0[i][j]);
+        acc1[i][j] = _mm512_fmadd_pd(d1, d1, acc1[i][j]);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < MR; ++i) {
+    for (std::size_t j = 0; j < NR; ++j) {
+      _mm512_store_pd(state[i * NR + j].lanes, acc0[i][j]);
+      _mm512_store_pd(state[i * NR + j].lanes + 8, acc1[i][j]);
+    }
+  }
+}
+
+using DistanceTileChunkFn = void (*)(const float* const* a, const float* const* b,
+                                     std::size_t begin, std::size_t end, PairLanes* state);
+
+// Indexed [tile rows - 1][tile cols - 1].
+constexpr DistanceTileChunkFn kDistanceTileChunks[kDistanceTileRows][kDistanceTileCols] = {
+    {&distance_tile_chunk<1, 1>, &distance_tile_chunk<1, 2>},
+    {&distance_tile_chunk<2, 1>, &distance_tile_chunk<2, 2>},
+    {&distance_tile_chunk<3, 1>, &distance_tile_chunk<3, 2>},
+    {&distance_tile_chunk<4, 1>, &distance_tile_chunk<4, 2>},
+};
+
+}  // namespace
+
+void squared_distance_tiles(const float* const* rows, std::size_t n, const DistanceTile* tiles,
+                            std::size_t tile_count, double* out, std::size_t stride) {
+  // Per thread and kept between calls, so a repeated pass allocates nothing.
+  thread_local std::vector<PairLanes> state;
+  state.assign(tile_count * kTilePairs, PairLanes{});
+  const std::size_t steps_end = n - n % kDistanceStep;
+  for (std::size_t begin = 0; begin < steps_end; begin += kDistanceChunk) {
+    const std::size_t end = std::min(steps_end, begin + kDistanceChunk);
+    for (std::size_t t = 0; t < tile_count; ++t) {
+      const DistanceTile& tile = tiles[t];
+      kDistanceTileChunks[tile.rows - 1][tile.cols - 1](rows + tile.a, rows + tile.b, begin, end,
+                                                         &state[t * kTilePairs]);
+    }
+  }
+  for (std::size_t t = 0; t < tile_count; ++t) {
+    const DistanceTile& tile = tiles[t];
+    for (std::size_t i = 0; i < tile.rows; ++i) {
+      for (std::size_t j = 0; j < tile.cols; ++j) {
+        const float* a = rows[tile.a + i];
+        const float* b = rows[tile.b + j];
+        double tail = 0.0;
+        for (std::size_t p = steps_end; p < n; ++p) {
+          const double d = static_cast<double>(a[p]) - static_cast<double>(b[p]);
+          tail += d * d;
+        }
+        const double d2 = reduce_lanes(state[t * kTilePairs + i * tile.cols + j].lanes, tail);
+        out[(tile.a + i) * stride + tile.b + j] = d2;
+        out[(tile.b + j) * stride + tile.a + i] = d2;
+      }
+    }
+  }
 }
 
 double squared_distance_wide(const float* point, const double* center, std::size_t n) {

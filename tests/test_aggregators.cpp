@@ -2,13 +2,20 @@
 
 #include <cmath>
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <numeric>
+#include <string>
 
+#include "defenses/bulyan.hpp"
 #include "defenses/fedavg.hpp"
 #include "defenses/geomed.hpp"
 #include "defenses/krum.hpp"
 #include "defenses/median.hpp"
 #include "defenses/norm_threshold.hpp"
 #include "defenses/trimmed_mean.hpp"
+#include "tensor/kernels/kernel_arch.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -243,6 +250,231 @@ TEST(DetectionStats, ConfusionMatrix) {
   EXPECT_EQ(stats.false_negatives, 1u);
   EXPECT_EQ(stats.false_positives, 1u);
   EXPECT_EQ(stats.true_negatives, 1u);
+}
+
+// ---- Krum family against a textbook reference -------------------------------
+
+using Points = std::vector<std::vector<float>>;
+
+Points random_points(std::size_t count, std::size_t dim, util::Rng& rng) {
+  Points points(count, std::vector<float>(dim));
+  for (auto& row : points) {
+    for (auto& v : row) v = rng.uniform_float(-1.0f, 1.0f);
+  }
+  return points;
+}
+
+/// Krum scores as Blanchard et al. state them, written naively: every
+/// distance by util::squared_distance, a full sort, and the sum of the
+/// n - f - 2 nearest, with f clamped as KrumAggregator documents so that at
+/// least one neighbour counts.
+std::vector<double> textbook_krum_scores(const Points& points, std::size_t f) {
+  const std::size_t n = points.size();
+  f = n < 3 ? 0 : std::min(f, n - 3);
+  const std::size_t nearest = n < 2 ? 0 : std::max<std::size_t>(n - f - 2, 1);
+  std::vector<double> scores(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> distances;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j != i) distances.push_back(util::squared_distance(points[i], points[j]));
+    }
+    std::sort(distances.begin(), distances.end());
+    for (std::size_t k = 0; k < nearest; ++k) scores[i] += distances[k];
+  }
+  return scores;
+}
+
+/// Bulyan's stage 1 as the paper states it: n - 2f rounds (at least one) of
+/// Krum over the updates not yet chosen, each taking the best-scored one,
+/// the lowest index among equal scores.
+std::vector<std::size_t> textbook_bulyan_selection(const Points& points, std::size_t f) {
+  const std::size_t n = points.size();
+  const std::size_t rounds = n > 2 * f ? n - 2 * f : 1;
+  std::vector<std::size_t> remaining(n);
+  std::iota(remaining.begin(), remaining.end(), std::size_t{0});
+  std::vector<std::size_t> selected;
+  while (selected.size() < rounds && !remaining.empty()) {
+    Points subset;
+    for (const std::size_t k : remaining) subset.push_back(points[k]);
+    const std::vector<double> scores = textbook_krum_scores(subset, f);
+    const auto best = std::min_element(scores.begin(), scores.end()) - scores.begin();
+    selected.push_back(remaining[static_cast<std::size_t>(best)]);
+    remaining.erase(remaining.begin() + best);
+  }
+  std::sort(selected.begin(), selected.end());
+  return selected;
+}
+
+std::vector<ClientUpdate> updates_from(const Points& points) {
+  std::vector<ClientUpdate> updates;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    updates.push_back(make_update(static_cast<int>(k), points[k]));
+  }
+  return updates;
+}
+
+std::vector<std::size_t> sorted_ids(const std::vector<int>& ids) {
+  std::vector<std::size_t> out(ids.begin(), ids.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The textbook picks `keep` ids with the lowest scores; among exactly equal
+/// scores any of them is a textbook answer. So: `keep` ids, and none of the
+/// others scores lower than an accepted one.
+void expect_textbook_picks(const std::vector<double>& scores, const AggregationResult& result,
+                           std::size_t keep, const std::string& where) {
+  ASSERT_EQ(result.accepted_clients.size(), keep) << where;
+  double worst_accepted = -std::numeric_limits<double>::infinity();
+  for (const int id : result.accepted_clients) {
+    worst_accepted = std::max(worst_accepted, scores[static_cast<std::size_t>(id)]);
+  }
+  for (const int id : result.rejected_clients) {
+    EXPECT_LE(worst_accepted, scores[static_cast<std::size_t>(id)])
+        << where << ": rejected client " << id << " scores lower than an accepted one";
+  }
+}
+
+struct KrumFamilyCase {
+  std::string name;
+  Points points;
+  double fraction;
+};
+
+std::vector<KrumFamilyCase> krum_family_cases() {
+  util::Rng rng{0x4b52554dull};
+  std::vector<KrumFamilyCase> cases;
+  cases.push_back({"random 50 x 1003", random_points(50, 1003, rng), 0.2});
+  // Exact ties: rows 3 and 7 repeat row 0, row 9 repeats row 5.
+  Points ties = random_points(12, 1003, rng);
+  ties[3] = ties[0];
+  ties[7] = ties[0];
+  ties[9] = ties[5];
+  cases.push_back({"duplicated rows", ties, 0.25});
+  // f = floor(0.625 * 8) = 5 = m - 3: one neighbour per score, no clamp.
+  cases.push_back({"m = f + 3", random_points(8, 1003, rng), 0.625});
+  for (const std::size_t m : {1u, 2u, 3u}) {
+    cases.push_back({"m = " + std::to_string(m), random_points(m, 1003, rng), 0.25});
+  }
+  return cases;
+}
+
+struct KrumFamilyReference : ::testing::Test {
+  void TearDown() override { tensor::kernels::set_kernel_arch(tensor::kernels::KernelArch::Auto); }
+};
+
+TEST_F(KrumFamilyReference, MatchesTheTextbookOnEveryTier) {
+  // Serial tier: every score equals the textbook's bit for bit. Every tier:
+  // Krum, Multi-Krum and Bulyan accept the textbook's clients.
+  namespace kernels = tensor::kernels;
+  std::vector<kernels::KernelArch> tiers{kernels::KernelArch::Serial};
+  for (const auto arch : {kernels::KernelArch::Avx2, kernels::KernelArch::Avx512}) {
+    if (kernels::kernel_arch_available(arch)) tiers.push_back(arch);
+  }
+  for (const KrumFamilyCase& c : krum_family_cases()) {
+    const std::size_t count = c.points.size();
+    const std::size_t dim = c.points.front().size();
+    const auto f = static_cast<std::size_t>(c.fraction * static_cast<double>(count));
+    const std::vector<double> expect_scores = textbook_krum_scores(c.points, f);
+    const std::vector<std::size_t> expect_bulyan = textbook_bulyan_selection(c.points, f);
+    std::vector<float> flat;
+    for (const auto& row : c.points) flat.insert(flat.end(), row.begin(), row.end());
+    const std::vector<ClientUpdate> updates = updates_from(c.points);
+    const std::vector<float> global(dim, 0.0f);
+    for (const kernels::KernelArch arch : tiers) {
+      kernels::set_kernel_arch(arch);
+      const std::string where = c.name + " on " + std::string{kernels::to_string(arch)};
+      if (arch == kernels::KernelArch::Serial) {
+        const std::vector<double> scores = krum_scores(flat, count, dim, f);
+        ASSERT_EQ(scores.size(), count) << where;
+        EXPECT_EQ(std::memcmp(scores.data(), expect_scores.data(), count * sizeof(double)), 0)
+            << where;
+      }
+      KrumAggregator krum{c.fraction, 1};
+      expect_textbook_picks(expect_scores, krum.aggregate(context_for(global), updates), 1,
+                            "krum " + where);
+      KrumAggregator multi_krum{c.fraction, 3};
+      expect_textbook_picks(expect_scores, multi_krum.aggregate(context_for(global), updates),
+                            std::min<std::size_t>(3, count), "multi_krum " + where);
+      BulyanAggregator bulyan{c.fraction};
+      EXPECT_EQ(sorted_ids(bulyan.aggregate(context_for(global), updates).accepted_clients),
+                expect_bulyan)
+          << "bulyan " + where;
+    }
+  }
+}
+
+TEST(Krum, NanDistancesRankAfterEveryNumber) {
+  // With the asserts off, a non-finite update has NaN distances to every
+  // other row. Each other row must leave it out of its nearest neighbours and
+  // score as over the finite rows alone; the NaN row's own score is NaN.
+  constexpr std::size_t kCount = 10;
+  constexpr std::size_t kByzantine = 2;  // 6 nearest of 8 finite neighbours
+  util::Rng rng{0x4e614eull};
+  const Points points = random_points(kCount, 64, rng);
+  std::vector<double> finite(kCount * kCount, 0.0);
+  for (std::size_t a = 0; a < kCount; ++a) {
+    for (std::size_t b = 0; b < kCount; ++b) {
+      if (a != b) finite[a * kCount + b] = util::squared_distance(points[a], points[b]);
+    }
+  }
+  std::vector<std::size_t> rows(kCount);
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t nan_row = 0; nan_row < kCount; ++nan_row) {
+    std::vector<double> distance2 = finite;
+    for (std::size_t k = 0; k < kCount; ++k) {
+      if (k == nan_row) continue;
+      distance2[nan_row * kCount + k] = nan;
+      distance2[k * kCount + nan_row] = nan;
+    }
+    const std::vector<double> scores =
+        krum_scores_from_distances(distance2, kCount, rows, kByzantine);
+    EXPECT_TRUE(std::isnan(scores[nan_row])) << "NaN row " << nan_row;
+    for (std::size_t a = 0; a < kCount; ++a) {
+      if (a == nan_row) continue;
+      std::vector<double> neighbours;
+      for (std::size_t b = 0; b < kCount; ++b) {
+        if (b != a && b != nan_row) neighbours.push_back(finite[a * kCount + b]);
+      }
+      std::sort(neighbours.begin(), neighbours.end());
+      double expect = 0.0;
+      for (std::size_t k = 0; k < kCount - kByzantine - 2; ++k) expect += neighbours[k];
+      EXPECT_EQ(scores[a], expect) << "row " << a << ", NaN row " << nan_row;
+    }
+  }
+}
+
+TEST(KrumFamily, NanUpdateIsNeverPicked) {
+  // The Release regime: validate_view checks finiteness only with the
+  // asserts on, so a NaN coordinate reaches the selection. Krum, Multi-Krum
+  // and Bulyan must rank that update last and return a finite model.
+  if (util::asserts_enabled()) {
+    GTEST_SKIP() << "validate_view rejects the non-finite update before selection";
+  }
+  util::Rng rng{0x4e614f};
+  const Points base = random_points(10, 64, rng);
+  const std::vector<float> global(64, 0.0f);
+  for (std::size_t nan_row = 0; nan_row < base.size(); ++nan_row) {
+    Points points = base;
+    points[nan_row][17] = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<ClientUpdate> updates = updates_from(points);
+    KrumAggregator krum{0.25, 1};
+    KrumAggregator multi_krum{0.25, 3};
+    BulyanAggregator bulyan{0.25};
+    for (AggregationStrategy* strategy :
+         std::initializer_list<AggregationStrategy*>{&krum, &multi_krum, &bulyan}) {
+      const AggregationResult result = strategy->aggregate(context_for(global), updates);
+      const std::string where = strategy->name() + ", NaN row " + std::to_string(nan_row);
+      EXPECT_EQ(std::count(result.accepted_clients.begin(), result.accepted_clients.end(),
+                           static_cast<int>(nan_row)),
+                0)
+          << where;
+      EXPECT_TRUE(std::all_of(result.parameters.begin(), result.parameters.end(),
+                              [](float v) { return std::isfinite(v); }))
+          << where;
+    }
+  }
 }
 
 // ---- Property sweeps: invariances every aggregation operator must satisfy ----

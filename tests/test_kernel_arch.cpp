@@ -4,19 +4,25 @@
 // distance kernels, within reduction-reorder tolerance; the serial distance
 // tier must agree with util::squared_distance bit-for-bit (it backs the
 // pinned goldens in test_update_pipeline). The register-tiled A * B^T kernel
-// must equal its own tier one element at a time bit for bit, and the
+// must equal its own tier one element at a time bit for bit, the pairwise
+// distance tiles must equal their tier's one-pair kernel bit for bit, and the
 // optimizer updates must equal the serial tier bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "defenses/krum.hpp"
 #include "parallel/kernel_config.hpp"
 #include "tensor/kernels/kernel_arch.hpp"
+#include "tensor/kernels/kernel_impl.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -42,6 +48,18 @@ std::vector<float> random_values(std::size_t n, util::Rng& rng) {
   return values;
 }
 
+/// Values spread over 12 binades. Differences of values on one fixed grid,
+/// as random_values gives, square exactly in double, so the rounding of
+/// (x - y)^2 (and any FP contraction of it) would never show; across
+/// binades it often does.
+std::vector<float> wide_range_values(std::size_t n, util::Rng& rng) {
+  std::vector<float> values(n);
+  for (auto& v : values) {
+    v = std::ldexp(rng.uniform_float(-1.0f, 1.0f), -static_cast<int>(rng.uniform_int(12)));
+  }
+  return values;
+}
+
 std::vector<KernelArch> available_simd_tiers() {
   std::vector<KernelArch> tiers;
   for (const KernelArch arch : {KernelArch::Avx2, KernelArch::Avx512}) {
@@ -56,6 +74,27 @@ kernels::KernelTable table_for(KernelArch arch) {
   kernels::set_kernel_arch(KernelArch::Auto);
   return table;
 }
+
+using OnePairDistanceFn = double (*)(const float* a, const float* b, std::size_t n);
+
+/// The one-pair squared-distance kernel of a compiled-in tier: the reference
+/// its squared_distance_tiles entry must equal bit for bit.
+OnePairDistanceFn one_pair_distance(KernelArch arch) {
+  switch (arch) {
+#if FEDGUARD_HAVE_AVX2
+    case KernelArch::Avx2:
+      return &kernels::avx2::squared_distance;
+#endif
+#if FEDGUARD_HAVE_AVX512
+    case KernelArch::Avx512:
+      return &kernels::avx512::squared_distance;
+#endif
+    default:
+      return &kernels::serial::squared_distance;
+  }
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
 
 bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
@@ -134,14 +173,11 @@ TEST_F(KernelArchTest, UnavailableRequestDegradesDownTheChain) {
 TEST_F(KernelArchTest, SerialDistanceKernelBitMatchesUtil) {
   // The pinned pipeline goldens assume the serial tier reproduces the exact
   // pre-dispatch arithmetic (compiled with FP contraction off).
-  kernels::set_kernel_arch(KernelArch::Serial);
-  const kernels::KernelTable& table = kernels::kernel_table();
-  ASSERT_EQ(table.arch, KernelArch::Serial);
   util::Rng rng{0xa17ull};
   for (const std::size_t n : {1u, 7u, 63u, 64u, 65u, 1003u}) {
     const std::vector<float> a = random_values(n, rng);
     const std::vector<float> b = random_values(n, rng);
-    EXPECT_EQ(table.squared_distance(a.data(), b.data(), n),
+    EXPECT_EQ(kernels::serial::squared_distance(a.data(), b.data(), n),
               util::squared_distance(a, b))
         << "n=" << n;
   }
@@ -159,8 +195,8 @@ TEST_F(KernelArchTest, SimdDistanceKernelsMatchSerialWithinTolerance) {
     for (const std::size_t n : sizes) {
       const std::vector<float> a = random_values(n, rng);
       const std::vector<float> b = random_values(n, rng);
-      const double expect = serial.squared_distance(a.data(), b.data(), n);
-      const double got = table.squared_distance(a.data(), b.data(), n);
+      const double expect = kernels::serial::squared_distance(a.data(), b.data(), n);
+      const double got = one_pair_distance(arch)(a.data(), b.data(), n);
       EXPECT_NEAR(got, expect, 1e-10 * static_cast<double>(n) + 1e-12)
           << kernels::to_string(arch) << " n=" << n;
 
@@ -272,6 +308,70 @@ TEST_F(KernelArchTest, TiledTransBGemmEqualsItsTierElementByElement) {
                 << k << "x" << n;
             EXPECT_TRUE(bitwise_equal(one_by_one, lanewise))
                 << kernels::to_string(arch) << " shape " << m << "x" << k << "x" << n;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelArchTest, PairwiseDistancesEqualTheirTiersOnePairKernel) {
+  // Every distance of the tiled, chunked and pool-split matrix must carry its
+  // tier's one-pair arithmetic exactly, wherever the pair falls: diagonal or
+  // edge tile, chunk boundary or tail, 1 or 4 kernel tasks. Rows arrive in
+  // order and as a permuted selection with one row repeated (a zero
+  // distance off the diagonal). The diagonal must stay +0.0. The values span
+  // binades, so a tail rounded with or without FMA contraction differs.
+  constexpr std::size_t kChunk = kernels::kDistanceChunk;
+  const std::size_t counts[] = {1, 2, 3, 4, 5, 7, 8, 9, 13, 50};
+  const std::size_t dims[] = {1,  7,  8,          15,     16,         17,
+                              31, 33, kChunk - 1, kChunk, kChunk + 1, 2 * kChunk + 17,
+                              4099};
+  std::vector<KernelArch> tiers{KernelArch::Serial};
+  for (const KernelArch arch : available_simd_tiers()) tiers.push_back(arch);
+  util::Rng rng{0xa1dull};
+  for (const std::size_t dim : dims) {
+    const std::vector<float> base = wide_range_values(50 * dim, rng);
+    for (const std::size_t count : counts) {
+      std::vector<std::size_t> selection(count);
+      std::iota(selection.begin(), selection.end(), std::size_t{0});
+      std::reverse(selection.begin(), selection.end());
+      std::rotate(selection.begin(), selection.begin() + count / 3, selection.end());
+      if (count > 2) selection[count / 2] = selection[0];
+      const defenses::PointsView contiguous{base, count, dim};
+      const defenses::PointsView selected{base, dim, selection};
+      for (const KernelArch arch : tiers) {
+        const OnePairDistanceFn one_pair = one_pair_distance(arch);
+        for (const std::size_t threads : {1u, 4u}) {
+          parallel::KernelConfig config;
+          config.threads = threads;
+          config.distance_min_elements = 1;  // split even the smallest sets
+          parallel::set_kernel_config(config);
+          for (const defenses::PointsView* points : {&contiguous, &selected}) {
+            std::vector<double> distance2;
+            kernels::set_kernel_arch(arch);
+            defenses::pairwise_squared_distances(*points, distance2);
+            kernels::set_kernel_arch(KernelArch::Auto);
+            ASSERT_EQ(distance2.size(), count * count);
+            std::size_t mismatches = 0;
+            for (std::size_t a = 0; a < count; ++a) {
+              for (std::size_t b = 0; b < count; ++b) {
+                const double got = distance2[a * count + b];
+                double expect = 0.0;
+                if (a != b) {
+                  const std::span<const float> x = points->row(a);
+                  const std::span<const float> y = points->row(b);
+                  expect = one_pair(x.data(), y.data(), dim);
+                  const bool serial = arch == KernelArch::Serial;
+                  if (serial && !same_bits(expect, util::squared_distance(x, y))) ++mismatches;
+                }
+                if (!same_bits(got, expect)) ++mismatches;
+              }
+            }
+            EXPECT_EQ(mismatches, 0u)
+                << kernels::to_string(arch) << " count " << count << " dim " << dim
+                << " threads " << threads
+                << (points == &selected ? " selected rows" : " contiguous rows");
           }
         }
       }
