@@ -24,6 +24,12 @@ std::size_t to_size(const std::string& value, const std::string& key) {
   }
 }
 
+std::size_t to_positive_size(const std::string& value, const std::string& key) {
+  const std::size_t parsed = to_size(value, key);
+  if (parsed == 0) throw std::invalid_argument{"config: " + key + " must be positive"};
+  return parsed;
+}
+
 double to_double(const std::string& value, const std::string& key) {
   try {
     return std::stod(value);
@@ -90,7 +96,7 @@ void apply_config_values(ExperimentConfig& config,
     else if (key == "track_per_class_accuracy")
       config.track_per_class_accuracy = to_bool(value, key);
     else if (key == "local_epochs") config.client.local_epochs = to_size(value, key);
-    else if (key == "batch_size") config.client.batch_size = to_size(value, key);
+    else if (key == "batch_size") config.client.batch_size = to_positive_size(value, key);
     else if (key == "learning_rate")
       config.client.learning_rate = static_cast<float>(to_double(value, key));
     else if (key == "momentum")
@@ -98,7 +104,8 @@ void apply_config_values(ExperimentConfig& config,
     else if (key == "proximal_mu")
       config.client.proximal_mu = static_cast<float>(to_double(value, key));
     else if (key == "cvae_epochs") config.client.cvae_epochs = to_size(value, key);
-    else if (key == "cvae_batch_size") config.client.cvae_batch_size = to_size(value, key);
+    else if (key == "cvae_batch_size")
+      config.client.cvae_batch_size = to_positive_size(value, key);
     else if (key == "cvae_learning_rate")
       config.client.cvae_learning_rate = static_cast<float>(to_double(value, key));
     else if (key == "cvae_retrain_interval")
@@ -147,12 +154,7 @@ void apply_config_values(ExperimentConfig& config,
       config.fedcpa_top_fraction = to_double(value, key);
     else if (key == "fedcpa_keep_fraction")
       config.fedcpa_keep_fraction = to_double(value, key);
-    else if (key == "shards") {
-      config.shards = to_size(value, key);
-      if (config.shards == 0) {
-        throw std::invalid_argument{"config: shards must be positive"};
-      }
-    }
+    else if (key == "shards") config.shards = to_positive_size(value, key);
     else if (key == "shard_round_timeout_ms")
       config.shard_round_timeout_ms = to_size(value, key);
     else if (key == "reactor_poll_timeout_ms")
@@ -197,12 +199,7 @@ void apply_config_values(ExperimentConfig& config,
       }
       config.wire_codec = codec;
     }
-    else if (key == "wire_chunk_size") {
-      config.wire_chunk_size = to_size(value, key);
-      if (config.wire_chunk_size == 0) {
-        throw std::invalid_argument{"config: wire_chunk_size must be positive"};
-      }
-    }
+    else if (key == "wire_chunk_size") config.wire_chunk_size = to_positive_size(value, key);
     else if (key == "kernel_threads") config.kernel.threads = to_size(value, key);
     else if (key == "kernel_gemm_min_flops")
       config.kernel.gemm_min_flops = to_size(value, key);

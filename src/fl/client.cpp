@@ -65,9 +65,9 @@ void Client::run_round_into(std::span<const float> global_parameters, std::size_
   ensure_cvae_trained();
   ++participations_;
 
-  // Fresh model + fresh local optimizer state each round (standard FL).
-  models::Classifier classifier{arch_, geometry_, seed_ ^ (round + 1)};
-  classifier.load_parameters_flat(global_parameters);
+  // Fresh model + fresh local optimizer state each round (standard FL),
+  // built straight from ψ0.
+  models::Classifier classifier{arch_, geometry_, global_parameters};
 
   std::vector<std::size_t> all(local_data_.size());
   std::iota(all.begin(), all.end(), std::size_t{0});

@@ -1,5 +1,6 @@
 #include "models/classifier.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "nn/activations.hpp"
@@ -30,58 +31,84 @@ ClassifierArch classifier_arch_from_string(const std::string& text) {
   throw std::invalid_argument{"unknown classifier arch: " + text};
 }
 
-std::unique_ptr<nn::Sequential> build_classifier_network(ClassifierArch arch,
-                                                         const ImageGeometry& g,
-                                                         std::uint64_t seed) {
-  util::Rng rng{seed};
+namespace {
+
+/// The layers of `arch`. With a seed, the weighted layers draw their initial
+/// values from one Rng in network order; without one, nothing is drawn and
+/// the parameters stay zero until loaded.
+std::unique_ptr<nn::Sequential> build_network(ClassifierArch arch, const ImageGeometry& g,
+                                              std::optional<std::uint64_t> seed) {
+  std::optional<util::Rng> rng;
+  if (seed) rng.emplace(*seed);
   auto net = std::make_unique<nn::Sequential>();
+  // Every classifier convolution is a padding-2 "same" 5x5 convolution.
+  const auto conv5 = [&](std::size_t in_c, std::size_t out_c, std::size_t h, std::size_t w) {
+    if (rng) {
+      net->emplace<nn::Conv2d>(in_c, out_c, 5, h, w, *rng, 2);
+    } else {
+      net->emplace<nn::Conv2d>(in_c, out_c, 5, h, w, 2);
+    }
+  };
+  const auto linear = [&](std::size_t in, std::size_t out) {
+    if (rng) {
+      net->emplace<nn::Linear>(in, out, *rng);
+    } else {
+      net->emplace<nn::Linear>(in, out);
+    }
+  };
   switch (arch) {
     case ClassifierArch::PaperCnn: {
-      // Table II. Padding-2 "same" convolutions; pooling halves 28->14->7.
-      net->emplace<nn::Conv2d>(g.channels, 32, 5, g.height, g.width, rng, 2);
+      // Table II. Pooling halves 28->14->7.
+      conv5(g.channels, 32, g.height, g.width);
       net->emplace<nn::ReLU>();
       net->emplace<nn::MaxPool2d>(2);
       const std::size_t h2 = g.height / 2, w2 = g.width / 2;
-      net->emplace<nn::Conv2d>(32, 64, 5, h2, w2, rng, 2);
+      conv5(32, 64, h2, w2);
       net->emplace<nn::ReLU>();
       net->emplace<nn::MaxPool2d>(2);
       net->emplace<nn::Flatten>();
       const std::size_t flat = 64 * (h2 / 2) * (w2 / 2);
-      net->emplace<nn::Linear>(flat, 512, rng);
+      linear(flat, 512);
       net->emplace<nn::ReLU>();
-      net->emplace<nn::Linear>(512, g.num_classes, rng);
+      linear(512, g.num_classes);
       break;
     }
     case ClassifierArch::TinyCnn: {
-      net->emplace<nn::Conv2d>(g.channels, 8, 5, g.height, g.width, rng, 2);
+      conv5(g.channels, 8, g.height, g.width);
       net->emplace<nn::ReLU>();
       net->emplace<nn::MaxPool2d>(2);
       const std::size_t h2 = g.height / 2, w2 = g.width / 2;
-      net->emplace<nn::Conv2d>(8, 16, 5, h2, w2, rng, 2);
+      conv5(8, 16, h2, w2);
       net->emplace<nn::ReLU>();
       net->emplace<nn::MaxPool2d>(2);
       net->emplace<nn::Flatten>();
       const std::size_t flat = 16 * (h2 / 2) * (w2 / 2);
-      net->emplace<nn::Linear>(flat, 64, rng);
+      linear(flat, 64);
       net->emplace<nn::ReLU>();
-      net->emplace<nn::Linear>(64, g.num_classes, rng);
+      linear(64, g.num_classes);
       break;
     }
     case ClassifierArch::Mlp: {
       net->emplace<nn::Flatten>();
-      net->emplace<nn::Linear>(g.pixels(), 128, rng);
+      linear(g.pixels(), 128);
       net->emplace<nn::ReLU>();
-      net->emplace<nn::Linear>(128, g.num_classes, rng);
+      linear(128, g.num_classes);
       break;
     }
   }
   return net;
 }
 
+}  // namespace
+
 Classifier::Classifier(ClassifierArch arch, ImageGeometry geometry, std::uint64_t seed)
-    : arch_{arch},
-      geometry_{geometry},
-      network_{build_classifier_network(arch, geometry, seed)} {}
+    : arch_{arch}, geometry_{geometry}, network_{build_network(arch, geometry, seed)} {}
+
+Classifier::Classifier(ClassifierArch arch, ImageGeometry geometry,
+                       std::span<const float> parameters)
+    : arch_{arch}, geometry_{geometry}, network_{build_network(arch, geometry, std::nullopt)} {
+  load_parameters_flat(parameters);
+}
 
 float Classifier::train_batch(const tensor::Tensor& images, std::span<const int> labels,
                               float learning_rate, float momentum, float proximal_mu,
@@ -95,7 +122,7 @@ float Classifier::train_batch(const tensor::Tensor& images, std::span<const int>
   optimizer_->zero_grad();
   const tensor::Tensor logits = network_->forward(images);
   const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
-  network_->backward(loss.grad);
+  network_->backward_parameters(loss.grad);
   if (proximal_mu > 0.0f) {
     // FedProx: d/dpsi [mu/2 ||psi - anchor||^2] = mu (psi - anchor).
     std::size_t offset = 0;

@@ -46,7 +46,12 @@ struct ImageGeometry {
 /// [N, num_classes] logits, with convenience training/eval helpers.
 class Classifier {
  public:
+  /// Initial weights drawn from `seed`, layer by layer in network order.
   Classifier(ClassifierArch arch, ImageGeometry geometry, std::uint64_t seed);
+  /// The network with `parameters` (a flat vector such as the round's ψ0)
+  /// loaded and no initializer drawn. Throws std::invalid_argument, as
+  /// load_parameters_flat does, when the length does not match the arch.
+  Classifier(ClassifierArch arch, ImageGeometry geometry, std::span<const float> parameters);
 
   /// Logits for a batch of images [N, C, H, W].
   [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& images) {
@@ -99,9 +104,5 @@ class Classifier {
   float optimizer_lr_ = 0.0f;
   float optimizer_momentum_ = 0.0f;
 };
-
-/// Build the raw network for an architecture (used by Classifier and tests).
-[[nodiscard]] std::unique_ptr<nn::Sequential> build_classifier_network(
-    ClassifierArch arch, const ImageGeometry& geometry, std::uint64_t seed);
 
 }  // namespace fedguard::models

@@ -144,7 +144,7 @@ CvaeLoss Cvae::train_batch(const tensor::Tensor& images, std::span<const int> la
   for (std::size_t i = 0; i < grad_h.size(); ++i) {
     grad_h[i] = grad_h_mu[i] + grad_h_logvar[i];
   }
-  encoder_hidden_.backward(encoder_act_.backward(grad_h));
+  encoder_hidden_.backward_parameters(encoder_act_.backward(grad_h));
 
   optimizer_->step();
 
@@ -157,6 +157,7 @@ CvaeLoss Cvae::train_batch(const tensor::Tensor& images, std::span<const int> la
 
 float Cvae::train(const tensor::Tensor& images, std::span<const int> labels,
                   std::size_t epochs, std::size_t batch_size, float learning_rate) {
+  if (batch_size == 0) throw std::invalid_argument{"Cvae::train: batch_size must be > 0"};
   const std::size_t count = images.dim(0);
   if (count == 0) return 0.0f;
   batch_size = std::min(batch_size, count);

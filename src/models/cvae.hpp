@@ -94,7 +94,8 @@ class Cvae {
                        float learning_rate);
 
   /// Train `epochs` full passes over the data with shuffled mini-batches.
-  /// Returns the mean total loss of the final epoch.
+  /// Returns the mean total loss of the final epoch. Throws
+  /// std::invalid_argument when `batch_size` is 0.
   float train(const tensor::Tensor& images, std::span<const int> labels, std::size_t epochs,
               std::size_t batch_size, float learning_rate);
 

@@ -73,7 +73,7 @@ float Vae::train_batch(const tensor::Tensor& batch, float learning_rate, float k
   const tensor::Tensor grad_h_logvar = logvar_head_.backward(grad_logvar);
   tensor::Tensor grad_h{grad_h_mu.shape()};
   for (std::size_t i = 0; i < grad_h.size(); ++i) grad_h[i] = grad_h_mu[i] + grad_h_logvar[i];
-  encoder_hidden_.backward(encoder_act_.backward(grad_h));
+  encoder_hidden_.backward_parameters(encoder_act_.backward(grad_h));
 
   optimizer_->step();
   return mse.value + kl_weight * kl.value;
@@ -81,6 +81,7 @@ float Vae::train_batch(const tensor::Tensor& batch, float learning_rate, float k
 
 float Vae::train(const tensor::Tensor& data, std::size_t epochs, std::size_t batch_size,
                  float learning_rate, float kl_weight) {
+  if (batch_size == 0) throw std::invalid_argument{"Vae::train: batch_size must be > 0"};
   const std::size_t count = data.dim(0);
   if (count == 0) return 0.0f;
   batch_size = std::min(batch_size, count);

@@ -35,7 +35,8 @@ class Vae {
   float train_batch(const tensor::Tensor& batch, float learning_rate,
                     float kl_weight = 1e-3f);
 
-  /// Train with shuffled mini-batches; returns final-epoch mean loss.
+  /// Train with shuffled mini-batches; returns final-epoch mean loss. Throws
+  /// std::invalid_argument when `batch_size` is 0.
   float train(const tensor::Tensor& data, std::size_t epochs, std::size_t batch_size,
               float learning_rate, float kl_weight = 1e-3f);
 

@@ -16,8 +16,7 @@ constexpr std::size_t kMaxColumnFloats = std::size_t{1} << 22;
 }  // namespace
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
-               std::size_t in_h, std::size_t in_w, util::Rng& rng, std::size_t padding,
-               bool with_bias)
+               std::size_t in_h, std::size_t in_w, std::size_t padding, bool with_bias)
     : out_channels_{out_channels},
       with_bias_{with_bias},
       geometry_{in_channels, in_h, in_w, kernel, padding},
@@ -26,6 +25,12 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t ke
   if (kernel == 0 || kernel > in_h + 2 * padding || kernel > in_w + 2 * padding) {
     throw std::invalid_argument{"Conv2d: kernel does not fit input"};
   }
+}
+
+Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
+               std::size_t in_h, std::size_t in_w, util::Rng& rng, std::size_t padding,
+               bool with_bias)
+    : Conv2d{in_channels, out_channels, kernel, in_h, in_w, padding, with_bias} {
   tensor::init_kaiming_uniform(weight_.value, rng, geometry_.patch_size());
   if (with_bias_) {
     const float bound = 1.0f / std::sqrt(static_cast<float>(geometry_.patch_size()));
@@ -79,6 +84,16 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& input) {
 }
 
 tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
+  tensor::Tensor grad_input{cached_input_.shape()};
+  backward_chunks(grad_output, &grad_input);
+  return grad_input;
+}
+
+void Conv2d::backward_parameters(const tensor::Tensor& grad_output) {
+  backward_chunks(grad_output, nullptr);
+}
+
+void Conv2d::backward_chunks(const tensor::Tensor& grad_output, tensor::Tensor* grad_input) {
   const auto& g = geometry_;
   const std::size_t batch = cached_input_.dim(0);
   const std::size_t oh = g.out_h(), ow = g.out_w();
@@ -91,7 +106,6 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
   const std::size_t patch = g.patch_size();
   const std::size_t image_size = g.in_channels * g.in_h * g.in_w;
   const std::size_t chunk = samples_per_chunk(batch);
-  tensor::Tensor grad_input{cached_input_.shape()};
   for (std::size_t s0 = 0; s0 < batch; s0 += chunk) {
     const std::size_t cs = std::min(chunk, batch - s0);
     const std::size_t cols = cs * pixels;
@@ -122,15 +136,15 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
         bias_.grad[oc] += acc;
       }
     }
+    if (grad_input == nullptr) continue;
     // dcols[patch, cs*pixels] = W^T[patch, oc] * dY[oc, cs*pixels].
     scratch_grad_cols_.resize(patch * cols);
     tensor::matmul_trans_a(weight_.value.raw(), scratch_grad_mat_.data(),
                            scratch_grad_cols_.data(), patch, out_channels_, cols);
     tensor::col2im_batch_accumulate(scratch_grad_cols_.data(), g, cs,
-                                    grad_input.data().subspan(s0 * image_size,
-                                                              cs * image_size));
+                                    grad_input->data().subspan(s0 * image_size,
+                                                               cs * image_size));
   }
-  return grad_input;
 }
 
 std::vector<Parameter*> Conv2d::parameters() {

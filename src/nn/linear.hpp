@@ -8,12 +8,18 @@ namespace fedguard::nn {
 
 class Linear final : public Module {
  public:
-  /// Kaiming-uniform weight init (fan_in = in_features), zero bias.
+  /// Kaiming-uniform weight (fan_in = in_features), bias drawn from
+  /// U(-1/sqrt(fan_in), 1/sqrt(fan_in)) after the weight.
   Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng,
          bool with_bias = true);
+  /// Zero parameters and no draw, for a layer whose values are loaded next.
+  Linear(std::size_t in_features, std::size_t out_features, bool with_bias = true);
 
   tensor::Tensor forward(const tensor::Tensor& input) override;
+  /// backward_parameters() plus dX = dY * W.
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  /// dW += dY^T * X and db += column sums of dY.
+  void backward_parameters(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
 
   [[nodiscard]] std::string name() const override { return "Linear"; }

@@ -2,6 +2,10 @@
 
 namespace fedguard::nn {
 
+void Module::backward_parameters(const tensor::Tensor& grad_output) {
+  static_cast<void>(backward(grad_output));
+}
+
 void Module::zero_grad() {
   for (Parameter* p : parameters()) p->grad.zero();
 }

@@ -5,6 +5,9 @@
 // it needs for the gradient pass (inputs, masks, activations). backward()
 // accumulates parameter gradients into Parameter::grad and returns the
 // gradient with respect to the module input, so containers can chain layers.
+// backward_parameters() accumulates the same parameter gradients without
+// forming the input gradient, for the bottom of a network where nothing reads
+// it.
 // This is a deliberate alternative to tape-based autograd: the architectures
 // in the paper are static feed-forward stacks, and the manual scheme has no
 // graph bookkeeping overhead.
@@ -41,6 +44,12 @@ class Module {
   /// output) back through the cached forward state. Accumulates into each
   /// Parameter::grad and returns the gradient w.r.t. the module input.
   virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
+
+  /// Accumulate into each Parameter::grad bit for bit what backward() would,
+  /// without forming the gradient w.r.t. the module input. The default runs
+  /// backward() and drops its result; Linear, Conv2d and Sequential skip the
+  /// input-gradient work.
+  virtual void backward_parameters(const tensor::Tensor& grad_output);
 
   /// Trainable parameters (empty for stateless layers).
   [[nodiscard]] virtual std::vector<Parameter*> parameters() { return {}; }

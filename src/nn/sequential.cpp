@@ -31,20 +31,37 @@ tensor::Tensor Sequential::forward(const tensor::Tensor& input) {
 }
 
 tensor::Tensor Sequential::backward(const tensor::Tensor& grad_output) {
+  return backward_down_to(grad_output, 0, false);
+}
+
+void Sequential::backward_parameters(const tensor::Tensor& grad_output) {
+  std::size_t first = 0;
+  while (first < layers_.size() && layers_[first]->parameters().empty()) ++first;
+  if (first == layers_.size()) return;
+  static_cast<void>(backward_down_to(grad_output, first, true));
+}
+
+tensor::Tensor Sequential::backward_down_to(const tensor::Tensor& grad_output,
+                                            std::size_t last, bool parameters_only) {
   tensor::Tensor current = grad_output;
+  const auto step = [&](std::size_t i) {
+    if (parameters_only && i == last) {
+      layers_[i]->backward_parameters(current);
+    } else {
+      current = layers_[i]->backward(current);
+    }
+  };
 #if defined(FEDGUARD_TRACE_ENABLED)
   if (obs::TraceSession::active()) {
-    for (std::size_t i = layers_.size(); i-- > 0;) {
+    for (std::size_t i = layers_.size(); i-- > last;) {
       FEDGUARD_TRACE_SPAN("layer.backward",
                           std::to_string(i) + ":" + layers_[i]->name());
-      current = layers_[i]->backward(current);
+      step(i);
     }
     return current;
   }
 #endif
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    current = (*it)->backward(current);
-  }
+  for (std::size_t i = layers_.size(); i-- > last;) step(i);
   return current;
 }
 

@@ -26,6 +26,10 @@ class Sequential final : public Module {
 
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  /// Runs backward() down to the first layer with parameters, calls that
+  /// layer's backward_parameters() and skips the layers below it, whose
+  /// gradients nothing reads.
+  void backward_parameters(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   void set_training(bool training) override;
 
@@ -34,6 +38,12 @@ class Sequential final : public Module {
   [[nodiscard]] Module& layer(std::size_t i) noexcept { return *layers_[i]; }
 
  private:
+  /// Backward through layers_[size-1] .. layers_[last]; when
+  /// `parameters_only`, layers_[last] runs backward_parameters() and the
+  /// returned tensor is the gradient that layer received.
+  tensor::Tensor backward_down_to(const tensor::Tensor& grad_output, std::size_t last,
+                                  bool parameters_only);
+
   std::vector<std::unique_ptr<Module>> layers_;
 };
 

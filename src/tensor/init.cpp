@@ -8,18 +8,8 @@ void init_uniform(Tensor& t, util::Rng& rng, float lo, float hi) {
   for (auto& v : t.data()) v = rng.uniform_float(lo, hi);
 }
 
-void init_normal(Tensor& t, util::Rng& rng, float mean, float stddev) {
-  for (auto& v : t.data()) v = static_cast<float>(rng.normal(mean, stddev));
-}
-
 void init_kaiming_uniform(Tensor& t, util::Rng& rng, std::size_t fan_in) {
   const float bound = std::sqrt(6.0f / static_cast<float>(fan_in > 0 ? fan_in : 1));
-  init_uniform(t, rng, -bound, bound);
-}
-
-void init_xavier_uniform(Tensor& t, util::Rng& rng, std::size_t fan_in, std::size_t fan_out) {
-  const float denom = static_cast<float>(fan_in + fan_out > 0 ? fan_in + fan_out : 1);
-  const float bound = std::sqrt(6.0f / denom);
   init_uniform(t, rng, -bound, bound);
 }
 

@@ -1,7 +1,7 @@
 #pragma once
-// Weight initialization schemes. The paper does not pin initializers; we use
-// the standard choices for the layer types involved (Kaiming for ReLU paths,
-// Xavier for sigmoid/softmax outputs).
+// Weight initialization schemes. The paper does not pin initializers; a
+// seeded Linear or Conv2d layer draws a Kaiming-uniform weight and then, if it
+// has a bias, a PyTorch-style U(-1/sqrt(fan_in), 1/sqrt(fan_in)) bias.
 
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -11,13 +11,7 @@ namespace fedguard::tensor {
 /// Uniform in [lo, hi).
 void init_uniform(Tensor& t, util::Rng& rng, float lo, float hi);
 
-/// Normal(mean, stddev).
-void init_normal(Tensor& t, util::Rng& rng, float mean, float stddev);
-
 /// Kaiming-He uniform for ReLU: U(-sqrt(6/fan_in), sqrt(6/fan_in)).
 void init_kaiming_uniform(Tensor& t, util::Rng& rng, std::size_t fan_in);
-
-/// Xavier-Glorot uniform: U(-sqrt(6/(fan_in+fan_out)), +...).
-void init_xavier_uniform(Tensor& t, util::Rng& rng, std::size_t fan_in, std::size_t fan_out);
 
 }  // namespace fedguard::tensor

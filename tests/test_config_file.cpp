@@ -175,6 +175,11 @@ TEST_F(ConfigFileTest, BadValuesRejected) {
                std::invalid_argument);
   EXPECT_THROW((void)load_experiment_config(write_file("strategy = winning\n")),
                std::invalid_argument);
+  // A zero batch size would never advance a training loop.
+  EXPECT_THROW((void)load_experiment_config(write_file("batch_size = 0\n")),
+               std::invalid_argument);
+  EXPECT_THROW((void)load_experiment_config(write_file("cvae_batch_size = 0\n")),
+               std::invalid_argument);
 }
 
 TEST_F(ConfigFileTest, RepositoryDescriptorsLoad) {

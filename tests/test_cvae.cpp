@@ -139,6 +139,11 @@ TEST(Cvae, EncodeShapes) {
   EXPECT_EQ(enc.logvar.shape(), (std::vector<std::size_t>{5, spec.latent}));
 }
 
+TEST_F(CvaeFixture, ZeroBatchSizeThrows) {
+  Cvae cvae{small_spec(), 42};
+  EXPECT_THROW((void)cvae.train(images, labels, 1, 0, 1e-3f), std::invalid_argument);
+}
+
 TEST(Cvae, ReconstructShape) {
   const CvaeSpec spec = small_spec();
   Cvae cvae{spec, 41};

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+#include <vector>
+
 #include "data/synthetic_mnist.hpp"
 #include "models/common.hpp"
 #include "models/cvae.hpp"
@@ -64,6 +68,41 @@ TEST(Classifier, DeterministicInitFromSeed) {
   Classifier c{ClassifierArch::Mlp, ImageGeometry{}, 43};
   EXPECT_EQ(a.parameters_flat(), b.parameters_flat());
   EXPECT_NE(a.parameters_flat(), c.parameters_flat());
+}
+
+TEST(Classifier, BuiltFromPsi0MatchesSeededModelWithPsi0Loaded) {
+  // The client's round model is built straight from ψ0; it must be the seeded
+  // model with ψ0 loaded, bit for bit, through forward and training.
+  const auto bits_equal = [](std::span<const float> a, std::span<const float> b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+  };
+  const data::Dataset data = data::generate_synthetic_mnist(8, 12);
+  const std::vector<std::size_t> all{0, 1, 2, 3, 4, 5, 6, 7};
+  const data::Dataset::Batch batch = data.gather(all);
+  for (const auto arch :
+       {ClassifierArch::Mlp, ClassifierArch::TinyCnn, ClassifierArch::PaperCnn}) {
+    SCOPED_TRACE(to_string(arch));
+    const std::vector<float> psi0 = Classifier{arch, ImageGeometry{}, 70}.parameters_flat();
+    Classifier seeded{arch, ImageGeometry{}, 71};
+    seeded.load_parameters_flat(psi0);
+    Classifier built{arch, ImageGeometry{}, std::span<const float>{psi0}};
+    EXPECT_TRUE(bits_equal(built.parameters_flat(), psi0));
+    EXPECT_TRUE(bits_equal(built.forward(batch.images).data(),
+                           seeded.forward(batch.images).data()));
+    for (int step = 0; step < 3; ++step) {
+      EXPECT_EQ(built.train_batch(batch.images, batch.labels, 0.05f, 0.9f),
+                seeded.train_batch(batch.images, batch.labels, 0.05f, 0.9f));
+    }
+    EXPECT_TRUE(bits_equal(built.parameters_flat(), seeded.parameters_flat()));
+
+    std::vector<float> wrong = psi0;
+    wrong.push_back(0.0f);
+    EXPECT_THROW((Classifier{arch, ImageGeometry{}, std::span<const float>{wrong}}),
+                 std::invalid_argument);
+    wrong.resize(psi0.size() - 1);
+    EXPECT_THROW((Classifier{arch, ImageGeometry{}, std::span<const float>{wrong}}),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Classifier, LearnsSyntheticDigits) {

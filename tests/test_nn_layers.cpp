@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "models/classifier.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dropout.hpp"
@@ -13,6 +17,7 @@
 #include "nn/linear.hpp"
 #include "nn/maxpool2d.hpp"
 #include "nn/sequential.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace fedguard::nn {
@@ -42,7 +47,9 @@ struct GradCheck {
     return total;
   }
 
-  // Verify dL/dinput and dL/dparams against central finite differences.
+  // Verify dL/dinput and dL/dparams against central finite differences, and
+  // that the parameter-only pass leaves the same parameter gradients bit for
+  // bit.
   static void run(Module& module, Tensor input, util::Rng& rng) {
     const Tensor probe = module.forward(input);
     Tensor weights = random_tensor(probe.shape(), rng);
@@ -51,6 +58,7 @@ struct GradCheck {
     (void)module.forward(input);
     const Tensor grad_input = module.backward(weights);
     ASSERT_TRUE(grad_input.same_shape(input));
+    expect_parameter_only_pass_matches(module, input, weights);
 
     auto check = [&](float analytic, float& slot, const char* what, std::size_t index) {
       const float saved = slot;
@@ -75,6 +83,24 @@ struct GradCheck {
       for (std::size_t i = 0; i < p->size(); i += stride) {
         check(p->grad[i], p->value[i], p->name.c_str(), i);
       }
+    }
+  }
+
+  // Expects the gradients of the backward() just run; leaves those of a
+  // fresh forward + backward_parameters() in their place.
+  static void expect_parameter_only_pass_matches(Module& module, const Tensor& input,
+                                                 const Tensor& grad_output) {
+    std::vector<Tensor> full;
+    for (Parameter* p : module.parameters()) full.push_back(p->grad);
+    module.zero_grad();
+    (void)module.forward(input);
+    module.backward_parameters(grad_output);
+    const std::vector<Parameter*> params = module.parameters();
+    ASSERT_EQ(params.size(), full.size());
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      EXPECT_EQ(std::memcmp(params[k]->grad.raw(), full[k].raw(), full[k].size() * sizeof(float)),
+                0)
+          << params[k]->name << " gradient differs from backward()";
     }
   }
 };
@@ -102,6 +128,14 @@ TEST(GradCheckLayer, Conv2dPadded) {
   util::Rng rng{104};
   Conv2d layer{1, 4, 5, 8, 8, rng, /*padding=*/2};
   GradCheck::run(layer, GradCheck::random_tensor({2, 1, 8, 8}, rng), rng);
+}
+
+TEST(GradCheckLayer, Conv2dAboveChunkCap) {
+  // 16*5*5 patch rows x 32*32 pixels = 409,600 column floats per sample, so
+  // the 4M-float column cap fits 10 samples and a batch of 11 runs two chunks.
+  util::Rng rng{111};
+  Conv2d layer{16, 2, 5, 32, 32, rng, /*padding=*/2};
+  GradCheck::run(layer, GradCheck::random_tensor({11, 16, 32, 32}, rng), rng);
 }
 
 TEST(GradCheckLayer, ReLU) {
@@ -159,6 +193,30 @@ TEST(GradCheckLayer, SequentialConvStack) {
   net.emplace<Flatten>();
   net.emplace<Linear>(3 * 3 * 3, 5, rng);
   GradCheck::run(net, GradCheck::random_tensor({2, 1, 6, 6}, rng), rng);
+}
+
+TEST(Layer, TrainStepSkipsInputGradientBelowFirstWeightedLayer) {
+#if !defined(FEDGUARD_TRACE_ENABLED)
+  GTEST_SKIP() << "tracing compiled out (FEDGUARD_TRACE=OFF)";
+#else
+  // The MLP is Flatten, Linear, ReLU, Linear: only the top Linear's dX = dY*W
+  // is read, so a training step runs one matmul, and Flatten gets no
+  // backward pass at all.
+  models::Classifier classifier{models::ClassifierArch::Mlp, models::ImageGeometry{}, 3};
+  const Tensor images{{4, 1, 28, 28}, 0.5f};
+  const std::vector<int> labels{0, 1, 2, 3};
+  obs::TraceSession session{std::string{}};
+  (void)classifier.train_batch(images, labels, 0.05f);
+  std::size_t matmuls = 0;
+  std::size_t flatten_backward = 0;
+  for (const obs::TraceEventRecord& event : session.take_events()) {
+    if (event.phase != 'B') continue;
+    if (event.category == "kernel.gemm" && event.name == "matmul") ++matmuls;
+    if (event.category == "layer.backward" && event.name == "0:Flatten") ++flatten_backward;
+  }
+  EXPECT_EQ(matmuls, 1u);
+  EXPECT_EQ(flatten_backward, 0u);
+#endif
 }
 
 TEST(Layer, MaxPoolForwardValues) {

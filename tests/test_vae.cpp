@@ -86,5 +86,12 @@ TEST(Vae, InputShapeValidated) {
   EXPECT_THROW((void)vae.train_batch(wrong, 1e-3f), std::invalid_argument);
 }
 
+TEST(Vae, ZeroBatchSizeThrows) {
+  util::Rng rng{59};
+  const tensor::Tensor corpus = make_corpus(8, 8, rng);
+  Vae vae{spec_for(8), 60};
+  EXPECT_THROW((void)vae.train(corpus, 1, 0, 1e-3f), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace fedguard::models
