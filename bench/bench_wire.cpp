@@ -3,7 +3,7 @@
 // — m = 50 clients per round, ψ ≈ 100k parameters. run_all_benches.sh merges
 // the JSON report into BENCH_wire.json; the wire_* counters carry the
 // byte accounting (per ψ, per round, and the compression ratio vs fp32),
-// which must agree with the traffic meters in fl::Server / net::RemoteServer
+// which must agree with the traffic meters in fl::Server / net::HierarchicalServer
 // (both charge util::codec_span_wire_size for the ψ direction). The socket
 // round's byte path is timed at the paper CNN's ψ0: the frame CRC-32 and the
 // one-buffer RoundRequest frame the root broadcasts every round.

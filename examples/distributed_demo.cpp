@@ -113,6 +113,17 @@ models::CvaeSpec demo_cvae() {
   return spec;
 }
 
+/// The demo's FedGuard strategy; the server calls this once per shard plus
+/// once for its root merge.
+std::unique_ptr<defenses::AggregationStrategy> demo_fedguard() {
+  defenses::FedGuardConfig fg;
+  fg.cvae_spec = demo_cvae();
+  fg.total_samples = 100;
+  return std::make_unique<defenses::FedGuardAggregator>(fg, models::ClassifierArch::Mlp,
+                                                        models::ImageGeometry{},
+                                                        kDataSeed ^ 0xf9ULL);
+}
+
 fl::ClientConfig demo_client_config() {
   fl::ClientConfig config;
   config.local_epochs = 2;
@@ -155,13 +166,7 @@ int run_server(const core::CliOptions& options) {
   const auto port = static_cast<std::uint16_t>(options.get_int("port", 7700));
 
   const data::Dataset test = data::generate_synthetic_mnist(200, kDataSeed ^ 0x7e57ULL);
-  defenses::FedGuardConfig fg;
-  fg.cvae_spec = demo_cvae();
-  fg.total_samples = 100;
-  defenses::FedGuardAggregator strategy{fg, models::ClassifierArch::Mlp,
-                                        models::ImageGeometry{}, kDataSeed ^ 0xf9ULL};
-
-  net::RemoteServerConfig config;
+  net::HierarchicalServerConfig config;  // one shard: a single-tier server
   config.port = port;
   config.expected_clients = clients;
   config.clients_per_round = std::max<std::size_t>(1, clients / 2 + 1);
@@ -171,11 +176,12 @@ int run_server(const core::CliOptions& options) {
   config.accept_timeout_ms = static_cast<std::size_t>(options.get_int("accept-ms", 30000));
   config.round_timeout_ms = static_cast<std::size_t>(options.get_int("round-ms", 30000));
   config.min_clients = static_cast<std::size_t>(options.get_int("min-clients", 0));
+  config.eject_after_failures = 3;
   config.http_port = static_cast<std::uint16_t>(options.get_int("metrics-port", 0));
-  net::RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp,
-                           models::ImageGeometry{}};
+  net::HierarchicalServer server{config, demo_fedguard, test, models::ClassifierArch::Mlp,
+                                 models::ImageGeometry{}};
   std::printf("server listening on port %u, waiting for %zu clients...\n",
-              static_cast<unsigned>(server.port()), clients);
+              static_cast<unsigned>(server.shard_port(0)), clients);
   const auto exporter = exporter_from_options(options);
   const fl::RunHistory history = server.run();
   std::printf("\nfinal accuracy: %.2f%% (strategy %s)\n",
@@ -225,17 +231,12 @@ int run_threaded_demo(const core::CliOptions& options) {
                 plan.never_connect_probability);
   }
   const data::Dataset test = data::generate_synthetic_mnist(200, kDataSeed ^ 0x7e57ULL);
-  defenses::FedGuardConfig fg;
-  fg.cvae_spec = demo_cvae();
-  fg.total_samples = 100;
-  defenses::FedGuardAggregator strategy{fg, models::ClassifierArch::Mlp,
-                                        models::ImageGeometry{}, kDataSeed ^ 0xf9ULL};
-  net::RemoteServerConfig config;
-  config.port = 0;  // ephemeral
+  net::HierarchicalServerConfig config;  // one shard on an ephemeral port
   config.expected_clients = 4;
   config.clients_per_round = 3;
   config.rounds = 6;
   config.seed = kDataSeed;
+  config.eject_after_failures = 3;
   if (plan.any()) {
     // Chaos runs need bounded waits and tolerance for absent clients.
     config.round_timeout_ms = 5000;
@@ -243,9 +244,9 @@ int run_threaded_demo(const core::CliOptions& options) {
     config.min_clients = 1;
   }
   config.http_port = static_cast<std::uint16_t>(options.get_int("metrics-port", 0));
-  net::RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp,
-                           models::ImageGeometry{}};
-  const std::uint16_t port = server.port();
+  net::HierarchicalServer server{config, demo_fedguard, test, models::ClassifierArch::Mlp,
+                                 models::ImageGeometry{}};
+  const std::uint16_t port = server.shard_port(0);
 
   const attacks::SignFlipAttack sign_flip;
   std::vector<std::unique_ptr<fl::Client>> clients;

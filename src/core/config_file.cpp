@@ -155,8 +155,6 @@ void apply_config_values(ExperimentConfig& config,
     else if (key == "fedcpa_keep_fraction")
       config.fedcpa_keep_fraction = to_double(value, key);
     else if (key == "shards") config.shards = to_positive_size(value, key);
-    else if (key == "shard_round_timeout_ms")
-      config.shard_round_timeout_ms = to_size(value, key);
     else if (key == "reactor_poll_timeout_ms")
       config.reactor_poll_timeout_ms = to_size(value, key);
     else if (key == "reactor_idle_timeout_ms")

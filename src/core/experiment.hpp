@@ -120,16 +120,16 @@ struct ExperimentConfig {
   // docs/SHARDING.md. (Distinct from shards_per_client, the data-partition
   // scheme knob above.)
   std::size_t shards = 1;
-  // Shard round deadline (socket topology; descriptor key shard_round_timeout_ms).
-  std::size_t shard_round_timeout_ms = 30000;
   // Reactor cycle length / idle-connection sweep (descriptor keys
   // reactor_poll_timeout_ms / reactor_idle_timeout_ms; 0 idle = never sweep).
   std::size_t reactor_poll_timeout_ms = 20;
   std::size_t reactor_idle_timeout_ms = 0;
 
-  // ---- Distributed federation (net::RemoteServer) ------------------------------
-  // Deadlines/policy for the TCP deployment shape; ignored by the in-process
-  // runner. See docs/ROBUSTNESS.md for the fault model these feed.
+  // ---- Socket fault policy (net::HierarchicalServer) ---------------------------
+  // Accept deadline, round deadline, partial-federation floor and ejection
+  // streak of the socket deployment (core::hierarchical_server_config); the
+  // in-process runner ignores them. See docs/ROBUSTNESS.md for the fault
+  // model these feed.
   std::size_t remote_accept_timeout_ms = 30000;
   std::size_t remote_round_timeout_ms = 30000;
   std::size_t remote_min_clients = 0;         // 0 = all expected

@@ -42,7 +42,7 @@ void print_accuracy_series(std::ostream& out, const std::vector<fl::RunHistory>&
 
 /// Fault-tolerance accounting for a distributed run: totals and a per-round
 /// breakdown of timeouts / dropouts / corrupt frames / ejections recorded by
-/// net::RemoteServer (all-zero rounds are elided from the breakdown).
+/// net::HierarchicalServer (all-zero rounds are elided from the breakdown).
 void print_fault_summary(std::ostream& out, const fl::RunHistory& history);
 
 }  // namespace fedguard::core

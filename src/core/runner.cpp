@@ -176,15 +176,8 @@ Federation build_federation_with_data(ExperimentConfig config, data::Dataset tra
   fed.strategy = make_strategy(config, fed.auxiliary_set);
 
   fl::ServerConfig server_config;
-  server_config.clients_per_round = config.clients_per_round;
-  server_config.rounds = config.rounds;
-  server_config.server_learning_rate = config.server_learning_rate;
-  server_config.seed = config.seed ^ 0x5e12e5ULL;
+  static_cast<fl::RoundConfig&>(server_config) = round_config(config);
   server_config.straggler_probability = config.straggler_probability;
-  server_config.track_per_class_accuracy = config.track_per_class_accuracy;
-  server_config.psi_codec = config.wire_codec;
-  server_config.psi_chunk = config.wire_chunk_size;
-  server_config.shards = config.shards;
   fed.server = std::make_unique<fl::Server>(server_config, fed.clients, *fed.strategy,
                                             fed.test_set, config.arch, config.geometry());
   fed.config = std::move(config);
@@ -196,38 +189,29 @@ fl::RunHistory run_experiment(const ExperimentConfig& config) {
   return fed.run();
 }
 
-net::RemoteServerConfig remote_server_config(const ExperimentConfig& config,
-                                             std::uint16_t port) {
-  net::RemoteServerConfig remote;
-  remote.port = port;
-  remote.expected_clients = config.num_clients;
-  remote.clients_per_round = config.clients_per_round;
-  remote.rounds = config.rounds;
-  remote.server_learning_rate = config.server_learning_rate;
-  remote.seed = config.seed ^ 0x5e12e5ULL;  // must match build_federation
-  remote.accept_timeout_ms = config.remote_accept_timeout_ms;
-  remote.round_timeout_ms = config.remote_round_timeout_ms;
-  remote.min_clients = config.remote_min_clients;
-  remote.eject_after_failures = config.remote_eject_after_failures;
-  remote.psi_codec = config.wire_codec;
-  remote.psi_chunk = config.wire_chunk_size;
-  return remote;
+fl::RoundConfig round_config(const ExperimentConfig& config) {
+  fl::RoundConfig round;
+  round.clients_per_round = config.clients_per_round;
+  round.rounds = config.rounds;
+  round.server_learning_rate = config.server_learning_rate;
+  round.seed = config.seed ^ 0x5e12e5ULL;
+  round.track_per_class_accuracy = config.track_per_class_accuracy;
+  round.psi_codec = config.wire_codec;
+  round.psi_chunk = config.wire_chunk_size;
+  round.shards = config.shards;
+  return round;
 }
 
 net::HierarchicalServerConfig hierarchical_server_config(const ExperimentConfig& config) {
   net::HierarchicalServerConfig hier;
-  hier.shards = config.shards;
+  static_cast<fl::RoundConfig&>(hier) = round_config(config);
+  hier.eject_after_failures = config.remote_eject_after_failures;
   hier.expected_clients = config.num_clients;
-  hier.clients_per_round = config.clients_per_round;
-  hier.rounds = config.rounds;
-  hier.server_learning_rate = config.server_learning_rate;
-  hier.seed = config.seed ^ 0x5e12e5ULL;  // must match build_federation
   hier.accept_timeout_ms = config.remote_accept_timeout_ms;
-  hier.round_timeout_ms = config.shard_round_timeout_ms;
+  hier.min_clients = config.remote_min_clients;
+  hier.round_timeout_ms = config.remote_round_timeout_ms;
   hier.reactor_poll_timeout_ms = config.reactor_poll_timeout_ms;
   hier.reactor_idle_timeout_ms = config.reactor_idle_timeout_ms;
-  hier.psi_codec = config.wire_codec;
-  hier.psi_chunk = config.wire_chunk_size;
   return hier;
 }
 

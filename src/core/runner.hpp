@@ -9,7 +9,6 @@
 #include "defenses/aggregation.hpp"
 #include "fl/metrics.hpp"
 #include "fl/server.hpp"
-#include "net/remote.hpp"
 #include "net/shard.hpp"
 
 namespace fedguard::core {
@@ -49,16 +48,14 @@ struct Federation {
 /// Convenience: build and run in one call.
 [[nodiscard]] fl::RunHistory run_experiment(const ExperimentConfig& config);
 
-/// Map an ExperimentConfig onto the distributed server's knob panel (same
-/// seed derivation as the in-process server so both paths sample identical
-/// client subsets). `port` 0 picks an ephemeral port.
-[[nodiscard]] net::RemoteServerConfig remote_server_config(const ExperimentConfig& config,
-                                                           std::uint16_t port = 0);
+/// The round knobs of an ExperimentConfig, shared by both transports. The
+/// server seed is derived here once, so an in-process run and a socket run
+/// of one descriptor draw identical client samples.
+[[nodiscard]] fl::RoundConfig round_config(const ExperimentConfig& config);
 
-/// Map an ExperimentConfig onto the two-tier topology's knob panel (seed
-/// derivation matches the in-process server, so a HierarchicalServer run and
-/// an fl::Server run with the same shards draw identical samples). Shard
-/// listeners always bind ephemeral ports.
+/// Map an ExperimentConfig onto the socket deployment's knob panel: the
+/// round knobs plus the remote_* fault policy and the reactor_* keys. Shard
+/// listeners bind ephemeral ports.
 [[nodiscard]] net::HierarchicalServerConfig hierarchical_server_config(
     const ExperimentConfig& config);
 

@@ -9,6 +9,14 @@
 
 namespace fedguard::defenses {
 
+namespace {
+
+bool contains_id(const std::vector<int>& ids, int id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+}  // namespace
+
 std::size_t validate_updates(std::span<const ClientUpdate> updates) {
   if (updates.empty()) {
     throw std::invalid_argument{"aggregation: no updates"};
@@ -112,6 +120,12 @@ void AggregationStrategy::partial_aggregate_into(const AggregationContext& conte
   out.clear();
   out.shard_id = shard_id;
   do_partial_aggregate(context, updates, out);
+  for (std::size_t k = 0; k < updates.count(); ++k) {
+    const UpdateMeta& meta = updates.meta(k);
+    if (meta.truly_malicious && contains_id(out.rejected_clients, meta.client_id)) {
+      out.rejected_malicious_count += 1;
+    }
+  }
 }
 
 void AggregationStrategy::merge_partials_into(const AggregationContext& context,
@@ -307,10 +321,6 @@ DetectionStats tally_detection(std::size_t count, RejectedFn&& info) {
     else ++stats.true_negatives;
   }
   return stats;
-}
-
-bool contains_id(const std::vector<int>& ids, int id) {
-  return std::find(ids.begin(), ids.end(), id) != ids.end();
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // One federated round produces an [count, psi_dim] matrix of flat parameter
 // vectors (plus, for FedGuard, a [count, theta_dim] matrix of decoder
 // vectors). `UpdateMatrix` owns both planes as contiguous row-major arenas
-// with per-row metadata; producers (fl::Client, the RemoteServer frame
+// with per-row metadata; producers (fl::Client, the shard frame
 // decoder) write their assigned row in place, and consumers (every
 // AggregationStrategy) read the rows through non-owning views:
 //

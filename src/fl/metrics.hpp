@@ -22,8 +22,9 @@ struct RoundRecord {
   std::size_t sampled_clients = 0;
   std::size_t sampled_malicious = 0;
   std::size_t stragglers = 0;  // sampled clients that failed to respond
-  // Remote-path fault accounting (net::RemoteServer): how each sampled
-  // client that failed to contribute this round actually failed.
+  // Socket-path fault accounting (net::HierarchicalServer): how each sampled
+  // client that failed to contribute this round actually failed; the three
+  // classes sum to `stragglers` there (in-process stragglers are simulated).
   std::size_t dropouts = 0;        // connection died (EOF/reset/send failure)
   std::size_t timeouts = 0;        // round deadline expired with no reply
   std::size_t corrupt_frames = 0;  // CRC mismatch / truncated / malformed frame
@@ -57,7 +58,7 @@ struct RunHistory {
   /// returns 0 when no per-class data was recorded.
   [[nodiscard]] double trailing_class_accuracy(std::size_t class_id,
                                                std::size_t window) const;
-  /// Run totals of the remote-path fault counters (zero for in-process runs).
+  /// Run totals of the socket-path fault counters (zero for in-process runs).
   [[nodiscard]] std::size_t total_dropouts() const;
   [[nodiscard]] std::size_t total_timeouts() const;
   [[nodiscard]] std::size_t total_corrupt_frames() const;

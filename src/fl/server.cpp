@@ -1,269 +1,90 @@
 #include "fl/server.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "nn/parameter_vector.hpp"
-#include "obs/exporter.hpp"
-#include "obs/trace.hpp"
-#include "util/logging.hpp"
-#include "util/serialize.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace fedguard::fl {
 
 Server::Server(ServerConfig config, std::vector<std::unique_ptr<Client>>& clients,
                defenses::AggregationStrategy& strategy, const data::Dataset& test_set,
                models::ClassifierArch arch, models::ImageGeometry geometry)
-    : config_{config},
+    : RoundEngine{config, strategy, clients.size(), test_set, arch, geometry},
+      config_{std::move(config)},
       clients_{clients},
-      strategy_{strategy},
-      test_set_{test_set},
-      arch_{arch},
-      geometry_{geometry},
-      eval_classifier_{std::make_unique<models::Classifier>(arch, geometry, config.seed)},
-      rng_{config.seed} {
-  if (clients_.empty()) throw std::invalid_argument{"Server: no clients"};
-  if (config_.clients_per_round == 0 || config_.clients_per_round > clients_.size()) {
-    throw std::invalid_argument{"Server: clients_per_round out of range"};
-  }
-  auto& registry = obs::Registry::global();
-  rounds_total_ = registry.counter("fl_rounds_total");
-  upload_bytes_total_ = registry.counter("fl_upload_bytes_total");
-  download_bytes_total_ = registry.counter("fl_download_bytes_total");
-  sampled_clients_total_ = registry.counter("fl_sampled_clients_total");
-  stragglers_total_ = registry.counter("fl_stragglers_total");
-  sampled_malicious_total_ = registry.counter("fl_sampled_malicious_total");
-  rejected_malicious_total_ = registry.counter("fl_rejected_malicious_total");
-  rejected_benign_total_ = registry.counter("fl_rejected_benign_total");
-  round_seconds_ = registry.histogram("fl_round_seconds");
-  arena_capacity_bytes_ = registry.gauge("obs_arena_capacity_bytes");
-  // Model initialization (Alg. 1 line 15): ψ0 from the eval classifier's init.
-  global_parameters_ = eval_classifier_->parameters_flat();
-}
+      arena_capacity_bytes_{obs::Registry::global().gauge("obs_arena_capacity_bytes")} {}
 
-double Server::evaluate_global() {
-  eval_classifier_->load_parameters_flat(global_parameters_);
-  const std::size_t total = test_set_.size();
-  if (total == 0) return 0.0;
-  std::size_t correct = 0;
-  for (std::size_t start = 0; start < total; start += config_.eval_batch_size) {
-    const std::size_t n = std::min(config_.eval_batch_size, total - start);
-    eval_indices_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) eval_indices_[i] = start + i;
-    const data::Dataset::Batch batch = test_set_.gather(eval_indices_);
-    correct += static_cast<std::size_t>(
-        eval_classifier_->evaluate_accuracy(batch.images, batch.labels) *
-            static_cast<double>(n) +
-        0.5);
-  }
-  return static_cast<double>(correct) / static_cast<double>(total);
-}
-
-RoundRecord Server::run_round(std::size_t round) {
-  // Round timing and span durations share obs::now_ns() (one steady clock),
-  // so Table V and the trace can never disagree by clock domain.
-  const std::uint64_t round_start_ns = obs::now_ns();
-  // Federation-wide correlation id for this round's spans (same derivation as
-  // the socket servers, so simulator and deployment traces line up by round).
-  obs::set_trace_context(
-      {obs::make_trace_id(config_.seed, round), 0, round});
-  FEDGUARD_TRACE_SPAN("round", "round:" + std::to_string(round));
-  RoundRecord record;
-  record.round = round;
-  // RoundRecord traffic/straggler fields are deltas of the registry counters
-  // over this round; only this (server) thread increments them.
-  const std::uint64_t upload0 = upload_bytes_total_.value();
-  const std::uint64_t download0 = download_bytes_total_.value();
-  const std::uint64_t stragglers0 = stragglers_total_.value();
-
-  auto finalize = [&] {
-    record.server_upload_bytes = upload_bytes_total_.value() - upload0;
-    record.server_download_bytes = download_bytes_total_.value() - download0;
-    record.stragglers = stragglers_total_.value() - stragglers0;
-    record.test_accuracy = evaluate_global();
-    if (config_.track_per_class_accuracy) record.per_class_accuracy = evaluate_per_class();
-    const double seconds =
-        static_cast<double>(obs::now_ns() - round_start_ns) * 1e-9;
-    record.round_seconds = seconds;
-    round_seconds_.observe(seconds);
-    rounds_total_.add(1);
-    obs::round_tick(round);
-  };
-
-  // Uniform sampling of m participating clients (Alg. 1 line 17).
-  {
-    FEDGUARD_TRACE_SPAN("round", "sample");
-    rng_.sample_without_replacement(clients_.size(), config_.clients_per_round, sampled_);
-  }
-  record.sampled_clients = sampled_.size();
-  sampled_clients_total_.add(sampled_.size());
-
+void Server::collect(std::size_t round, std::span<const std::size_t> sampled,
+                     std::span<const float> psi0, Collection& out) {
   // Straggler simulation: sampled clients may fail to respond this round.
   // The predicate (a deterministic test hook) takes priority and consumes no
   // rng draws, keeping the sampling sequence identical to a run without it.
-  if (config_.straggler_predicate || config_.straggler_probability > 0.0) {
-    responders_.clear();
-    for (const std::size_t id : sampled_) {
-      const bool fails = config_.straggler_predicate
-                             ? config_.straggler_predicate(id, round)
-                             : rng_.bernoulli(config_.straggler_probability);
-      if (!fails) responders_.push_back(id);
-    }
-    stragglers_total_.add(sampled_.size() - responders_.size());
-    if (responders_.empty()) {
-      // Nobody responded: the global model is unchanged this round.
-      FEDGUARD_TRACE_SPAN("round", "eval");
-      finalize();
-      return record;
-    }
-    sampled_.swap(responders_);
-  }
-
-  // Client work items run concurrently on the pool (one process per client
-  // on the paper's testbed), each writing its assigned arena row in place.
-  {
-    FEDGUARD_TRACE_SPAN("round", "collect");
-    arena_.reset(sampled_.size(), global_parameters_.size(),
-                 strategy_.wants_decoders() ? strategy_.decoder_parameter_count() : 0);
-    arena_capacity_bytes_.set(static_cast<std::int64_t>(arena_.capacity_bytes()));
-    parallel::parallel_for(parallel::global_pool(), 0, sampled_.size(), [&](std::size_t k) {
-      const defenses::UpdateRow row = arena_.row(k);
-      clients_[sampled_[k]]->run_round_into(global_parameters_, round, row);
-      // Simulate the lossy ψ upload: the roundtrip helper shares its
-      // arithmetic with write_q8_span / read_q8_into, so the aggregation sees
-      // bit-identical updates to the socket deployment's. Fp32 is a no-op.
-      util::quantize_roundtrip(config_.psi_codec, row.psi, config_.psi_chunk);
-    });
-  }
-  const defenses::UpdateView updates{arena_};
-  for (std::size_t k = 0; k < updates.count(); ++k) {
-    if (updates.meta(k).truly_malicious) ++record.sampled_malicious;
-  }
-  sampled_malicious_total_.add(record.sampled_malicious);
-
-  // Traffic accounting (Table V). The ψ0 broadcast always travels fp32; the
-  // ψ uploads are charged at their codec's wire size.
-  const std::size_t psi_wire = nn::parameter_wire_bytes(global_parameters_.size());
-  upload_bytes_total_.add(sampled_.size() * psi_wire);
-  std::size_t download =
-      sampled_.size() * util::codec_span_wire_size(config_.psi_codec,
-                                                   global_parameters_.size(),
-                                                   config_.psi_chunk);
-  if (strategy_.wants_decoders()) {
-    for (std::size_t k = 0; k < updates.count(); ++k) {
-      download += nn::parameter_wire_bytes(updates.meta(k).theta_count);
-    }
-  }
-  download_bytes_total_.add(download);
-
-  // Aggregate and apply the server learning rate.
-  {
-    FEDGUARD_TRACE_SPAN("round", "aggregate");
-    defenses::AggregationContext context;
-    context.round = round;
-    context.global_parameters = global_parameters_;
-    if (config_.shards <= 1) {
-      strategy_.aggregate_into(context, updates, result_);
+  const bool simulate = config_.straggler_predicate || config_.straggler_probability > 0.0;
+  responders_.clear();
+  for (const std::size_t id : sampled) {
+    const bool fails = simulate && (config_.straggler_predicate
+                                        ? config_.straggler_predicate(id, round)
+                                        : rng().bernoulli(config_.straggler_probability));
+    if (fails) {
+      out.failures.push_back({id, FailureKind::Straggler});
     } else {
-      // Two-tier simulation: partition arena rows by the owner shard of the
-      // client that produced them (floor(c*S/N) — net::HierarchicalServer's
-      // partition), keeping sample order within each cohort, then partial-
-      // aggregate per shard and merge at the root.
-      const std::size_t population = clients_.size();
-      cohort_slots_.resize(config_.shards);
-      for (auto& cohort : cohort_slots_) cohort.clear();
-      for (std::size_t k = 0; k < sampled_.size(); ++k) {
-        cohort_slots_[sampled_[k] * config_.shards / population].push_back(k);
-      }
-      partials_.resize(config_.shards);
-      for (std::size_t shard = 0; shard < config_.shards; ++shard) {
-        if (cohort_slots_[shard].empty()) {
-          partials_[shard].clear();  // merged as a skipped (empty) shard
-          continue;
-        }
-        const defenses::UpdateView cohort{arena_, cohort_slots_[shard]};
-        strategy_.partial_aggregate_into(context, cohort, shard, partials_[shard]);
-      }
-      strategy_.merge_partials_into(context, partials_, result_);
-    }
-    if (result_.parameters.size() != global_parameters_.size()) {
-      throw std::runtime_error{"Server: strategy returned wrong parameter dimension"};
-    }
-    const float eta = config_.server_learning_rate;
-    for (std::size_t i = 0; i < global_parameters_.size(); ++i) {
-      global_parameters_[i] += eta * (result_.parameters[i] - global_parameters_[i]);
+      responders_.push_back(id);
     }
   }
+  if (responders_.empty()) return;
 
-  // Detection bookkeeping.
-  const defenses::DetectionStats detection =
-      defenses::compute_detection_stats(updates, result_);
-  record.rejected_clients = result_.rejected_clients.size();
-  record.rejected_malicious = detection.true_positives;
-  record.rejected_benign = detection.false_positives;
-  rejected_malicious_total_.add(detection.true_positives);
-  rejected_benign_total_.add(detection.false_positives);
+  // Client work items run concurrently on the pool, each writing its
+  // assigned arena row in place.
+  arena_.reset(responders_.size(), psi0.size(),
+               strategy().wants_decoders() ? strategy().decoder_parameter_count() : 0);
+  arena_capacity_bytes_.set(static_cast<std::int64_t>(arena_.capacity_bytes()));
+  parallel::parallel_for(parallel::global_pool(), 0, responders_.size(), [&](std::size_t k) {
+    const defenses::UpdateRow row = arena_.row(k);
+    clients_[responders_[k]]->run_round_into(psi0, round, row);
+    // Simulate the lossy ψ upload: the roundtrip helper shares its
+    // arithmetic with write_q8_span / read_q8_into, so the aggregation sees
+    // bit-identical updates to the socket deployment's. Fp32 is a no-op.
+    util::quantize_roundtrip(config_.psi_codec, row.psi, config_.psi_chunk);
+  });
 
-  FEDGUARD_TRACE_SPAN("round", "eval");
-  finalize();
-  return record;
-}
-
-std::vector<double> Server::evaluate_per_class() {
-  eval_classifier_->load_parameters_flat(global_parameters_);
-  const std::size_t classes = geometry_.num_classes;
-  std::vector<std::size_t> correct(classes, 0), total(classes, 0);
-  std::vector<std::size_t> indices;
-  for (std::size_t start = 0; start < test_set_.size(); start += config_.eval_batch_size) {
-    const std::size_t n = std::min(config_.eval_batch_size, test_set_.size() - start);
-    indices.resize(n);
-    for (std::size_t i = 0; i < n; ++i) indices[i] = start + i;
-    const data::Dataset::Batch batch = test_set_.gather(indices);
-    const std::vector<double> recall =
-        eval_classifier_->evaluate_per_class(batch.images, batch.labels);
-    // Convert batch recalls back to counts to merge across batches.
-    std::vector<std::size_t> batch_total(classes, 0);
-    for (const int label : batch.labels) ++batch_total[static_cast<std::size_t>(label)];
-    for (std::size_t c = 0; c < classes; ++c) {
-      total[c] += batch_total[c];
-      correct[c] += static_cast<std::size_t>(recall[c] * static_cast<double>(batch_total[c]) + 0.5);
+  // The ψ0 broadcast always travels fp32; the ψ uploads are charged at
+  // their codec's wire size.
+  out.upload_bytes = responders_.size() * nn::parameter_wire_bytes(psi0.size());
+  out.download_bytes = responders_.size() * util::codec_span_wire_size(config_.psi_codec,
+                                                                       psi0.size(),
+                                                                       config_.psi_chunk);
+  if (strategy().wants_decoders()) {
+    for (std::size_t k = 0; k < arena_.count(); ++k) {
+      out.download_bytes += nn::parameter_wire_bytes(arena_.meta(k).theta_count);
     }
   }
-  std::vector<double> out(classes, 0.0);
-  for (std::size_t c = 0; c < classes; ++c) {
-    if (total[c] > 0) out[c] = static_cast<double>(correct[c]) / static_cast<double>(total[c]);
-  }
-  return out;
 }
 
-void Server::save_global(const std::string& path) const {
-  util::save_f32_vector(path, global_parameters_);
-}
-
-void Server::load_global(const std::string& path) {
-  std::vector<float> loaded = util::load_f32_vector(path);
-  if (loaded.size() != global_parameters_.size()) {
-    throw std::runtime_error{"Server::load_global: dimension mismatch (" +
-                             std::to_string(loaded.size()) + " vs " +
-                             std::to_string(global_parameters_.size()) + ")"};
+std::span<const defenses::ShardPartial> Server::partials(std::size_t round,
+                                                         std::span<const float> psi0) {
+  // Cohorts by owner shard (floor(c*S/N), net::HierarchicalServer's
+  // partition), keeping sample order within each cohort.
+  cohort_rows_.resize(config_.shards);
+  for (auto& cohort : cohort_rows_) cohort.clear();
+  for (std::size_t k = 0; k < responders_.size(); ++k) {
+    cohort_rows_[shard_of(responders_[k])].push_back(k);
   }
-  global_parameters_ = std::move(loaded);
-}
-
-RunHistory Server::run() {
-  RunHistory history;
-  history.strategy = strategy_.name();
-  for (std::size_t round = 0; round < config_.rounds; ++round) {
-    const RoundRecord record = run_round(round);
-    util::log_info(
-        "round %3zu | %-14s | acc %6.2f%% | sampled %zu (mal %zu) | rejected %zu "
-        "(mal %zu, benign %zu) | %.2fs",
-        round, history.strategy.c_str(), record.test_accuracy * 100.0,
-        record.sampled_clients, record.sampled_malicious, record.rejected_clients,
-        record.rejected_malicious, record.rejected_benign, record.round_seconds);
-    history.rounds.push_back(record);
+  defenses::AggregationContext context;
+  context.round = round;
+  context.global_parameters = psi0;
+  partials_.resize(config_.shards);
+  for (std::size_t shard = 0; shard < config_.shards; ++shard) {
+    const std::vector<std::size_t>& rows = cohort_rows_[shard];
+    if (rows.empty()) {
+      partials_[shard].clear();  // merged as a skipped (empty) shard
+      continue;
+    }
+    // A cohort holding the whole arena reads it as the identity view.
+    const defenses::UpdateView cohort = rows.size() == arena_.count()
+                                            ? defenses::UpdateView{arena_}
+                                            : defenses::UpdateView{arena_, rows};
+    strategy().partial_aggregate_into(context, cohort, shard, partials_[shard]);
   }
-  return history;
+  return partials_;
 }
 
 }  // namespace fedguard::fl

@@ -1,35 +1,25 @@
 #pragma once
-// Federated server (Alg. 1 lines 14-20): model initialization, per-round
-// uniform sampling of m clients, parallel execution of client work items,
-// aggregation through the configured strategy, and the server-learning-rate
-// update ψ0 <- ψ0 + η (ψ_agg - ψ0) that Fig. 5 ablates.
+// In-process federated server: the round engine's transport over a pool of
+// fl::Client objects. Each sampled client runs its work item concurrently on
+// the pool (one process per client on the paper's testbed), writing its
+// update straight into the round's UpdateMatrix arena; the partials are
+// partial_aggregate_into over per-shard cohorts of that arena.
 //
-// Traffic accounting (Table V): every round the server uploads ψ0 to each of
-// the m sampled clients and downloads their ψ (plus θ when the strategy
-// requests decoders). Transfers are charged at serialized wire size.
+// Traffic accounting (Table V): every round the server uploads ψ0 to each
+// responding client and downloads their ψ (plus θ when the strategy requests
+// decoders), charged at serialized wire size.
 
-#include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
-#include "data/dataset.hpp"
-#include "defenses/aggregation.hpp"
 #include "fl/client.hpp"
-#include "fl/metrics.hpp"
+#include "fl/round_engine.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/thread_pool.hpp"
-#include "util/serialize.hpp"
 
 namespace fedguard::fl {
 
-struct ServerConfig {
-  std::size_t clients_per_round = 50;  // m (paper: 50 of N=100)
-  std::size_t rounds = 50;             // R
-  float server_learning_rate = 1.0f;   // η (Fig. 5: 0.3 for stability)
-  std::size_t eval_batch_size = 256;   // test-set evaluation batching
-  std::uint64_t seed = 1;
-  /// Record per-class test recall each round (targeted-attack analysis).
-  bool track_per_class_accuracy = false;
+struct ServerConfig : RoundConfig {
   /// Probability that a sampled client fails to respond in a round
   /// (straggler / dropout simulation). Its traffic is not charged.
   double straggler_probability = 0.0;
@@ -38,85 +28,29 @@ struct ServerConfig {
   /// server rng — so a remote fault plan can be replayed in-process with
   /// identical sampling sequences and responder sets.
   std::function<bool(std::size_t, std::size_t)> straggler_predicate;
-  /// ψ-upload wire codec simulated in-process: each collected ψ row is
-  /// quantize-roundtripped with exactly the arithmetic of the socket
-  /// deployment's encoder/decoder, so local and remote runs see bit-identical
-  /// (lossy) updates, and the traffic meter charges the quantized wire size.
-  util::WireCodec psi_codec = util::WireCodec::Fp32;
-  /// Elements per q8 quantization chunk (ignored by other codecs).
-  std::size_t psi_chunk = util::kDefaultQ8ChunkSize;
-  /// Two-tier topology simulated in-process: the sampled updates are
-  /// partitioned into per-shard cohorts by client ownership (client c of N
-  /// belongs to shard floor(c*S/N), exactly net::HierarchicalServer's
-  /// partition), each cohort runs AggregationStrategy::partial_aggregate_into,
-  /// and the partials merge at the root. 1 = classic single-tier aggregation.
-  /// FedAvg merges exactly; selectors (Krum/FedCPA/FedGuard) select per shard
-  /// — docs/SHARDING.md quantifies the robustness cost.
-  std::size_t shards = 1;
 };
 
-class Server {
+class Server final : public RoundEngine {
  public:
   /// `clients`, `strategy` and `test_set` must outlive the server.
   Server(ServerConfig config, std::vector<std::unique_ptr<Client>>& clients,
          defenses::AggregationStrategy& strategy, const data::Dataset& test_set,
          models::ClassifierArch arch, models::ImageGeometry geometry);
 
-  /// Run all configured rounds and return the full history.
-  [[nodiscard]] RunHistory run();
-
-  /// Execute a single federated round (exposed for tests / step-wise use).
-  [[nodiscard]] RoundRecord run_round(std::size_t round);
-
-  [[nodiscard]] std::span<const float> global_parameters() const noexcept {
-    return global_parameters_;
-  }
-  /// Accuracy of the current global model on the held-out test set.
-  [[nodiscard]] double evaluate_global();
-  /// Per-class recall of the current global model on the test set.
-  [[nodiscard]] std::vector<double> evaluate_per_class();
-
-  /// Persist the current global parameter vector (resume long runs / deploy
-  /// the trained model). Throws std::runtime_error on I/O failure.
-  void save_global(const std::string& path) const;
-  /// Restore a global parameter vector saved by save_global; dimension must
-  /// match the configured architecture.
-  void load_global(const std::string& path);
-
  private:
+  void collect(std::size_t round, std::span<const std::size_t> sampled,
+               std::span<const float> psi0, Collection& out) override;
+  std::span<const defenses::ShardPartial> partials(std::size_t round,
+                                                   std::span<const float> psi0) override;
+
   ServerConfig config_;
   std::vector<std::unique_ptr<Client>>& clients_;
-  defenses::AggregationStrategy& strategy_;
-  const data::Dataset& test_set_;
-  models::ClassifierArch arch_;
-  models::ImageGeometry geometry_;
-  std::vector<float> global_parameters_;
-  std::unique_ptr<models::Classifier> eval_classifier_;
-  util::Rng rng_;
-  // Round-persistent scratch: the arena and index/result buffers keep their
-  // capacity across rounds, so a steady-state round performs no heap
-  // allocation in this loop (strategies own their own scratch likewise).
+  // Round-persistent scratch: the arena and index buffers keep their
+  // capacity across rounds, so a steady-state round allocates nothing here.
   defenses::UpdateMatrix arena_;
-  defenses::AggregationResult result_;
-  std::vector<defenses::ShardPartial> partials_;           // shards > 1
-  std::vector<std::vector<std::size_t>> cohort_slots_;     // arena rows per shard
-  std::vector<std::size_t> sampled_;
-  std::vector<std::size_t> responders_;
-  std::vector<std::size_t> eval_indices_;
-  // Registry instruments (docs/OBSERVABILITY.md §fl_*). RoundRecord's traffic
-  // and straggler fields are per-round deltas of these counters, so Table V
-  // and the metrics exposition can never disagree.
-  obs::Counter rounds_total_;
-  obs::Counter upload_bytes_total_;
-  obs::Counter download_bytes_total_;
-  obs::Counter sampled_clients_total_;
-  obs::Counter stragglers_total_;
-  // Detection tallies against ground truth: the scenario sweep derives
-  // attacker-ejection precision/recall from deltas of these three.
-  obs::Counter sampled_malicious_total_;
-  obs::Counter rejected_malicious_total_;
-  obs::Counter rejected_benign_total_;
-  obs::Histogram round_seconds_;
+  std::vector<std::size_t> responders_;                // arena row k = client responders_[k]
+  std::vector<std::vector<std::size_t>> cohort_rows_;  // arena rows per shard
+  std::vector<defenses::ShardPartial> partials_;
   obs::Gauge arena_capacity_bytes_;
 };
 

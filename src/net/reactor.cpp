@@ -201,6 +201,13 @@ void Reactor::handle_readable(ConnectionId id) {
     }
     if (status == IoStatus::WouldBlock) return;
     if (status == IoStatus::Closed) {
+      // EOF after a header promised more payload is a truncated frame, as in
+      // TcpStream::receive_message; EOF between or inside headers is a close.
+      if (connection.read_state == Connection::ReadState::Payload &&
+          callbacks_.on_decode_error) {
+        (void)callbacks_.on_decode_error(
+            id, DecodeError{DecodeErrorCode::Truncated, "reactor: peer closed mid-payload"});
+      }
       drop(id);
       return;
     }
@@ -387,6 +394,12 @@ void Reactor::drop(ConnectionId id) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second.stream.fd(), nullptr);
   connections_.erase(it);
   if (callbacks_.on_close) callbacks_.on_close(id);
+}
+
+void Reactor::close_all() {
+  scratch_ids_.clear();
+  for (const auto& [id, connection] : connections_) scratch_ids_.push_back(id);
+  for (const ConnectionId id : scratch_ids_) drop(id);
 }
 
 std::size_t Reactor::sweep_idle(std::chrono::milliseconds max_idle) {

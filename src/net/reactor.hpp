@@ -1,8 +1,7 @@
 #pragma once
 // Epoll-based non-blocking event loop: one thread holds thousands of framed
 // TCP connections (the shard tier of the hierarchical topology, and the
-// simulated-client harness in bench_reactor). Replaces the poll-everything
-// collection loop of RemoteServer for shard-scale fan-in.
+// simulated-client harness in bench_reactor).
 //
 // Per connection the reactor runs a read state machine over the CRC-framed
 // wire protocol (net/message.hpp): header bytes -> decode_frame_header ->
@@ -45,9 +44,10 @@ class Reactor {
     /// The connection is gone (peer close, fatal decode, close_connection,
     /// idle sweep). Fired exactly once per registered connection.
     std::function<void(ConnectionId)> on_close;
-    /// A frame failed to decode. Return true to keep the connection (only
-    /// honoured for BadCrc/BadShape, where the byte stream is still in
-    /// sync); false — or no callback — drops it.
+    /// A frame failed to decode — including a peer that closed mid-payload
+    /// (Truncated, reported just before on_close). Return true to keep the
+    /// connection (only honoured for BadCrc/BadShape, where the byte stream
+    /// is still in sync); false — or no callback — drops it.
     std::function<bool(ConnectionId, const DecodeError&)> on_decode_error;
   };
 
@@ -100,6 +100,8 @@ class Reactor {
   /// Deregister + close a connection (fires on_close). Unknown ids are a
   /// no-op, so callers may close from inside callbacks without bookkeeping.
   void close_connection(ConnectionId id);
+  /// close_connection for every connection the reactor holds.
+  void close_all();
 
   [[nodiscard]] std::size_t connection_count() const noexcept {
     return connections_.size();

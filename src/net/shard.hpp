@@ -1,49 +1,58 @@
 #pragma once
-// Two-tier hierarchical federation (ROADMAP item 2): edge ShardAggregators
-// each own a client cohort on their own reactor thread and partially
-// aggregate uploads as they arrive; a root HierarchicalServer samples
-// clients, fans the round out to the shards, merges their ShardPartials
-// through the strategy's mergeable-accumulator seam, applies the server
-// learning rate, and evaluates. docs/SHARDING.md has the topology diagram
-// and the exact-merge vs metadata-routing contract.
+// The socket transport of the round engine: edge ShardAggregators each own a
+// client cohort on their own reactor thread and partially aggregate uploads
+// as they arrive; the root HierarchicalServer (an fl::RoundEngine) fans each
+// round out to the shards and hands their ShardPartials to the engine's
+// merge. A single-tier socket federation is S = 1. docs/SHARDING.md has the
+// topology diagram and the exact-merge vs metadata-routing contract;
+// docs/ROBUSTNESS.md the fault model.
 //
 // Client ownership is contiguous by id: client c of N belongs to shard
-// floor(c*S/N) and connects to that shard's port, speaking the unchanged
-// Hello/RoundRequest/RoundReply protocol — run_remote_client works verbatim
-// against a shard. Within a shard, round cohort slots follow the root's
-// sample order, and exact strategies (FedAvg) fold replies into the partial
-// in ascending slot order as they land (dynamic batching, no per-round
-// barrier), so the streamed fold is bit-identical to the batch fold.
+// floor(c*S/N) and connects to that shard's port, speaking the
+// Hello/RoundRequest/RoundReply protocol of net::run_remote_client. Within a
+// shard, round cohort slots follow the root's sample order, and exact
+// strategies (FedAvg) fold replies into the partial in ascending slot order
+// as they land (dynamic batching, no per-round barrier), so the streamed fold
+// is bit-identical to the batch fold.
+//
+// Fault policy: the root waits for the clients up to an accept deadline
+// (min_clients allows a partial federation) and gives lost clients a
+// readmission window at each round boundary. Each shard resolves every cohort
+// slot once: filled, or failed as a dropout (link closed while pending, or
+// absent at dispatch), a timeout (pending at the round deadline) or a corrupt
+// reply (CRC, framing or shape failure). The engine turns those outcomes into
+// consecutive-failure ejection; ejected ids are closed and refused on rejoin.
 //
 // Threading: each shard runs one reactor thread; the root communicates
-// through a mutex-guarded mailbox (start_round / stop) plus Reactor::wake,
-// and collects partials with a deadline-bounded condition-variable wait.
-// A shard that dies (kill) or misses the deadline simply contributes an
-// empty partial — the root merges whatever arrived (graceful degradation).
+// through a mutex-guarded mailbox (start_round / eject / stop) plus
+// Reactor::wake, and collects results with a deadline-bounded
+// condition-variable wait. A shard that dies (kill) or misses the deadline
+// contributes nothing — the root merges whatever arrived.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "data/dataset.hpp"
 #include "defenses/aggregation.hpp"
-#include "fl/metrics.hpp"
+#include "fl/round_engine.hpp"
 #include "models/classifier.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "net/telemetry_http.hpp"
 #include "obs/metrics.hpp"
-#include "util/rng.hpp"
-#include "util/serialize.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace fedguard::net {
 
 struct ShardConfig {
   std::size_t shard_id = 0;
+  /// Data port (0 = ephemeral, read back via port()).
+  std::uint16_t port = 0;
   /// Reactor cycle length; bounds command-pickup latency.
   std::chrono::milliseconds poll_timeout{20};
   /// Per-round reply-collection deadline; the shard publishes whatever
@@ -54,8 +63,6 @@ struct ShardConfig {
   /// Kernel accept backlog: shards absorb hundreds of near-simultaneous
   /// joins at federation start.
   int listen_backlog = 1024;
-  util::WireCodec psi_codec = util::WireCodec::Fp32;
-  std::size_t psi_chunk = util::kDefaultQ8ChunkSize;
   /// Dedicated live-scrape port (0 = none). Either way the data port also
   /// answers HTTP scrapes — the reactor auto-detects GET/HEAD prefixes.
   std::uint16_t http_port = 0;
@@ -72,10 +79,9 @@ class ShardAggregator {
   ShardAggregator& operator=(const ShardAggregator&) = delete;
 
   [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
-  [[nodiscard]] std::size_t shard_id() const noexcept { return config_.shard_id; }
 
-  /// Clients that have completed the Hello handshake (root's accept gate).
-  [[nodiscard]] std::size_t registered_clients() const;
+  /// True while `client_id` has a live, Hello-registered link to this shard.
+  [[nodiscard]] bool registered(int client_id) const;
   [[nodiscard]] bool alive() const;
 
   /// Fan one round out to this shard's slice of the sample. `cohort` lists
@@ -92,18 +98,24 @@ class ShardAggregator {
   };
   void start_round(RoundCommand command);
 
-  /// Frame bytes this shard moved for one round: RoundRequest frames it
-  /// enqueued, and RoundReply frames it received and decoded.
-  struct RoundTraffic {
+  /// One published round: the partial over the filled slots, the frame bytes
+  /// this shard moved (RoundRequest frames it enqueued, RoundReply frames it
+  /// received and decoded), and every cohort member that did not contribute.
+  struct RoundResult {
+    defenses::ShardPartial partial;
     std::size_t request_bytes = 0;
     std::size_t reply_bytes = 0;
+    std::vector<fl::ClientFailure> failures;
   };
 
-  /// Block until this shard publishes `round`'s partial or `deadline`
-  /// passes. True = `out` holds the partial (possibly with client_count 0
-  /// when nobody in the cohort replied) and `traffic` the round's bytes.
-  bool wait_partial(std::chrono::steady_clock::time_point deadline, std::size_t round,
-                    defenses::ShardPartial& out, RoundTraffic& traffic);
+  /// Block until this shard publishes `round` or `deadline` passes. True =
+  /// `out` holds the round (its partial has client_count 0 when nobody in
+  /// the cohort replied).
+  bool wait_result(std::chrono::steady_clock::time_point deadline, std::size_t round,
+                   RoundResult& out);
+
+  /// Close `client_id`'s link and refuse its future Hellos.
+  void eject(int client_id);
 
   /// Graceful stop: broadcast Shutdown to the cohort, close, join.
   void shutdown();
@@ -113,16 +125,25 @@ class ShardAggregator {
 
  private:
   enum class Command { None, Round, Shutdown, Kill };
+  enum class Slot : std::uint8_t { Pending, Filled, Failed };
 
   void thread_main();
-  [[nodiscard]] Command take_command(RoundCommand& round_command);
+  [[nodiscard]] Command take_command(RoundCommand& round_command,
+                                     std::vector<int>& ejected);
+  void ban(int client_id);
   void begin_round(RoundCommand command);
   void handle_message(Reactor::ConnectionId connection, Message&& message);
+  void handle_hello(Reactor::ConnectionId connection, const Message& message);
   void handle_reply(Reactor::ConnectionId connection, const Message& message);
   void handle_telemetry(const Message& message);
+  void handle_close(Reactor::ConnectionId connection);
+  /// Resolve `slot` as failed; a no-op unless it is still pending.
+  void fail_slot(std::size_t slot, fl::FailureKind kind);
+  /// fail_slot for the slot waiting on `connection`, if any.
+  void fail_pending(Reactor::ConnectionId connection, fl::FailureKind kind);
   void fold_ready_rows();
   void finish_round_if_done();
-  void publish_partial();
+  void publish();
   void stop(bool graceful);
 
   ShardConfig config_;
@@ -131,20 +152,23 @@ class ShardAggregator {
   std::unique_ptr<TcpListener> http_listener_;  // ShardConfig::http_port != 0
   Reactor reactor_;
 
-  // ---- Reactor-thread-only round state (no locks needed) --------------------
+  // ---- Reactor-thread-only state (no locks needed) --------------------------
   std::unordered_map<int, Reactor::ConnectionId> client_connections_;
   std::unordered_map<Reactor::ConnectionId, int> connection_clients_;
+  std::unordered_set<int> banned_;  // ejected ids
+  // Request→reply round-trip latency per client, resolved at Hello so the
+  // reply path does no registry lookup.
+  std::unordered_map<int, obs::Histogram> rtt_;
   bool in_round_ = false;
   RoundCommand round_command_;
   std::chrono::steady_clock::time_point round_deadline_;
+  std::uint64_t dispatch_ns_ = 0;
   defenses::UpdateMatrix arena_;
   std::unordered_map<Reactor::ConnectionId, std::size_t> pending_slots_;
-  std::vector<bool> slot_filled_;
-  std::size_t slots_missing_ = 0;  // cohort members with no live connection
-  std::size_t next_fold_ = 0;      // exact path: first unfolded slot
+  std::vector<Slot> slots_;
+  std::size_t next_fold_ = 0;  // exact path: first unresolved slot
   bool exact_ = false;
-  defenses::ShardPartial building_;
-  RoundTraffic traffic_;
+  RoundResult building_;
   std::vector<std::size_t> filled_slots_;  // selection scratch (metadata path)
   std::vector<Reactor::ConnectionId> scratch_connection_ids_;  // stop() iteration
 
@@ -153,11 +177,11 @@ class ShardAggregator {
   util::CondVar cv_;
   Command command_ FEDGUARD_GUARDED_BY(mutex_) = Command::None;
   RoundCommand pending_round_ FEDGUARD_GUARDED_BY(mutex_);
-  std::size_t registered_ FEDGUARD_GUARDED_BY(mutex_) = 0;
+  std::vector<int> pending_ejections_ FEDGUARD_GUARDED_BY(mutex_);
+  std::unordered_set<int> registered_ FEDGUARD_GUARDED_BY(mutex_);
   bool published_ FEDGUARD_GUARDED_BY(mutex_) = false;
   std::size_t published_round_ FEDGUARD_GUARDED_BY(mutex_) = 0;
-  defenses::ShardPartial published_partial_ FEDGUARD_GUARDED_BY(mutex_);
-  RoundTraffic published_traffic_ FEDGUARD_GUARDED_BY(mutex_);
+  RoundResult published_result_ FEDGUARD_GUARDED_BY(mutex_);
   bool running_ FEDGUARD_GUARDED_BY(mutex_) = true;
 
   // Per-shard instruments (docs/OBSERVABILITY.md §net_shard_*).
@@ -172,20 +196,21 @@ class ShardAggregator {
   std::thread thread_;  // last member: starts after everything is built
 };
 
-struct HierarchicalServerConfig {
-  std::size_t shards = 2;              // S edge aggregators
-  std::size_t expected_clients = 4;    // N, contiguously partitioned over S
-  std::size_t clients_per_round = 2;   // m, sampled over all N
-  std::size_t rounds = 1;
-  float server_learning_rate = 1.0f;
-  std::size_t eval_batch_size = 256;
-  std::uint64_t seed = 1;
+struct HierarchicalServerConfig : fl::RoundConfig {
+  std::size_t expected_clients = 4;  // N, contiguously partitioned over S
+  /// Shard i listens on port + i; 0 binds every shard to an ephemeral port
+  /// (read back via shard_port()).
+  std::uint16_t port = 0;
+  /// Wait this long for the N clients to join; then start with those that
+  /// did, if at least min_clients (0 = all N) — else throw.
   std::size_t accept_timeout_ms = 30000;
+  std::size_t min_clients = 0;
+  /// Per-round deadline; cohort slots still pending then are timeouts.
   std::size_t round_timeout_ms = 30000;
+  /// How long to wait at a round boundary for lost clients to rejoin.
+  std::size_t readmit_timeout_ms = 2000;
   std::size_t reactor_poll_timeout_ms = 20;
   std::size_t reactor_idle_timeout_ms = 0;  // 0 = no idle sweep
-  util::WireCodec psi_codec = util::WireCodec::Fp32;
-  std::size_t psi_chunk = util::kDefaultQ8ChunkSize;
   /// Live scrape base port (0 = exposition off): the root serves http_port
   /// via a standalone TelemetryHttpServer; shard i serves http_port + 1 + i
   /// on its own reactor. Shard data ports additionally auto-detect scrapes.
@@ -194,60 +219,55 @@ struct HierarchicalServerConfig {
   std::function<bool(std::size_t, std::size_t)> shard_kill_predicate;
 };
 
-/// Root merger: samples with fl::Server's rng semantics, drives the shards,
-/// merges their partials, applies η, evaluates.
-class HierarchicalServer {
+/// Root of the socket transport: drives the shards for the round engine.
+class HierarchicalServer final : public fl::RoundEngine {
  public:
-  /// `strategy_factory` builds one private strategy instance per shard plus
-  /// the root's merge instance (call count: shards + 1).
-  HierarchicalServer(
-      HierarchicalServerConfig config,
-      const std::function<std::unique_ptr<defenses::AggregationStrategy>()>& strategy_factory,
-      const data::Dataset& test_set, models::ClassifierArch arch,
-      models::ImageGeometry geometry);
-  ~HierarchicalServer();
-  HierarchicalServer(const HierarchicalServer&) = delete;
-  HierarchicalServer& operator=(const HierarchicalServer&) = delete;
+  using StrategyFactory = std::function<std::unique_ptr<defenses::AggregationStrategy>()>;
 
-  /// The shard that owns client id c (contiguous partition floor(c*S/N)).
-  [[nodiscard]] std::size_t shard_of(std::size_t client_id) const noexcept;
+  /// `strategy_factory` builds the root's merge instance and one private
+  /// strategy instance per shard (call count: shards + 1).
+  HierarchicalServer(HierarchicalServerConfig config, const StrategyFactory& strategy_factory,
+                     const data::Dataset& test_set, models::ClassifierArch arch,
+                     models::ImageGeometry geometry);
+  ~HierarchicalServer() override;
+
   [[nodiscard]] std::uint16_t shard_port(std::size_t shard) const;
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
   [[nodiscard]] std::size_t live_shards() const;
 
-  /// Block until every expected client registered with its shard; throws
-  /// std::runtime_error at the accept deadline.
+  /// Block until every expected client registered with its shard, or the
+  /// accept deadline; then sample from the clients that joined, or throw
+  /// std::runtime_error when fewer than min_clients did.
   void await_clients();
-  [[nodiscard]] fl::RoundRecord run_round(std::size_t round);
   /// await_clients + all rounds + graceful shutdown of every shard.
-  [[nodiscard]] fl::RunHistory run();
+  [[nodiscard]] fl::RunHistory run() override;
 
-  [[nodiscard]] std::span<const float> global_parameters() const noexcept {
-    return global_parameters_;
-  }
   void kill_shard(std::size_t shard);
 
  private:
-  void evaluate_round(fl::RoundRecord& record);
+  HierarchicalServer(HierarchicalServerConfig config, const StrategyFactory& strategy_factory,
+                     std::unique_ptr<defenses::AggregationStrategy> merge_strategy,
+                     const data::Dataset& test_set, models::ClassifierArch arch,
+                     models::ImageGeometry geometry);
+
+  void collect(std::size_t round, std::span<const std::size_t> sampled,
+               std::span<const float> psi0, fl::Collection& out) override;
+  std::span<const defenses::ShardPartial> partials(std::size_t round,
+                                                   std::span<const float> psi0) override;
+  void on_ejected(std::size_t client) override;
+  [[nodiscard]] bool joined(std::size_t client) const;
+  /// Readmission window: wait for universe members of live shards to rejoin.
+  void readmit_lost_clients();
 
   HierarchicalServerConfig config_;
+  std::unique_ptr<defenses::AggregationStrategy> merge_strategy_;
   std::unique_ptr<TelemetryHttpServer> http_server_;  // config.http_port != 0
   std::vector<std::unique_ptr<ShardAggregator>> shards_;
-  std::unique_ptr<defenses::AggregationStrategy> merge_strategy_;
-  const data::Dataset& test_set_;
-  models::ImageGeometry geometry_;
-  std::unique_ptr<models::Classifier> eval_classifier_;
-  std::vector<float> global_parameters_;
-  util::Rng rng_;
   // Round-persistent scratch.
-  std::vector<std::size_t> sampled_;
   std::vector<std::vector<int>> cohorts_;
   std::vector<defenses::ShardPartial> partials_;
-  defenses::AggregationResult result_;
-  std::vector<std::size_t> eval_indices_;
-  obs::Counter rounds_total_;
+  ShardAggregator::RoundResult result_;
   obs::Counter degraded_rounds_total_;
-  obs::Histogram round_seconds_;
 };
 
 }  // namespace fedguard::net

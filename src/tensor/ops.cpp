@@ -7,6 +7,7 @@
 #include "obs/trace.hpp"
 #include "parallel/kernel_config.hpp"
 #include "parallel/thread_pool.hpp"
+#include "tensor/gemm_tb_serial.hpp"
 #include "tensor/kernels/kernel_arch.hpp"
 #include "util/check.hpp"
 
@@ -142,16 +143,10 @@ void gemm_dispatch(const float* a, std::size_t a_rs, std::size_t a_cs, const flo
 // ---- A * B^T ---------------------------------------------------------------
 //
 // C[i,j] = dot(A row i, B row j): both operands are traversed unit-stride, so
-// instead of transposing B we compute four dot products at a time with
-// kLanes-wide partial sums that the compiler maps onto vector registers. The
-// lanes are reduced in a fixed order, so output is deterministic and
-// thread-count independent (rows are partitioned, never split). The SIMD
-// tiers replace this loop with a register-tiled kernel from the dispatch
-// table; its per-element arithmetic is likewise fixed, so their results do
-// not depend on the row split either.
-
-constexpr std::size_t kLanes = 8;
-constexpr std::size_t kDotCols = 4;
+// B is never transposed. The SIMD tiers compute it with a register-tiled
+// kernel from the dispatch table; the serial tier's loop lives in
+// gemm_tb_serial.cpp, which spells out its rounding. Either way the
+// per-element arithmetic is fixed, so results do not depend on the row split.
 
 void gemm_tb_rows(const float* a, const float* b, float* c, std::size_t k, std::size_t n,
                   std::size_t row_begin, std::size_t row_end, kernels::GemmTbFn simd_tile) {
@@ -159,45 +154,7 @@ void gemm_tb_rows(const float* a, const float* b, float* c, std::size_t k, std::
     simd_tile(a + row_begin * k, b, c + row_begin * n, row_end - row_begin, k, n);
     return;
   }
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const float* a_row = a + i * k;
-    float* c_row = c + i * n;
-    std::size_t j = 0;
-    for (; j + kDotCols <= n; j += kDotCols) {
-      float acc[kDotCols][kLanes] = {};
-      std::size_t p = 0;
-      for (; p + kLanes <= k; p += kLanes) {
-        for (std::size_t col = 0; col < kDotCols; ++col) {
-          const float* b_row = b + (j + col) * k;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            acc[col][l] += a_row[p + l] * b_row[p + l];
-          }
-        }
-      }
-      for (; p < k; ++p) {
-        for (std::size_t col = 0; col < kDotCols; ++col) {
-          acc[col][0] += a_row[p] * b[(j + col) * k + p];
-        }
-      }
-      for (std::size_t col = 0; col < kDotCols; ++col) {
-        float total = 0.0f;
-        for (std::size_t l = 0; l < kLanes; ++l) total += acc[col][l];
-        c_row[j + col] = total;
-      }
-    }
-    for (; j < n; ++j) {
-      const float* b_row = b + j * k;
-      float lanes[kLanes] = {};
-      std::size_t p = 0;
-      for (; p + kLanes <= k; p += kLanes) {
-        for (std::size_t l = 0; l < kLanes; ++l) lanes[l] += a_row[p + l] * b_row[p + l];
-      }
-      for (; p < k; ++p) lanes[0] += a_row[p] * b_row[p];
-      float total = 0.0f;
-      for (std::size_t l = 0; l < kLanes; ++l) total += lanes[l];
-      c_row[j] = total;
-    }
-  }
+  detail::gemm_tb_serial_rows(a, b, c, k, n, row_begin, row_end);
 }
 
 void gemm_tb_dispatch(const float* a, const float* b, float* c, std::size_t m, std::size_t k,

@@ -139,26 +139,43 @@ TEST_F(ConfigFileTest, RemoteAndFaultKeysApply) {
   EXPECT_FALSE(ExperimentConfig{}.fault_plan.any());
 }
 
-TEST_F(ConfigFileTest, RemoteServerConfigMapsFromExperiment) {
+TEST_F(ConfigFileTest, HierarchicalServerConfigMapsFromExperiment) {
   ExperimentConfig config;
   config.num_clients = 6;
   config.clients_per_round = 3;
   config.rounds = 9;
   config.seed = 11;
+  config.shards = 2;
+  config.server_learning_rate = 0.5f;
+  config.wire_codec = util::WireCodec::Q8;
+  config.wire_chunk_size = 128;
   config.remote_accept_timeout_ms = 750;
   config.remote_round_timeout_ms = 1234;
   config.remote_min_clients = 2;
   config.remote_eject_after_failures = 4;
-  const net::RemoteServerConfig remote = remote_server_config(config, 7700);
-  EXPECT_EQ(remote.port, 7700);
-  EXPECT_EQ(remote.expected_clients, 6u);
-  EXPECT_EQ(remote.clients_per_round, 3u);
-  EXPECT_EQ(remote.rounds, 9u);
-  EXPECT_EQ(remote.accept_timeout_ms, 750u);
-  EXPECT_EQ(remote.round_timeout_ms, 1234u);
-  EXPECT_EQ(remote.min_clients, 2u);
-  EXPECT_EQ(remote.eject_after_failures, 4u);
-  EXPECT_EQ(remote.seed, 11u ^ 0x5e12e5ULL);
+  config.reactor_poll_timeout_ms = 7;
+  config.reactor_idle_timeout_ms = 8;
+  const net::HierarchicalServerConfig hier = hierarchical_server_config(config);
+  EXPECT_EQ(hier.port, 0);  // shards bind ephemeral ports
+  EXPECT_EQ(hier.expected_clients, 6u);
+  EXPECT_EQ(hier.clients_per_round, 3u);
+  EXPECT_EQ(hier.rounds, 9u);
+  EXPECT_EQ(hier.shards, 2u);
+  EXPECT_EQ(hier.server_learning_rate, 0.5f);
+  EXPECT_EQ(hier.psi_codec, util::WireCodec::Q8);
+  EXPECT_EQ(hier.psi_chunk, 128u);
+  EXPECT_EQ(hier.accept_timeout_ms, 750u);
+  EXPECT_EQ(hier.round_timeout_ms, 1234u);
+  EXPECT_EQ(hier.min_clients, 2u);
+  EXPECT_EQ(hier.eject_after_failures, 4u);
+  EXPECT_EQ(hier.reactor_poll_timeout_ms, 7u);
+  EXPECT_EQ(hier.reactor_idle_timeout_ms, 8u);
+  // One seed derivation for both transports: a socket run and an in-process
+  // run of one descriptor draw identical client samples.
+  EXPECT_EQ(hier.seed, 11u ^ 0x5e12e5ULL);
+  EXPECT_EQ(round_config(config).seed, hier.seed);
+  // The in-process server never ejects.
+  EXPECT_EQ(round_config(config).eject_after_failures, 0u);
 }
 
 TEST_F(ConfigFileTest, UnknownKeyRejected) {

@@ -4,9 +4,10 @@
 // distance kernels, within reduction-reorder tolerance; the serial distance
 // tier must agree with util::squared_distance bit-for-bit (it backs the
 // pinned goldens in test_update_pipeline). The register-tiled A * B^T kernel
-// must equal its own tier one element at a time bit for bit, the pairwise
-// distance tiles must equal their tier's one-pair kernel bit for bit, and the
-// optimizer updates must equal the serial tier bit for bit.
+// must equal its own tier one element at a time bit for bit, the serial
+// A * B^T must equal its rounding spelled out in scalar code bit for bit, the
+// pairwise distance tiles must equal their tier's one-pair kernel bit for
+// bit, and the optimizer updates must equal the serial tier bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -238,6 +239,70 @@ TEST_F(KernelArchTest, SimdGemmMatchesSerialOnOddShapes) {
         EXPECT_NEAR(simd_c[i], serial_c[i], tolerance)
             << kernels::to_string(arch) << " shape " << shape.m << "x" << shape.k << "x"
             << shape.n << " element " << i;
+      }
+    }
+  }
+}
+
+/// The serial tier's A * B^T arithmetic spelled out (gemm_tb_serial.cpp):
+/// eight partial sums over whole eight-float steps, fused for a column in a
+/// four-column block and adding rounded products for the columns after the
+/// last block; then the depth remainder into lane 0, a four-wide step of
+/// rounded products when four or more remain and fused steps after it; then
+/// the lanes summed in order from 0.0f.
+float serial_dot(const float* a, const float* b, std::size_t k, bool in_block) {
+  // The product rounded to float on its own, which no contraction can fuse
+  // into the add: the double product of two floats is exact.
+  const auto rounded = [](float x, float y) {
+    return static_cast<float>(static_cast<double>(x) * static_cast<double>(y));
+  };
+  float lanes[8] = {};
+  std::size_t p = 0;
+  for (; p + 8 <= k; p += 8) {
+    for (std::size_t l = 0; l < 8; ++l) {
+      lanes[l] = in_block ? std::fma(a[p + l], b[p + l], lanes[l])
+                          : lanes[l] + rounded(a[p + l], b[p + l]);
+    }
+  }
+  if (k - p >= 4) {
+    for (const std::size_t end = p + 4; p < end; ++p) lanes[0] = lanes[0] + rounded(a[p], b[p]);
+  }
+  for (; p < k; ++p) lanes[0] = std::fma(a[p], b[p], lanes[0]);
+  float total = 0.0f;
+  for (const float lane : lanes) total += lane;
+  return total;
+}
+
+TEST_F(KernelArchTest, SerialTransBRoundsAsSpelledOut) {
+  // The serial tier is the determinism oracle that the pipeline goldens are
+  // pinned on, so its A * B^T must round the same whatever -march/-mtune the
+  // library was built for: every element, for every depth remainder, column
+  // block and column tail, equals the scalar spelling above.
+  const std::size_t ks[] = {1, 3, 4, 5, 7, 8, 11, 12, 13, 15, 16, 20, 37, 128, 794};
+  const std::size_t m = 5;
+  const std::size_t max_n = 11;
+  util::Rng rng{0xa1cull};
+  const std::vector<float> a_pool = wide_range_values(m * 794, rng);
+  const std::vector<float> b_pool = wide_range_values(max_n * 794, rng);
+  for (const std::size_t threads : {1u, 4u}) {
+    parallel::KernelConfig config;
+    config.threads = threads;
+    config.gemm_min_flops = 1;  // split even the smallest shapes
+    parallel::set_kernel_config(config);
+    kernels::set_kernel_arch(KernelArch::Serial);
+    for (const std::size_t k : ks) {
+      for (std::size_t n = 1; n <= max_n; ++n) {
+        std::vector<float> c(m * n);
+        tensor::matmul_trans_b(a_pool.data(), b_pool.data(), c.data(), m, k, n);
+        std::vector<float> expected(m * n);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            expected[i * n + j] =
+                serial_dot(a_pool.data() + i * k, b_pool.data() + j * k, k, j < n - n % 4);
+          }
+        }
+        EXPECT_TRUE(bitwise_equal(c, expected))
+            << "threads " << threads << " shape " << m << "x" << k << "x" << n;
       }
     }
   }

@@ -13,6 +13,7 @@
 #include "defenses/fedavg.hpp"
 #include "defenses/fedguard.hpp"
 #include "net/remote.hpp"
+#include "net/shard.hpp"
 #include "util/logging.hpp"
 
 namespace fedguard::net {
@@ -304,6 +305,7 @@ TEST(Sockets, CorruptBytesOnWireAreTypedErrors) {
 }
 
 // ---- Full distributed federations over loopback --------------------------------
+// Single-tier socket federations: a HierarchicalServer with one shard.
 
 struct RemoteFixture : ::testing::Test {
   static void SetUpTestSuite() { util::set_log_level(util::LogLevel::Warn); }
@@ -333,6 +335,10 @@ struct RemoteFixture : ::testing::Test {
     return spec;
   }
 
+  static HierarchicalServer::StrategyFactory fedavg() {
+    return [] { return std::make_unique<defenses::FedAvgAggregator>(); };
+  }
+
   models::ImageGeometry geometry;
   data::Dataset train;
   data::Dataset test;
@@ -340,14 +346,13 @@ struct RemoteFixture : ::testing::Test {
 };
 
 TEST_F(RemoteFixture, FedAvgFederationOverTcp) {
-  defenses::FedAvgAggregator strategy;
-  RemoteServerConfig config;
+  HierarchicalServerConfig config;
   config.expected_clients = 4;
   config.clients_per_round = 4;
   config.rounds = 4;
   config.seed = 604;
-  RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
+  HierarchicalServer server{config, fedavg(), test, models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
 
   std::vector<std::unique_ptr<fl::Client>> clients;
   std::vector<std::thread> threads;
@@ -380,15 +385,18 @@ TEST_F(RemoteFixture, FedGuardRejectsMaliciousClientOverTcp) {
   defenses::FedGuardConfig fg;
   fg.cvae_spec = cvae_spec();
   fg.total_samples = 40;
-  defenses::FedGuardAggregator strategy{fg, models::ClassifierArch::Mlp, geometry, 606};
+  const auto fedguard = [&] {
+    return std::make_unique<defenses::FedGuardAggregator>(fg, models::ClassifierArch::Mlp,
+                                                          geometry, 606);
+  };
 
-  RemoteServerConfig config;
+  HierarchicalServerConfig config;
   config.expected_clients = 4;
   config.clients_per_round = 4;
   config.rounds = 3;
   config.seed = 607;
-  RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
+  HierarchicalServer server{config, fedguard, test, models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
 
   const attacks::SameValueAttack attack{1.0f};
   std::vector<std::unique_ptr<fl::Client>> clients;
@@ -420,15 +428,18 @@ TEST_F(RemoteFixture, TrafficAsymmetryForDecoderStrategies) {
   defenses::FedGuardConfig fg;
   fg.cvae_spec = cvae_spec();
   fg.total_samples = 20;
-  defenses::FedGuardAggregator strategy{fg, models::ClassifierArch::Mlp, geometry, 609};
+  const auto fedguard = [&] {
+    return std::make_unique<defenses::FedGuardAggregator>(fg, models::ClassifierArch::Mlp,
+                                                          geometry, 609);
+  };
 
-  RemoteServerConfig config;
+  HierarchicalServerConfig config;
   config.expected_clients = 2;
   config.clients_per_round = 2;
   config.rounds = 1;
   config.seed = 610;
-  RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
+  HierarchicalServer server{config, fedguard, test, models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
 
   std::vector<std::unique_ptr<fl::Client>> clients;
   std::vector<std::thread> threads;
@@ -453,14 +464,13 @@ TEST_F(RemoteFixture, AcceptDeadlineFailsLoudlyWhenClientsAreMissing) {
   // Regression: the server used to block forever when fewer than
   // expected_clients connected. Now the accept phase has a deadline and
   // reports the shortfall.
-  defenses::FedAvgAggregator strategy;
-  RemoteServerConfig config;
+  HierarchicalServerConfig config;
   config.expected_clients = 2;
   config.clients_per_round = 2;
   config.rounds = 1;
   config.seed = 620;
   config.accept_timeout_ms = 300;
-  RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
+  HierarchicalServer server{config, fedavg(), test, models::ClassifierArch::Mlp, geometry};
 
   const auto start = std::chrono::steady_clock::now();
   try {
@@ -475,16 +485,15 @@ TEST_F(RemoteFixture, AcceptDeadlineFailsLoudlyWhenClientsAreMissing) {
 
 TEST_F(RemoteFixture, MinClientsAllowsPartialFederation) {
   // With min_clients set, the run proceeds over whoever showed up.
-  defenses::FedAvgAggregator strategy;
-  RemoteServerConfig config;
+  HierarchicalServerConfig config;
   config.expected_clients = 3;
   config.clients_per_round = 3;
   config.rounds = 2;
   config.seed = 621;
   config.accept_timeout_ms = 500;
   config.min_clients = 1;
-  RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
+  HierarchicalServer server{config, fedavg(), test, models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
 
   fl::Client client{0,        train,    partition[0], client_config(false),
                     models::ClassifierArch::Mlp, geometry, cvae_spec(), 622};
@@ -497,6 +506,29 @@ TEST_F(RemoteFixture, MinClientsAllowsPartialFederation) {
     EXPECT_EQ(record.sampled_clients, 1u);  // the universe shrank to who joined
     EXPECT_EQ(record.dropouts + record.timeouts + record.corrupt_frames, 0u);
   }
+}
+
+TEST_F(RemoteFixture, ShutdownClosesLinksThatNeverSaidHello) {
+  // A link the shard accepted but never registered (a rejoin still in its
+  // handshake at the end of the run) must close with the federation, or its
+  // peer waits for a frame forever.
+  HierarchicalServerConfig config;
+  config.expected_clients = 1;
+  config.clients_per_round = 1;
+  config.rounds = 1;
+  config.seed = 623;
+  HierarchicalServer server{config, fedavg(), test, models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
+  TcpStream silent = TcpStream::connect("127.0.0.1", port);
+
+  fl::Client client{0,        train,    partition[0], client_config(false),
+                    models::ClassifierArch::Mlp, geometry, cvae_spec(), 624};
+  std::thread client_thread{[&] { (void)run_remote_client("127.0.0.1", port, client); }};
+  ASSERT_EQ(server.run().rounds.size(), 1u);
+  client_thread.join();
+
+  silent.set_receive_timeout(std::chrono::milliseconds{2000});
+  EXPECT_THROW((void)silent.receive_message(), ConnectionClosed);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Seeded fault-injection (chaos) tests for the distributed federation: every
-// fault kind x strategy combination must complete all rounds, account for
-// each injected fault exactly in the round records, and replay byte-identical
-// from the same fault seed.
+// Seeded fault-injection (chaos) tests for the socket federation (a
+// single-tier HierarchicalServer, S = 1): every fault kind x strategy
+// combination must complete all rounds, account for each injected fault
+// exactly in the round records, and replay byte-identical from the same
+// fault seed.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "defenses/krum.hpp"
 #include "net/fault_injector.hpp"
 #include "net/remote.hpp"
+#include "net/shard.hpp"
 #include "obs/metrics.hpp"
 #include "util/logging.hpp"
 
@@ -88,17 +90,18 @@ struct ChaosFixture : ::testing::Test {
   ChaosResult run_chaos(Strategy kind, const FaultPlan& plan, std::size_t rounds = 3,
                         std::size_t round_timeout_ms = 4000) const {
     const bool with_cvae = kind == Strategy::FedGuard;
-    auto strategy = make_strategy(kind);
-    RemoteServerConfig config;
+    HierarchicalServerConfig config;
     config.expected_clients = kClients;
     config.clients_per_round = 3;
     config.rounds = rounds;
     config.seed = 905;
     config.round_timeout_ms = round_timeout_ms;
+    config.eject_after_failures = 3;
     config.min_clients = 1;  // tolerate never-connect plans
     config.accept_timeout_ms = plan.never_connect_probability > 0.0 ? 500 : 10000;
-    RemoteServer server{config, *strategy, test, models::ClassifierArch::Mlp, geometry};
-    const std::uint16_t port = server.port();
+    HierarchicalServer server{config, [&] { return make_strategy(kind); }, test,
+                              models::ClassifierArch::Mlp, geometry};
+    const std::uint16_t port = server.shard_port(0);
 
     FaultInjector injector{plan};
     std::vector<std::unique_ptr<fl::Client>> clients;
@@ -138,11 +141,17 @@ struct ChaosFixture : ::testing::Test {
 };
 
 /// Field-by-field history comparison, excluding wall-clock round_seconds.
+/// Every socket round also splits its stragglers exactly into fault classes.
 void expect_histories_identical(const fl::RunHistory& a, const fl::RunHistory& b) {
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
   for (std::size_t r = 0; r < a.rounds.size(); ++r) {
     const fl::RoundRecord& x = a.rounds[r];
     const fl::RoundRecord& y = b.rounds[r];
+    for (const fl::RoundRecord* record : {&x, &y}) {
+      EXPECT_EQ(record->stragglers,
+                record->dropouts + record->timeouts + record->corrupt_frames)
+          << "round " << r;
+    }
     EXPECT_EQ(x.round, y.round) << "round " << r;
     EXPECT_EQ(x.test_accuracy, y.test_accuracy) << "round " << r;
     EXPECT_EQ(x.sampled_clients, y.sampled_clients) << "round " << r;
@@ -252,6 +261,49 @@ TEST_F(ChaosFixture, NeverConnectPlanShrinksTheFederation) {
   }
 }
 
+TEST_F(ChaosFixture, CorruptReplyFailsItsSlotWithoutWaitingForTheDeadline) {
+  // No client resends a reply, so a corrupt one must fail its cohort slot at
+  // once on every shard instead of holding the round to its deadline.
+  constexpr std::size_t kDeadlineMs = 10000;
+  HierarchicalServerConfig config;
+  config.shards = 2;
+  config.expected_clients = kClients;
+  config.clients_per_round = 3;
+  config.rounds = 2;
+  config.seed = 916;
+  config.round_timeout_ms = kDeadlineMs;
+  HierarchicalServer server{config, [] { return std::make_unique<defenses::FedAvgAggregator>(); },
+                            test, models::ClassifierArch::Mlp, geometry};
+  FaultPlan plan;
+  plan.bit_flip_probability = 1.0;
+  plan.seed = 917;
+  FaultInjector injector{plan};
+  std::vector<std::unique_ptr<fl::Client>> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    clients.push_back(std::make_unique<fl::Client>(
+        static_cast<int>(i), train, partition[i], client_config(false),
+        models::ClassifierArch::Mlp, geometry, cvae_spec(), 918 + i));
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    const std::uint16_t port = server.shard_port(server.shard_of(i));
+    threads.emplace_back([&, i, port] {
+      RemoteClientOptions options;
+      options.faults = &injector;
+      (void)run_remote_client("127.0.0.1", port, *clients[i], options);
+    });
+  }
+  const fl::RunHistory history = server.run();
+  for (auto& thread : threads) thread.join();
+
+  ASSERT_EQ(history.rounds.size(), 2u);
+  for (const fl::RoundRecord& record : history.rounds) {
+    EXPECT_EQ(record.corrupt_frames, record.sampled_clients) << "round " << record.round;
+    EXPECT_EQ(record.stragglers, record.sampled_clients) << "round " << record.round;
+    EXPECT_LT(record.round_seconds, 0.25 * kDeadlineMs / 1000.0) << "round " << record.round;
+  }
+}
+
 // ---- The chaos matrix: fault kinds x strategies, each replayable from seed -----
 
 TEST_F(ChaosFixture, ChaosMatrixCompletesAndReplaysFromSeed) {
@@ -346,8 +398,7 @@ TEST_F(ChaosFixture, QuarterDropoutRunCompletesAllRounds) {
 TEST_F(ChaosFixture, ClientFailingEveryRoundIsEjected) {
   // A plan that makes every (client, round) drop would stall all clients, so
   // drive the server directly: one client connects and then never answers.
-  defenses::FedAvgAggregator strategy;
-  RemoteServerConfig config;
+  HierarchicalServerConfig config;
   config.expected_clients = 1;
   config.clients_per_round = 1;
   config.rounds = 4;
@@ -355,8 +406,9 @@ TEST_F(ChaosFixture, ClientFailingEveryRoundIsEjected) {
   config.round_timeout_ms = 200;
   config.readmit_timeout_ms = 100;
   config.eject_after_failures = 2;
-  RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
+  HierarchicalServer server{config, [] { return std::make_unique<defenses::FedAvgAggregator>(); },
+                            test, models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
 
   std::thread silent_client{[port] {
     TcpStream stream = TcpStream::connect("127.0.0.1", port);
@@ -385,7 +437,7 @@ TEST_F(ChaosFixture, ClientFailingEveryRoundIsEjected) {
 // ---- Registry as the single source of truth -----------------------------------
 
 // RoundRecord's fault and traffic fields are per-round deltas of the obs
-// registry counters (net_dropouts_total etc.), so summing the records must
+// registry counters (fl_dropouts_total etc.), so summing the records must
 // reproduce the counter deltas exactly — under a seeded chaos matrix that
 // exercises dropouts, timeouts, and corrupt frames at once.
 TEST_F(ChaosFixture, HistoryFaultTotalsMatchRegistryCounterDeltas) {
@@ -397,25 +449,25 @@ TEST_F(ChaosFixture, HistoryFaultTotalsMatchRegistryCounterDeltas) {
   plan.seed = 950;
 
   obs::Registry& registry = obs::Registry::global();
-  const std::uint64_t rounds0 = registry.counter_value("net_rounds_total");
-  const std::uint64_t upload0 = registry.counter_value("net_upload_bytes_total");
-  const std::uint64_t download0 = registry.counter_value("net_download_bytes_total");
-  const std::uint64_t dropouts0 = registry.counter_value("net_dropouts_total");
-  const std::uint64_t timeouts0 = registry.counter_value("net_timeouts_total");
-  const std::uint64_t corrupt0 = registry.counter_value("net_corrupt_frames_total");
-  const std::uint64_t ejected0 = registry.counter_value("net_ejected_clients_total");
+  const std::uint64_t rounds0 = registry.counter_value("fl_rounds_total");
+  const std::uint64_t upload0 = registry.counter_value("fl_upload_bytes_total");
+  const std::uint64_t download0 = registry.counter_value("fl_download_bytes_total");
+  const std::uint64_t dropouts0 = registry.counter_value("fl_dropouts_total");
+  const std::uint64_t timeouts0 = registry.counter_value("fl_timeouts_total");
+  const std::uint64_t corrupt0 = registry.counter_value("fl_corrupt_frames_total");
+  const std::uint64_t ejected0 = registry.counter_value("fl_ejected_clients_total");
 
   const ChaosResult result = run_chaos(Strategy::FedAvg, plan, 3, 1500);
   ASSERT_EQ(result.history.rounds.size(), 3u);
 
-  EXPECT_EQ(registry.counter_value("net_rounds_total") - rounds0, 3u);
-  EXPECT_EQ(registry.counter_value("net_dropouts_total") - dropouts0,
+  EXPECT_EQ(registry.counter_value("fl_rounds_total") - rounds0, 3u);
+  EXPECT_EQ(registry.counter_value("fl_dropouts_total") - dropouts0,
             result.history.total_dropouts());
-  EXPECT_EQ(registry.counter_value("net_timeouts_total") - timeouts0,
+  EXPECT_EQ(registry.counter_value("fl_timeouts_total") - timeouts0,
             result.history.total_timeouts());
-  EXPECT_EQ(registry.counter_value("net_corrupt_frames_total") - corrupt0,
+  EXPECT_EQ(registry.counter_value("fl_corrupt_frames_total") - corrupt0,
             result.history.total_corrupt_frames());
-  EXPECT_EQ(registry.counter_value("net_ejected_clients_total") - ejected0,
+  EXPECT_EQ(registry.counter_value("fl_ejected_clients_total") - ejected0,
             result.history.total_ejected());
 
   std::size_t upload = 0;
@@ -426,8 +478,8 @@ TEST_F(ChaosFixture, HistoryFaultTotalsMatchRegistryCounterDeltas) {
     download += record.server_download_bytes;
     faults += record.dropouts + record.timeouts + record.corrupt_frames;
   }
-  EXPECT_EQ(registry.counter_value("net_upload_bytes_total") - upload0, upload);
-  EXPECT_EQ(registry.counter_value("net_download_bytes_total") - download0, download);
+  EXPECT_EQ(registry.counter_value("fl_upload_bytes_total") - upload0, upload);
+  EXPECT_EQ(registry.counter_value("fl_download_bytes_total") - download0, download);
   ASSERT_GT(faults, 0u) << "the chaos plan must actually inject something";
 }
 

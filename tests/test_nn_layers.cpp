@@ -12,7 +12,6 @@
 #include "models/classifier.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/dropout.hpp"
 #include "nn/flatten.hpp"
 #include "nn/linear.hpp"
 #include "nn/maxpool2d.hpp"
@@ -253,32 +252,6 @@ TEST(Layer, LinearShapeValidation) {
   Linear layer{4, 2, rng};
   const Tensor bad{{3, 5}};
   EXPECT_THROW((void)layer.forward(bad), std::invalid_argument);
-}
-
-TEST(Layer, DropoutEvalModeIsIdentity) {
-  util::Rng rng{112};
-  Dropout dropout{0.5, rng};
-  dropout.set_training(false);
-  const Tensor input = GradCheck::random_tensor({4, 10}, rng);
-  const Tensor out = dropout.forward(input);
-  for (std::size_t i = 0; i < input.size(); ++i) EXPECT_FLOAT_EQ(out[i], input[i]);
-}
-
-TEST(Layer, DropoutTrainingDropsAndRescales) {
-  util::Rng rng{113};
-  Dropout dropout{0.5, rng};
-  dropout.set_training(true);
-  const Tensor input{{1, 10000}, 1.0f};
-  const Tensor out = dropout.forward(input);
-  std::size_t zeros = 0;
-  double total = 0.0;
-  for (const float v : out.data()) {
-    if (v == 0.0f) ++zeros;
-    else EXPECT_FLOAT_EQ(v, 2.0f);  // inverted dropout rescale
-    total += v;
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.5, 0.05);
-  EXPECT_NEAR(total / 10000.0, 1.0, 0.1);  // expectation preserved
 }
 
 TEST(Layer, SequentialParameterAggregation) {

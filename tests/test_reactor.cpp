@@ -42,9 +42,13 @@ struct ReactorFixture : ::testing::Test {
       if (echo) reactor->send(id, message);
       messages.emplace_back(id, std::move(message));
     };
-    callbacks.on_close = [this](Reactor::ConnectionId id) { closed.push_back(id); };
+    callbacks.on_close = [this](Reactor::ConnectionId id) {
+      closed.push_back(id);
+      events += 'c';
+    };
     callbacks.on_decode_error = [this](Reactor::ConnectionId, const DecodeError& error) {
       decode_errors.push_back(error.code());
+      events += 'd';
       return keep_on_decode_error;
     };
     reactor = std::make_unique<Reactor>(std::move(callbacks));
@@ -71,6 +75,7 @@ struct ReactorFixture : ::testing::Test {
   std::vector<Reactor::ConnectionId> closed;
   std::vector<std::pair<Reactor::ConnectionId, Message>> messages;
   std::vector<DecodeErrorCode> decode_errors;
+  std::string events;  // 'd' per decode error, 'c' per close, in callback order
   bool echo = false;
   bool keep_on_decode_error = false;
   std::unique_ptr<Reactor> reactor;
@@ -189,6 +194,36 @@ TEST_F(ReactorFixture, BadMagicDropsConnectionDespiteKeepRequest) {
   ASSERT_EQ(decode_errors.size(), 1u);
   EXPECT_EQ(decode_errors[0], DecodeErrorCode::BadMagic);
   EXPECT_EQ(reactor->connection_count(), 0u);
+}
+
+TEST_F(ReactorFixture, PeerClosingMidPayloadIsTruncatedFrame) {
+  // The header promised a payload the peer never finished: a truncated frame
+  // (as TcpStream::receive_message reports it), then the close.
+  RoundRequest request;
+  request.global_parameters.assign(64, 0.5f);
+  const std::vector<std::byte> frame =
+      encode_frame({MessageType::RoundRequest, encode_round_request(request)});
+  {
+    TcpStream client = connect_client();
+    const std::size_t half_payload = (frame.size() - kFrameHeaderBytes) / 2;
+    client.send_all({frame.data(), kFrameHeaderBytes + half_payload});
+  }  // closes here, mid-payload
+  ASSERT_TRUE(pump_until([&] { return closed.size() == 1; }));
+  ASSERT_EQ(decode_errors.size(), 1u);
+  EXPECT_EQ(decode_errors[0], DecodeErrorCode::Truncated);
+  EXPECT_EQ(events, "dc");
+  EXPECT_TRUE(messages.empty());
+}
+
+TEST_F(ReactorFixture, PeerClosingMidHeaderIsAPlainClose) {
+  const std::vector<std::byte> frame = encode_frame(hello_message(7));
+  {
+    TcpStream client = connect_client();
+    client.send_all({frame.data(), kFrameHeaderBytes / 2});
+  }  // closes here, inside the header
+  ASSERT_TRUE(pump_until([&] { return closed.size() == 1; }));
+  EXPECT_TRUE(decode_errors.empty());
+  EXPECT_EQ(events, "c");
 }
 
 TEST_F(ReactorFixture, SendToUnknownConnectionFails) {

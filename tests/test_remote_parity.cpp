@@ -1,6 +1,7 @@
-// Parity between the in-process simulator and the TCP deployment: with the
-// same strategy, data, and global traffic semantics, both paths must defend
-// the same attacks (the socket layer must not change the science).
+// Parity between the in-process simulator and the TCP deployment (a
+// single-tier HierarchicalServer, S = 1): with the same strategy, data, and
+// global traffic semantics, both paths must defend the same attacks (the
+// socket layer must not change the science).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "defenses/fedavg.hpp"
 #include "fl/server.hpp"
 #include "net/remote.hpp"
+#include "net/shard.hpp"
 #include "util/logging.hpp"
 
 namespace fedguard {
@@ -52,6 +54,14 @@ struct ParityFixture : ::testing::Test {
     return clients;
   }
 
+  /// A single-tier FedAvg socket server; clients connect to port().
+  std::unique_ptr<net::HierarchicalServer> make_remote(
+      const net::HierarchicalServerConfig& config) const {
+    return std::make_unique<net::HierarchicalServer>(
+        config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
+        models::ClassifierArch::Mlp, geometry);
+  }
+
   models::ImageGeometry geometry;
   data::Dataset train;
   data::Dataset test;
@@ -74,21 +84,19 @@ TEST_F(ParityFixture, LocalAndRemoteReachSimilarAccuracy) {
 
   // Remote run over loopback with identically constructed clients.
   auto remote_clients = make_clients(810);
-  defenses::FedAvgAggregator remote_strategy;
-  net::RemoteServerConfig remote_config;
+  net::HierarchicalServerConfig remote_config;
   remote_config.expected_clients = 4;
   remote_config.clients_per_round = 4;
   remote_config.rounds = kRounds;
   remote_config.seed = 811;
-  net::RemoteServer remote_server{remote_config, remote_strategy, test,
-                                  models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = remote_server.port();
+  const auto remote_server = make_remote(remote_config);
+  const std::uint16_t port = remote_server->shard_port(0);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < 4; ++i) {
     threads.emplace_back(
         [&, i] { (void)net::run_remote_client("127.0.0.1", port, *remote_clients[i]); });
   }
-  const fl::RunHistory remote = remote_server.run();
+  const fl::RunHistory remote = remote_server->run();
   for (auto& thread : threads) thread.join();
 
   ASSERT_EQ(local.rounds.size(), remote.rounds.size());
@@ -115,21 +123,19 @@ TEST_F(ParityFixture, FaultFreeRemoteMatchesLocalBitForBit) {
   const fl::RunHistory local = local_server.run();
 
   auto remote_clients = make_clients(830);
-  defenses::FedAvgAggregator remote_strategy;
-  net::RemoteServerConfig remote_config;
+  net::HierarchicalServerConfig remote_config;
   remote_config.expected_clients = 4;
   remote_config.clients_per_round = 2;
   remote_config.rounds = kRounds;
   remote_config.seed = 831;
-  net::RemoteServer remote_server{remote_config, remote_strategy, test,
-                                  models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = remote_server.port();
+  const auto remote_server = make_remote(remote_config);
+  const std::uint16_t port = remote_server->shard_port(0);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < 4; ++i) {
     threads.emplace_back(
         [&, i] { (void)net::run_remote_client("127.0.0.1", port, *remote_clients[i]); });
   }
-  const fl::RunHistory remote = remote_server.run();
+  const fl::RunHistory remote = remote_server->run();
   for (auto& thread : threads) thread.join();
 
   ASSERT_EQ(local.rounds.size(), remote.rounds.size());
@@ -140,7 +146,7 @@ TEST_F(ParityFixture, FaultFreeRemoteMatchesLocalBitForBit) {
         << "round " << r;
   }
   const std::span<const float> local_params = local_server.global_parameters();
-  const std::span<const float> remote_params = remote_server.global_parameters();
+  const std::span<const float> remote_params = remote_server->global_parameters();
   ASSERT_EQ(local_params.size(), remote_params.size());
   for (std::size_t i = 0; i < local_params.size(); ++i) {
     ASSERT_EQ(local_params[i], remote_params[i]) << "parameter " << i;
@@ -150,87 +156,112 @@ TEST_F(ParityFixture, FaultFreeRemoteMatchesLocalBitForBit) {
             0u);
 }
 
+/// A drop-only fault plan and the in-process straggler hook wired to the same
+/// injector produce the same responder sets — and, under one ejection
+/// policy, the same ejections — hence the same records and model.
+struct DropReplay {
+  fl::RunHistory local;
+  fl::RunHistory remote;
+  std::vector<float> local_params;
+  std::vector<float> remote_params;
+};
+
 TEST_F(ParityFixture, DropPlanMatchesInProcessStragglerPath) {
-  // A drop-only fault plan and the in-process straggler hook wired to the
-  // same injector produce the same responder sets, hence the same model.
-  constexpr std::size_t kRounds = 3;
+  const auto replay = [this](const net::FaultPlan& plan, std::size_t rounds,
+                             std::size_t eject_after_failures) {
+    const net::FaultInjector oracle{plan};
+    DropReplay out;
+
+    auto local_clients = make_clients(841);
+    defenses::FedAvgAggregator local_strategy;
+    fl::ServerConfig local_config;
+    local_config.clients_per_round = 3;
+    local_config.rounds = rounds;
+    local_config.seed = 842;
+    local_config.eject_after_failures = eject_after_failures;
+    local_config.straggler_predicate = [&oracle](std::size_t client, std::size_t round) {
+      return oracle.decide(static_cast<int>(client), round) == net::FaultKind::Drop;
+    };
+    fl::Server local_server{local_config, local_clients, local_strategy, test,
+                            models::ClassifierArch::Mlp, geometry};
+    out.local = local_server.run();
+    out.local_params.assign(local_server.global_parameters().begin(),
+                            local_server.global_parameters().end());
+
+    auto remote_clients = make_clients(841);
+    net::HierarchicalServerConfig remote_config;
+    remote_config.expected_clients = 4;
+    remote_config.clients_per_round = 3;
+    remote_config.rounds = rounds;
+    remote_config.seed = 842;
+    remote_config.round_timeout_ms = 1500;
+    remote_config.eject_after_failures = eject_after_failures;
+    const auto remote_server = make_remote(remote_config);
+    const std::uint16_t port = remote_server->shard_port(0);
+    net::FaultInjector injector{plan};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < 4; ++i) {
+      threads.emplace_back([&, i] {
+        net::RemoteClientOptions options;
+        options.faults = &injector;
+        (void)net::run_remote_client("127.0.0.1", port, *remote_clients[i], options);
+      });
+    }
+    out.remote = remote_server->run();
+    for (auto& thread : threads) thread.join();
+    out.remote_params.assign(remote_server->global_parameters().begin(),
+                             remote_server->global_parameters().end());
+    return out;
+  };
+  const auto expect_same = [](const DropReplay& run) {
+    std::size_t total_dropped = 0;
+    ASSERT_EQ(run.local.rounds.size(), run.remote.rounds.size());
+    for (std::size_t r = 0; r < run.local.rounds.size(); ++r) {
+      const fl::RoundRecord& local = run.local.rounds[r];
+      const fl::RoundRecord& remote = run.remote.rounds[r];
+      // The remote path records a drop as a timeout; the local path records
+      // the same client as a straggler. Same responders, same accuracy.
+      EXPECT_EQ(local.stragglers, remote.timeouts) << "round " << r;
+      EXPECT_EQ(local.sampled_clients, remote.sampled_clients) << "round " << r;
+      EXPECT_EQ(local.ejected_clients, remote.ejected_clients) << "round " << r;
+      EXPECT_EQ(local.test_accuracy, remote.test_accuracy) << "round " << r;
+      total_dropped += remote.timeouts;
+    }
+    ASSERT_GT(total_dropped, 0u) << "plan seed must actually drop someone";
+    ASSERT_EQ(run.local_params.size(), run.remote_params.size());
+    for (std::size_t i = 0; i < run.local_params.size(); ++i) {
+      ASSERT_EQ(run.local_params[i], run.remote_params[i]) << "parameter " << i;
+    }
+  };
+
   net::FaultPlan plan;
   plan.drop_probability = 0.3;
   plan.seed = 840;
-  const net::FaultInjector oracle{plan};
+  expect_same(replay(plan, 3, 0));
 
-  auto local_clients = make_clients(841);
-  defenses::FedAvgAggregator local_strategy;
-  fl::ServerConfig local_config;
-  local_config.clients_per_round = 3;
-  local_config.rounds = kRounds;
-  local_config.seed = 842;
-  local_config.straggler_predicate = [&oracle](std::size_t client, std::size_t round) {
-    return oracle.decide(static_cast<int>(client), round) == net::FaultKind::Drop;
-  };
-  fl::Server local_server{local_config, local_clients, local_strategy, test,
-                          models::ClassifierArch::Mlp, geometry};
-  const fl::RunHistory local = local_server.run();
-
-  auto remote_clients = make_clients(841);
-  defenses::FedAvgAggregator remote_strategy;
-  net::RemoteServerConfig remote_config;
-  remote_config.expected_clients = 4;
-  remote_config.clients_per_round = 3;
-  remote_config.rounds = kRounds;
-  remote_config.seed = 842;
-  remote_config.round_timeout_ms = 1500;
-  remote_config.eject_after_failures = 0;  // the local path never ejects
-  net::RemoteServer remote_server{remote_config, remote_strategy, test,
-                                  models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = remote_server.port();
-  net::FaultInjector injector{plan};
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < 4; ++i) {
-    threads.emplace_back([&, i] {
-      net::RemoteClientOptions options;
-      options.faults = &injector;
-      (void)net::run_remote_client("127.0.0.1", port, *remote_clients[i], options);
-    });
-  }
-  const fl::RunHistory remote = remote_server.run();
-  for (auto& thread : threads) thread.join();
-
-  std::size_t total_dropped = 0;
-  ASSERT_EQ(local.rounds.size(), remote.rounds.size());
-  for (std::size_t r = 0; r < kRounds; ++r) {
-    // The remote path records a drop as a timeout; the local path records the
-    // same client as a straggler. Same responders, same accuracy.
-    EXPECT_EQ(local.rounds[r].stragglers, remote.rounds[r].timeouts) << "round " << r;
-    EXPECT_EQ(local.rounds[r].test_accuracy, remote.rounds[r].test_accuracy)
-        << "round " << r;
-    total_dropped += remote.rounds[r].timeouts;
-  }
-  ASSERT_GT(total_dropped, 0u) << "plan seed must actually drop someone";
-  const std::span<const float> local_params = local_server.global_parameters();
-  const std::span<const float> remote_params = remote_server.global_parameters();
-  ASSERT_EQ(local_params.size(), remote_params.size());
-  for (std::size_t i = 0; i < local_params.size(); ++i) {
-    ASSERT_EQ(local_params[i], remote_params[i]) << "parameter " << i;
-  }
+  // One fault policy on both transports: two consecutive drops eject.
+  plan.drop_probability = 0.6;
+  plan.seed = 2;  // ejects clients 2 rounds apart and leaves two in the universe
+  const DropReplay ejecting = replay(plan, 5, 2);
+  expect_same(ejecting);
+  EXPECT_GT(ejecting.remote.total_ejected(), 0u) << "plan seed must eject someone";
 }
 
 TEST_F(ParityFixture, RemoteUploadTrafficMatchesFrameArithmetic) {
   auto clients = make_clients(820);
-  defenses::FedAvgAggregator strategy;
-  net::RemoteServerConfig config;
+  net::HierarchicalServerConfig config;
   config.expected_clients = 4;
   config.clients_per_round = 2;
   config.rounds = 1;
   config.seed = 821;
-  net::RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
+  const auto server = make_remote(config);
+  const std::uint16_t port = server->shard_port(0);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < 4; ++i) {
     threads.emplace_back(
         [&, i] { (void)net::run_remote_client("127.0.0.1", port, *clients[i]); });
   }
-  const fl::RunHistory history = server.run();
+  const fl::RunHistory history = server->run();
   for (auto& thread : threads) thread.join();
 
   // Download = 2 clients x exact RoundReply frame size (ψ only, no θ).
