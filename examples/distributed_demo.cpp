@@ -9,8 +9,9 @@
 // Or run the whole federation in one process with threads (default):
 //   ./distributed_demo
 //
-// Chaos flags (see docs/ROBUSTNESS.md) inject seeded client-side faults so
-// the fault-tolerance path can be watched live:
+// Chaos flags (see docs/ROBUSTNESS.md) build one seeded fl::FaultPlan that
+// the socket clients act out, so the fault-tolerance path can be watched live
+// (an in-process run plays the same plan through fl::ServerConfig):
 //   ./distributed_demo --drop 0.25 --disconnect 0.1 --fault-seed 7
 // Fault kinds: --drop, --delay (+ --delay-ms), --truncate, --bitflip,
 // --disconnect, --never-connect; each takes a per-round probability. The same
@@ -26,11 +27,11 @@
 //   --trace trace.json      Chrome trace_event output (open at ui.perfetto.dev)
 //   --metrics metrics.prom  Prometheus text + per-round snapshots (.jsonl)
 //   --metrics-port 9464     Live /metrics, /metrics.json and /healthz over
-//                           HTTP: the root serves PORT, shard i serves
-//                           PORT+1+i (every shard data port also answers
-//                           scrapes). The sharded demo self-checks the
-//                           endpoints mid-federation and prints a FAIL: line
-//                           when a scrape does not come back healthy.
+//                           HTTP: the root serves PORT, and every shard data
+//                           port also answers scrapes. The sharded demo
+//                           self-checks the endpoints mid-federation and
+//                           prints a FAIL: line when a scrape does not come
+//                           back healthy.
 
 #include <atomic>
 #include <chrono>
@@ -134,8 +135,8 @@ fl::ClientConfig demo_client_config() {
   return config;
 }
 
-net::FaultPlan plan_from_options(const core::CliOptions& options) {
-  net::FaultPlan plan;
+fl::FaultPlan plan_from_options(const core::CliOptions& options) {
+  fl::FaultPlan plan;
   plan.drop_probability = options.get_double("drop", 0.0);
   plan.delay_probability = options.get_double("delay", 0.0);
   plan.delay_ms = static_cast<std::size_t>(options.get_int("delay-ms", 20));
@@ -205,8 +206,8 @@ int run_client(const core::CliOptions& options) {
   }
   std::printf("client %d connecting to %s:%u%s\n", id, host.c_str(),
               static_cast<unsigned>(port), attack ? " (malicious)" : "");
-  const net::FaultPlan plan = plan_from_options(options);
-  net::FaultInjector injector{plan};
+  const fl::FaultPlan plan = plan_from_options(options);
+  fl::FaultInjector injector{plan};
   net::RemoteClientOptions remote_options;
   if (plan.any()) remote_options.faults = &injector;
   // Separate-process clients ship their spans and counter deltas upstream so
@@ -220,8 +221,8 @@ int run_client(const core::CliOptions& options) {
 
 int run_threaded_demo(const core::CliOptions& options) {
   std::printf("single-process demo: FedGuard server + 4 TCP clients (1 sign-flipper)\n\n");
-  const net::FaultPlan plan = plan_from_options(options);
-  net::FaultInjector injector{plan};
+  const fl::FaultPlan plan = plan_from_options(options);
+  fl::FaultInjector injector{plan};
   if (plan.any()) {
     std::printf("chaos plan active (seed %llu): drop %.2f delay %.2f truncate %.2f "
                 "bitflip %.2f disconnect %.2f never-connect %.2f\n\n",

@@ -7,11 +7,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <iostream>
 #include <stdexcept>
 #include <string>
 
 #include "core/cli.hpp"
 #include "core/config_file.hpp"
+#include "core/report.hpp"
 #include "core/runner.hpp"
 
 int main(int argc, char** argv) {
@@ -60,6 +62,9 @@ int main(int argc, char** argv) {
   if (config.malicious_fraction > 0.0) {
     std::printf("detection: TPR %.2f, FPR %.2f\n", history.true_positive_rate(),
                 history.false_positive_rate());
+  }
+  if (config.fault_plan.any()) {
+    core::print_fault_summary(std::cout, history);
   }
   const std::string csv = options.get("csv", "");
   if (!csv.empty()) {

@@ -14,10 +14,19 @@ std::string trim(const std::string& text) {
   return text.substr(begin, end - begin + 1);
 }
 
+bool to_bool(const std::string& value, const std::string& key) {
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value == "false" || value == "0" || value == "no") return false;
+  throw std::invalid_argument{"config: bad boolean for '" + key + "': " + value};
+}
+
+}  // namespace
+
 std::size_t to_size(const std::string& value, const std::string& key) {
   try {
-    const long long parsed = std::stoll(value);
-    if (parsed < 0) throw std::invalid_argument{"negative"};
+    std::size_t consumed = 0;
+    const long long parsed = std::stoll(value, &consumed);
+    if (parsed < 0 || consumed != value.size()) throw std::invalid_argument{value};
     return static_cast<std::size_t>(parsed);
   } catch (const std::exception&) {
     throw std::invalid_argument{"config: bad integer for '" + key + "': " + value};
@@ -32,19 +41,14 @@ std::size_t to_positive_size(const std::string& value, const std::string& key) {
 
 double to_double(const std::string& value, const std::string& key) {
   try {
-    return std::stod(value);
+    std::size_t consumed = 0;
+    const double parsed = std::stod(value, &consumed);
+    if (consumed != value.size()) throw std::invalid_argument{value};
+    return parsed;
   } catch (const std::exception&) {
     throw std::invalid_argument{"config: bad number for '" + key + "': " + value};
   }
 }
-
-bool to_bool(const std::string& value, const std::string& key) {
-  if (value == "true" || value == "1" || value == "yes") return true;
-  if (value == "false" || value == "0" || value == "no") return false;
-  throw std::invalid_argument{"config: bad boolean for '" + key + "': " + value};
-}
-
-}  // namespace
 
 std::map<std::string, std::string> parse_config_file(const std::string& path) {
   std::ifstream file{path};
@@ -91,8 +95,6 @@ void apply_config_values(ExperimentConfig& config,
     else if (key == "rounds") config.rounds = to_size(value, key);
     else if (key == "server_learning_rate")
       config.server_learning_rate = static_cast<float>(to_double(value, key));
-    else if (key == "straggler_probability")
-      config.straggler_probability = to_double(value, key);
     else if (key == "track_per_class_accuracy")
       config.track_per_class_accuracy = to_bool(value, key);
     else if (key == "local_epochs") config.client.local_epochs = to_size(value, key);
@@ -155,17 +157,13 @@ void apply_config_values(ExperimentConfig& config,
     else if (key == "fedcpa_keep_fraction")
       config.fedcpa_keep_fraction = to_double(value, key);
     else if (key == "shards") config.shards = to_positive_size(value, key);
-    else if (key == "reactor_poll_timeout_ms")
-      config.reactor_poll_timeout_ms = to_size(value, key);
-    else if (key == "reactor_idle_timeout_ms")
-      config.reactor_idle_timeout_ms = to_size(value, key);
+    else if (key == "min_clients") config.min_clients = to_size(value, key);
+    else if (key == "eject_after_failures")
+      config.eject_after_failures = to_size(value, key);
     else if (key == "remote_accept_timeout_ms")
       config.remote_accept_timeout_ms = to_size(value, key);
     else if (key == "remote_round_timeout_ms")
       config.remote_round_timeout_ms = to_size(value, key);
-    else if (key == "remote_min_clients") config.remote_min_clients = to_size(value, key);
-    else if (key == "remote_eject_after_failures")
-      config.remote_eject_after_failures = to_size(value, key);
     else if (key == "fault_seed")
       config.fault_plan.seed = static_cast<std::uint64_t>(to_size(value, key));
     else if (key == "fault_drop_probability")

@@ -27,4 +27,10 @@ void apply_config_values(ExperimentConfig& config,
 /// default, or "paper"), then every other key applied on top.
 [[nodiscard]] ExperimentConfig load_experiment_config(const std::string& path);
 
+/// Descriptor numbers, parsed whole: trailing characters, a negative integer
+/// or an empty value throw std::invalid_argument naming `key`.
+[[nodiscard]] std::size_t to_size(const std::string& value, const std::string& key);
+[[nodiscard]] std::size_t to_positive_size(const std::string& value, const std::string& key);
+[[nodiscard]] double to_double(const std::string& value, const std::string& key);
+
 }  // namespace fedguard::core

@@ -19,9 +19,9 @@
 #include "defenses/fedguard.hpp"
 #include "defenses/spectral.hpp"
 #include "fl/client.hpp"
+#include "fl/fault_plan.hpp"
 #include "models/classifier.hpp"
 #include "models/cvae.hpp"
-#include "net/fault_injector.hpp"
 #include "obs/exporter.hpp"
 #include "parallel/kernel_config.hpp"
 #include "tensor/kernels/kernel_arch.hpp"
@@ -73,7 +73,6 @@ struct ExperimentConfig {
   std::size_t clients_per_round = 8;   // paper: m = 50
   std::size_t rounds = 12;             // paper: R = 50
   float server_learning_rate = 1.0f;   // Fig. 5 ablates 0.3
-  double straggler_probability = 0.0;  // sampled-client dropout simulation
   bool track_per_class_accuracy = false;  // targeted-attack analysis
 
   // ---- Client training --------------------------------------------------------
@@ -120,24 +119,20 @@ struct ExperimentConfig {
   // docs/SHARDING.md. (Distinct from shards_per_client, the data-partition
   // scheme knob above.)
   std::size_t shards = 1;
-  // Reactor cycle length / idle-connection sweep (descriptor keys
-  // reactor_poll_timeout_ms / reactor_idle_timeout_ms; 0 idle = never sweep).
-  std::size_t reactor_poll_timeout_ms = 20;
-  std::size_t reactor_idle_timeout_ms = 0;
 
-  // ---- Socket fault policy (net::HierarchicalServer) ---------------------------
-  // Accept deadline, round deadline, partial-federation floor and ejection
-  // streak of the socket deployment (core::hierarchical_server_config); the
-  // in-process runner ignores them. See docs/ROBUSTNESS.md for the fault
-  // model these feed.
+  // ---- Fault policy and plan (both transports) ---------------------------------
+  // Partial-federation floor and ejection streak, mapped by core::round_config
+  // for the in-process server and the socket deployment alike; the accept
+  // and round deadlines only exist on sockets
+  // (core::hierarchical_server_config). See docs/ROBUSTNESS.md.
+  std::size_t min_clients = 0;           // 0 = all N must join
+  std::size_t eject_after_failures = 3;  // 0 = never eject
   std::size_t remote_accept_timeout_ms = 30000;
   std::size_t remote_round_timeout_ms = 30000;
-  std::size_t remote_min_clients = 0;         // 0 = all expected
-  std::size_t remote_eject_after_failures = 3;  // 0 = never eject
-  // Seeded chaos plan for fault-injection runs (all probabilities default 0:
-  // no faults). Replaying the same fault_seed reproduces the exact fault
-  // schedule regardless of thread/socket timing.
-  net::FaultPlan fault_plan;
+  // Seeded chaos plan (all probabilities default 0: no faults). Both
+  // transports play it; replaying the same fault_seed reproduces the exact
+  // fault schedule regardless of thread/socket timing.
+  fl::FaultPlan fault_plan;
 
   // ---- Compute kernels -------------------------------------------------------
   // Applied process-wide (parallel::set_kernel_config) when the federation is

@@ -40,9 +40,9 @@ void print_table5(std::ostream& out, const std::vector<Table5Row>& rows);
 /// (Fig. 4 / Fig. 5 data).
 void print_accuracy_series(std::ostream& out, const std::vector<fl::RunHistory>& runs);
 
-/// Fault-tolerance accounting for a distributed run: totals and a per-round
-/// breakdown of timeouts / dropouts / corrupt frames / ejections recorded by
-/// net::HierarchicalServer (all-zero rounds are elided from the breakdown).
+/// Fault-tolerance accounting for a run under a fault plan, on either
+/// transport: totals and a per-round breakdown of timeouts / dropouts /
+/// corrupt frames / ejections (all-zero rounds are elided from the breakdown).
 void print_fault_summary(std::ostream& out, const fl::RunHistory& history);
 
 }  // namespace fedguard::core

@@ -177,7 +177,7 @@ Federation build_federation_with_data(ExperimentConfig config, data::Dataset tra
 
   fl::ServerConfig server_config;
   static_cast<fl::RoundConfig&>(server_config) = round_config(config);
-  server_config.straggler_probability = config.straggler_probability;
+  server_config.fault_plan = config.fault_plan;
   fed.server = std::make_unique<fl::Server>(server_config, fed.clients, *fed.strategy,
                                             fed.test_set, config.arch, config.geometry());
   fed.config = std::move(config);
@@ -199,19 +199,17 @@ fl::RoundConfig round_config(const ExperimentConfig& config) {
   round.psi_codec = config.wire_codec;
   round.psi_chunk = config.wire_chunk_size;
   round.shards = config.shards;
+  round.eject_after_failures = config.eject_after_failures;
+  round.min_clients = config.min_clients;
   return round;
 }
 
 net::HierarchicalServerConfig hierarchical_server_config(const ExperimentConfig& config) {
   net::HierarchicalServerConfig hier;
   static_cast<fl::RoundConfig&>(hier) = round_config(config);
-  hier.eject_after_failures = config.remote_eject_after_failures;
   hier.expected_clients = config.num_clients;
   hier.accept_timeout_ms = config.remote_accept_timeout_ms;
-  hier.min_clients = config.remote_min_clients;
   hier.round_timeout_ms = config.remote_round_timeout_ms;
-  hier.reactor_poll_timeout_ms = config.reactor_poll_timeout_ms;
-  hier.reactor_idle_timeout_ms = config.reactor_idle_timeout_ms;
   return hier;
 }
 

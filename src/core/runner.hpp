@@ -48,14 +48,15 @@ struct Federation {
 /// Convenience: build and run in one call.
 [[nodiscard]] fl::RunHistory run_experiment(const ExperimentConfig& config);
 
-/// The round knobs of an ExperimentConfig, shared by both transports. The
-/// server seed is derived here once, so an in-process run and a socket run
-/// of one descriptor draw identical client samples.
+/// The round knobs of an ExperimentConfig, shared by both transports, fault
+/// policy (min_clients, eject_after_failures) included. The server seed is
+/// derived here once, so an in-process run and a socket run of one
+/// descriptor draw identical client samples.
 [[nodiscard]] fl::RoundConfig round_config(const ExperimentConfig& config);
 
 /// Map an ExperimentConfig onto the socket deployment's knob panel: the
-/// round knobs plus the remote_* fault policy and the reactor_* keys. Shard
-/// listeners bind ephemeral ports.
+/// round knobs plus the remote_* deadlines. Shard listeners bind ephemeral
+/// ports.
 [[nodiscard]] net::HierarchicalServerConfig hierarchical_server_config(
     const ExperimentConfig& config);
 

@@ -1,6 +1,6 @@
-#include "net/fault_injector.hpp"
+#include "fl/fault_plan.hpp"
 
-namespace fedguard::net {
+namespace fedguard::fl {
 
 const char* to_string(FaultKind kind) noexcept {
   switch (kind) {
@@ -78,4 +78,4 @@ std::size_t FaultInjector::total_injected() const noexcept {
   return total;
 }
 
-}  // namespace fedguard::net
+}  // namespace fedguard::fl

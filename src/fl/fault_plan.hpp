@@ -1,13 +1,15 @@
 #pragma once
-// Seeded fault injection for the distributed federation. Robust-FL
-// frameworks treat crash/omission faults as first-class alongside Byzantine
-// updates; this harness makes every such fault *replayable*: all decisions
-// derive from (plan seed, client id, round) alone — never from wall-clock
-// time or thread scheduling — so a chaos run reproduces byte-identical
-// round records from its seed.
+// Seeded fault plans for the federation, one plan for both transports.
+// Robust-FL frameworks treat crash/omission faults as first-class alongside
+// Byzantine updates; this harness makes every such fault *replayable*: all
+// decisions derive from (plan seed, client id, round) alone — never from
+// wall-clock time or thread scheduling — so a chaos run reproduces
+// byte-identical round records from its seed.
 //
-// The injector sits on the client side of the socket path
-// (net::run_remote_client) and perturbs the RoundReply:
+// Socket clients (net::run_remote_client) act a plan out on their reply
+// path; the in-process fl::Server plays the same plan and records what a
+// shard would see, so one plan gives the same round records on either
+// transport (docs/ROBUSTNESS.md):
 //
 //   Drop        client crashes before doing the round's work: no training,
 //               no reply — the server's round deadline expires (timeout)
@@ -21,8 +23,9 @@
 //   NeverConnect  the client process never joins the federation at all
 //               (exercises the accept-phase deadline)
 //
-// Per-kind injection counters let tests assert that the server-side round
-// records account for every injected fault exactly.
+// Truncate, BitFlip and Disconnect clients train before they spoil the
+// reply. Per-kind injection counters let tests assert that the server-side
+// round records account for every injected fault exactly.
 
 #include <array>
 #include <atomic>
@@ -30,7 +33,7 @@
 
 #include "util/rng.hpp"
 
-namespace fedguard::net {
+namespace fedguard::fl {
 
 enum class FaultKind : std::size_t {
   None = 0,
@@ -97,4 +100,4 @@ class FaultInjector {
   std::array<std::atomic<std::size_t>, kFaultKindCount> counts_{};
 };
 
-}  // namespace fedguard::net
+}  // namespace fedguard::fl

@@ -14,7 +14,7 @@ struct RoundRecord {
   std::size_t round = 0;
   double test_accuracy = 0.0;
   /// Per-class recall on the test set; empty unless
-  /// ServerConfig::track_per_class_accuracy is set (targeted-attack analysis).
+  /// RoundConfig::track_per_class_accuracy is set (targeted-attack analysis).
   std::vector<double> per_class_accuracy;
   double round_seconds = 0.0;          // wall-clock including aggregation
   std::size_t server_upload_bytes = 0;    // server -> clients (ψ0 broadcast)
@@ -22,9 +22,10 @@ struct RoundRecord {
   std::size_t sampled_clients = 0;
   std::size_t sampled_malicious = 0;
   std::size_t stragglers = 0;  // sampled clients that failed to respond
-  // Socket-path fault accounting (net::HierarchicalServer): how each sampled
-  // client that failed to contribute this round actually failed; the three
-  // classes sum to `stragglers` there (in-process stragglers are simulated).
+  // Fault accounting, the same on both transports (the in-process server
+  // files a planned fault as a shard would see it): how each sampled client
+  // that failed to contribute this round failed. The three classes sum to
+  // `stragglers`.
   std::size_t dropouts = 0;        // connection died (EOF/reset/send failure)
   std::size_t timeouts = 0;        // round deadline expired with no reply
   std::size_t corrupt_frames = 0;  // CRC mismatch / truncated / malformed frame
@@ -58,7 +59,7 @@ struct RunHistory {
   /// returns 0 when no per-class data was recorded.
   [[nodiscard]] double trailing_class_accuracy(std::size_t class_id,
                                                std::size_t window) const;
-  /// Run totals of the socket-path fault counters (zero for in-process runs).
+  /// Run totals of the fault counters (zero for a run without faults).
   [[nodiscard]] std::size_t total_dropouts() const;
   [[nodiscard]] std::size_t total_timeouts() const;
   [[nodiscard]] std::size_t total_corrupt_frames() const;

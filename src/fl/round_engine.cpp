@@ -28,6 +28,9 @@ RoundEngine::RoundEngine(const RoundConfig& config, defenses::AggregationStrateg
     throw std::invalid_argument{"RoundEngine: clients_per_round out of range"};
   }
   if (config_.shards == 0) throw std::invalid_argument{"RoundEngine: shards must be > 0"};
+  if (config_.min_clients > population_) {
+    throw std::invalid_argument{"RoundEngine: min_clients exceeds the client count"};
+  }
   std::iota(universe_.begin(), universe_.end(), std::size_t{0});
   auto& registry = obs::Registry::global();
   rounds_total_ = registry.counter("fl_rounds_total");
@@ -47,8 +50,17 @@ RoundEngine::RoundEngine(const RoundConfig& config, defenses::AggregationStrateg
   global_parameters_ = eval_classifier_->parameters_flat();
 }
 
-void RoundEngine::restrict_universe(std::vector<std::size_t> clients) {
-  universe_ = std::move(clients);
+void RoundEngine::admit(std::vector<std::size_t> joined) {
+  const std::size_t required = config_.min_clients == 0 ? population_ : config_.min_clients;
+  if (joined.size() < required) {
+    throw std::runtime_error{"RoundEngine: only " + std::to_string(joined.size()) + " of " +
+                             std::to_string(population_) + " clients joined (minimum " +
+                             std::to_string(required) + ")"};
+  }
+  if (joined.size() < population_) {
+    util::log_warn("starting with %zu of %zu clients", joined.size(), population_);
+  }
+  universe_ = std::move(joined);
 }
 
 RoundRecord RoundEngine::run_round(std::size_t round) {
@@ -166,7 +178,6 @@ void RoundEngine::settle(const Collection& collection) {
     }
     stragglers_total_.add(1);
     switch (static_cast<FailureKind>(mark - 1)) {
-      case FailureKind::Straggler: break;
       case FailureKind::Dropout: dropouts_total_.add(1); break;
       case FailureKind::Timeout: timeouts_total_.add(1); break;
       case FailureKind::Corrupt: corrupt_frames_total_.add(1); break;

@@ -12,8 +12,9 @@
 // fl::Server implements them over the in-process client pool (its shards are
 // simulated cohorts); net::HierarchicalServer over reactor shards (S >= 1,
 // single-tier sockets being S = 1). The engine always merges partials, so
-// both transports share one aggregation path, one fault policy (consecutive
-// failures eject a client from the sampling universe) and one counter family.
+// both transports share one aggregation path, one fault policy (an accept
+// rule with min_clients; consecutive failures eject a client from the
+// sampling universe) and one counter family.
 //
 // Traffic accounting (Table V): RoundRecord's traffic and failure fields are
 // per-round deltas of the fl_* registry counters (docs/OBSERVABILITY.md), so
@@ -58,19 +59,22 @@ struct RoundConfig {
   /// Eject a client from the sampling universe after this many consecutive
   /// failed rounds (0 = never).
   std::size_t eject_after_failures = 0;
+  /// Start with the clients that joined if at least this many did (0 = all
+  /// N must join); otherwise the federation refuses to start.
+  std::size_t min_clients = 0;
 };
 
-/// How a sampled client failed to contribute to a round.
+/// How a sampled client failed to contribute to a round. Both transports
+/// report these classes for one fault plan (fl/fault_plan.hpp).
 enum class FailureKind : std::uint8_t {
-  Straggler,  // simulated in-process (ServerConfig straggler knobs)
-  Dropout,    // link closed while its reply was pending, or absent at dispatch
-  Timeout,    // reply still pending at the round deadline
-  Corrupt,    // reply failed its CRC, framing or shape check
+  Dropout,  // link closed while its reply was pending, or absent at dispatch
+  Timeout,  // reply still pending at the round deadline
+  Corrupt,  // reply failed its CRC, framing or shape check
 };
 
 struct ClientFailure {
   std::size_t client = 0;
-  FailureKind kind = FailureKind::Straggler;
+  FailureKind kind = FailureKind::Dropout;
 };
 
 /// What a transport's collect hook reports for one round.
@@ -136,11 +140,11 @@ class RoundEngine {
   /// `client` has just been ejected; a transport closes its link here.
   virtual void on_ejected(std::size_t /*client*/) {}
 
-  /// Replace the sampling universe (sorted, duplicate-free client ids), e.g.
-  /// with the clients that joined by an accept deadline.
-  void restrict_universe(std::vector<std::size_t> clients);
+  /// The accept rule of both transports: sample from `joined` (sorted,
+  /// duplicate-free client ids), or throw std::runtime_error when fewer than
+  /// min_clients (0 = all N) joined.
+  void admit(std::vector<std::size_t> joined);
   [[nodiscard]] std::span<const std::size_t> universe() const noexcept { return universe_; }
-  [[nodiscard]] util::Rng& rng() noexcept { return rng_; }
   [[nodiscard]] defenses::AggregationStrategy& strategy() const noexcept { return strategy_; }
 
  private:

@@ -9,37 +9,54 @@ Server::Server(ServerConfig config, std::vector<std::unique_ptr<Client>>& client
                defenses::AggregationStrategy& strategy, const data::Dataset& test_set,
                models::ClassifierArch arch, models::ImageGeometry geometry)
     : RoundEngine{config, strategy, clients.size(), test_set, arch, geometry},
-      config_{std::move(config)},
+      config_{config},
       clients_{clients},
-      arena_capacity_bytes_{obs::Registry::global().gauge("obs_arena_capacity_bytes")} {}
+      faults_{config.fault_plan},
+      arena_capacity_bytes_{obs::Registry::global().gauge("obs_arena_capacity_bytes")} {
+  // Never-connectors sit the federation out; everyone else joins at once.
+  std::vector<std::size_t> joined;
+  for (std::size_t id = 0; id < clients_.size(); ++id) {
+    if (!faults_.never_connects(clients_[id]->id())) joined.push_back(id);
+  }
+  admit(std::move(joined));
+}
 
 void Server::collect(std::size_t round, std::span<const std::size_t> sampled,
                      std::span<const float> psi0, Collection& out) {
-  // Straggler simulation: sampled clients may fail to respond this round.
-  // The predicate (a deterministic test hook) takes priority and consumes no
-  // rng draws, keeping the sampling sequence identical to a run without it.
-  const bool simulate = config_.straggler_predicate || config_.straggler_probability > 0.0;
+  // Each sampled client meets its planned fault as a socket client would:
+  // a drop never trains; a spoiled reply is trained first, then lost.
+  trainers_.clear();
   responders_.clear();
   for (const std::size_t id : sampled) {
-    const bool fails = simulate && (config_.straggler_predicate
-                                        ? config_.straggler_predicate(id, round)
-                                        : rng().bernoulli(config_.straggler_probability));
-    if (fails) {
-      out.failures.push_back({id, FailureKind::Straggler});
-    } else {
-      responders_.push_back(id);
+    switch (faults_.decide(clients_[id]->id(), round)) {
+      case FaultKind::Drop:
+        out.failures.push_back({id, FailureKind::Timeout});
+        continue;
+      case FaultKind::Truncate:
+      case FaultKind::BitFlip:
+        out.failures.push_back({id, FailureKind::Corrupt});
+        break;
+      case FaultKind::Disconnect:
+        out.failures.push_back({id, FailureKind::Dropout});
+        break;
+      case FaultKind::None:
+      case FaultKind::Delay:  // still makes the deadline
+      case FaultKind::NeverConnect:  // never sampled: not in the universe
+        responders_.push_back(trainers_.size());
+        break;
     }
+    trainers_.push_back(id);
   }
-  if (responders_.empty()) return;
+  if (trainers_.empty()) return;
 
   // Client work items run concurrently on the pool, each writing its
   // assigned arena row in place.
-  arena_.reset(responders_.size(), psi0.size(),
+  arena_.reset(trainers_.size(), psi0.size(),
                strategy().wants_decoders() ? strategy().decoder_parameter_count() : 0);
   arena_capacity_bytes_.set(static_cast<std::int64_t>(arena_.capacity_bytes()));
-  parallel::parallel_for(parallel::global_pool(), 0, responders_.size(), [&](std::size_t k) {
+  parallel::parallel_for(parallel::global_pool(), 0, trainers_.size(), [&](std::size_t k) {
     const defenses::UpdateRow row = arena_.row(k);
-    clients_[responders_[k]]->run_round_into(psi0, round, row);
+    clients_[trainers_[k]]->run_round_into(psi0, round, row);
     // Simulate the lossy ψ upload: the roundtrip helper shares its
     // arithmetic with write_q8_span / read_q8_into, so the aggregation sees
     // bit-identical updates to the socket deployment's. Fp32 is a no-op.
@@ -53,7 +70,7 @@ void Server::collect(std::size_t round, std::span<const std::size_t> sampled,
                                                                        psi0.size(),
                                                                        config_.psi_chunk);
   if (strategy().wants_decoders()) {
-    for (std::size_t k = 0; k < arena_.count(); ++k) {
+    for (const std::size_t k : responders_) {
       out.download_bytes += nn::parameter_wire_bytes(arena_.meta(k).theta_count);
     }
   }
@@ -65,9 +82,7 @@ std::span<const defenses::ShardPartial> Server::partials(std::size_t round,
   // partition), keeping sample order within each cohort.
   cohort_rows_.resize(config_.shards);
   for (auto& cohort : cohort_rows_) cohort.clear();
-  for (std::size_t k = 0; k < responders_.size(); ++k) {
-    cohort_rows_[shard_of(responders_[k])].push_back(k);
-  }
+  for (const std::size_t k : responders_) cohort_rows_[shard_of(trainers_[k])].push_back(k);
   defenses::AggregationContext context;
   context.round = round;
   context.global_parameters = psi0;

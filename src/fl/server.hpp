@@ -5,29 +5,29 @@
 // update straight into the round's UpdateMatrix arena; the partials are
 // partial_aggregate_into over per-shard cohorts of that arena.
 //
+// Faults: the server plays the seeded FaultPlan the way socket clients act
+// it out (net::run_remote_client) and files each failure as a shard would
+// see it, so one plan gives the same round records on both transports
+// (docs/ROBUSTNESS.md). The plan is a pure function of (seed, client,
+// round), so it draws nothing from the round rng.
+//
 // Traffic accounting (Table V): every round the server uploads ψ0 to each
 // responding client and downloads their ψ (plus θ when the strategy requests
 // decoders), charged at serialized wire size.
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "fl/client.hpp"
+#include "fl/fault_plan.hpp"
 #include "fl/round_engine.hpp"
 #include "obs/metrics.hpp"
 
 namespace fedguard::fl {
 
 struct ServerConfig : RoundConfig {
-  /// Probability that a sampled client fails to respond in a round
-  /// (straggler / dropout simulation). Its traffic is not charged.
-  double straggler_probability = 0.0;
-  /// Deterministic straggler test hook: when set, (client_index, round) ->
-  /// "fails this round" replaces the probabilistic draw — and consumes no
-  /// server rng — so a remote fault plan can be replayed in-process with
-  /// identical sampling sequences and responder sets.
-  std::function<bool(std::size_t, std::size_t)> straggler_predicate;
+  /// Seeded faults for the sampled clients (default: none).
+  FaultPlan fault_plan;
 };
 
 class Server final : public RoundEngine {
@@ -43,13 +43,15 @@ class Server final : public RoundEngine {
   std::span<const defenses::ShardPartial> partials(std::size_t round,
                                                    std::span<const float> psi0) override;
 
-  ServerConfig config_;
+  RoundConfig config_;
   std::vector<std::unique_ptr<Client>>& clients_;
+  FaultInjector faults_;
   // Round-persistent scratch: the arena and index buffers keep their
   // capacity across rounds, so a steady-state round allocates nothing here.
   defenses::UpdateMatrix arena_;
-  std::vector<std::size_t> responders_;                // arena row k = client responders_[k]
-  std::vector<std::vector<std::size_t>> cohort_rows_;  // arena rows per shard
+  std::vector<std::size_t> trainers_;    // arena row k = client trainers_[k]
+  std::vector<std::size_t> responders_;  // arena rows whose reply arrives intact
+  std::vector<std::vector<std::size_t>> cohort_rows_;  // responder rows per shard
   std::vector<defenses::ShardPartial> partials_;
   obs::Gauge arena_capacity_bytes_;
 };

@@ -62,29 +62,11 @@ void Reactor::listen(TcpListener& listener) {
   listener_ = &listener;
 }
 
-void Reactor::listen_also(TcpListener& listener) {
-  if (extra_listeners_.size() >= 64) {
-    throw std::logic_error{"Reactor::listen_also: too many listeners"};
-  }
-  listener.set_nonblocking(true);
-  // Level-triggered, same EMFILE rationale as the primary listener.
-  epoll_event event =
-      make_event(EPOLLIN, kExtraListenerBase + extra_listeners_.size());
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener.fd(), &event) != 0) {
-    throw_errno("epoll_ctl(listener)");
-  }
-  extra_listeners_.push_back(&listener);
-}
-
 void Reactor::stop_listening() {
   if (listener_ != nullptr) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener_->fd(), nullptr);
     listener_ = nullptr;
   }
-  for (TcpListener* extra : extra_listeners_) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, extra->fd(), nullptr);
-  }
-  extra_listeners_.clear();
 }
 
 void Reactor::set_http_responder(obs::HttpResponder responder) {
@@ -112,18 +94,11 @@ Reactor::ConnectionId Reactor::add_connection(TcpStream stream) {
   return register_connection(std::move(stream));
 }
 
-void Reactor::accept_pending(TcpListener& listener) {
+void Reactor::accept_pending() {
   // on_accept may call stop_listening; re-check registration every lap so an
   // accept loop never outlives the listener's borrow.
-  const auto still_registered = [&]() noexcept {
-    if (listener_ == &listener) return true;
-    for (const TcpListener* extra : extra_listeners_) {
-      if (extra == &listener) return true;
-    }
-    return false;
-  };
-  while (still_registered()) {
-    std::optional<TcpStream> stream = listener.accept_nonblocking();
+  while (listener_ != nullptr) {
+    std::optional<TcpStream> stream = listener_->accept_nonblocking();
     if (!stream) break;
     const ConnectionId id = register_connection(std::move(*stream));
     if (callbacks_.on_accept) callbacks_.on_accept(id);
@@ -151,12 +126,7 @@ std::size_t Reactor::poll_once(std::chrono::milliseconds timeout) {
       continue;
     }
     if (tag == kListenerTag) {
-      if (listener_ != nullptr) accept_pending(*listener_);
-      continue;
-    }
-    if (tag >= kExtraListenerBase) {
-      const std::size_t index = static_cast<std::size_t>(tag - kExtraListenerBase);
-      if (index < extra_listeners_.size()) accept_pending(*extra_listeners_[index]);
+      accept_pending();
       continue;
     }
     // The connection may have been dropped by an earlier event in this batch.

@@ -60,12 +60,7 @@ class Reactor {
   /// is borrowed (must outlive the reactor or be detached via stop_listening)
   /// and is switched to non-blocking mode.
   void listen(TcpListener& listener);
-  /// Accept from an additional listener (e.g. a shard's dedicated scrape
-  /// port). Connections behave identically to primary-listener ones: frames
-  /// or HTTP, auto-detected per connection. Same borrowing contract.
-  void listen_also(TcpListener& listener);
-  /// Stop accepting (deregisters every listener; existing connections live
-  /// on).
+  /// Stop accepting (deregisters the listener; existing connections live on).
   void stop_listening();
 
   /// Enable live HTTP exposition on this reactor: a connection whose first
@@ -138,7 +133,7 @@ class Reactor {
   };
 
   ConnectionId register_connection(TcpStream stream);
-  void accept_pending(TcpListener& listener);
+  void accept_pending();
   void handle_readable(ConnectionId id);
   void handle_writable(ConnectionId id);
   /// Advance the frame state machine once read_buffer is full. Returns false
@@ -158,7 +153,6 @@ class Reactor {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd; the only cross-thread touchpoint
   TcpListener* listener_ = nullptr;
-  std::vector<TcpListener*> extra_listeners_;
   ConnectionId next_id_ = kFirstConnectionId;
   std::unordered_map<ConnectionId, Connection> connections_;
   std::vector<ConnectionId> scratch_ids_;  // sweep/close iteration scratch
@@ -166,9 +160,6 @@ class Reactor {
   static constexpr ConnectionId kListenerTag = 0;
   static constexpr ConnectionId kWakeTag = 1;
   static constexpr ConnectionId kFirstConnectionId = 2;
-  // Extra listeners are tagged from the top of the id space, far above any
-  // connection id, so kFirstConnectionId semantics never shift.
-  static constexpr ConnectionId kExtraListenerBase = ~ConnectionId{0} - 64;
 };
 
 }  // namespace fedguard::net

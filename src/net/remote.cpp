@@ -15,6 +15,7 @@ namespace fedguard::net {
 
 namespace {
 
+using fl::FaultKind;
 using std::chrono::milliseconds;
 
 TcpStream connect_with_backoff(const std::string& host, std::uint16_t port,
@@ -35,7 +36,7 @@ TcpStream connect_with_backoff(const std::string& host, std::uint16_t port,
 
 std::size_t run_remote_client(const std::string& host, std::uint16_t port,
                               fl::Client& client, const RemoteClientOptions& options) {
-  FaultInjector* faults = options.faults;
+  fl::FaultInjector* faults = options.faults;
   if (faults && faults->never_connects(client.id())) {
     faults->record(FaultKind::NeverConnect);
     return 0;
@@ -115,8 +116,7 @@ std::size_t run_remote_client(const std::string& host, std::uint16_t port,
         faults ? faults->decide(client.id(), request.round) : FaultKind::None;
     if (fault == FaultKind::Drop) {
       // Crash-before-work: no training, no reply; the server's round
-      // deadline expires. Matches the in-process straggler semantics (a
-      // straggler never runs its round).
+      // deadline expires. fl::Server plays a drop the same way.
       faults->record(FaultKind::Drop);
       continue;
     }

@@ -3,14 +3,14 @@
 // process (see examples/distributed_demo.cpp). Connect (with retry/backoff)
 // to the owning shard of a net::HierarchicalServer, announce the client id,
 // answer RoundRequests with locally trained updates until Shutdown, and
-// rejoin if the link drops. An optional FaultInjector deterministically
+// rejoin if the link drops. An optional fl::FaultInjector deterministically
 // perturbs the reply path for chaos testing (docs/ROBUSTNESS.md).
 
 #include <cstdint>
 #include <string>
 
 #include "fl/client.hpp"
-#include "net/fault_injector.hpp"
+#include "fl/fault_plan.hpp"
 #include "net/socket.hpp"
 
 namespace fedguard::net {
@@ -33,7 +33,7 @@ struct RemoteClientOptions {
   /// share the server's session keep sole ownership of it.
   bool relay_telemetry = false;
   /// Deterministic chaos injection; not owned, may be null (no faults).
-  FaultInjector* faults = nullptr;
+  fl::FaultInjector* faults = nullptr;
 };
 
 /// Client endpoint: serves rounds from `client` until the server shuts the

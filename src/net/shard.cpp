@@ -15,13 +15,23 @@ namespace fedguard::net {
 using Clock = std::chrono::steady_clock;
 using std::chrono::milliseconds;
 
+namespace {
+
+/// Reactor cycle length: bounds how long a root command waits for pickup.
+constexpr milliseconds kPollTimeout{20};
+/// Kernel accept backlog: shards absorb hundreds of near-simultaneous joins
+/// at federation start.
+constexpr int kListenBacklog = 1024;
+
+}  // namespace
+
 // ---- ShardAggregator ---------------------------------------------------------
 
 ShardAggregator::ShardAggregator(ShardConfig config,
                                  std::unique_ptr<defenses::AggregationStrategy> strategy)
     : config_{config},
       strategy_{std::move(strategy)},
-      listener_{config.port, config.listen_backlog},
+      listener_{config.port, kListenBacklog},
       reactor_{Reactor::Callbacks{
           // on_accept: nothing until the peer introduces itself with Hello.
           nullptr,
@@ -50,14 +60,10 @@ ShardAggregator::ShardAggregator(ShardConfig config,
   telemetry_reports_total_ = registry.counter("net_shard_telemetry_reports_total" + label);
   telemetry_events_total_ = registry.counter("net_shard_telemetry_events_total" + label);
   arena_capacity_bytes_ = registry.gauge("obs_arena_capacity_bytes" + label);
-  // Live exposition: the data port always answers HTTP scrapes (the reactor
-  // auto-detects them) and an optional dedicated port serves the same
-  // endpoints for scrapers that must not touch the data port.
+  // Live exposition: the data port answers HTTP scrapes (the reactor
+  // auto-detects them).
   reactor_.set_http_responder(make_registry_responder(
       "net_shard_rounds_total" + label, "net_shard_timeouts_total" + label));
-  if (config_.http_port != 0) {
-    http_listener_ = std::make_unique<TcpListener>(config_.http_port);
-  }
   thread_ = std::thread{[this] { thread_main(); }};
 }
 
@@ -131,10 +137,9 @@ void ShardAggregator::kill() {
 
 void ShardAggregator::thread_main() {
   reactor_.listen(listener_);
-  if (http_listener_) reactor_.listen_also(*http_listener_);
   std::vector<int> ejected;
   for (;;) {
-    reactor_.poll_once(config_.poll_timeout);
+    reactor_.poll_once(kPollTimeout);
     RoundCommand round_command;
     const Command command = take_command(round_command, ejected);
     for (const int client_id : ejected) ban(client_id);
@@ -151,11 +156,7 @@ void ShardAggregator::thread_main() {
       case Command::None:
         break;
     }
-    if (in_round_) {
-      finish_round_if_done();
-    } else if (config_.idle_timeout.count() > 0) {
-      reactor_.sweep_idle(config_.idle_timeout);
-    }
+    finish_round_if_done();
   }
 }
 
@@ -403,7 +404,6 @@ void ShardAggregator::stop(bool graceful) {
   }
   reactor_.stop_listening();
   listener_.close();  // late joiners now get ECONNREFUSED instead of queueing
-  if (http_listener_) http_listener_->close();
   // Every link goes, registered or not: a rejoin accepted mid-handshake (even
   // during the flush above) must not leave its peer waiting for a frame.
   reactor_.close_all();
@@ -450,23 +450,13 @@ HierarchicalServer::HierarchicalServer(
         "HierarchicalServer: expected_clients must be >= shards "
         "(every shard owns at least one client)"};
   }
-  if (config_.min_clients > config_.expected_clients) {
-    throw std::invalid_argument{"HierarchicalServer: min_clients exceeds expected_clients"};
-  }
   shards_.reserve(config_.shards);
   for (std::size_t shard = 0; shard < config_.shards; ++shard) {
     ShardConfig shard_config;
     shard_config.shard_id = shard;
     if (config_.port != 0) shard_config.port = static_cast<std::uint16_t>(config_.port + shard);
-    shard_config.poll_timeout =
-        milliseconds{static_cast<std::int64_t>(config_.reactor_poll_timeout_ms)};
     shard_config.round_timeout =
         milliseconds{static_cast<std::int64_t>(config_.round_timeout_ms)};
-    shard_config.idle_timeout =
-        milliseconds{static_cast<std::int64_t>(config_.reactor_idle_timeout_ms)};
-    if (config_.http_port != 0) {
-      shard_config.http_port = static_cast<std::uint16_t>(config_.http_port + 1 + shard);
-    }
     shards_.push_back(
         std::make_unique<ShardAggregator>(shard_config, checked(strategy_factory())));
   }
@@ -506,22 +496,10 @@ void HierarchicalServer::await_clients() {
     for (std::size_t client = 0; client < config_.expected_clients; ++client) {
       if (joined(client)) present.push_back(client);
     }
-    if (present.size() == config_.expected_clients) return;
-    if (Clock::now() >= deadline) break;
+    if (present.size() == config_.expected_clients || Clock::now() >= deadline) break;
     std::this_thread::sleep_for(milliseconds{10});
   }
-  const std::size_t required =
-      config_.min_clients == 0 ? config_.expected_clients : config_.min_clients;
-  if (present.size() < required) {
-    throw std::runtime_error{
-        "HierarchicalServer: only " + std::to_string(present.size()) + " of " +
-        std::to_string(config_.expected_clients) + " clients joined within " +
-        std::to_string(config_.accept_timeout_ms) + " ms (minimum " +
-        std::to_string(required) + ")"};
-  }
-  util::log_warn("hierarchical server: starting with %zu of %zu clients", present.size(),
-                 config_.expected_clients);
-  restrict_universe(std::move(present));
+  admit(std::move(present));
 }
 
 void HierarchicalServer::kill_shard(std::size_t shard) {
@@ -596,8 +574,8 @@ void HierarchicalServer::collect(std::size_t round, std::span<const std::size_t>
   // Shards publish at their own round_timeout; give them that plus slack for
   // the mailbox hop so a healthy shard never misses the root deadline.
   const auto deadline = Clock::now() +
-      milliseconds{static_cast<std::int64_t>(config_.round_timeout_ms)} +
-      milliseconds{static_cast<std::int64_t>(4 * config_.reactor_poll_timeout_ms) + 500};
+      milliseconds{static_cast<std::int64_t>(config_.round_timeout_ms)} + 4 * kPollTimeout +
+      milliseconds{500};
   bool degraded = false;
   std::size_t merged_clients = 0;
   partials_.resize(shards_.size());

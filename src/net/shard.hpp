@@ -16,8 +16,8 @@
 // is bit-identical to the batch fold.
 //
 // Fault policy: the root waits for the clients up to an accept deadline
-// (min_clients allows a partial federation) and gives lost clients a
-// readmission window at each round boundary. Each shard resolves every cohort
+// (the engine's accept rule, min_clients, allows a partial federation) and
+// gives lost clients a readmission window at each round boundary. Each shard resolves every cohort
 // slot once: filled, or failed as a dropout (link closed while pending, or
 // absent at dispatch), a timeout (pending at the round deadline) or a corrupt
 // reply (CRC, framing or shape failure). The engine turns those outcomes into
@@ -51,21 +51,12 @@ namespace fedguard::net {
 
 struct ShardConfig {
   std::size_t shard_id = 0;
-  /// Data port (0 = ephemeral, read back via port()).
+  /// Data port (0 = ephemeral, read back via port()). It also answers HTTP
+  /// scrapes: the reactor auto-detects GET/HEAD prefixes.
   std::uint16_t port = 0;
-  /// Reactor cycle length; bounds command-pickup latency.
-  std::chrono::milliseconds poll_timeout{20};
   /// Per-round reply-collection deadline; the shard publishes whatever
   /// arrived when it expires.
   std::chrono::milliseconds round_timeout{30000};
-  /// Close connections idle longer than this between rounds (0 = never).
-  std::chrono::milliseconds idle_timeout{0};
-  /// Kernel accept backlog: shards absorb hundreds of near-simultaneous
-  /// joins at federation start.
-  int listen_backlog = 1024;
-  /// Dedicated live-scrape port (0 = none). Either way the data port also
-  /// answers HTTP scrapes — the reactor auto-detects GET/HEAD prefixes.
-  std::uint16_t http_port = 0;
 };
 
 /// Edge aggregator: owns a listener + reactor + one cohort of clients and a
@@ -149,7 +140,6 @@ class ShardAggregator {
   ShardConfig config_;
   std::unique_ptr<defenses::AggregationStrategy> strategy_;
   TcpListener listener_;
-  std::unique_ptr<TcpListener> http_listener_;  // ShardConfig::http_port != 0
   Reactor reactor_;
 
   // ---- Reactor-thread-only state (no locks needed) --------------------------
@@ -201,19 +191,15 @@ struct HierarchicalServerConfig : fl::RoundConfig {
   /// Shard i listens on port + i; 0 binds every shard to an ephemeral port
   /// (read back via shard_port()).
   std::uint16_t port = 0;
-  /// Wait this long for the N clients to join; then start with those that
-  /// did, if at least min_clients (0 = all N) — else throw.
+  /// Wait this long for the N clients to join; then the engine's accept
+  /// rule (RoundConfig::min_clients) decides whether the run starts.
   std::size_t accept_timeout_ms = 30000;
-  std::size_t min_clients = 0;
   /// Per-round deadline; cohort slots still pending then are timeouts.
   std::size_t round_timeout_ms = 30000;
   /// How long to wait at a round boundary for lost clients to rejoin.
   std::size_t readmit_timeout_ms = 2000;
-  std::size_t reactor_poll_timeout_ms = 20;
-  std::size_t reactor_idle_timeout_ms = 0;  // 0 = no idle sweep
-  /// Live scrape base port (0 = exposition off): the root serves http_port
-  /// via a standalone TelemetryHttpServer; shard i serves http_port + 1 + i
-  /// on its own reactor. Shard data ports additionally auto-detect scrapes.
+  /// Root live-scrape port (0 = off), served by a standalone
+  /// TelemetryHttpServer. Shard data ports auto-detect scrapes regardless.
   std::uint16_t http_port = 0;
   /// Chaos hook: (shard, round) -> kill that shard at the round's start.
   std::function<bool(std::size_t, std::size_t)> shard_kill_predicate;
@@ -236,8 +222,8 @@ class HierarchicalServer final : public fl::RoundEngine {
   [[nodiscard]] std::size_t live_shards() const;
 
   /// Block until every expected client registered with its shard, or the
-  /// accept deadline; then sample from the clients that joined, or throw
-  /// std::runtime_error when fewer than min_clients did.
+  /// accept deadline; then admit the clients that joined (the engine's
+  /// accept rule throws std::runtime_error when fewer than min_clients did).
   void await_clients();
   /// await_clients + all rounds + graceful shutdown of every shard.
   [[nodiscard]] fl::RunHistory run() override;

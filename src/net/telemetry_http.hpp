@@ -5,7 +5,7 @@
 // already run a reactor — the in-process fl::Server simulation and the
 // HierarchicalServer root — while shard tiers instead host scrapes as
 // auto-detected connections on their existing data-port reactor
-// (Reactor::set_http_responder / listen_also).
+// (Reactor::set_http_responder).
 //
 // The serving thread only ever touches the registry expositions (thread-safe
 // by the Registry contract), so starting one alongside a running federation

@@ -38,10 +38,10 @@ struct ObsOptions {
   // Histogram bucket upper bounds for histograms registered without explicit
   // bounds; empty keeps Registry::default_buckets().
   std::vector<double> histogram_buckets;
-  // Live scrape endpoint base port (obs_http_port key / --metrics-port flag);
-  // 0 disables. The root (or the in-process server) serves on this port and
-  // shard aggregator i serves on http_port + 1 + i — see
-  // docs/OBSERVABILITY.md § Live scrape endpoints. Hosted by the net layer
+  // Live scrape endpoint port (obs_http_port key / --metrics-port flag);
+  // 0 disables. The root (or the in-process server) serves on this port;
+  // shard aggregators answer scrapes on their data ports — see
+  // docs/OBSERVABILITY.md § Live exposition. Hosted by the net layer
   // (net::TelemetryHttpServer / reactor-attached responders), not by the
   // RoundExporter.
   std::uint16_t http_port = 0;

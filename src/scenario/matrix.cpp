@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/config_file.hpp"
 #include "util/rng.hpp"
 
 namespace fedguard::scenario {
@@ -106,11 +107,7 @@ DataRegime parse_regime(const std::string& text) {
   const std::string scheme = text.substr(0, colon);
   regime.scheme = data::partition_scheme_from_string(scheme);
   if (colon != std::string::npos) {
-    try {
-      regime.alpha = std::stod(text.substr(colon + 1));
-    } catch (const std::exception&) {
-      throw std::invalid_argument{"parse_regime: bad alpha in '" + text + "'"};
-    }
+    regime.alpha = core::to_double(text.substr(colon + 1), "scenario_regimes");
     if (regime.alpha <= 0.0) {
       throw std::invalid_argument{"parse_regime: alpha must be > 0 in '" + text + "'"};
     }
@@ -269,12 +266,7 @@ void apply_scenario_values(SweepMatrix& matrix,
     } else if (key == "scenario_fractions") {
       matrix.fraction_axis.clear();
       for (const std::string& item : split_list(value)) {
-        double fraction = 0.0;
-        try {
-          fraction = std::stod(item);
-        } catch (const std::exception&) {
-          throw std::invalid_argument{"scenario_fractions: bad number '" + item + "'"};
-        }
+        const double fraction = core::to_double(item, key);
         if (fraction < 0.0 || fraction >= 1.0) {
           throw std::invalid_argument{"scenario_fractions: '" + item +
                                       "' outside [0, 1)"};
@@ -284,19 +276,10 @@ void apply_scenario_values(SweepMatrix& matrix,
     } else if (key == "scenario_shards") {
       matrix.shards_axis.clear();
       for (const std::string& item : split_list(value)) {
-        std::size_t shards = 0;
-        try {
-          shards = static_cast<std::size_t>(std::stoull(item));
-        } catch (const std::exception&) {
-          throw std::invalid_argument{"scenario_shards: bad number '" + item + "'"};
-        }
-        if (shards == 0) {
-          throw std::invalid_argument{"scenario_shards: shard counts must be positive"};
-        }
-        matrix.shards_axis.push_back(shards);
+        matrix.shards_axis.push_back(core::to_positive_size(item, key));
       }
     } else if (key == "scenario_rounds") {
-      matrix.base.rounds = static_cast<std::size_t>(std::stoll(value));
+      matrix.base.rounds = core::to_positive_size(value, key);
     } else {
       throw std::invalid_argument{"unknown scenario key '" + key + "'"};
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "core/runner.hpp"
@@ -66,7 +67,6 @@ TEST_F(ConfigFileTest, AppliesEveryFieldKind) {
       "arch = tiny_cnn\n"
       "fedguard_internal_operator = geomed\n"
       "track_per_class_accuracy = true\n"
-      "straggler_probability = 0.25\n"
       "seed = 99\n"));
   EXPECT_EQ(config.strategy, StrategyKind::GeoMed);
   EXPECT_EQ(config.attack, attacks::AttackType::LabelFlip);
@@ -83,7 +83,6 @@ TEST_F(ConfigFileTest, AppliesEveryFieldKind) {
   EXPECT_EQ(config.arch, models::ClassifierArch::TinyCnn);
   EXPECT_EQ(config.fedguard_internal_operator, defenses::InternalOperator::GeoMed);
   EXPECT_TRUE(config.track_per_class_accuracy);
-  EXPECT_DOUBLE_EQ(config.straggler_probability, 0.25);
   EXPECT_EQ(config.seed, 99u);
 }
 
@@ -113,8 +112,8 @@ TEST_F(ConfigFileTest, RemoteAndFaultKeysApply) {
   const ExperimentConfig config = load_experiment_config(
       write_file("remote_accept_timeout_ms = 1500\n"
                  "remote_round_timeout_ms = 2500\n"
-                 "remote_min_clients = 3\n"
-                 "remote_eject_after_failures = 5\n"
+                 "min_clients = 3\n"
+                 "eject_after_failures = 5\n"
                  "fault_seed = 77\n"
                  "fault_drop_probability = 0.25\n"
                  "fault_delay_probability = 0.1\n"
@@ -125,8 +124,8 @@ TEST_F(ConfigFileTest, RemoteAndFaultKeysApply) {
                  "fault_never_connect_probability = 0.01\n"));
   EXPECT_EQ(config.remote_accept_timeout_ms, 1500u);
   EXPECT_EQ(config.remote_round_timeout_ms, 2500u);
-  EXPECT_EQ(config.remote_min_clients, 3u);
-  EXPECT_EQ(config.remote_eject_after_failures, 5u);
+  EXPECT_EQ(config.min_clients, 3u);
+  EXPECT_EQ(config.eject_after_failures, 5u);
   EXPECT_EQ(config.fault_plan.seed, 77u);
   EXPECT_DOUBLE_EQ(config.fault_plan.drop_probability, 0.25);
   EXPECT_DOUBLE_EQ(config.fault_plan.delay_probability, 0.1);
@@ -151,10 +150,8 @@ TEST_F(ConfigFileTest, HierarchicalServerConfigMapsFromExperiment) {
   config.wire_chunk_size = 128;
   config.remote_accept_timeout_ms = 750;
   config.remote_round_timeout_ms = 1234;
-  config.remote_min_clients = 2;
-  config.remote_eject_after_failures = 4;
-  config.reactor_poll_timeout_ms = 7;
-  config.reactor_idle_timeout_ms = 8;
+  config.min_clients = 2;
+  config.eject_after_failures = 4;
   const net::HierarchicalServerConfig hier = hierarchical_server_config(config);
   EXPECT_EQ(hier.port, 0);  // shards bind ephemeral ports
   EXPECT_EQ(hier.expected_clients, 6u);
@@ -168,14 +165,13 @@ TEST_F(ConfigFileTest, HierarchicalServerConfigMapsFromExperiment) {
   EXPECT_EQ(hier.round_timeout_ms, 1234u);
   EXPECT_EQ(hier.min_clients, 2u);
   EXPECT_EQ(hier.eject_after_failures, 4u);
-  EXPECT_EQ(hier.reactor_poll_timeout_ms, 7u);
-  EXPECT_EQ(hier.reactor_idle_timeout_ms, 8u);
-  // One seed derivation for both transports: a socket run and an in-process
-  // run of one descriptor draw identical client samples.
+  // One seed derivation and one fault policy for both transports: a socket
+  // run and an in-process run of one descriptor draw identical client
+  // samples and eject alike.
   EXPECT_EQ(hier.seed, 11u ^ 0x5e12e5ULL);
   EXPECT_EQ(round_config(config).seed, hier.seed);
-  // The in-process server never ejects.
-  EXPECT_EQ(round_config(config).eject_after_failures, 0u);
+  EXPECT_EQ(round_config(config).eject_after_failures, 4u);
+  EXPECT_EQ(round_config(config).min_clients, 2u);
 }
 
 TEST_F(ConfigFileTest, UnknownKeyRejected) {
@@ -197,17 +193,26 @@ TEST_F(ConfigFileTest, BadValuesRejected) {
                std::invalid_argument);
   EXPECT_THROW((void)load_experiment_config(write_file("cvae_batch_size = 0\n")),
                std::invalid_argument);
+  // Numbers are parsed whole: a trailing suffix is a typo, not a number.
+  for (const char* text : {"rounds = 12abc\n", "malicious_fraction = 0.5x\n",
+                           "num_clients = 4.5\n", "fault_drop_probability = 0.1%\n",
+                           "rounds = \n"}) {
+    EXPECT_THROW((void)load_experiment_config(write_file(text)), std::invalid_argument)
+        << text;
+  }
 }
 
 TEST_F(ConfigFileTest, RepositoryDescriptorsLoad) {
-  // The checked-in example descriptors must stay valid.
-  for (const char* path : {"configs/signflip50_fedguard.conf",
-                           "configs/labelflip40_server_lr.conf",
-                           "configs/paper_full.conf"}) {
-    std::ifstream probe{path};
-    if (!probe) GTEST_SKIP() << "run from the repository root to check descriptors";
-    EXPECT_NO_THROW((void)load_experiment_config(path)) << path;
+  // Every checked-in descriptor must stay valid.
+  const std::filesystem::path configs =
+      std::filesystem::path{FEDGUARD_SOURCE_DIR} / "configs";
+  std::size_t loaded = 0;
+  for (const auto& entry : std::filesystem::directory_iterator{configs}) {
+    if (entry.path().extension() != ".conf") continue;
+    EXPECT_NO_THROW((void)load_experiment_config(entry.path().string())) << entry.path();
+    ++loaded;
   }
+  EXPECT_GE(loaded, 4u) << configs;
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Tests of the FL simulator extensions: per-class accuracy tracking,
-// straggler simulation, and FedProx wiring through the client config.
+// Tests of the FL simulator extensions: per-class accuracy tracking, the
+// in-process fault plan, and FedProx wiring through the client config.
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 
+#include "core/config_file.hpp"
 #include "core/runner.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic_mnist.hpp"
@@ -74,21 +75,23 @@ TEST_F(ExtensionFixture, PerClassTrackingOffByDefault) {
   EXPECT_TRUE(server.run_round(0).per_class_accuracy.empty());
 }
 
-TEST_F(ExtensionFixture, StragglersReduceTrafficAndParticipation) {
+TEST_F(ExtensionFixture, DroppedClientsReduceTrafficAndParticipation) {
   ServerConfig config;
   config.clients_per_round = 6;
   config.rounds = 1;
   config.seed = 507;
-  config.straggler_probability = 0.5;
+  config.fault_plan.drop_probability = 0.5;
+  config.fault_plan.seed = 507;
   defenses::FedAvgAggregator strategy;
   Server server{config, clients, strategy, test, models::ClassifierArch::Mlp, geometry};
 
-  // Across several rounds, some stragglers must occur and traffic must scale
-  // with responders only.
+  // Across several rounds, some drops must occur, each recorded as the
+  // timeout a shard would see, and traffic must scale with responders only.
   std::size_t total_stragglers = 0;
   for (std::size_t round = 0; round < 6; ++round) {
     const RoundRecord record = server.run_round(round);
     total_stragglers += record.stragglers;
+    EXPECT_EQ(record.timeouts, record.stragglers) << "round " << round;
     const std::size_t responders = record.sampled_clients - record.stragglers;
     if (responders > 0) {
       EXPECT_EQ(record.server_upload_bytes % responders, 0u);
@@ -100,22 +103,54 @@ TEST_F(ExtensionFixture, StragglersReduceTrafficAndParticipation) {
   EXPECT_GT(total_stragglers, 0u);
 }
 
-TEST_F(ExtensionFixture, AllStragglersLeaveModelUnchanged) {
+TEST_F(ExtensionFixture, AllDroppedLeaveModelUnchanged) {
   ServerConfig config;
   config.clients_per_round = 4;
   config.rounds = 1;
   config.seed = 508;
-  config.straggler_probability = 1.0;
+  config.fault_plan.drop_probability = 1.0;
   defenses::FedAvgAggregator strategy;
   Server server{config, clients, strategy, test, models::ClassifierArch::Mlp, geometry};
   const std::vector<float> before{server.global_parameters().begin(),
                                   server.global_parameters().end()};
   const RoundRecord record = server.run_round(0);
   EXPECT_EQ(record.stragglers, 4u);
+  EXPECT_EQ(record.timeouts, 4u);
   const std::vector<float> after{server.global_parameters().begin(),
                                  server.global_parameters().end()};
   EXPECT_EQ(before, after);
   EXPECT_EQ(record.server_download_bytes, 0u);
+}
+
+TEST_F(ExtensionFixture, NeverConnectPlanFollowsTheAcceptRule) {
+  ServerConfig config;
+  config.clients_per_round = 6;
+  config.rounds = 1;
+  config.seed = 509;
+  config.fault_plan.never_connect_probability = 0.5;
+  config.fault_plan.seed = 509;
+  const FaultInjector probe{config.fault_plan};
+  std::size_t joined = 0;
+  for (const auto& client : clients) {
+    if (!probe.never_connects(client->id())) ++joined;
+  }
+  ASSERT_GT(joined, 0u) << "plan seed must leave someone connected";
+  ASSERT_LT(joined, clients.size()) << "plan seed must keep someone away";
+  defenses::FedAvgAggregator strategy;
+
+  // min_clients = 0 asks for all N, as a socket accept deadline would.
+  EXPECT_THROW((Server{config, clients, strategy, test, models::ClassifierArch::Mlp, geometry}),
+               std::runtime_error);
+  config.min_clients = joined + 1;
+  EXPECT_THROW((Server{config, clients, strategy, test, models::ClassifierArch::Mlp, geometry}),
+               std::runtime_error);
+
+  // Enough joined: rounds sample only from them.
+  config.min_clients = joined;
+  Server server{config, clients, strategy, test, models::ClassifierArch::Mlp, geometry};
+  const RoundRecord record = server.run_round(0);
+  EXPECT_EQ(record.sampled_clients, joined);
+  EXPECT_EQ(record.stragglers, 0u);
 }
 
 }  // namespace
@@ -138,20 +173,24 @@ TEST(RunnerExtensions, FedProxThroughConfigConverges) {
   EXPECT_GT(history.rounds.back().test_accuracy, 0.6);
 }
 
-TEST(RunnerExtensions, StragglerConfigPropagates) {
-  util::set_log_level(util::LogLevel::Warn);
+TEST(RunnerExtensions, DescriptorFaultPlanReachesTheServer) {
+  util::set_log_level(util::LogLevel::Error);
   ExperimentConfig config = ExperimentConfig::small_scale();
-  config.train_samples = 400;
-  config.test_samples = 100;
-  config.num_clients = 6;
-  config.clients_per_round = 6;
-  config.rounds = 4;
-  config.strategy = StrategyKind::FedAvg;
-  config.straggler_probability = 0.5;
-  const fl::RunHistory history = run_experiment(config);
-  std::size_t stragglers = 0;
-  for (const auto& round : history.rounds) stragglers += round.stragglers;
-  EXPECT_GT(stragglers, 0u);
+  apply_config_values(config, {{"train_samples", "400"},
+                               {"test_samples", "100"},
+                               {"num_clients", "6"},
+                               {"clients_per_round", "4"},
+                               {"rounds", "3"},
+                               {"strategy", "fedavg"},
+                               {"fault_seed", "5"},
+                               {"fault_drop_probability", "0.9"}});
+  Federation federation = build_federation(config);
+  const fl::RunHistory history = federation.run();
+  ASSERT_EQ(history.rounds.size(), 3u);
+  EXPECT_GT(history.total_timeouts(), 0u);
+  for (const auto& round : history.rounds) {
+    EXPECT_EQ(round.stragglers, round.timeouts) << "round " << round.round;
+  }
 }
 
 TEST(RunnerExtensions, BulyanAndAuxAuditRunEndToEnd) {

@@ -14,7 +14,7 @@
 #include "defenses/fedavg.hpp"
 #include "defenses/fedguard.hpp"
 #include "defenses/krum.hpp"
-#include "net/fault_injector.hpp"
+#include "fl/fault_plan.hpp"
 #include "net/remote.hpp"
 #include "net/shard.hpp"
 #include "obs/metrics.hpp"
@@ -22,6 +22,11 @@
 
 namespace fedguard::net {
 namespace {
+
+using fl::FaultInjector;
+using fl::FaultKind;
+using fl::FaultPlan;
+using fl::kFaultKindCount;
 
 enum class Strategy { FedAvg, Krum, FedGuard };
 

@@ -161,8 +161,8 @@ TEST_F(ObsDistributedFixture, TwoTierFederationServesScrapesAndCorrelatesTrace) 
   config.rounds = 3;
   config.seed = kSeed;
 
-  // Shard exposition ports derive from http_port (+1+i), so an ephemeral
-  // root port is impossible; probe a small pid-salted range instead.
+  // The probes need the root's scrape port up front and nothing reads an
+  // ephemeral one back, so try a small pid-salted range instead.
   std::unique_ptr<net::HierarchicalServer> server;
 #ifdef __unix__
   std::uint16_t base = static_cast<std::uint16_t>(21000 + (::getpid() % 17000));

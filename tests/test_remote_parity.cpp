@@ -1,16 +1,19 @@
 // Parity between the in-process simulator and the TCP deployment (a
-// single-tier HierarchicalServer, S = 1): with the same strategy, data, and
-// global traffic semantics, both paths must defend the same attacks (the
-// socket layer must not change the science).
+// single-tier HierarchicalServer, S = 1): with the same strategy, data and
+// fault plan, both paths produce the same round records and the same model
+// (the socket layer must not change the science).
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <array>
+#include <string>
 #include <thread>
 
 #include "data/partition.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "defenses/fedavg.hpp"
+#include "defenses/krum.hpp"
+#include "fl/fault_plan.hpp"
 #include "fl/server.hpp"
 #include "net/remote.hpp"
 #include "net/shard.hpp"
@@ -62,189 +65,192 @@ struct ParityFixture : ::testing::Test {
         models::ClassifierArch::Mlp, geometry);
   }
 
+  /// One federation run on both transports from identically built clients:
+  /// in process with `plan` in fl::ServerConfig, and over loopback (S = 1)
+  /// with every socket client acting `plan` out.
+  struct Twin {
+    fl::RunHistory local;
+    fl::RunHistory remote;
+    std::vector<float> local_params;
+    std::vector<float> remote_params;
+    std::array<std::size_t, fl::kFaultKindCount> injected{};
+  };
+  Twin run_twin(const fl::RoundConfig& round, std::uint64_t client_seed,
+                const fl::FaultPlan& plan = {},
+                const net::HierarchicalServer::StrategyFactory& factory =
+                    [] { return std::make_unique<defenses::FedAvgAggregator>(); }) const {
+    Twin out;
+    auto local_clients = make_clients(client_seed);
+    const auto local_strategy = factory();
+    fl::ServerConfig local_config;
+    static_cast<fl::RoundConfig&>(local_config) = round;
+    local_config.fault_plan = plan;
+    fl::Server local_server{local_config, local_clients, *local_strategy, test,
+                            models::ClassifierArch::Mlp, geometry};
+    out.local = local_server.run();
+    out.local_params.assign(local_server.global_parameters().begin(),
+                            local_server.global_parameters().end());
+
+    auto remote_clients = make_clients(client_seed);
+    net::HierarchicalServerConfig remote_config;
+    static_cast<fl::RoundConfig&>(remote_config) = round;
+    remote_config.expected_clients = 4;
+    remote_config.round_timeout_ms = 1500;  // what a drop costs
+    remote_config.accept_timeout_ms = plan.never_connect_probability > 0.0 ? 500 : 10000;
+    net::HierarchicalServer remote_server{remote_config, factory, test,
+                                          models::ClassifierArch::Mlp, geometry};
+    const std::uint16_t port = remote_server.shard_port(0);
+    fl::FaultInjector injector{plan};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < 4; ++i) {
+      threads.emplace_back([&, i] {
+        net::RemoteClientOptions options;
+        options.faults = &injector;
+        options.reconnect_attempts = 6;  // repeated truncate/disconnect rejoins
+        options.backoff_ms = 10;
+        (void)net::run_remote_client("127.0.0.1", port, *remote_clients[i], options);
+      });
+    }
+    out.remote = remote_server.run();
+    for (auto& thread : threads) thread.join();
+    out.remote_params.assign(remote_server.global_parameters().begin(),
+                             remote_server.global_parameters().end());
+    for (std::size_t k = 0; k < fl::kFaultKindCount; ++k) {
+      out.injected[k] = injector.injected(static_cast<fl::FaultKind>(k));
+    }
+    return out;
+  }
+
   models::ImageGeometry geometry;
   data::Dataset train;
   data::Dataset test;
   data::Partition partition;
 };
 
-TEST_F(ParityFixture, LocalAndRemoteReachSimilarAccuracy) {
-  constexpr std::size_t kRounds = 4;
-
-  // Local in-process run.
-  auto local_clients = make_clients(810);
-  defenses::FedAvgAggregator local_strategy;
-  fl::ServerConfig local_config;
-  local_config.clients_per_round = 4;
-  local_config.rounds = kRounds;
-  local_config.seed = 811;
-  fl::Server local_server{local_config, local_clients, local_strategy, test,
-                          models::ClassifierArch::Mlp, geometry};
-  const fl::RunHistory local = local_server.run();
-
-  // Remote run over loopback with identically constructed clients.
-  auto remote_clients = make_clients(810);
-  net::HierarchicalServerConfig remote_config;
-  remote_config.expected_clients = 4;
-  remote_config.clients_per_round = 4;
-  remote_config.rounds = kRounds;
-  remote_config.seed = 811;
-  const auto remote_server = make_remote(remote_config);
-  const std::uint16_t port = remote_server->shard_port(0);
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < 4; ++i) {
-    threads.emplace_back(
-        [&, i] { (void)net::run_remote_client("127.0.0.1", port, *remote_clients[i]); });
+/// Every RoundRecord field but the byte counts and round_seconds is equal
+/// across the transports, every failure has a class, and the final models
+/// are bitwise equal.
+void expect_same_run(const ParityFixture::Twin& twin) {
+  ASSERT_EQ(twin.local.rounds.size(), twin.remote.rounds.size());
+  for (std::size_t r = 0; r < twin.local.rounds.size(); ++r) {
+    const fl::RoundRecord& x = twin.local.rounds[r];
+    const fl::RoundRecord& y = twin.remote.rounds[r];
+    for (const fl::RoundRecord* record : {&x, &y}) {
+      EXPECT_EQ(record->stragglers,
+                record->dropouts + record->timeouts + record->corrupt_frames)
+          << "round " << r;
+    }
+    EXPECT_EQ(x.round, y.round) << "round " << r;
+    EXPECT_EQ(x.test_accuracy, y.test_accuracy) << "round " << r;
+    EXPECT_EQ(x.per_class_accuracy, y.per_class_accuracy) << "round " << r;
+    EXPECT_EQ(x.sampled_clients, y.sampled_clients) << "round " << r;
+    EXPECT_EQ(x.sampled_malicious, y.sampled_malicious) << "round " << r;
+    EXPECT_EQ(x.stragglers, y.stragglers) << "round " << r;
+    EXPECT_EQ(x.dropouts, y.dropouts) << "round " << r;
+    EXPECT_EQ(x.timeouts, y.timeouts) << "round " << r;
+    EXPECT_EQ(x.corrupt_frames, y.corrupt_frames) << "round " << r;
+    EXPECT_EQ(x.ejected_clients, y.ejected_clients) << "round " << r;
+    EXPECT_EQ(x.rejected_clients, y.rejected_clients) << "round " << r;
+    EXPECT_EQ(x.rejected_malicious, y.rejected_malicious) << "round " << r;
+    EXPECT_EQ(x.rejected_benign, y.rejected_benign) << "round " << r;
   }
-  const fl::RunHistory remote = remote_server->run();
-  for (auto& thread : threads) thread.join();
-
-  ASSERT_EQ(local.rounds.size(), remote.rounds.size());
-  // m = N removes sampling variance; the remaining difference is client-local
-  // shuffling order (per-client RNG state), so accuracies track closely.
-  EXPECT_NEAR(local.rounds.back().test_accuracy, remote.rounds.back().test_accuracy, 0.15);
-  EXPECT_GT(remote.rounds.back().test_accuracy, 0.5);
+  ASSERT_EQ(twin.local_params.size(), twin.remote_params.size());
+  for (std::size_t i = 0; i < twin.local_params.size(); ++i) {
+    ASSERT_EQ(twin.local_params[i], twin.remote_params[i]) << "parameter " << i;
+  }
 }
 
 TEST_F(ParityFixture, FaultFreeRemoteMatchesLocalBitForBit) {
   // The socket layer must not change the science: with faults disabled, the
-  // TCP path and the in-process path are the same computation, so per-round
-  // accuracy and the final parameter vector agree exactly, not approximately.
-  constexpr std::size_t kRounds = 3;
-
-  auto local_clients = make_clients(830);
-  defenses::FedAvgAggregator local_strategy;
-  fl::ServerConfig local_config;
-  local_config.clients_per_round = 2;  // exercise the sampling path too
-  local_config.rounds = kRounds;
-  local_config.seed = 831;
-  fl::Server local_server{local_config, local_clients, local_strategy, test,
-                          models::ClassifierArch::Mlp, geometry};
-  const fl::RunHistory local = local_server.run();
-
-  auto remote_clients = make_clients(830);
-  net::HierarchicalServerConfig remote_config;
-  remote_config.expected_clients = 4;
-  remote_config.clients_per_round = 2;
-  remote_config.rounds = kRounds;
-  remote_config.seed = 831;
-  const auto remote_server = make_remote(remote_config);
-  const std::uint16_t port = remote_server->shard_port(0);
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < 4; ++i) {
-    threads.emplace_back(
-        [&, i] { (void)net::run_remote_client("127.0.0.1", port, *remote_clients[i]); });
+  // TCP path and the in-process path are the same computation, so every
+  // round record and the final parameter vector agree exactly, not
+  // approximately — whether m < N exercises the sampling path or m = N
+  // takes every client every round.
+  struct Case {
+    std::size_t clients_per_round;
+    std::size_t rounds;
+    std::uint64_t client_seed;
+    std::uint64_t server_seed;
+  };
+  for (const Case& c : {Case{2, 3, 830, 831}, Case{4, 4, 810, 811}}) {
+    SCOPED_TRACE("m = " + std::to_string(c.clients_per_round));
+    fl::RoundConfig round;
+    round.clients_per_round = c.clients_per_round;
+    round.rounds = c.rounds;
+    round.seed = c.server_seed;
+    const Twin twin = run_twin(round, c.client_seed);
+    expect_same_run(twin);
+    EXPECT_EQ(twin.remote.total_timeouts() + twin.remote.total_dropouts() +
+                  twin.remote.total_corrupt_frames(),
+              0u);
+    EXPECT_GT(twin.remote.rounds.back().test_accuracy, 0.5);
   }
-  const fl::RunHistory remote = remote_server->run();
-  for (auto& thread : threads) thread.join();
-
-  ASSERT_EQ(local.rounds.size(), remote.rounds.size());
-  for (std::size_t r = 0; r < kRounds; ++r) {
-    EXPECT_EQ(local.rounds[r].test_accuracy, remote.rounds[r].test_accuracy)
-        << "round " << r;
-    EXPECT_EQ(local.rounds[r].sampled_clients, remote.rounds[r].sampled_clients)
-        << "round " << r;
-  }
-  const std::span<const float> local_params = local_server.global_parameters();
-  const std::span<const float> remote_params = remote_server->global_parameters();
-  ASSERT_EQ(local_params.size(), remote_params.size());
-  for (std::size_t i = 0; i < local_params.size(); ++i) {
-    ASSERT_EQ(local_params[i], remote_params[i]) << "parameter " << i;
-  }
-  EXPECT_EQ(remote.total_timeouts() + remote.total_dropouts() +
-                remote.total_corrupt_frames(),
-            0u);
 }
 
-/// A drop-only fault plan and the in-process straggler hook wired to the same
-/// injector produce the same responder sets — and, under one ejection
-/// policy, the same ejections — hence the same records and model.
-struct DropReplay {
-  fl::RunHistory local;
-  fl::RunHistory remote;
-  std::vector<float> local_params;
-  std::vector<float> remote_params;
-};
-
-TEST_F(ParityFixture, DropPlanMatchesInProcessStragglerPath) {
-  const auto replay = [this](const net::FaultPlan& plan, std::size_t rounds,
-                             std::size_t eject_after_failures) {
-    const net::FaultInjector oracle{plan};
-    DropReplay out;
-
-    auto local_clients = make_clients(841);
-    defenses::FedAvgAggregator local_strategy;
-    fl::ServerConfig local_config;
-    local_config.clients_per_round = 3;
-    local_config.rounds = rounds;
-    local_config.seed = 842;
-    local_config.eject_after_failures = eject_after_failures;
-    local_config.straggler_predicate = [&oracle](std::size_t client, std::size_t round) {
-      return oracle.decide(static_cast<int>(client), round) == net::FaultKind::Drop;
-    };
-    fl::Server local_server{local_config, local_clients, local_strategy, test,
-                            models::ClassifierArch::Mlp, geometry};
-    out.local = local_server.run();
-    out.local_params.assign(local_server.global_parameters().begin(),
-                            local_server.global_parameters().end());
-
-    auto remote_clients = make_clients(841);
-    net::HierarchicalServerConfig remote_config;
-    remote_config.expected_clients = 4;
-    remote_config.clients_per_round = 3;
-    remote_config.rounds = rounds;
-    remote_config.seed = 842;
-    remote_config.round_timeout_ms = 1500;
-    remote_config.eject_after_failures = eject_after_failures;
-    const auto remote_server = make_remote(remote_config);
-    const std::uint16_t port = remote_server->shard_port(0);
-    net::FaultInjector injector{plan};
-    std::vector<std::thread> threads;
-    for (std::size_t i = 0; i < 4; ++i) {
-      threads.emplace_back([&, i] {
-        net::RemoteClientOptions options;
-        options.faults = &injector;
-        (void)net::run_remote_client("127.0.0.1", port, *remote_clients[i], options);
-      });
-    }
-    out.remote = remote_server->run();
-    for (auto& thread : threads) thread.join();
-    out.remote_params.assign(remote_server->global_parameters().begin(),
-                             remote_server->global_parameters().end());
-    return out;
+TEST_F(ParityFixture, FaultPlanGivesTheSameRecordsOnBothTransports) {
+  // One seeded plan means the same thing on either transport: fl::Server
+  // plays it the way socket clients act it out, so responders, failure
+  // classes, ejections, accuracies and the final model all agree.
+  struct PlanCase {
+    const char* label;
+    fl::FaultPlan plan;
+    bool krum = false;
+    std::size_t rounds = 3;
+    std::size_t eject_after_failures = 0;
   };
-  const auto expect_same = [](const DropReplay& run) {
-    std::size_t total_dropped = 0;
-    ASSERT_EQ(run.local.rounds.size(), run.remote.rounds.size());
-    for (std::size_t r = 0; r < run.local.rounds.size(); ++r) {
-      const fl::RoundRecord& local = run.local.rounds[r];
-      const fl::RoundRecord& remote = run.remote.rounds[r];
-      // The remote path records a drop as a timeout; the local path records
-      // the same client as a straggler. Same responders, same accuracy.
-      EXPECT_EQ(local.stragglers, remote.timeouts) << "round " << r;
-      EXPECT_EQ(local.sampled_clients, remote.sampled_clients) << "round " << r;
-      EXPECT_EQ(local.ejected_clients, remote.ejected_clients) << "round " << r;
-      EXPECT_EQ(local.test_accuracy, remote.test_accuracy) << "round " << r;
-      total_dropped += remote.timeouts;
-    }
-    ASSERT_GT(total_dropped, 0u) << "plan seed must actually drop someone";
-    ASSERT_EQ(run.local_params.size(), run.remote_params.size());
-    for (std::size_t i = 0; i < run.local_params.size(); ++i) {
-      ASSERT_EQ(run.local_params[i], run.remote_params[i]) << "parameter " << i;
-    }
+  const auto plan = [](std::uint64_t seed) {
+    fl::FaultPlan p;
+    p.seed = seed;
+    return p;
   };
+  std::vector<PlanCase> cases;
+  cases.push_back({"drop", plan(840)});
+  cases.back().plan.drop_probability = 0.3;
+  cases.push_back({"delay", plan(921)});
+  cases.back().plan.delay_probability = 0.4;
+  cases.back().plan.delay_ms = 30;
+  cases.push_back({"truncate", plan(922)});
+  cases.back().plan.truncate_probability = 0.3;
+  cases.push_back({"bit-flip", plan(923)});
+  cases.back().plan.bit_flip_probability = 0.3;
+  cases.push_back({"disconnect", plan(924)});
+  cases.back().plan.disconnect_probability = 0.3;
+  cases.push_back({"never-connect", plan(915)});
+  cases.back().plan.never_connect_probability = 0.45;
+  fl::FaultPlan mixed = plan(950);
+  mixed.drop_probability = 0.15;
+  mixed.delay_probability = 0.1;
+  mixed.truncate_probability = 0.15;
+  mixed.bit_flip_probability = 0.15;
+  mixed.disconnect_probability = 0.1;
+  cases.push_back({"mixed fedavg", mixed, false, 4});
+  cases.push_back({"mixed krum", mixed, true, 4});
+  // Two consecutive drops eject: seed 2 ejects clients two rounds apart and
+  // leaves two in the universe.
+  cases.push_back({"drop, eject after 2", plan(2), false, 5, 2});
+  cases.back().plan.drop_probability = 0.6;
 
-  net::FaultPlan plan;
-  plan.drop_probability = 0.3;
-  plan.seed = 840;
-  expect_same(replay(plan, 3, 0));
-
-  // One fault policy on both transports: two consecutive drops eject.
-  plan.drop_probability = 0.6;
-  plan.seed = 2;  // ejects clients 2 rounds apart and leaves two in the universe
-  const DropReplay ejecting = replay(plan, 5, 2);
-  expect_same(ejecting);
-  EXPECT_GT(ejecting.remote.total_ejected(), 0u) << "plan seed must eject someone";
+  for (const PlanCase& c : cases) {
+    SCOPED_TRACE(c.label);
+    fl::RoundConfig round;
+    round.clients_per_round = 3;
+    round.rounds = c.rounds;
+    round.seed = 842;
+    round.min_clients = 1;
+    round.eject_after_failures = c.eject_after_failures;
+    const Twin twin =
+        c.krum ? run_twin(round, 841, c.plan,
+                          [] { return std::make_unique<defenses::KrumAggregator>(0.25, 2); })
+               : run_twin(round, 841, c.plan);
+    expect_same_run(twin);
+    // Every plan must actually fire, or the case proves nothing.
+    std::size_t injected = 0;
+    for (std::size_t k = 1; k < fl::kFaultKindCount; ++k) injected += twin.injected[k];
+    EXPECT_GT(injected, 0u);
+    if (c.eject_after_failures > 0) {
+      EXPECT_GT(twin.remote.total_ejected(), 0u) << "plan seed must eject someone";
+    }
+  }
 }
 
 TEST_F(ParityFixture, RemoteUploadTrafficMatchesFrameArithmetic) {

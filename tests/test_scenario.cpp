@@ -170,6 +170,24 @@ TEST(ApplyScenarioValues, ParsesAxesAndRejectsUnknownKeys) {
   EXPECT_THROW(apply_scenario_values(matrix, bad_fraction), std::invalid_argument);
 }
 
+TEST(ApplyScenarioValues, NumbersAreParsedWhole) {
+  // A numeric prefix is not a number, and "-1" must not wrap to 2^64 - 1
+  // rounds (a sweep that never ends).
+  for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+           {"scenario_rounds", "7x"},
+           {"scenario_rounds", "-1"},
+           {"scenario_rounds", "0"},
+           {"scenario_fractions", "0.2,0.4x"},
+           {"scenario_shards", "1,2x"},
+           {"scenario_shards", "-2"},
+           {"scenario_regimes", "dirichlet:0.5x"},
+       }) {
+    SCOPED_TRACE(key + " = " + value);
+    SweepMatrix matrix = micro_matrix(1);
+    EXPECT_THROW(apply_scenario_values(matrix, {{key, value}}), std::invalid_argument);
+  }
+}
+
 TEST(SweepDeterminism, SameSeedIsByteIdenticalDifferentSeedIsNot) {
   util::set_log_level(util::LogLevel::Warn);
   const SweepMatrix matrix = micro_matrix(42);
