@@ -1,8 +1,9 @@
 // Micro-benchmarks of the aggregation operators: throughput as a function of
-// cohort size and parameter dimension. Relevant to the paper's Table V
-// discussion — Krum's pairwise distances dominate as m grows, GeoMed's
-// Weiszfeld iterations cost a small multiple of FedAvg, the medians sort per
-// coordinate.
+// cohort size and parameter dimension, timed over the calls a round makes (one
+// shard's partial_aggregate_into, then merge_partials_into). Relevant to the
+// paper's Table V discussion — Krum's pairwise distances dominate as m grows,
+// GeoMed's Weiszfeld iterations cost a small multiple of FedAvg, the medians
+// sort per coordinate.
 
 #include <benchmark/benchmark.h>
 
@@ -22,30 +23,35 @@ namespace {
 
 using namespace fedguard;
 
-std::vector<defenses::ClientUpdate> make_updates(std::size_t count, std::size_t dim,
-                                                 std::uint64_t seed) {
+/// One round's arena: `count` uniform random ψ rows of `dim` floats.
+void fill_updates(defenses::UpdateMatrix& arena, std::size_t count, std::size_t dim,
+                  std::uint64_t seed) {
   util::Rng rng{seed};
-  std::vector<defenses::ClientUpdate> updates(count);
+  arena.reset(count, dim);
   for (std::size_t k = 0; k < count; ++k) {
-    updates[k].client_id = static_cast<int>(k);
-    updates[k].num_samples = 100;
-    updates[k].psi.resize(dim);
-    for (auto& v : updates[k].psi) v = rng.uniform_float(-1.0f, 1.0f);
+    arena.meta(k).client_id = static_cast<int>(k);
+    arena.meta(k).num_samples = 100;
+    for (auto& v : arena.psi(k)) v = rng.uniform_float(-1.0f, 1.0f);
   }
-  return updates;
 }
 
 template <typename Strategy, typename... Args>
 void run_aggregator(benchmark::State& state, Args&&... args) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto dim = static_cast<std::size_t>(state.range(1));
-  const auto updates = make_updates(count, dim, 42);
+  defenses::UpdateMatrix arena;
+  fill_updates(arena, count, dim, 42);
   const std::vector<float> global(dim, 0.0f);
   Strategy strategy{std::forward<Args>(args)...};
   defenses::AggregationContext context;
   context.global_parameters = global;
+  std::vector<defenses::ShardPartial> partials(1);
+  defenses::AggregationResult result;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(strategy.aggregate(context, updates));
+    strategy.partial_aggregate_into(context, defenses::UpdateView{arena}, 0, partials[0]);
+    strategy.merge_partials_into(context, partials, result);
+    benchmark::DoNotOptimize(result.parameters.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(count * dim));

@@ -52,6 +52,7 @@ void run_obs_round(benchmark::State& state, bool traced) {
   const auto sources = make_psi_sources();
   defenses::FedAvgAggregator strategy;
   defenses::UpdateMatrix arena;
+  std::vector<defenses::ShardPartial> partials(1);
   defenses::AggregationResult result;
   std::vector<float> global(kDim, 0.0f);
   defenses::AggregationContext context;
@@ -84,7 +85,8 @@ void run_obs_round(benchmark::State& state, bool traced) {
     {
       FEDGUARD_TRACE_SPAN("round", "aggregate");
       context.global_parameters = global;
-      strategy.aggregate_into(context, defenses::UpdateView{arena}, result);
+      strategy.partial_aggregate_into(context, defenses::UpdateView{arena}, 0, partials[0]);
+      strategy.merge_partials_into(context, partials, result);
     }
     for (std::size_t i = 0; i < kDim; ++i) {
       global[i] += 0.5f * (result.parameters[i] - global[i]);

@@ -75,11 +75,12 @@ class CannedFleet {
     if (message.type != net::MessageType::RoundRequest) return;
     const net::RoundRequest request = net::decode_round_request(message.payload);
     if (canned_round_ != request.round || canned_.payload.empty()) {
+      const std::vector<float> psi(request.global_parameters.size(), 0.001f);
       net::RoundReply reply;
       reply.round = request.round;
-      reply.update.client_id = -1;  // servers map replies by connection, not id
-      reply.update.num_samples = 1;
-      reply.update.psi.assign(request.global_parameters.size(), 0.001f);
+      reply.meta.client_id = -1;  // servers map replies by connection, not id
+      reply.meta.num_samples = 1;
+      reply.psi = psi;
       canned_ = net::Message{net::MessageType::RoundReply, net::encode_round_reply(reply)};
       canned_round_ = request.round;
     }

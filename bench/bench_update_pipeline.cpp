@@ -2,11 +2,9 @@
 //
 // BM_RoundPipeline* measures the server-side cost of one federated round
 // minus client training: producers write ψ (and θ for FedGuard) into the
-// round arena, the strategy aggregates through the UpdateView, and the
-// result is η-blended into the global buffer. The *Legacy variants emulate
-// the pre-arena ownership model — every client materializes an owning
-// ClientUpdate and the strategy re-copies the point set before aggregating —
-// quantifying exactly the copy traffic the refactor removed.
+// round arena, the strategy aggregates through the UpdateView the way a
+// round does (one shard's partial, then the root merge), and the result is
+// η-blended into the global buffer.
 //
 // BM_BulyanElimination isolates Bulyan's stage-1 elimination loop, whose old
 // implementation rebuilt the remaining [n, dim] point matrix once per
@@ -47,7 +45,8 @@ std::vector<std::vector<float>> make_psi_sources(std::size_t count, std::size_t 
 }
 
 /// One zero-copy round: fill arena rows in place (the producer write),
-/// aggregate through the identity view, blend into the global buffer.
+/// partial-aggregate the identity view as one shard, merge, blend into the
+/// global buffer.
 void run_round_arena(benchmark::State& state, defenses::AggregationStrategy& strategy,
                      std::size_t dim, std::span<const float> theta_template) {
   const auto count = static_cast<std::size_t>(state.range(0));
@@ -55,6 +54,7 @@ void run_round_arena(benchmark::State& state, defenses::AggregationStrategy& str
   const std::size_t theta_dim = strategy.wants_decoders() ? theta_template.size() : 0;
 
   defenses::UpdateMatrix arena;
+  std::vector<defenses::ShardPartial> partials(1);
   defenses::AggregationResult result;
   std::vector<float> global(dim, 0.0f);
   defenses::AggregationContext context;
@@ -71,40 +71,8 @@ void run_round_arena(benchmark::State& state, defenses::AggregationStrategy& str
       }
     }
     context.global_parameters = global;
-    strategy.aggregate_into(context, defenses::UpdateView{arena}, result);
-    for (std::size_t i = 0; i < dim; ++i) {
-      global[i] += 0.5f * (result.parameters[i] - global[i]);
-    }
-    benchmark::DoNotOptimize(global.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(count * dim));
-}
-
-/// The pre-refactor ownership model: each client's upload materializes an
-/// owning ClientUpdate, and the strategy's compat entry point re-copies every
-/// ψ into its internal point set before aggregating.
-void run_round_legacy(benchmark::State& state, defenses::AggregationStrategy& strategy,
-                      std::size_t dim, std::span<const float> theta_template) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  const auto sources = make_psi_sources(count, dim);
-  const bool want_theta = strategy.wants_decoders();
-
-  std::vector<float> global(dim, 0.0f);
-  defenses::AggregationContext context;
-  for (auto _ : state) {
-    std::vector<defenses::ClientUpdate> updates(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      updates[k].client_id = static_cast<int>(k);
-      updates[k].num_samples = 100;
-      updates[k].psi.assign(sources[k].begin(), sources[k].end());
-      if (want_theta) {
-        updates[k].theta.assign(theta_template.begin(), theta_template.end());
-      }
-    }
-    context.global_parameters = global;
-    const defenses::AggregationResult result = strategy.aggregate(context, updates);
+    strategy.partial_aggregate_into(context, defenses::UpdateView{arena}, 0, partials[0]);
+    strategy.merge_partials_into(context, partials, result);
     for (std::size_t i = 0; i < dim; ++i) {
       global[i] += 0.5f * (result.parameters[i] - global[i]);
     }
@@ -153,27 +121,14 @@ void BM_RoundPipelineFedAvg(benchmark::State& state) {
   defenses::FedAvgAggregator strategy;
   run_round_arena(state, strategy, mlp_dim(), {});
 }
-void BM_RoundPipelineFedAvgLegacy(benchmark::State& state) {
-  defenses::FedAvgAggregator strategy;
-  run_round_legacy(state, strategy, mlp_dim(), {});
-}
 void BM_RoundPipelineKrum(benchmark::State& state) {
   defenses::KrumAggregator strategy{0.25, 1};
   run_round_arena(state, strategy, mlp_dim(), {});
-}
-void BM_RoundPipelineKrumLegacy(benchmark::State& state) {
-  defenses::KrumAggregator strategy{0.25, 1};
-  run_round_legacy(state, strategy, mlp_dim(), {});
 }
 void BM_RoundPipelineFedGuard(benchmark::State& state) {
   defenses::FedGuardAggregator strategy{fedguard_config(), models::ClassifierArch::Mlp,
                                         kGeometry, kSeed};
   run_round_arena(state, strategy, mlp_dim(), theta_template());
-}
-void BM_RoundPipelineFedGuardLegacy(benchmark::State& state) {
-  defenses::FedGuardAggregator strategy{fedguard_config(), models::ClassifierArch::Mlp,
-                                        kGeometry, kSeed};
-  run_round_legacy(state, strategy, mlp_dim(), theta_template());
 }
 
 void pipeline_args(benchmark::internal::Benchmark* bench) {
@@ -181,11 +136,8 @@ void pipeline_args(benchmark::internal::Benchmark* bench) {
 }
 
 BENCHMARK(BM_RoundPipelineFedAvg)->Apply(pipeline_args);
-BENCHMARK(BM_RoundPipelineFedAvgLegacy)->Apply(pipeline_args);
 BENCHMARK(BM_RoundPipelineKrum)->Apply(pipeline_args);
-BENCHMARK(BM_RoundPipelineKrumLegacy)->Apply(pipeline_args);
 BENCHMARK(BM_RoundPipelineFedGuard)->Apply(pipeline_args);
-BENCHMARK(BM_RoundPipelineFedGuardLegacy)->Apply(pipeline_args);
 
 // ---- Bulyan stage-1 elimination: selection views vs per-iteration rebuild ---
 

@@ -21,9 +21,11 @@ using namespace fedguard;
 
 /// Rejects updates whose delta from the global model points away from the
 /// majority direction (cosine similarity to the mean delta below a
-/// threshold). Custom strategies override the private do_aggregate hook and
-/// read the round's uploads through the zero-copy UpdateView; selections are
-/// index sub-views over the arena, never data copies.
+/// threshold). Custom strategies override the private do_partial_aggregate
+/// hook and read the round's uploads through the zero-copy UpdateView;
+/// selections are index sub-views over the arena, never data copies. A
+/// selector writes its cohort's aggregate and accept/reject split into the
+/// shard partial, which the round merges.
 class CosineFilterAggregator final : public defenses::AggregationStrategy {
  public:
   explicit CosineFilterAggregator(double threshold) : threshold_{threshold} {}
@@ -31,9 +33,9 @@ class CosineFilterAggregator final : public defenses::AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "cosine_filter"; }
 
  private:
-  void do_aggregate(const defenses::AggregationContext& context,
-                    const defenses::UpdateView& updates,
-                    defenses::AggregationResult& out) override {
+  void do_partial_aggregate(const defenses::AggregationContext& context,
+                            const defenses::UpdateView& updates,
+                            defenses::ShardPartial& out) override {
     const std::size_t dim = updates.psi_dim();
     const auto global = context.global_parameters;
 
@@ -66,10 +68,11 @@ class CosineFilterAggregator final : public defenses::AggregationStrategy {
     }
     std::vector<std::size_t> select_scratch;
     const defenses::UpdateView kept = updates.select(kept_slots, select_scratch);
-    out.parameters = defenses::weighted_mean(kept);
+    defenses::weighted_mean_into(kept, accumulator_, out.parameters);
   }
 
   double threshold_;
+  std::vector<double> accumulator_;  // round-persistent scratch
 };
 
 }  // namespace

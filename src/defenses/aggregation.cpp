@@ -17,22 +17,6 @@ bool contains_id(const std::vector<int>& ids, int id) {
 
 }  // namespace
 
-std::size_t validate_updates(std::span<const ClientUpdate> updates) {
-  if (updates.empty()) {
-    throw std::invalid_argument{"aggregation: no updates"};
-  }
-  const std::size_t dim = updates.front().psi.size();
-  if (dim == 0) throw std::invalid_argument{"aggregation: empty parameter vector"};
-  for (const auto& update : updates) {
-    if (update.psi.size() != dim) {
-      throw std::invalid_argument{"aggregation: parameter dimension mismatch"};
-    }
-    FEDGUARD_CHECK_FINITE(update.psi, "aggregation: non-finite psi from client " +
-                                          std::to_string(update.client_id));
-  }
-  return dim;
-}
-
 std::size_t validate_view(const UpdateView& updates) {
   if (updates.count() == 0) {
     throw std::invalid_argument{"aggregation: no updates"};
@@ -47,44 +31,6 @@ std::size_t validate_view(const UpdateView& updates) {
                                               std::to_string(updates.meta(k).client_id));
   }
   return dim;
-}
-
-void fill_update_matrix(UpdateMatrix& arena, std::span<const ClientUpdate> updates) {
-  const std::size_t dim = updates.empty() ? 0 : updates.front().psi.size();
-  std::size_t theta_dim = 0;
-  for (const auto& update : updates) theta_dim = std::max(theta_dim, update.theta.size());
-  arena.reset(updates.size(), dim, theta_dim);
-  for (std::size_t k = 0; k < updates.size(); ++k) {
-    const ClientUpdate& update = updates[k];
-    UpdateRow row = arena.row(k);
-    std::copy(update.psi.begin(), update.psi.end(), row.psi.begin());
-    std::copy(update.theta.begin(), update.theta.end(), row.theta.begin());
-    row.meta->client_id = update.client_id;
-    row.meta->num_samples = update.num_samples;
-    row.meta->truly_malicious = update.truly_malicious;
-    row.meta->theta_count = update.theta.size();
-  }
-}
-
-void AggregationStrategy::aggregate_into(const AggregationContext& context,
-                                         const UpdateView& updates, AggregationResult& out) {
-  // NVI choke point: every strategy's spans nest under one `agg.<name>`
-  // parent here, so per-strategy sub-spans (FedGuard decode/score/select,
-  // Krum pairwise/score/pick) decompose it in the trace for free.
-  FEDGUARD_TRACE_SPAN(std::string{"agg."} + name(), "aggregate");
-  {
-    FEDGUARD_TRACE_SPAN(std::string{"agg."} + name(), "validate");
-    (void)validate_view(updates);
-  }
-  out.clear();
-  do_aggregate(context, updates, out);
-}
-
-AggregationResult AggregationStrategy::aggregate(const AggregationContext& context,
-                                                 const UpdateView& updates) {
-  AggregationResult out;
-  aggregate_into(context, updates, out);
-  return out;
 }
 
 void fold_exact_update(ShardPartial& partial, std::span<const float> psi,
@@ -115,11 +61,22 @@ void fold_exact_update(ShardPartial& partial, std::span<const float> psi,
 void AggregationStrategy::partial_aggregate_into(const AggregationContext& context,
                                                  const UpdateView& updates,
                                                  std::size_t shard_id, ShardPartial& out) {
+  // NVI choke point: every strategy's spans nest under one `agg.<name>`
+  // parent here, so per-strategy sub-spans (FedGuard decode/score/select,
+  // Krum pairwise/score/pick) decompose it in the trace for free.
   FEDGUARD_TRACE_SPAN(std::string{"agg."} + name(), "partial");
   (void)validate_view(updates);
   out.clear();
   out.shard_id = shard_id;
   do_partial_aggregate(context, updates, out);
+  if (!out.exact) {
+    // A selector's cohort bookkeeping (a fold keeps its own, row by row).
+    out.client_count = updates.count();
+    for (std::size_t k = 0; k < updates.count(); ++k) {
+      out.weight_sum += static_cast<double>(updates.meta(k).num_samples);
+      if (updates.meta(k).truly_malicious) out.malicious_count += 1;
+    }
+  }
   for (std::size_t k = 0; k < updates.count(); ++k) {
     const UpdateMeta& meta = updates.meta(k);
     if (meta.truly_malicious && contains_id(out.rejected_clients, meta.client_id)) {
@@ -128,31 +85,11 @@ void AggregationStrategy::partial_aggregate_into(const AggregationContext& conte
   }
 }
 
-void AggregationStrategy::merge_partials_into(const AggregationContext& context,
+void AggregationStrategy::merge_partials_into(const AggregationContext& /*context*/,
                                               std::span<const ShardPartial> partials,
                                               AggregationResult& out) {
   FEDGUARD_TRACE_SPAN(std::string{"agg."} + name(), "merge");
   out.clear();
-  do_merge_partials(context, partials, out);
-}
-
-void AggregationStrategy::do_partial_aggregate(const AggregationContext& context,
-                                               const UpdateView& updates, ShardPartial& out) {
-  partial_scratch_.clear();
-  do_aggregate(context, updates, partial_scratch_);
-  out.client_count = updates.count();
-  for (std::size_t k = 0; k < updates.count(); ++k) {
-    out.weight_sum += static_cast<double>(updates.meta(k).num_samples);
-    if (updates.meta(k).truly_malicious) out.malicious_count += 1;
-  }
-  out.parameters = std::move(partial_scratch_.parameters);
-  out.accepted_clients = std::move(partial_scratch_.accepted_clients);
-  out.rejected_clients = std::move(partial_scratch_.rejected_clients);
-}
-
-void AggregationStrategy::do_merge_partials(const AggregationContext& /*context*/,
-                                            std::span<const ShardPartial> partials,
-                                            AggregationResult& out) {
   // Split the live partials by path. A single round never mixes paths (all
   // partials come from one strategy), but a degraded shard may contribute an
   // empty partial on either — those are skipped.
@@ -242,15 +179,6 @@ void AggregationStrategy::do_merge_partials(const AggregationContext& /*context*
   }
 }
 
-AggregationResult AggregationStrategy::aggregate(const AggregationContext& context,
-                                                 std::span<const ClientUpdate> updates) {
-  (void)validate_updates(updates);  // ragged dims must throw before the copy below
-  fill_update_matrix(compat_arena_, updates);
-  AggregationResult out;
-  aggregate_into(context, UpdateView{compat_arena_}, out);
-  return out;
-}
-
 void weighted_mean_into(const UpdateView& updates, std::vector<double>& accumulator,
                         std::vector<float>& out) {
   if (updates.count() == 0) throw std::invalid_argument{"aggregation: no updates"};
@@ -280,13 +208,6 @@ void weighted_mean_into(const UpdateView& updates, std::vector<double>& accumula
   }
 }
 
-std::vector<float> weighted_mean(const UpdateView& updates) {
-  std::vector<double> accumulator;
-  std::vector<float> out;
-  weighted_mean_into(updates, accumulator, out);
-  return out;
-}
-
 void mean_of_into(const UpdateView& updates, std::span<const std::size_t> selected,
                   std::vector<double>& accumulator, std::vector<float>& out) {
   if (selected.empty()) throw std::invalid_argument{"mean_of: empty selection"};
@@ -299,46 +220,6 @@ void mean_of_into(const UpdateView& updates, std::span<const std::size_t> select
   out.resize(dim);
   const double inv = 1.0 / static_cast<double>(selected.size());
   for (std::size_t i = 0; i < dim; ++i) out[i] = static_cast<float>(accumulator[i] * inv);
-}
-
-std::vector<float> mean_of(const UpdateView& updates, std::span<const std::size_t> selected) {
-  std::vector<double> accumulator;
-  std::vector<float> out;
-  mean_of_into(updates, selected, accumulator, out);
-  return out;
-}
-
-namespace {
-
-template <typename RejectedFn>
-DetectionStats tally_detection(std::size_t count, RejectedFn&& info) {
-  DetectionStats stats;
-  for (std::size_t k = 0; k < count; ++k) {
-    const auto [malicious, was_rejected] = info(k);
-    if (malicious && was_rejected) ++stats.true_positives;
-    else if (malicious) ++stats.false_negatives;
-    else if (was_rejected) ++stats.false_positives;
-    else ++stats.true_negatives;
-  }
-  return stats;
-}
-
-}  // namespace
-
-DetectionStats compute_detection_stats(std::span<const ClientUpdate> updates,
-                                       const AggregationResult& result) {
-  return tally_detection(updates.size(), [&](std::size_t k) {
-    return std::pair{updates[k].truly_malicious,
-                     contains_id(result.rejected_clients, updates[k].client_id)};
-  });
-}
-
-DetectionStats compute_detection_stats(const UpdateView& updates,
-                                       const AggregationResult& result) {
-  return tally_detection(updates.count(), [&](std::size_t k) {
-    const UpdateMeta& meta = updates.meta(k);
-    return std::pair{meta.truly_malicious, contains_id(result.rejected_clients, meta.client_id)};
-  });
 }
 
 }  // namespace fedguard::defenses

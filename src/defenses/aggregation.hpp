@@ -1,16 +1,16 @@
 #pragma once
-// Aggregation strategy interface shared by the FL server and all defenses.
+// Aggregation strategy interface shared by the FL round and all defenses.
 //
-// Per federated round the server fills a round-scoped UpdateMatrix arena with
-// the uploaded client updates and hands the strategy a view over it; the
-// strategy writes the new global parameter vector plus the accept/reject
-// split it decided on (for diagnostics and the detection metrics reported by
-// the benches) into an AggregationResult the server reuses across rounds.
+// Per federated round the uploads land as rows of a round-scoped UpdateMatrix
+// arena. Each shard hands its strategy a view over its cohort's rows
+// (partial_aggregate_into) and the root merges the shard partials into the
+// new global parameter vector plus the accept/reject split it decided on
+// (merge_partials_into); fl::RoundEngine makes exactly these two calls, with
+// one shard (S = 1) for a single-tier round.
 //
-// Strategies implement the private do_aggregate() hook; the public entry
-// points validate the view (dimension + NaN/Inf choke point) exactly once
-// before dispatching. An owned-ClientUpdate overload is kept for tests and
-// examples — it copies into an internal arena and runs the same view path.
+// Strategies implement the private do_partial_aggregate() hook; the public
+// entry point validates the view (dimension + NaN/Inf choke point) exactly
+// once before dispatching.
 
 #include <cstdint>
 #include <memory>
@@ -21,20 +21,6 @@
 #include "defenses/update_matrix.hpp"
 
 namespace fedguard::defenses {
-
-/// One client's upload for a round, in owned form (compatibility surface and
-/// the remote client's wire representation). `psi` is the flat classifier
-/// parameter vector after local training (possibly poisoned); `theta` is the
-/// flat CVAE decoder parameter vector (only populated when the strategy
-/// requests decoders, i.e. FedGuard). The zero-copy round loop stores the
-/// same fields as arena rows + UpdateMeta instead.
-struct ClientUpdate {
-  int client_id = -1;
-  std::vector<float> psi;
-  std::vector<float> theta;
-  std::size_t num_samples = 0;
-  bool truly_malicious = false;  // ground truth, for detection metrics only
-};
 
 struct AggregationContext {
   std::size_t round = 0;
@@ -125,22 +111,6 @@ class AggregationStrategy {
  public:
   virtual ~AggregationStrategy() = default;
 
-  /// Zero-copy entry point: aggregate the viewed arena rows into `out`
-  /// (cleared first; its buffers are reused across rounds by the server).
-  /// Validates the view — uniform non-zero dimension, finite rows — before
-  /// dispatching to the strategy body.
-  void aggregate_into(const AggregationContext& context, const UpdateView& updates,
-                      AggregationResult& out);
-
-  [[nodiscard]] AggregationResult aggregate(const AggregationContext& context,
-                                            const UpdateView& updates);
-
-  /// Compatibility entry point over owned updates: validates them (exact
-  /// legacy error behaviour, including ragged dimensions), copies into an
-  /// internal arena, and runs the view path.
-  [[nodiscard]] AggregationResult aggregate(const AggregationContext& context,
-                                            std::span<const ClientUpdate> updates);
-
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// True if clients must also upload their CVAE decoder parameters
@@ -151,8 +121,6 @@ class AggregationStrategy {
   /// the round arena's theta planes. 0 for strategies that ignore decoders.
   [[nodiscard]] virtual std::size_t decoder_parameter_count() const { return 0; }
 
-  // ---- Mergeable-accumulator seam (two-tier topology) -------------------------
-
   /// True when shard partials merge into exactly the single-tier result
   /// (FedAvg: a weighted mean is associative up to summation bracketing).
   /// Exact strategies may be folded incrementally per reply via
@@ -160,44 +128,32 @@ class AggregationStrategy {
   [[nodiscard]] virtual bool supports_exact_merge() const { return false; }
 
   /// Shard-tier entry point: aggregate one cohort's view into a ShardPartial
-  /// (cleared first). Validates like aggregate_into. The default routes
-  /// metadata: it runs the full strategy on the cohort and ships the local
-  /// aggregate + accept/reject split upward; exact strategies override with
-  /// accumulator folding instead.
+  /// (cleared first). Validates the view — uniform non-zero dimension, finite
+  /// rows — before dispatching to the strategy body, then tallies the
+  /// cohort's ground-truth bookkeeping.
   void partial_aggregate_into(const AggregationContext& context, const UpdateView& updates,
                               std::size_t shard_id, ShardPartial& out);
 
   /// Root-tier entry point: combine shard partials into the round result
-  /// (cleared first). Partials with client_count == 0 (dead or empty shards)
-  /// are skipped; throws std::invalid_argument when nothing is mergeable.
+  /// (cleared first). Exact partials are summed and divided once (global
+  /// zero-weight fallback preserved); metadata partials are combined as the
+  /// accepted-count-weighted mean of the shard-local aggregates, with
+  /// accept/reject sets unioned in shard order. Partials with
+  /// client_count == 0 (dead or empty shards) are skipped; throws
+  /// std::invalid_argument when nothing is mergeable.
   void merge_partials_into(const AggregationContext& context,
                            std::span<const ShardPartial> partials, AggregationResult& out);
 
- protected:
-  /// Default shard body (metadata routing): run do_aggregate on the cohort,
-  /// move the result into the partial. Exposed so selector overrides can
-  /// delegate and then attach their selection scores.
-  virtual void do_partial_aggregate(const AggregationContext& context,
-                                    const UpdateView& updates, ShardPartial& out);
-
-  /// Default root body: exact partials are summed and divided once (global
-  /// zero-weight fallback preserved); metadata partials are combined as the
-  /// accepted-count-weighted mean of the shard-local aggregates, with
-  /// accept/reject sets unioned in shard order.
-  virtual void do_merge_partials(const AggregationContext& context,
-                                 std::span<const ShardPartial> partials,
-                                 AggregationResult& out);
-
  private:
   /// Strategy body. `updates` is non-empty with a validated uniform psi
-  /// dimension; `out` arrives cleared.
-  virtual void do_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            AggregationResult& out) = 0;
+  /// dimension; `out` arrives cleared with its shard_id set. Exact
+  /// strategies fold every row with fold_exact_update. Selectors route
+  /// metadata: they write the cohort's aggregate into `out.parameters` and
+  /// its accept/reject split, plus any selection scores for the root.
+  virtual void do_partial_aggregate(const AggregationContext& context,
+                                    const UpdateView& updates, ShardPartial& out) = 0;
 
-  UpdateMatrix compat_arena_;  // backs the span<ClientUpdate> overload
-  // Round-persistent scratch for the default partial/merge bodies.
-  AggregationResult partial_scratch_;
-  std::vector<double> merge_accumulator_;
+  std::vector<double> merge_accumulator_;  // round-persistent merge scratch
 };
 
 // ---- Shared helpers used by several strategies -------------------------------
@@ -207,41 +163,17 @@ class AggregationStrategy {
 /// Falls back to the unweighted mean when all counts are zero.
 void weighted_mean_into(const UpdateView& updates, std::vector<double>& accumulator,
                         std::vector<float>& out);
-[[nodiscard]] std::vector<float> weighted_mean(const UpdateView& updates);
 
 /// Unweighted mean of selected view slots (by index into `updates`), in the
 /// caller-given slot order.
 void mean_of_into(const UpdateView& updates, std::span<const std::size_t> selected,
                   std::vector<double>& accumulator, std::vector<float>& out);
-[[nodiscard]] std::vector<float> mean_of(const UpdateView& updates,
-                                         std::span<const std::size_t> selected);
 
-/// Throws std::invalid_argument unless all updates exist and share one
-/// parameter dimension; returns that dimension. (Owned-update form, used by
-/// the compatibility aggregate overload.)
-std::size_t validate_updates(std::span<const ClientUpdate> updates);
-
-/// View form of validate_updates: non-empty, non-zero dimension, and (in
-/// FEDGUARD_ASSERTS builds) every row finite. This is the single boundary at
+/// Throws std::invalid_argument unless the view is non-empty with a non-zero
+/// dimension, and (in FEDGUARD_ASSERTS builds) util::CheckError unless every
+/// row is finite; returns the dimension. This is the single boundary at
 /// which a NaN/Inf-poisoned upload is rejected before it can reach an
 /// accumulator.
 std::size_t validate_view(const UpdateView& updates);
-
-/// Copy owned updates into `arena` (psi + theta planes + metadata). The theta
-/// plane is sized to the largest theta present; per-row actual lengths land
-/// in UpdateMeta::theta_count.
-void fill_update_matrix(UpdateMatrix& arena, std::span<const ClientUpdate> updates);
-
-/// Detection quality of a round's accept/reject split against ground truth.
-struct DetectionStats {
-  std::size_t true_positives = 0;   // malicious rejected
-  std::size_t false_positives = 0;  // benign rejected
-  std::size_t true_negatives = 0;   // benign accepted
-  std::size_t false_negatives = 0;  // malicious accepted
-};
-[[nodiscard]] DetectionStats compute_detection_stats(std::span<const ClientUpdate> updates,
-                                                     const AggregationResult& result);
-[[nodiscard]] DetectionStats compute_detection_stats(const UpdateView& updates,
-                                                     const AggregationResult& result);
 
 }  // namespace fedguard::defenses

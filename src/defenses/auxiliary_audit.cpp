@@ -27,8 +27,8 @@ AuxiliaryAuditAggregator::AuxiliaryAuditAggregator(models::ClassifierArch arch,
 
 AuxiliaryAuditAggregator::~AuxiliaryAuditAggregator() = default;
 
-void AuxiliaryAuditAggregator::do_aggregate(const AggregationContext& context,
-                                            const UpdateView& updates, AggregationResult& out) {
+void AuxiliaryAuditAggregator::do_partial_aggregate(const AggregationContext& context,
+                                                    const UpdateView& updates, ShardPartial& out) {
   const std::size_t count = updates.count();
   if (context.round < warmup_rounds_) {
     // PDGAN initialization phase: aggregate everything (the window during

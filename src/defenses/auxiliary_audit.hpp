@@ -35,8 +35,8 @@ class AuxiliaryAuditAggregator final : public AggregationStrategy {
   }
 
  private:
-  void do_aggregate(const AggregationContext& context, const UpdateView& updates,
-                    AggregationResult& out) override;
+  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                            ShardPartial& out) override;
 
   data::Dataset auxiliary_;
   std::size_t warmup_rounds_;

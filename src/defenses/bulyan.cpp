@@ -9,8 +9,8 @@
 
 namespace fedguard::defenses {
 
-void BulyanAggregator::do_aggregate(const AggregationContext& /*context*/,
-                                    const UpdateView& updates, AggregationResult& out) {
+void BulyanAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
+                                            const UpdateView& updates, ShardPartial& out) {
   const std::size_t dim = updates.psi_dim();
   const std::size_t count = updates.count();
 

@@ -19,8 +19,8 @@ class BulyanAggregator final : public AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "bulyan"; }
 
  private:
-  void do_aggregate(const AggregationContext& context, const UpdateView& updates,
-                    AggregationResult& out) override;
+  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                            ShardPartial& out) override;
 
   double byzantine_fraction_;
   std::vector<double> distance2_;  // round-persistent pairwise distance matrix

@@ -2,20 +2,11 @@
 
 namespace fedguard::defenses {
 
-void FedAvgAggregator::do_aggregate(const AggregationContext& /*context*/,
-                                    const UpdateView& updates, AggregationResult& out) {
-  weighted_mean_into(updates, accumulator_, out.parameters);
-  out.accepted_clients.reserve(updates.count());
-  for (std::size_t k = 0; k < updates.count(); ++k) {
-    out.accepted_clients.push_back(updates.meta(k).client_id);
-  }
-}
-
 void FedAvgAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
                                             const UpdateView& updates, ShardPartial& out) {
-  // Exact path: fold every cohort row in slot order. The shard tier uses the
-  // same fold_exact_update primitive incrementally as replies arrive, so the
-  // batch and streaming forms produce bit-identical accumulators.
+  // The shard tier uses the same fold_exact_update primitive incrementally as
+  // replies arrive, so the batch and streaming forms produce bit-identical
+  // accumulators.
   for (std::size_t k = 0; k < updates.count(); ++k) {
     fold_exact_update(out, updates.psi(k), updates.meta(k));
   }

@@ -13,15 +13,10 @@ class FedAvgAggregator final : public AggregationStrategy {
   /// bracketing): shards fold running ψ sums, the root divides once.
   [[nodiscard]] bool supports_exact_merge() const override { return true; }
 
- protected:
+ private:
+  /// Exact path: fold every cohort row in slot order.
   void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
                             ShardPartial& out) override;
-
- private:
-  void do_aggregate(const AggregationContext& context, const UpdateView& updates,
-                    AggregationResult& out) override;
-
-  std::vector<double> accumulator_;  // round-persistent scratch
 };
 
 }  // namespace fedguard::defenses

@@ -40,8 +40,8 @@ double FedCpaAggregator::critical_similarity(std::span<const std::uint32_t> top_
   return std::max(0.0, cosine);
 }
 
-void FedCpaAggregator::do_aggregate(const AggregationContext& context,
-                                    const UpdateView& updates, AggregationResult& out) {
+void FedCpaAggregator::do_partial_aggregate(const AggregationContext& context,
+                                            const UpdateView& updates, ShardPartial& out) {
   const std::size_t count = updates.count();
   const std::size_t dim = updates.psi_dim();
   const std::span<const float> global = context.global_parameters;

@@ -51,8 +51,8 @@ std::size_t FedGuardAggregator::decoder_parameter_count() const {
   return scratch_decoder_->parameter_count();
 }
 
-void FedGuardAggregator::do_aggregate(const AggregationContext& /*context*/,
-                                      const UpdateView& updates, AggregationResult& out) {
+void FedGuardAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
+                                              const UpdateView& updates, ShardPartial& out) {
   const std::size_t decoder_dim = scratch_decoder_->parameter_count();
   for (std::size_t j = 0; j < updates.count(); ++j) {
     if (updates.meta(j).theta_count != decoder_dim) {
@@ -181,11 +181,6 @@ void FedGuardAggregator::do_aggregate(const AggregationContext& /*context*/,
       out.parameters = coordinate_median(kept.points());
       break;
   }
-}
-
-void FedGuardAggregator::do_partial_aggregate(const AggregationContext& context,
-                                              const UpdateView& updates, ShardPartial& out) {
-  AggregationStrategy::do_partial_aggregate(context, updates, out);
   out.selection_scores = last_scores_;
   out.selection_threshold = last_threshold_;
 }

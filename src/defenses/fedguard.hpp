@@ -59,16 +59,12 @@ class FedGuardAggregator final : public AggregationStrategy {
   /// Mean-accuracy threshold of the most recent round.
   [[nodiscard]] double last_threshold() const noexcept { return last_threshold_; }
 
- protected:
+ private:
   /// Metadata routing with diagnostics attached: each shard evaluates its
   /// own cohort's decoders against its own D_syn and ships the per-slot
   /// synthetic-set accuracies + acceptance threshold upward.
   void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
                             ShardPartial& out) override;
-
- private:
-  void do_aggregate(const AggregationContext& context, const UpdateView& updates,
-                    AggregationResult& out) override;
 
   FedGuardConfig config_;
   models::ImageGeometry geometry_;

@@ -111,8 +111,8 @@ std::vector<float> geometric_median(std::span<const float> points, std::size_t c
   return geometric_median(PointsView{points, count, dim}, max_iterations, tolerance);
 }
 
-void GeoMedAggregator::do_aggregate(const AggregationContext& /*context*/,
-                                    const UpdateView& updates, AggregationResult& out) {
+void GeoMedAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
+                                            const UpdateView& updates, ShardPartial& out) {
   out.parameters = geometric_median(updates.points(), max_iterations_, tolerance_);
   // GeoMed uses every update (robustness comes from the operator itself).
   for (std::size_t k = 0; k < updates.count(); ++k) {

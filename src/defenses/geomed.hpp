@@ -15,8 +15,8 @@ class GeoMedAggregator final : public AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "geomed"; }
 
  private:
-  void do_aggregate(const AggregationContext& context, const UpdateView& updates,
-                    AggregationResult& out) override;
+  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                            ShardPartial& out) override;
 
   std::size_t max_iterations_;
   double tolerance_;

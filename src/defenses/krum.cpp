@@ -165,18 +165,20 @@ std::vector<double> krum_scores(std::span<const float> points, std::size_t count
   return krum_scores(PointsView{points, count, dim}, byzantine_count);
 }
 
-void KrumAggregator::do_aggregate(const AggregationContext& /*context*/,
-                                  const UpdateView& updates, AggregationResult& out) {
+void KrumAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
+                                          const UpdateView& updates, ShardPartial& out) {
   const std::size_t count = updates.count();
   const auto byzantine_count =
       static_cast<std::size_t>(byzantine_fraction_ * static_cast<double>(count));
-  scores_ = krum_scores(updates.points(), byzantine_count);
+  // The per-slot scores travel to the root with the accept set.
+  out.selection_scores = krum_scores(updates.points(), byzantine_count);
+  const std::vector<double>& scores = out.selection_scores;
 
   FEDGUARD_TRACE_SPAN("agg.krum", "pick");
   order_.resize(count);
   std::iota(order_.begin(), order_.end(), std::size_t{0});
-  std::sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
-    return nan_last_less(scores_[a], scores_[b]);
+  std::sort(order_.begin(), order_.end(), [&scores](std::size_t a, std::size_t b) {
+    return nan_last_less(scores[a], scores[b]);
   });
 
   const std::size_t keep = std::min(std::max<std::size_t>(multi_k_, 1), count);
@@ -189,12 +191,6 @@ void KrumAggregator::do_aggregate(const AggregationContext& /*context*/,
       out.rejected_clients.push_back(updates.meta(k).client_id);
     }
   }
-}
-
-void KrumAggregator::do_partial_aggregate(const AggregationContext& context,
-                                          const UpdateView& updates, ShardPartial& out) {
-  AggregationStrategy::do_partial_aggregate(context, updates, out);
-  out.selection_scores = scores_;  // do_aggregate just filled the scratch
 }
 
 }  // namespace fedguard::defenses

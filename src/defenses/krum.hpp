@@ -22,7 +22,7 @@ class KrumAggregator final : public AggregationStrategy {
     return multi_k_ > 1 ? "multi_krum" : "krum";
   }
 
- protected:
+ private:
   /// Metadata routing with scores attached: the shard runs Krum on its own
   /// cohort (so its f budget applies per shard, not globally — the
   /// robustness cost docs/SHARDING.md quantifies) and ships the per-slot
@@ -30,14 +30,9 @@ class KrumAggregator final : public AggregationStrategy {
   void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
                             ShardPartial& out) override;
 
- private:
-  void do_aggregate(const AggregationContext& context, const UpdateView& updates,
-                    AggregationResult& out) override;
-
   double byzantine_fraction_;
   std::size_t multi_k_;
   // Round-persistent scratch.
-  std::vector<double> scores_;
   std::vector<std::size_t> order_;
   std::vector<std::size_t> selected_;
   std::vector<double> accumulator_;

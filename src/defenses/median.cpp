@@ -38,9 +38,9 @@ std::vector<float> coordinate_median(std::span<const float> points, std::size_t 
   return coordinate_median(PointsView{points, count, dim});
 }
 
-void CoordinateMedianAggregator::do_aggregate(const AggregationContext& /*context*/,
-                                              const UpdateView& updates,
-                                              AggregationResult& out) {
+void CoordinateMedianAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
+                                                      const UpdateView& updates,
+                                                      ShardPartial& out) {
   out.parameters = coordinate_median(updates.points());
   for (std::size_t k = 0; k < updates.count(); ++k) {
     out.accepted_clients.push_back(updates.meta(k).client_id);

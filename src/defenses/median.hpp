@@ -12,8 +12,8 @@ class CoordinateMedianAggregator final : public AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "median"; }
 
  private:
-  void do_aggregate(const AggregationContext& context, const UpdateView& updates,
-                    AggregationResult& out) override;
+  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                            ShardPartial& out) override;
 };
 
 /// Coordinate-wise median over the view's rows.

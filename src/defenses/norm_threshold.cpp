@@ -7,8 +7,8 @@
 
 namespace fedguard::defenses {
 
-void NormThresholdAggregator::do_aggregate(const AggregationContext& context,
-                                           const UpdateView& updates, AggregationResult& out) {
+void NormThresholdAggregator::do_partial_aggregate(const AggregationContext& context,
+                                                   const UpdateView& updates, ShardPartial& out) {
   const std::size_t dim = updates.psi_dim();
   if (context.global_parameters.size() != dim) {
     throw std::invalid_argument{"norm_threshold: global parameter dimension mismatch"};

@@ -19,8 +19,8 @@ class NormThresholdAggregator final : public AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "norm_threshold"; }
 
  private:
-  void do_aggregate(const AggregationContext& context, const UpdateView& updates,
-                    AggregationResult& out) override;
+  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                            ShardPartial& out) override;
 
   double threshold_multiplier_;
 };

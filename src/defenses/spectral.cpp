@@ -116,8 +116,8 @@ void SpectralAggregator::pretrain(std::span<const float> initial_parameters) {
                  static_cast<double>(final_loss), surrogates.size());
 }
 
-void SpectralAggregator::do_aggregate(const AggregationContext& context,
-                                      const UpdateView& updates, AggregationResult& out) {
+void SpectralAggregator::do_partial_aggregate(const AggregationContext& context,
+                                              const UpdateView& updates, ShardPartial& out) {
   if (!vae_) pretrain(context.global_parameters);
 
   // Score every update by surrogate reconstruction error.

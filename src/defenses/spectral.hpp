@@ -60,8 +60,8 @@ class SpectralAggregator final : public AggregationStrategy {
   [[nodiscard]] bool pretrained() const noexcept { return vae_ != nullptr; }
 
  private:
-  void do_aggregate(const AggregationContext& context, const UpdateView& updates,
-                    AggregationResult& out) override;
+  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                            ShardPartial& out) override;
 
   void pretrain(std::span<const float> initial_parameters);
   [[nodiscard]] std::vector<float> surrogate(std::span<const float> psi) const;

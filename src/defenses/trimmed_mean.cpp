@@ -42,8 +42,8 @@ std::vector<float> trimmed_mean(std::span<const float> points, std::size_t count
   return trimmed_mean(PointsView{points, count, dim}, trim_fraction);
 }
 
-void TrimmedMeanAggregator::do_aggregate(const AggregationContext& /*context*/,
-                                         const UpdateView& updates, AggregationResult& out) {
+void TrimmedMeanAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
+                                                 const UpdateView& updates, ShardPartial& out) {
   out.parameters = trimmed_mean(updates.points(), trim_fraction_);
   for (std::size_t k = 0; k < updates.count(); ++k) {
     out.accepted_clients.push_back(updates.meta(k).client_id);

@@ -14,8 +14,8 @@ class TrimmedMeanAggregator final : public AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "trimmed_mean"; }
 
  private:
-  void do_aggregate(const AggregationContext& context, const UpdateView& updates,
-                    AggregationResult& out) override;
+  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                            ShardPartial& out) override;
 
   double trim_fraction_;
 };

@@ -25,7 +25,8 @@
 
 namespace fedguard::defenses {
 
-/// Per-row metadata mirroring the owned ClientUpdate fields.
+/// Per-row metadata: who uploaded the row and what the strategy needs to
+/// know about it besides ψ and θ.
 struct UpdateMeta {
   int client_id = -1;
   std::size_t num_samples = 0;

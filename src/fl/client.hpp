@@ -63,15 +63,10 @@ class Client {
 
   /// Execute one federated round: local classifier training from the given
   /// global parameters, CVAE training on first call (if enabled), and attack
-  /// application. Thread-safe with respect to OTHER clients (no shared
-  /// mutable state).
-  [[nodiscard]] defenses::ClientUpdate run_round(std::span<const float> global_parameters,
-                                                 std::size_t round);
-
-  /// Zero-copy form: the trained ψ is written directly into `row.psi` (which
+  /// application. The trained ψ is written directly into `row.psi` (which
   /// must span the global parameter dimension), θ into `row.theta` when it
-  /// fits, and the metadata into `row.meta`. Identical rng draws and training
-  /// trajectory to run_round — the two forms are bit-for-bit interchangeable.
+  /// fits, and the metadata into `row.meta`. Thread-safe with respect to
+  /// OTHER clients (no shared mutable state).
   void run_round_into(std::span<const float> global_parameters, std::size_t round,
                       defenses::UpdateRow row);
 
@@ -82,6 +77,12 @@ class Client {
   [[nodiscard]] std::size_t num_samples() const noexcept { return local_data_.size(); }
   [[nodiscard]] const data::Dataset& local_data() const noexcept { return local_data_; }
   [[nodiscard]] bool cvae_trained() const noexcept { return !cached_theta_.empty(); }
+  /// The cached CVAE decoder θ that run_round_into uploads (empty until the
+  /// CVAE is trained). A remote client encodes it from here instead of from
+  /// an arena row.
+  [[nodiscard]] std::span<const float> decoder_parameters() const noexcept {
+    return cached_theta_;
+  }
 
  private:
   void ensure_cvae_trained();

@@ -10,6 +10,12 @@
 
 namespace fedguard::fl {
 
+namespace {
+
+constexpr std::size_t kEvalBatchSize = 256;  // test-set evaluation batching
+
+}  // namespace
+
 RoundEngine::RoundEngine(const RoundConfig& config, defenses::AggregationStrategy& strategy,
                          std::size_t population, const data::Dataset& test_set,
                          models::ClassifierArch arch, models::ImageGeometry geometry)
@@ -199,8 +205,8 @@ double RoundEngine::evaluate_global() {
   const std::size_t total = test_set_.size();
   if (total == 0) return 0.0;
   std::size_t correct = 0;
-  for (std::size_t start = 0; start < total; start += config_.eval_batch_size) {
-    const std::size_t n = std::min(config_.eval_batch_size, total - start);
+  for (std::size_t start = 0; start < total; start += kEvalBatchSize) {
+    const std::size_t n = std::min(kEvalBatchSize, total - start);
     eval_indices_.resize(n);
     std::iota(eval_indices_.begin(), eval_indices_.end(), start);
     const data::Dataset::Batch batch = test_set_.gather(eval_indices_);
@@ -216,8 +222,8 @@ std::vector<double> RoundEngine::evaluate_per_class() {
   eval_classifier_->load_parameters_flat(global_parameters_);
   const std::size_t classes = geometry_.num_classes;
   std::vector<std::size_t> correct(classes, 0), total(classes, 0);
-  for (std::size_t start = 0; start < test_set_.size(); start += config_.eval_batch_size) {
-    const std::size_t n = std::min(config_.eval_batch_size, test_set_.size() - start);
+  for (std::size_t start = 0; start < test_set_.size(); start += kEvalBatchSize) {
+    const std::size_t n = std::min(kEvalBatchSize, test_set_.size() - start);
     eval_indices_.resize(n);
     std::iota(eval_indices_.begin(), eval_indices_.end(), start);
     const data::Dataset::Batch batch = test_set_.gather(eval_indices_);

@@ -41,7 +41,6 @@ struct RoundConfig {
   std::size_t clients_per_round = 50;  // m (paper: 50 of N=100)
   std::size_t rounds = 50;             // R
   float server_learning_rate = 1.0f;   // η (Fig. 5: 0.3 for stability)
-  std::size_t eval_batch_size = 256;   // test-set evaluation batching
   std::uint64_t seed = 1;
   /// Record per-class test recall each round (targeted-attack analysis).
   bool track_per_class_accuracy = false;

@@ -118,7 +118,6 @@ float Classifier::train_batch(const tensor::Tensor& images, std::span<const int>
     optimizer_lr_ = learning_rate;
     optimizer_momentum_ = momentum;
   }
-  network_->set_training(true);
   optimizer_->zero_grad();
   const tensor::Tensor logits = network_->forward(images);
   const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
@@ -145,9 +144,7 @@ float Classifier::train_batch(const tensor::Tensor& images, std::span<const int>
 double Classifier::evaluate_accuracy(const tensor::Tensor& images,
                                      std::span<const int> labels) {
   if (labels.empty()) return 0.0;
-  network_->set_training(false);
   const tensor::Tensor logits = network_->forward(images);
-  network_->set_training(true);
   return static_cast<double>(nn::count_correct(logits, labels)) /
          static_cast<double>(labels.size());
 }
@@ -156,9 +153,7 @@ std::vector<double> Classifier::evaluate_per_class(const tensor::Tensor& images,
                                                    std::span<const int> labels) {
   std::vector<std::size_t> correct(geometry_.num_classes, 0);
   std::vector<std::size_t> total(geometry_.num_classes, 0);
-  network_->set_training(false);
   const tensor::Tensor logits = network_->forward(images);
-  network_->set_training(true);
   for (std::size_t n = 0; n < labels.size(); ++n) {
     const auto label = static_cast<std::size_t>(labels[n]);
     ++total[label];
@@ -177,9 +172,7 @@ std::vector<std::size_t> Classifier::confusion_matrix(const tensor::Tensor& imag
                                                       std::span<const int> labels) {
   const std::size_t classes = geometry_.num_classes;
   std::vector<std::size_t> matrix(classes * classes, 0);
-  network_->set_training(false);
   const tensor::Tensor logits = network_->forward(images);
-  network_->set_training(true);
   for (std::size_t n = 0; n < labels.size(); ++n) {
     const auto truth = static_cast<std::size_t>(labels[n]);
     const std::size_t predicted = tensor::argmax(logits.row(n));

@@ -121,12 +121,12 @@ void write_round_request(util::ByteWriter& writer, const RoundRequest& request) 
 void write_round_reply(util::ByteWriter& writer, const RoundReply& reply) {
   writer.write_u64(reply.round);
   writer.write_u64(reply.trace_id);
-  writer.write_u32(static_cast<std::uint32_t>(reply.update.client_id));
-  writer.write_u64(reply.update.num_samples);
-  writer.write_u32(reply.update.truly_malicious ? 1 : 0);
+  writer.write_u32(static_cast<std::uint32_t>(reply.meta.client_id));
+  writer.write_u64(reply.meta.num_samples);
+  writer.write_u32(reply.meta.truly_malicious ? 1 : 0);
   writer.write_u32(static_cast<std::uint32_t>(reply.psi_codec));
-  write_psi_span(writer, reply.psi_codec, reply.update.psi, reply.psi_chunk);
-  writer.write_f32_span(reply.update.theta);
+  write_psi_span(writer, reply.psi_codec, reply.psi, reply.psi_chunk);
+  writer.write_f32_span(reply.theta);
 }
 
 }  // namespace
@@ -276,33 +276,11 @@ std::vector<std::byte> encode_round_reply(const RoundReply& reply) {
 std::vector<std::byte> encode_round_reply_frame(const RoundReply& reply) {
   FEDGUARD_TRACE_SPAN("serialize", "encode_round_reply");
   util::ByteWriter writer =
-      begin_frame(client_update_frame_bytes(reply.update.psi.size(), reply.update.theta.size(),
+      begin_frame(client_update_frame_bytes(reply.psi.size(), reply.theta.size(),
                                             reply.psi_codec, reply.psi_chunk) -
                   kFrameHeaderBytes);
   write_round_reply(writer, reply);
   return seal_frame(MessageType::RoundReply, writer);
-}
-
-RoundReply decode_round_reply(std::span<const std::byte> payload) {
-  util::ByteReader reader{payload};
-  RoundReply reply;
-  try {
-    reply.round = static_cast<std::size_t>(reader.read_u64());
-    reply.trace_id = reader.read_u64();
-    reply.update.client_id = static_cast<int>(reader.read_u32());
-    reply.update.num_samples = static_cast<std::size_t>(reader.read_u64());
-    reply.update.truly_malicious = reader.read_u32() != 0;
-    reply.psi_codec = read_codec_tag(reader);
-    const auto psi_count = static_cast<std::size_t>(reader.read_u64());
-    reply.update.psi.resize(psi_count);
-    read_psi_span(reader, reply.psi_codec, reply.update.psi);
-    const auto theta_count = static_cast<std::size_t>(reader.read_u64());
-    reply.update.theta = reader.read_f32_vector(theta_count);
-  } catch (const std::out_of_range&) {
-    throw DecodeError{DecodeErrorCode::Truncated,
-                      "decode_round_reply: truncated payload"};
-  }
-  return reply;
 }
 
 std::size_t decode_round_reply_into(std::span<const std::byte> payload,

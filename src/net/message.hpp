@@ -9,7 +9,7 @@
 //
 // Round-trip per federated round:
 //   server -> client : RoundRequest { round, server_lr-applied ψ0, want_theta }
-//   client -> server : RoundReply   { round, ClientUpdate }
+//   client -> server : RoundReply   { round, client metadata, ψ, θ }
 //   server -> client : Shutdown     (at the end of the run)
 //
 // The reply carries the round number it answers so the server can discard
@@ -23,12 +23,13 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "defenses/aggregation.hpp"
+#include "defenses/update_matrix.hpp"
 #include "util/serialize.hpp"
 
 namespace fedguard::net {
@@ -149,20 +150,25 @@ struct RoundReply {
   // relative to ψ, and feeds the defense's decoder reconstruction directly.
   util::WireCodec psi_codec = util::WireCodec::Fp32;
   std::size_t psi_chunk = util::kDefaultQ8ChunkSize;
-  defenses::ClientUpdate update;
+  /// Who answered: client id, sample count and the ground-truth flag travel;
+  /// theta_count does not (θ's span length is what goes on the wire).
+  defenses::UpdateMeta meta;
+  /// The trained ψ and the decoder θ (empty unless the request wants it);
+  /// both borrow from the sender's buffers.
+  std::span<const float> psi;
+  std::span<const float> theta;
 };
 [[nodiscard]] std::vector<std::byte> encode_round_reply(const RoundReply& reply);
 /// The whole RoundReply frame in one buffer (see encode_round_request_frame).
 [[nodiscard]] std::vector<std::byte> encode_round_reply_frame(const RoundReply& reply);
-[[nodiscard]] RoundReply decode_round_reply(std::span<const std::byte> payload);
 
-/// Zero-copy decode: ψ is deserialized straight into `row.psi` (whose size is
-/// the expected dimension) and θ into `row.theta`, with the metadata fields
-/// written through `row.meta`. Throws DecodeError{BadShape} if the reply's ψ
-/// count differs from row.psi.size() or its θ count exceeds the row's θ
-/// capacity — the frame was intact (CRC passed), the peer just sent the wrong
-/// model shape, so the link itself stays trustworthy. Returns the round the
-/// reply answers (the caller decides whether it is stale).
+/// The reply decoder: ψ is deserialized straight into `row.psi` (whose size
+/// is the expected dimension) and θ into `row.theta`, with the metadata
+/// fields written through `row.meta`. Throws DecodeError{BadShape} if the
+/// reply's ψ count differs from row.psi.size() or its θ count exceeds the
+/// row's θ capacity — the frame was intact (CRC passed), the peer just sent
+/// the wrong model shape, so the link itself stays trustworthy. Returns the
+/// round the reply answers (the caller decides whether it is stale).
 [[nodiscard]] std::size_t decode_round_reply_into(std::span<const std::byte> payload,
                                                   defenses::UpdateRow row);
 

@@ -93,9 +93,11 @@ std::size_t run_remote_client(const std::string& host, std::uint16_t port,
 
   std::size_t rounds_served = 0;
   // Reused across rounds: the ψ0 frame lands in one receive buffer and
-  // decodes into one parameter vector instead of two fresh allocations.
+  // decodes into one parameter vector, and training writes ψ into one
+  // buffer, instead of fresh allocations per round.
   Message message;
   RoundRequest request;
+  std::vector<float> psi;
   for (;;) {
     try {
       stream.receive_message_into(message);
@@ -121,19 +123,22 @@ std::size_t run_remote_client(const std::string& host, std::uint16_t port,
       continue;
     }
 
-    defenses::ClientUpdate update =
-        client.run_round(request.global_parameters, request.round);
-    if (!request.want_decoder) update.theta.clear();  // don't ship unused θ
+    // ψ lands in the kept buffer; θ is encoded straight from the client's
+    // cached decoder, so the row carries no θ plane.
     RoundReply reply;
+    psi.resize(request.global_parameters.size());
+    client.run_round_into(request.global_parameters, request.round,
+                          defenses::UpdateRow{psi, {}, &reply.meta});
     reply.round = request.round;
     reply.trace_id = request.trace_id;
-    // Honor the server's ψ codec offer unless this client is configured as a
-    // legacy fp32 uploader; a nonsense chunk offer falls back to the default
-    // rather than failing the encode.
-    reply.psi_codec = options.force_fp32 ? util::WireCodec::Fp32 : request.psi_codec;
+    // Honor the server's ψ codec offer; a nonsense chunk offer falls back to
+    // the default rather than failing the encode.
+    reply.psi_codec = request.psi_codec;
     reply.psi_chunk =
         request.psi_chunk == 0 ? util::kDefaultQ8ChunkSize : request.psi_chunk;
-    reply.update = std::move(update);
+    reply.psi = psi;
+    // θ travels only when the strategy asks for decoders.
+    if (request.want_decoder) reply.theta = client.decoder_parameters();
     const std::vector<std::byte> frame = encode_round_reply_frame(reply);
 
     switch (fault) {

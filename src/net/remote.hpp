@@ -24,9 +24,6 @@ struct RemoteClientOptions {
   /// client gives up gracefully (returns the rounds served so far).
   std::size_t reconnect_attempts = 4;
   std::size_t backoff_ms = 25;
-  /// Behave like a legacy fp32-only client: ignore the server's ψ codec
-  /// offer and upload fp32 (exercises the negotiation fallback path).
-  bool force_fp32 = false;
   /// Ship a TelemetryReport frame (trace-buffer flush + counter deltas) after
   /// each answered round. The client installs its own relay-only TraceSession
   /// unless one is already active in the process — in-process harnesses that

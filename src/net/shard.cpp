@@ -307,10 +307,13 @@ void ShardAggregator::handle_reply(Reactor::ConnectionId connection, const Messa
   }
   building_.reply_bytes += kFrameHeaderBytes + message.payload.size();
   if (reply_round != round_command_.round) return;  // stale answer, keep waiting
+  // The row is filed under the id this connection said Hello as, whatever
+  // id its payload names: a peer cannot answer for another client.
+  const int client_id = round_command_.cohort[slot];
+  arena_.meta(slot).client_id = client_id;
   pending_slots_.erase(pending);
   slots_[slot] = Slot::Filled;
   replies_total_.add(1);
-  const int client_id = round_command_.cohort[slot];
   rtt_.at(client_id).observe(static_cast<double>(obs::now_ns() - dispatch_ns_) * 1e-9);
   if (exact_) fold_ready_rows();
 }

@@ -54,10 +54,6 @@ class Module {
   /// Trainable parameters (empty for stateless layers).
   [[nodiscard]] virtual std::vector<Parameter*> parameters() { return {}; }
 
-  /// Toggle train/eval behaviour (dropout etc.). Default: no-op.
-  virtual void set_training(bool training) { training_ = training; }
-  [[nodiscard]] bool training() const noexcept { return training_; }
-
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Zero all parameter gradients.
@@ -68,9 +64,6 @@ class Module {
   /// Scalar count of weight tensors only (excludes biases); Table II of the
   /// paper reports weight-only counts.
   [[nodiscard]] std::size_t weight_parameter_count();
-
- protected:
-  bool training_ = true;
 };
 
 }  // namespace fedguard::nn

@@ -73,9 +73,4 @@ std::vector<Parameter*> Sequential::parameters() {
   return all;
 }
 
-void Sequential::set_training(bool training) {
-  Module::set_training(training);
-  for (auto& layer : layers_) layer->set_training(training);
-}
-
 }  // namespace fedguard::nn

@@ -31,7 +31,6 @@ class Sequential final : public Module {
   /// gradients nothing reads.
   void backward_parameters(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
-  void set_training(bool training) override;
 
   [[nodiscard]] std::string name() const override { return "Sequential"; }
   [[nodiscard]] std::size_t layer_count() const noexcept { return layers_.size(); }

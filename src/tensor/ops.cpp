@@ -7,7 +7,7 @@
 #include "obs/trace.hpp"
 #include "parallel/kernel_config.hpp"
 #include "parallel/thread_pool.hpp"
-#include "tensor/gemm_tb_serial.hpp"
+#include "tensor/gemm_serial.hpp"
 #include "tensor/kernels/kernel_arch.hpp"
 #include "util/check.hpp"
 
@@ -40,60 +40,14 @@ void check_matmul(std::size_t am, std::size_t ak, std::size_t bk, std::size_t bn
 // order regardless of blocking or row partitioning, so output is identical
 // for any thread count and bit-stable across runs.
 
-constexpr std::size_t kMr = 4;    // micro-tile rows
-constexpr std::size_t kNr = 16;   // micro-tile cols (one AVX-512 / two AVX vectors)
 constexpr std::size_t kMc = 64;   // rows per macro tile
 constexpr std::size_t kKc = 256;  // depth chunk: A tile kMc x kKc = 64 KiB
 constexpr std::size_t kNc = 512;  // cols per macro tile: B tile kKc x kNc = 512 KiB
 
-void micro_kernel(const float* a, std::size_t a_rs, std::size_t a_cs, const float* b_panel,
-                  std::size_t ldb, float* c_tile, std::size_t ldc, std::size_t mr,
-                  std::size_t nr, std::size_t kc) {
-  if (mr == kMr && nr == kNr) {
-    float acc[kMr][kNr];
-    for (std::size_t ii = 0; ii < kMr; ++ii) {
-      for (std::size_t jj = 0; jj < kNr; ++jj) acc[ii][jj] = c_tile[ii * ldc + jj];
-    }
-    for (std::size_t p = 0; p < kc; ++p) {
-      const float* b_row = b_panel + p * ldb;
-      // Gather the column of A first; the jj-outer nest below is the shape
-      // GCC turns into broadcast+FMA over full-width vectors (the ii-outer
-      // form SLP-vectorizes across rows at 4 lanes instead — ~18x slower).
-      float a_col[kMr];
-      for (std::size_t ii = 0; ii < kMr; ++ii) a_col[ii] = a[ii * a_rs + p * a_cs];
-      for (std::size_t jj = 0; jj < kNr; ++jj) {
-        const float b_pj = b_row[jj];
-        for (std::size_t ii = 0; ii < kMr; ++ii) acc[ii][jj] += a_col[ii] * b_pj;
-      }
-    }
-    for (std::size_t ii = 0; ii < kMr; ++ii) {
-      for (std::size_t jj = 0; jj < kNr; ++jj) c_tile[ii * ldc + jj] = acc[ii][jj];
-    }
-    return;
-  }
-  // Edge tile: same accumulators and per-element order, partial bounds.
-  float acc[kMr][kNr];
-  for (std::size_t ii = 0; ii < mr; ++ii) {
-    for (std::size_t jj = 0; jj < nr; ++jj) acc[ii][jj] = c_tile[ii * ldc + jj];
-  }
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* b_row = b_panel + p * ldb;
-    float a_col[kMr];
-    for (std::size_t ii = 0; ii < mr; ++ii) a_col[ii] = a[ii * a_rs + p * a_cs];
-    for (std::size_t jj = 0; jj < nr; ++jj) {
-      const float b_pj = b_row[jj];
-      for (std::size_t ii = 0; ii < mr; ++ii) acc[ii][jj] += a_col[ii] * b_pj;
-    }
-  }
-  for (std::size_t ii = 0; ii < mr; ++ii) {
-    for (std::size_t jj = 0; jj < nr; ++jj) c_tile[ii * ldc + jj] = acc[ii][jj];
-  }
-}
-
 /// Accumulates C[row_begin:row_end, :] += op(A) * B for one row slice. The
 /// micro-tile geometry and kernel come from the runtime dispatch table; the
-/// serial tier (kt.gemm_micro == nullptr) keeps the inlined scalar kernel
-/// above as the determinism oracle.
+/// serial tier (kt.gemm_micro == nullptr) runs gemm_serial_micro, the
+/// determinism oracle.
 void gemm_rows(const float* a, std::size_t a_rs, std::size_t a_cs, const float* b, float* c,
                std::size_t k, std::size_t n, std::size_t row_begin, std::size_t row_end,
                const kernels::KernelTable& kt) {
@@ -113,8 +67,9 @@ void gemm_rows(const float* a, std::size_t a_rs, std::size_t a_cs, const float* 
               kt.gemm_micro(a + (ic + i) * a_rs + pc * a_cs, a_rs, a_cs, b + pc * n + jc + j,
                             n, c + (ic + i) * n + jc + j, n, mr, nr, kc);
             } else {
-              micro_kernel(a + (ic + i) * a_rs + pc * a_cs, a_rs, a_cs, b + pc * n + jc + j,
-                           n, c + (ic + i) * n + jc + j, n, mr, nr, kc);
+              detail::gemm_serial_micro(a + (ic + i) * a_rs + pc * a_cs, a_rs, a_cs,
+                                        b + pc * n + jc + j, n, c + (ic + i) * n + jc + j, n,
+                                        mr, nr, kc);
             }
           }
         }
@@ -145,7 +100,7 @@ void gemm_dispatch(const float* a, std::size_t a_rs, std::size_t a_cs, const flo
 // C[i,j] = dot(A row i, B row j): both operands are traversed unit-stride, so
 // B is never transposed. The SIMD tiers compute it with a register-tiled
 // kernel from the dispatch table; the serial tier's loop lives in
-// gemm_tb_serial.cpp, which spells out its rounding. Either way the
+// gemm_serial.cpp, which spells out its rounding. Either way the
 // per-element arithmetic is fixed, so results do not depend on the row split.
 
 void gemm_tb_rows(const float* a, const float* b, float* c, std::size_t k, std::size_t n,

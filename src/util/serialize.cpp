@@ -214,7 +214,9 @@ void ByteWriter::write_raw(std::span<const std::byte> bytes) {
 }
 
 void ByteReader::require(std::size_t count) const {
-  if (offset_ + count > data_.size()) {
+  // Compared against the bytes left, so that a corrupt length near 2^64
+  // cannot wrap the sum and pass.
+  if (count > data_.size() - offset_) {
     throw std::out_of_range{"ByteReader: buffer underrun"};
   }
 }
@@ -238,15 +240,6 @@ float ByteReader::read_f32() {
   const auto value = load_trivial<float>(data_.data() + offset_);
   offset_ += sizeof(value);
   return value;
-}
-
-std::vector<float> ByteReader::read_f32_vector(std::size_t count) {
-  if (count == 0) return {};
-  require(count * sizeof(float));
-  std::vector<float> out(count);
-  std::memcpy(out.data(), data_.data() + offset_, count * sizeof(float));
-  offset_ += count * sizeof(float);
-  return out;
 }
 
 void ByteReader::read_f32_into(std::span<float> out) {

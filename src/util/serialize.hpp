@@ -108,9 +108,8 @@ class ByteReader {
   [[nodiscard]] std::uint32_t read_u32();
   [[nodiscard]] std::uint64_t read_u64();
   [[nodiscard]] float read_f32();
-  [[nodiscard]] std::vector<float> read_f32_vector(std::size_t count);
-  /// Deserialize out.size() floats directly into `out` (zero-copy form of
-  /// read_f32_vector for pre-sized destinations like arena rows).
+  /// Deserialize out.size() floats directly into `out` (a pre-sized
+  /// destination such as an arena row).
   void read_f32_into(std::span<float> out);
   /// Dequantize a write_q8_span payload (sans the u64 count, which the caller
   /// reads to size `out`) directly into `out` — the quantized twin of

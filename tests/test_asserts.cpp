@@ -1,5 +1,5 @@
 // FEDGUARD_ASSERTS layer: NaN/Inf-poisoned updates must be rejected with
-// util::CheckError at the aggregator boundary (validate_updates and the
+// util::CheckError at the aggregator boundary (validate_view and the
 // FedGuard decoder intake), and tensor kernels must reject shape mismatches.
 // The throwing checks are compiled in only under -DFEDGUARD_ASSERTS=ON
 // (default in sanitizer builds); elsewhere the suites skip.
@@ -16,12 +16,16 @@
 #include "defenses/geomed.hpp"
 #include "defenses/krum.hpp"
 #include "models/cvae.hpp"
+#include "strategy_path.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
 
 namespace fedguard {
 namespace {
+
+using strategy_path::aggregate;
+using strategy_path::Upload;
 
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
@@ -58,8 +62,8 @@ class AssertsEnabledTest : public ::testing::Test {
     }
   }
 
-  static defenses::ClientUpdate update(int id, std::vector<float> psi) {
-    defenses::ClientUpdate u;
+  static Upload update(int id, std::vector<float> psi) {
+    Upload u;
     u.client_id = id;
     u.psi = std::move(psi);
     u.num_samples = 10;
@@ -73,46 +77,50 @@ class AssertsEnabledTest : public ::testing::Test {
   }
 };
 
-TEST_F(AssertsEnabledTest, ValidateUpdatesRejectsNanPsi) {
-  const std::vector<defenses::ClientUpdate> updates{
+TEST_F(AssertsEnabledTest, ValidateViewRejectsNanPsi) {
+  const std::vector<Upload> updates{
       update(0, {1.0f, 2.0f, 3.0f}), update(1, {1.0f, kNan, 3.0f})};
-  EXPECT_THROW((void)defenses::validate_updates(updates), util::CheckError);
+  defenses::UpdateMatrix arena;
+  strategy_path::fill_arena(arena, updates);
+  EXPECT_THROW((void)defenses::validate_view(defenses::UpdateView{arena}), util::CheckError);
 }
 
-TEST_F(AssertsEnabledTest, ValidateUpdatesAcceptsFinitePsi) {
-  const std::vector<defenses::ClientUpdate> updates{
+TEST_F(AssertsEnabledTest, ValidateViewAcceptsFinitePsi) {
+  const std::vector<Upload> updates{
       update(0, {1.0f, 2.0f, 3.0f}), update(1, {-1.0f, 0.5f, 9.0f})};
-  EXPECT_EQ(defenses::validate_updates(updates), 3u);
+  defenses::UpdateMatrix arena;
+  strategy_path::fill_arena(arena, updates);
+  EXPECT_EQ(defenses::validate_view(defenses::UpdateView{arena}), 3u);
 }
 
 TEST_F(AssertsEnabledTest, FedAvgRejectsInfPsi) {
   defenses::FedAvgAggregator aggregator;
   const std::vector<float> global{0.0f, 0.0f, 0.0f};
-  const std::vector<defenses::ClientUpdate> updates{
+  const std::vector<Upload> updates{
       update(0, {1.0f, 2.0f, 3.0f}), update(1, {kInf, 0.0f, 0.0f})};
-  EXPECT_THROW((void)aggregator.aggregate(context(global), updates), util::CheckError);
+  EXPECT_THROW((void)aggregate(aggregator, context(global), updates), util::CheckError);
 }
 
 TEST_F(AssertsEnabledTest, KrumRejectsNanPsi) {
   defenses::KrumAggregator aggregator{0.25, 1};
   const std::vector<float> global{0.0f, 0.0f};
-  std::vector<defenses::ClientUpdate> updates;
+  std::vector<Upload> updates;
   for (int id = 0; id < 5; ++id) {
     updates.push_back(update(id, {static_cast<float>(id), 1.0f}));
   }
   updates[3].psi[1] = kNan;
-  EXPECT_THROW((void)aggregator.aggregate(context(global), updates), util::CheckError);
+  EXPECT_THROW((void)aggregate(aggregator, context(global), updates), util::CheckError);
 }
 
 TEST_F(AssertsEnabledTest, GeoMedRejectsNanPsi) {
   defenses::GeoMedAggregator aggregator;
   const std::vector<float> global{0.0f, 0.0f};
-  std::vector<defenses::ClientUpdate> updates;
+  std::vector<Upload> updates;
   for (int id = 0; id < 4; ++id) {
     updates.push_back(update(id, {1.0f, static_cast<float>(id)}));
   }
   updates[0].psi[0] = -kNan;
-  EXPECT_THROW((void)aggregator.aggregate(context(global), updates), util::CheckError);
+  EXPECT_THROW((void)aggregate(aggregator, context(global), updates), util::CheckError);
 }
 
 TEST_F(AssertsEnabledTest, KrumScoresRejectNonFinitePoints) {
@@ -153,13 +161,13 @@ TEST_F(FedGuardThetaTest, FedGuardRejectsNanTheta) {
   std::vector<float> theta(reference.parameter_count(), 0.01f);
   theta[theta.size() / 2] = kNan;
 
-  std::vector<defenses::ClientUpdate> updates{update(0, {1.0f, 2.0f}),
+  std::vector<Upload> updates{update(0, {1.0f, 2.0f}),
                                               update(1, {0.5f, 1.5f})};
   updates[0].theta.assign(reference.parameter_count(), 0.01f);
   updates[1].theta = theta;
 
   const std::vector<float> global{0.0f, 0.0f};
-  EXPECT_THROW((void)aggregator.aggregate(context(global), updates), util::CheckError);
+  EXPECT_THROW((void)aggregate(aggregator, context(global), updates), util::CheckError);
 }
 
 // ---- Tensor kernel shape checks --------------------------------------------

@@ -18,6 +18,7 @@
 #include "defenses/trimmed_mean.hpp"
 #include "scenario/matrix.hpp"
 #include "scenario/runner.hpp"
+#include "strategy_path.hpp"
 #include "tensor/kernels/kernel_arch.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -26,15 +27,18 @@
 namespace fedguard::defenses {
 namespace {
 
+using strategy_path::aggregate;
+using strategy_path::Upload;
+
 constexpr std::size_t kCohort = 20;
 constexpr std::size_t kDim = 16;
 constexpr float kOutlierValue = 50.0f;
 
 /// Cohort of kCohort updates: benign near 1.0 (small jitter), the first
 /// `malicious` replaced by colluding outliers at kOutlierValue.
-std::vector<ClientUpdate> make_cohort(std::size_t malicious, std::uint64_t seed) {
+std::vector<Upload> make_cohort(std::size_t malicious, std::uint64_t seed) {
   util::Rng rng{seed};
-  std::vector<ClientUpdate> updates(kCohort);
+  std::vector<Upload> updates(kCohort);
   for (std::size_t k = 0; k < kCohort; ++k) {
     updates[k].client_id = static_cast<int>(k);
     updates[k].num_samples = 100;
@@ -55,7 +59,7 @@ double aggregate_error(AggregationStrategy& strategy, std::size_t malicious,
   const std::vector<float> global(kDim, 0.0f);
   AggregationContext context;
   context.global_parameters = global;
-  const auto result = strategy.aggregate(context, updates);
+  const auto result = aggregate(strategy, context, updates);
   std::vector<float> benign(kDim, 1.0f);
   return util::l2_distance(result.parameters, benign) / std::sqrt(double(kDim));
 }
@@ -134,7 +138,7 @@ TEST(BreakdownEdge, FiftyPercentIsGeometricallyAmbiguous) {
   const std::vector<float> global(kDim, 0.0f);
   AggregationContext context;
   context.global_parameters = global;
-  const auto result = geomed.aggregate(context, updates);
+  const auto result = aggregate(geomed, context, updates);
   // The aggregate lands between the clusters — far from BOTH the benign
   // consensus and zero; the defense has no information to pick a side.
   const double to_benign =
@@ -152,9 +156,9 @@ TEST(BreakdownEdge, FiftyPercentIsGeometricallyAmbiguous) {
 /// Covert cohort (arXiv 2101.11799 geometry): benign delta_k ~ N(1, 0.3) per
 /// coordinate; each attacker submits the exact mirror −delta_k of its own
 /// honest delta, so per-update norms are indistinguishable from benign.
-std::vector<ClientUpdate> make_covert_cohort(std::size_t malicious, std::uint64_t seed) {
+std::vector<Upload> make_covert_cohort(std::size_t malicious, std::uint64_t seed) {
   util::Rng rng{seed};
-  std::vector<ClientUpdate> updates(kCohort);
+  std::vector<Upload> updates(kCohort);
   for (std::size_t k = 0; k < kCohort; ++k) {
     updates[k].client_id = static_cast<int>(k);
     updates[k].num_samples = 100;
@@ -176,7 +180,7 @@ TEST(CovertBreakdown, FedAvgDegradesLinearlyInAttackerFraction) {
     AggregationContext context;
     const std::vector<float> global(kDim, 0.0f);
     context.global_parameters = global;
-    const auto result = fedavg.aggregate(context, updates);
+    const auto result = aggregate(fedavg, context, updates);
     const double error = util::l2_distance(result.parameters,
                                            std::vector<float>(kDim, 1.0f)) /
                          std::sqrt(double(kDim));
@@ -200,7 +204,7 @@ TEST(CovertBreakdown, KrumAndFedCpaHoldBelowParity) {
     context.global_parameters = global;
     for (AggregationStrategy* strategy :
          std::initializer_list<AggregationStrategy*>{&krum, &fedcpa}) {
-      const auto result = strategy->aggregate(context, updates);
+      const auto result = aggregate(*strategy, context, updates);
       const double error = util::l2_distance(result.parameters,
                                              std::vector<float>(kDim, 1.0f)) /
                            std::sqrt(double(kDim));
@@ -216,21 +220,20 @@ TEST(CovertBreakdown, FedCpaEjectsTheMirroredClique) {
   AggregationContext context;
   const std::vector<float> global(kDim, 0.0f);
   context.global_parameters = global;
-  const auto result = fedcpa.aggregate(context, updates);
-  const auto stats = compute_detection_stats(updates, result);
+  ShardPartial partial;
+  (void)aggregate(fedcpa, context, updates, &partial);
   // keep_fraction 0.5 rejects 10 of 20: all 6 mirrored attackers must be in
   // the rejected half (their consensus-gated similarity clamps to zero).
-  EXPECT_EQ(stats.false_negatives, 0u);
-  EXPECT_EQ(stats.true_positives, 6u);
+  EXPECT_EQ(partial.malicious_count, 6u);
+  EXPECT_EQ(partial.rejected_malicious_count, 6u);
 }
 
 /// Krum-evading cohort: benign updates scatter widely around the consensus at
 /// 1.0; colluders place themselves in an ε-tight cluster just off the global
 /// model (0.0), closer to each other than any benign pair is.
-std::vector<ClientUpdate> make_krum_evade_cohort(std::size_t malicious,
-                                                 std::uint64_t seed) {
+std::vector<Upload> make_krum_evade_cohort(std::size_t malicious, std::uint64_t seed) {
   util::Rng rng{seed};
-  std::vector<ClientUpdate> updates(kCohort);
+  std::vector<Upload> updates(kCohort);
   for (std::size_t k = 0; k < kCohort; ++k) {
     updates[k].client_id = static_cast<int>(k);
     updates[k].num_samples = 100;
@@ -257,7 +260,7 @@ TEST(KrumEvadeBreakdown, TightColluderClusterDefeatsKrum) {
       AggregationContext context;
       const std::vector<float> global(kDim, 0.0f);
       context.global_parameters = global;
-      const auto result = krum.aggregate(context, updates);
+      const auto result = aggregate(krum, context, updates);
       return util::l2_distance(result.parameters, std::vector<float>(kDim, 1.0f)) /
              std::sqrt(double(kDim));
     }();
@@ -271,7 +274,7 @@ TEST(KrumEvadeBreakdown, CoordinateMedianHolds) {
   AggregationContext context;
   const std::vector<float> global(kDim, 0.0f);
   context.global_parameters = global;
-  const auto result = median.aggregate(context, updates);
+  const auto result = aggregate(median, context, updates);
   const double error = util::l2_distance(result.parameters,
                                          std::vector<float>(kDim, 1.0f)) /
                        std::sqrt(double(kDim));

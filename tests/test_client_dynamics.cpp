@@ -48,6 +48,16 @@ struct DynamicsFixture : ::testing::Test {
   std::vector<std::size_t> indices;
   std::unique_ptr<models::Classifier> reference;
   std::vector<float> global;
+
+  /// Runs one round of `client` and returns the decoder θ it uploaded.
+  std::vector<float> decoder_after_round(Client& client, std::size_t round) const {
+    std::vector<float> psi(global.size());
+    defenses::UpdateMeta meta;
+    client.run_round_into(global, round, defenses::UpdateRow{psi, {}, &meta});
+    const std::span<const float> theta = client.decoder_parameters();
+    EXPECT_EQ(meta.theta_count, theta.size());
+    return {theta.begin(), theta.end()};
+  }
 };
 
 TEST_F(DynamicsFixture, RefreshReplacesLocalData) {
@@ -89,24 +99,24 @@ TEST_F(DynamicsFixture, RefreshReappliesLabelFlip) {
 TEST_F(DynamicsFixture, TrainOnceKeepsDecoderAcrossRefresh) {
   Client client{0, first_wave, indices, fast_config(0), models::ClassifierArch::Mlp,
                 geometry, small_cvae(), 306};
-  const auto first = client.run_round(global, 0);
+  const auto first = decoder_after_round(client, 0);
   client.refresh_data(second_wave, indices);
-  const auto second = client.run_round(global, 1);
+  const auto second = decoder_after_round(client, 1);
   // interval 0 = paper default: decoder trained exactly once, even after a
   // data refresh.
-  EXPECT_EQ(first.theta, second.theta);
+  EXPECT_EQ(first, second);
 }
 
 TEST_F(DynamicsFixture, RetrainIntervalRefreshesDecoder) {
   Client client{0, first_wave, indices, fast_config(2), models::ClassifierArch::Mlp,
                 geometry, small_cvae(), 307};
-  const auto round0 = client.run_round(global, 0);
-  const auto round1 = client.run_round(global, 1);
-  EXPECT_EQ(round0.theta, round1.theta);  // not yet due (interval 2)
-  const auto round2 = client.run_round(global, 2);
-  EXPECT_NE(round0.theta, round2.theta);  // retrained after 2 participations
-  const auto round3 = client.run_round(global, 3);
-  EXPECT_EQ(round2.theta, round3.theta);  // cached again until next interval
+  const auto round0 = decoder_after_round(client, 0);
+  const auto round1 = decoder_after_round(client, 1);
+  EXPECT_EQ(round0, round1);  // not yet due (interval 2)
+  const auto round2 = decoder_after_round(client, 2);
+  EXPECT_NE(round0, round2);  // retrained after 2 participations
+  const auto round3 = decoder_after_round(client, 3);
+  EXPECT_EQ(round2, round3);  // cached again until next interval
 }
 
 TEST_F(DynamicsFixture, RetrainTracksRefreshedData) {
@@ -114,18 +124,18 @@ TEST_F(DynamicsFixture, RetrainTracksRefreshedData) {
                geometry, small_cvae(), 308};
   Client fresh{1, first_wave, indices, fast_config(1), models::ClassifierArch::Mlp,
                geometry, small_cvae(), 308};
-  (void)stale.run_round(global, 0);
-  (void)fresh.run_round(global, 0);
+  (void)decoder_after_round(stale, 0);
+  (void)decoder_after_round(fresh, 0);
   stale.refresh_data(second_wave, indices);
   fresh.refresh_data(second_wave, indices);
-  const auto stale_update = stale.run_round(global, 1);
-  const auto fresh_update = fresh.run_round(global, 1);
+  const auto stale_theta = decoder_after_round(stale, 1);
+  const auto fresh_theta = decoder_after_round(fresh, 1);
   // Only the retraining client's decoder changes after new data arrives.
   Client baseline{2, first_wave, indices, fast_config(0), models::ClassifierArch::Mlp,
                   geometry, small_cvae(), 308};
-  const auto baseline_update = baseline.run_round(global, 0);
-  EXPECT_EQ(stale_update.theta, baseline_update.theta);
-  EXPECT_NE(fresh_update.theta, baseline_update.theta);
+  const auto baseline_theta = decoder_after_round(baseline, 0);
+  EXPECT_EQ(stale_theta, baseline_theta);
+  EXPECT_NE(fresh_theta, baseline_theta);
 }
 
 }  // namespace

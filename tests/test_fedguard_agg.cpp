@@ -9,9 +9,13 @@
 #include <numeric>
 
 #include "data/synthetic_mnist.hpp"
+#include "strategy_path.hpp"
 
 namespace fedguard::defenses {
 namespace {
+
+using strategy_path::aggregate;
+using strategy_path::Upload;
 
 models::CvaeSpec small_cvae() {
   models::CvaeSpec spec;
@@ -53,8 +57,8 @@ class FedGuardAggTest : public ::testing::Test {
     global_.assign(good_psi_.size(), 0.0f);
   }
 
-  ClientUpdate update_with(int id, std::vector<float> psi, bool malicious) const {
-    ClientUpdate update;
+  Upload update_with(int id, std::vector<float> psi, bool malicious) const {
+    Upload update;
     update.client_id = id;
     update.psi = std::move(psi);
     update.theta = benign_theta_;
@@ -85,14 +89,14 @@ class FedGuardAggTest : public ::testing::Test {
 };
 
 TEST_F(FedGuardAggTest, RejectsSameValuePoisonedUpdates) {
-  std::vector<ClientUpdate> updates;
+  std::vector<Upload> updates;
   for (int k = 0; k < 3; ++k) updates.push_back(update_with(k, good_psi_, false));
   for (int k = 3; k < 6; ++k) {
     std::vector<float> poisoned(good_psi_.size(), 1.0f);
     updates.push_back(update_with(k, std::move(poisoned), true));
   }
   FedGuardAggregator aggregator = make_aggregator();
-  const auto result = aggregator.aggregate(context(), updates);
+  const auto result = aggregate(aggregator, context(), updates);
 
   for (int k = 3; k < 6; ++k) {
     EXPECT_TRUE(std::find(result.rejected_clients.begin(), result.rejected_clients.end(),
@@ -111,7 +115,7 @@ TEST_F(FedGuardAggTest, RejectsSameValuePoisonedUpdates) {
 }
 
 TEST_F(FedGuardAggTest, RejectsSignFlippedUpdates) {
-  std::vector<ClientUpdate> updates;
+  std::vector<Upload> updates;
   for (int k = 0; k < 2; ++k) updates.push_back(update_with(k, good_psi_, false));
   for (int k = 2; k < 4; ++k) {
     std::vector<float> flipped = good_psi_;
@@ -119,13 +123,13 @@ TEST_F(FedGuardAggTest, RejectsSignFlippedUpdates) {
     updates.push_back(update_with(k, std::move(flipped), true));
   }
   FedGuardAggregator aggregator = make_aggregator();
-  const auto result = aggregator.aggregate(context(), updates);
+  const auto result = aggregate(aggregator, context(), updates);
   EXPECT_EQ(result.rejected_clients.size(), 2u);
   for (const int id : result.rejected_clients) EXPECT_GE(id, 2);
 }
 
 TEST_F(FedGuardAggTest, ScoresExposeAccuracyGap) {
-  std::vector<ClientUpdate> updates;
+  std::vector<Upload> updates;
   updates.push_back(update_with(0, good_psi_, false));
   std::vector<float> noise_psi = good_psi_;
   util::Rng rng{75};
@@ -133,7 +137,7 @@ TEST_F(FedGuardAggTest, ScoresExposeAccuracyGap) {
   updates.push_back(update_with(1, std::move(noise_psi), true));
 
   FedGuardAggregator aggregator = make_aggregator();
-  (void)aggregator.aggregate(context(), updates);
+  (void)aggregate(aggregator, context(), updates);
   const auto& scores = aggregator.last_scores();
   ASSERT_EQ(scores.size(), 2u);
   EXPECT_GT(scores[0], scores[1] + 0.3)
@@ -142,10 +146,10 @@ TEST_F(FedGuardAggTest, ScoresExposeAccuracyGap) {
 }
 
 TEST_F(FedGuardAggTest, AllBenignAcceptsEveryoneAboveOrAtMean) {
-  std::vector<ClientUpdate> updates;
+  std::vector<Upload> updates;
   for (int k = 0; k < 4; ++k) updates.push_back(update_with(k, good_psi_, false));
   FedGuardAggregator aggregator = make_aggregator();
-  const auto result = aggregator.aggregate(context(), updates);
+  const auto result = aggregate(aggregator, context(), updates);
   // Identical scores -> everyone == mean -> all accepted.
   EXPECT_EQ(result.accepted_clients.size(), 4u);
   EXPECT_TRUE(result.rejected_clients.empty());
@@ -159,12 +163,12 @@ TEST_F(FedGuardAggTest, PerDecoderModeGeneratesLargerValidationSet) {
     config.sample_mode = mode;
     config.total_samples = 40;
     FedGuardAggregator aggregator = make_aggregator(config);
-    std::vector<ClientUpdate> updates;
+    std::vector<Upload> updates;
     updates.push_back(update_with(0, good_psi_, false));
     updates.push_back(update_with(1, good_psi_, false));
     std::vector<float> poisoned(good_psi_.size(), 1.0f);
     updates.push_back(update_with(2, std::move(poisoned), true));
-    const auto result = aggregator.aggregate(context(), updates);
+    const auto result = aggregate(aggregator, context(), updates);
     EXPECT_EQ(result.rejected_clients, (std::vector<int>{2}));
   }
 }
@@ -175,11 +179,11 @@ TEST_F(FedGuardAggTest, InternalOperatorsAllDefend) {
     FedGuardConfig config;
     config.internal_operator = op;
     FedGuardAggregator aggregator = make_aggregator(config);
-    std::vector<ClientUpdate> updates;
+    std::vector<Upload> updates;
     for (int k = 0; k < 3; ++k) updates.push_back(update_with(k, good_psi_, false));
     std::vector<float> poisoned(good_psi_.size(), 1.0f);
     updates.push_back(update_with(3, std::move(poisoned), true));
-    const auto result = aggregator.aggregate(context(), updates);
+    const auto result = aggregate(aggregator, context(), updates);
     EXPECT_EQ(result.rejected_clients, (std::vector<int>{3})) << to_string(op);
     for (std::size_t i = 0; i < 10; ++i) {
       EXPECT_NEAR(result.parameters[i], good_psi_[i], 1e-3f) << to_string(op);
@@ -189,11 +193,11 @@ TEST_F(FedGuardAggTest, InternalOperatorsAllDefend) {
 
 TEST_F(FedGuardAggTest, DecoderDimensionMismatchThrows) {
   FedGuardAggregator aggregator = make_aggregator();
-  std::vector<ClientUpdate> updates;
-  ClientUpdate bad = update_with(0, good_psi_, false);
+  std::vector<Upload> updates;
+  Upload bad = update_with(0, good_psi_, false);
   bad.theta.resize(bad.theta.size() - 1);
   updates.push_back(std::move(bad));
-  EXPECT_THROW((void)aggregator.aggregate(context(), updates), std::invalid_argument);
+  EXPECT_THROW((void)aggregate(aggregator, context(), updates), std::invalid_argument);
 }
 
 TEST(FedGuardConfigValidation, BadConfigsRejected) {

@@ -35,6 +35,20 @@ ClientConfig fast_client_config(bool train_cvae) {
   return config;
 }
 
+/// One round of `client` the way fl::Server runs it: into an arena row whose
+/// θ plane fits the CVAE decoder.
+defenses::UpdateMatrix client_round(Client& client, std::span<const float> global,
+                                    std::size_t round) {
+  defenses::UpdateMatrix arena;
+  arena.reset(1, global.size(), models::CvaeDecoder{small_cvae(), 0}.parameter_count());
+  client.run_round_into(global, round, arena.row(0));
+  return arena;
+}
+
+std::vector<float> to_vector(std::span<const float> values) {
+  return {values.begin(), values.end()};
+}
+
 struct FlFixture : ::testing::Test {
   void SetUp() override {
     geometry = models::ImageGeometry{1, 28, 28, 10};
@@ -54,15 +68,15 @@ TEST_F(FlFixture, ClientUpdateHasExpectedShape) {
   models::Classifier reference{models::ClassifierArch::Mlp, geometry, 83};
   const std::vector<float> global = reference.parameters_flat();
 
-  const defenses::ClientUpdate update = client.run_round(global, 0);
-  EXPECT_EQ(update.client_id, 0);
-  EXPECT_EQ(update.psi.size(), global.size());
-  EXPECT_EQ(update.num_samples, 60u);
-  EXPECT_FALSE(update.truly_malicious);
-  EXPECT_FALSE(update.theta.empty());
+  const defenses::UpdateMatrix update = client_round(client, global, 0);
+  EXPECT_EQ(update.meta(0).client_id, 0);
+  EXPECT_EQ(update.meta(0).num_samples, 60u);
+  EXPECT_FALSE(update.meta(0).truly_malicious);
+  EXPECT_EQ(update.meta(0).theta_count, update.theta_dim());
+  EXPECT_EQ(to_vector(update.theta(0)), to_vector(client.decoder_parameters()));
   EXPECT_TRUE(client.cvae_trained());
   // Local training must actually move the parameters.
-  EXPECT_NE(update.psi, global);
+  EXPECT_NE(to_vector(update.psi(0)), global);
 }
 
 TEST_F(FlFixture, CvaeTrainedOnlyOnce) {
@@ -70,18 +84,18 @@ TEST_F(FlFixture, CvaeTrainedOnlyOnce) {
                 models::ClassifierArch::Mlp, geometry, small_cvae(), 84};
   models::Classifier reference{models::ClassifierArch::Mlp, geometry, 85};
   const std::vector<float> global = reference.parameters_flat();
-  const auto first = client.run_round(global, 0);
-  const auto second = client.run_round(global, 1);
+  const defenses::UpdateMatrix first = client_round(client, global, 0);
+  const defenses::UpdateMatrix second = client_round(client, global, 1);
   // Static partition -> same decoder parameters both rounds (footnote 5).
-  EXPECT_EQ(first.theta, second.theta);
+  EXPECT_EQ(to_vector(first.theta(0)), to_vector(second.theta(0)));
 }
 
 TEST_F(FlFixture, CvaeSkippedWhenDisabled) {
   Client client{0, dataset, indices, fast_client_config(false),
                 models::ClassifierArch::Mlp, geometry, small_cvae(), 86};
   models::Classifier reference{models::ClassifierArch::Mlp, geometry, 87};
-  const auto update = client.run_round(reference.parameters_flat(), 0);
-  EXPECT_TRUE(update.theta.empty());
+  const defenses::UpdateMatrix update = client_round(client, reference.parameters_flat(), 0);
+  EXPECT_EQ(update.meta(0).theta_count, 0u);
   EXPECT_FALSE(client.cvae_trained());
 }
 
@@ -93,9 +107,9 @@ TEST_F(FlFixture, ModelAttackAppliedToUpload) {
   EXPECT_TRUE(client.malicious());
 
   models::Classifier reference{models::ClassifierArch::Mlp, geometry, 89};
-  const auto update = client.run_round(reference.parameters_flat(), 0);
-  EXPECT_TRUE(update.truly_malicious);
-  for (const float v : update.psi) EXPECT_FLOAT_EQ(v, 1.0f);
+  const defenses::UpdateMatrix update = client_round(client, reference.parameters_flat(), 0);
+  EXPECT_TRUE(update.meta(0).truly_malicious);
+  for (const float v : update.psi(0)) EXPECT_FLOAT_EQ(v, 1.0f);
 }
 
 TEST_F(FlFixture, LabelFlipCorruptsLocalData) {

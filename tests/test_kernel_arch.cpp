@@ -5,7 +5,8 @@
 // tier must agree with util::squared_distance bit-for-bit (it backs the
 // pinned goldens in test_update_pipeline). The register-tiled A * B^T kernel
 // must equal its own tier one element at a time bit for bit, the serial
-// A * B^T must equal its rounding spelled out in scalar code bit for bit, the
+// A * B and A * B^T must equal their rounding spelled out in scalar code bit
+// for bit, the
 // pairwise distance tiles must equal their tier's one-pair kernel bit for
 // bit, and the optimizer updates must equal the serial tier bit for bit.
 
@@ -244,7 +245,7 @@ TEST_F(KernelArchTest, SimdGemmMatchesSerialOnOddShapes) {
   }
 }
 
-/// The serial tier's A * B^T arithmetic spelled out (gemm_tb_serial.cpp):
+/// The serial tier's A * B^T arithmetic spelled out (gemm_serial.cpp):
 /// eight partial sums over whole eight-float steps, fused for a column in a
 /// four-column block and adding rounded products for the columns after the
 /// last block; then the depth remainder into lane 0, a four-wide step of
@@ -304,6 +305,59 @@ TEST_F(KernelArchTest, SerialTransBRoundsAsSpelledOut) {
         EXPECT_TRUE(bitwise_equal(c, expected))
             << "threads " << threads << " shape " << m << "x" << k << "x" << n;
       }
+    }
+  }
+}
+
+TEST_F(KernelArchTest, SerialGemmFusesEveryStepAsSpelledOut) {
+  // The serial A * B tile (matmul, matmul_trans_a, matmul_trans_a_accumulate)
+  // adds each output's depth products in ascending order, every step one
+  // fused multiply-add, whatever -march the library was built for (with or
+  // without FMA). Shapes cover full 4 x 16 tiles, edge tiles, row ranges past
+  // one 64-row block and depths past one 256-deep chunk.
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  const Shape shapes[] = {{1, 1, 1},     {3, 7, 5},     {4, 16, 16},  {5, 255, 17},
+                          {9, 256, 33},  {4, 257, 16},  {7, 600, 20}, {70, 300, 40}};
+  util::Rng rng{0xa1dull};
+  for (const std::size_t threads : {1u, 4u}) {
+    parallel::KernelConfig config;
+    config.threads = threads;
+    config.gemm_min_flops = 1;  // split even the smallest shapes
+    parallel::set_kernel_config(config);
+    kernels::set_kernel_arch(KernelArch::Serial);
+    for (const Shape& shape : shapes) {
+      const std::size_t m = shape.m, k = shape.k, n = shape.n;
+      const std::vector<float> a = wide_range_values(m * k, rng);  // [m, k], or [k, m]
+      const std::vector<float> b = wide_range_values(k * n, rng);  // [k, n]
+      const std::vector<float> c0 = wide_range_values(m * n, rng);
+      // Expected C from `start` with A element (i, p) at a[i * a_rs + p * a_cs].
+      const auto spelled_out = [&](std::size_t a_rs, std::size_t a_cs, bool accumulate) {
+        std::vector<float> c(m * n);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            float acc = accumulate ? c0[i * n + j] : 0.0f;
+            for (std::size_t p = 0; p < k; ++p) {
+              acc = std::fma(a[i * a_rs + p * a_cs], b[p * n + j], acc);
+            }
+            c[i * n + j] = acc;
+          }
+        }
+        return c;
+      };
+      const std::string where = "threads " + std::to_string(threads) + " shape " +
+                                std::to_string(m) + "x" + std::to_string(k) + "x" +
+                                std::to_string(n);
+      std::vector<float> c(m * n);
+      tensor::matmul(a.data(), b.data(), c.data(), m, k, n);
+      EXPECT_TRUE(bitwise_equal(c, spelled_out(k, 1, false))) << "matmul " << where;
+      tensor::matmul_trans_a(a.data(), b.data(), c.data(), m, k, n);
+      EXPECT_TRUE(bitwise_equal(c, spelled_out(1, m, false))) << "matmul_trans_a " << where;
+      c = c0;
+      tensor::matmul_trans_a_accumulate(a.data(), b.data(), c.data(), m, k, n);
+      EXPECT_TRUE(bitwise_equal(c, spelled_out(1, m, true)))
+          << "matmul_trans_a_accumulate " << where;
     }
   }
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
@@ -36,20 +38,45 @@ TEST(Messages, RoundRequestRoundTrip) {
 }
 
 TEST(Messages, RoundReplyRoundTrip) {
+  const std::vector<float> psi{0.5f, 1.5f};
+  const std::vector<float> theta{9.0f};
   RoundReply reply;
   reply.round = 11;
-  reply.update.client_id = 3;
-  reply.update.num_samples = 120;
-  reply.update.truly_malicious = true;
-  reply.update.psi = {0.5f, 1.5f};
-  reply.update.theta = {9.0f};
-  const RoundReply decoded = decode_round_reply(encode_round_reply(reply));
-  EXPECT_EQ(decoded.round, 11u);
-  EXPECT_EQ(decoded.update.client_id, 3);
-  EXPECT_EQ(decoded.update.num_samples, 120u);
-  EXPECT_TRUE(decoded.update.truly_malicious);
-  EXPECT_EQ(decoded.update.psi, reply.update.psi);
-  EXPECT_EQ(decoded.update.theta, reply.update.theta);
+  reply.meta.client_id = 3;
+  reply.meta.num_samples = 120;
+  reply.meta.truly_malicious = true;
+  reply.psi = psi;
+  reply.theta = theta;
+  defenses::UpdateMatrix arena;
+  arena.reset(1, psi.size(), 4);
+  EXPECT_EQ(decode_round_reply_into(encode_round_reply(reply), arena.row(0)), 11u);
+  const defenses::UpdateMeta& meta = arena.meta(0);
+  EXPECT_EQ(meta.client_id, 3);
+  EXPECT_EQ(meta.num_samples, 120u);
+  EXPECT_TRUE(meta.truly_malicious);
+  EXPECT_EQ(meta.theta_count, theta.size());
+  EXPECT_EQ(std::vector<float>(arena.psi(0).begin(), arena.psi(0).end()), psi);
+  EXPECT_EQ(std::vector<float>(arena.theta(0).begin(), arena.theta(0).end()), theta);
+}
+
+TEST(Messages, RoundReplyOfTheWrongShapeIsTyped) {
+  const std::vector<float> psi(3, 1.0f);
+  const std::vector<float> theta(5, 1.0f);
+  RoundReply reply;
+  reply.psi = psi;
+  reply.theta = theta;
+  const std::vector<std::byte> payload = encode_round_reply(reply);
+  for (const auto& [psi_dim, theta_dim] : {std::pair{std::size_t{4}, std::size_t{5}},
+                                           std::pair{std::size_t{3}, std::size_t{4}}}) {
+    defenses::UpdateMatrix arena;
+    arena.reset(1, psi_dim, theta_dim);
+    try {
+      (void)decode_round_reply_into(payload, arena.row(0));
+      ADD_FAILURE() << "decoded into a " << psi_dim << "/" << theta_dim << " row";
+    } catch (const DecodeError& e) {
+      EXPECT_EQ(e.code(), DecodeErrorCode::BadShape);
+    }
+  }
 }
 
 TEST(Messages, TruncatedPayloadThrows) {
@@ -64,9 +91,11 @@ TEST(Messages, TruncatedPayloadThrows) {
 }
 
 TEST(Messages, FrameBytesMatchEncoding) {
+  const std::vector<float> psi(100, 0.0f);
+  const std::vector<float> theta(40, 0.0f);
   RoundReply reply;
-  reply.update.psi.assign(100, 0.0f);
-  reply.update.theta.assign(40, 0.0f);
+  reply.psi = psi;
+  reply.theta = theta;
   const Message message{MessageType::RoundReply, encode_round_reply(reply)};
   EXPECT_EQ(encode_frame(message).size(), client_update_frame_bytes(100, 40));
 }
@@ -529,6 +558,101 @@ TEST_F(RemoteFixture, ShutdownClosesLinksThatNeverSaidHello) {
 
   silent.set_receive_timeout(std::chrono::milliseconds{2000});
   EXPECT_THROW((void)silent.receive_message(), ConnectionClosed);
+}
+
+// ---- A shard facing a hostile peer -----------------------------------------
+
+/// A TelemetryReport payload whose first span name declares a length that
+/// wraps `offset + length` past 2^64: without a wrap-proof bound the decoder
+/// would try to allocate ~2^64 bytes.
+std::vector<std::byte> wrapping_telemetry_payload() {
+  util::ByteWriter writer;
+  writer.write_u32(1);  // sender_pid
+  writer.write_u32(2);  // sender_id
+  writer.write_u64(0);  // round
+  writer.write_u64(0);  // trace_id
+  writer.write_u64(1);  // one span event
+  writer.write_u64(0);  // rel_ts_ns
+  writer.write_u64(0);  // trace_id
+  writer.write_u64(0);  // round
+  writer.write_u32(0);  // tid
+  writer.write_u32(static_cast<std::uint32_t>('B'));
+  const std::size_t offset = writer.size() + sizeof(std::uint64_t);  // after the length
+  writer.write_u64(0 - static_cast<std::uint64_t>(offset));           // name length
+  return writer.release();
+}
+
+TEST(Messages, TelemetryReportWithAWrappingLengthIsTruncated) {
+  try {
+    (void)decode_telemetry_report(wrapping_telemetry_payload());
+    FAIL() << "a wrapping span-name length decoded";
+  } catch (const DecodeError& e) {
+    EXPECT_EQ(e.code(), DecodeErrorCode::Truncated);
+  }
+}
+
+std::unique_ptr<ShardAggregator> fedavg_shard() {
+  ShardConfig config;
+  config.round_timeout = std::chrono::milliseconds{10000};
+  return std::make_unique<ShardAggregator>(config,
+                                           std::make_unique<defenses::FedAvgAggregator>());
+}
+
+TEST(ShardPeers, TelemetryWithAWrappingLengthIsACorruptFrame) {
+  // Any peer that can connect may send a TelemetryReport, Hello or not; a
+  // hostile one must cost a corrupt-frame count, never the shard process.
+  const std::unique_ptr<ShardAggregator> shard = fedavg_shard();
+  const obs::Counter corrupt =
+      obs::Registry::global().counter("net_shard_corrupt_frames_total{shard=\"0\"}");
+  const std::uint64_t before = corrupt.value();
+  TcpStream peer = TcpStream::connect("127.0.0.1", shard->port());
+  peer.send_message({MessageType::TelemetryReport, wrapping_telemetry_payload()});
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (corrupt.value() == before && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  EXPECT_EQ(corrupt.value(), before + 1);
+  EXPECT_TRUE(shard->alive());
+  shard->shutdown();
+}
+
+TEST(ShardPeers, ReplyIsFiledUnderTheHelloId) {
+  // A peer that said Hello as client 7 and names client 3 in its reply
+  // answers for 7: the id a payload carries is not trusted.
+  const std::unique_ptr<ShardAggregator> shard = fedavg_shard();
+  TcpStream peer = TcpStream::connect("127.0.0.1", shard->port());
+  peer.send_message({MessageType::Hello, encode_hello(7)});
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (!shard->registered(7) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  ASSERT_TRUE(shard->registered(7));
+
+  RoundRequest request;
+  request.global_parameters = {0.0f, 0.0f, 0.0f, 0.0f};
+  ShardAggregator::RoundCommand command;
+  command.cohort = {7};
+  command.request_frame =
+      std::make_shared<const std::vector<std::byte>>(encode_round_request_frame(request));
+  command.global_parameters =
+      std::make_shared<const std::vector<float>>(request.global_parameters);
+  shard->start_round(std::move(command));
+
+  peer.set_receive_timeout(std::chrono::milliseconds{10000});
+  ASSERT_EQ(peer.receive_message().type, MessageType::RoundRequest);
+  const std::vector<float> psi{1.0f, 2.0f, 3.0f, 4.0f};
+  RoundReply reply;
+  reply.meta.client_id = 3;
+  reply.meta.num_samples = 10;
+  reply.psi = psi;
+  peer.send_message({MessageType::RoundReply, encode_round_reply(reply)});
+
+  ShardAggregator::RoundResult result;
+  ASSERT_TRUE(shard->wait_result(std::chrono::steady_clock::now() + std::chrono::seconds{10},
+                                 0, result));
+  EXPECT_EQ(result.partial.accepted_clients, (std::vector<int>{7}));
+  EXPECT_TRUE(result.failures.empty());
+  shard->shutdown();
 }
 
 }  // namespace

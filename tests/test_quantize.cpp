@@ -19,6 +19,7 @@
 #include "defenses/fedavg.hpp"
 #include "defenses/krum.hpp"
 #include "net/message.hpp"
+#include "strategy_path.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -303,43 +304,42 @@ TEST(CodecNegotiation, RoundRequestCarriesTheOffer) {
   EXPECT_EQ(decoded.global_parameters, request.global_parameters);
 }
 
-net::RoundReply make_reply(WireCodec codec, std::size_t chunk, util::Rng& rng) {
+/// A reply plus the ψ and θ buffers its spans borrow.
+struct ReplyWithData {
+  std::vector<float> psi;
+  std::vector<float> theta;
   net::RoundReply reply;
-  reply.round = 3;
-  reply.psi_codec = codec;
-  reply.psi_chunk = chunk;
-  reply.update.client_id = 11;
-  reply.update.num_samples = 120;
-  reply.update.psi = random_values(1000, rng);
-  reply.update.theta = random_values(37, rng);
-  return reply;
-}
+};
 
-TEST(CodecNegotiation, QuantizedReplyDecodesToTheSimulatedRoundtrip) {
-  util::Rng rng{0x9b8ull};
-  const net::RoundReply reply = make_reply(WireCodec::Q8, 128, rng);
-  const net::RoundReply decoded = net::decode_round_reply(net::encode_round_reply(reply));
-  EXPECT_EQ(decoded.psi_codec, WireCodec::Q8);
-  EXPECT_EQ(decoded.update.client_id, 11);
-  std::vector<float> expected = reply.update.psi;
-  util::quantize_roundtrip_q8(expected, 128);
-  EXPECT_EQ(decoded.update.psi, expected);      // bit-for-bit
-  EXPECT_EQ(decoded.update.theta, reply.update.theta);  // θ stays fp32-exact
+void make_reply(WireCodec codec, std::size_t chunk, util::Rng& rng, ReplyWithData& out) {
+  out.psi = random_values(1000, rng);
+  out.theta = random_values(37, rng);
+  out.reply.round = 3;
+  out.reply.psi_codec = codec;
+  out.reply.psi_chunk = chunk;
+  out.reply.meta.client_id = 11;
+  out.reply.meta.num_samples = 120;
+  out.reply.psi = out.psi;
+  out.reply.theta = out.theta;
 }
 
 TEST(CodecNegotiation, QuantizedReplyFillsArenaRows) {
   util::Rng rng{0x9b9ull};
-  const net::RoundReply reply = make_reply(WireCodec::Q8, 256, rng);
+  ReplyWithData sent;
+  make_reply(WireCodec::Q8, 256, rng, sent);
   defenses::UpdateMatrix arena;
-  arena.reset(1, reply.update.psi.size(), reply.update.theta.size());
+  arena.reset(1, sent.psi.size(), sent.theta.size());
   const std::size_t round =
-      net::decode_round_reply_into(net::encode_round_reply(reply), arena.row(0));
+      net::decode_round_reply_into(net::encode_round_reply(sent.reply), arena.row(0));
   EXPECT_EQ(round, 3u);
-  std::vector<float> expected = reply.update.psi;
+  EXPECT_EQ(arena.meta(0).client_id, 11);
+  std::vector<float> expected = sent.psi;
   util::quantize_roundtrip_q8(expected, 256);
   const std::span<const float> row = arena.psi(0);
   ASSERT_EQ(row.size(), expected.size());
   EXPECT_EQ(std::memcmp(row.data(), expected.data(), expected.size() * sizeof(float)), 0);
+  const std::span<const float> theta = arena.theta(0);  // θ stays fp32-exact
+  EXPECT_EQ(std::vector<float>(theta.begin(), theta.end()), sent.theta);
 }
 
 TEST(CodecNegotiation, LegacyFp32ReplySatisfiesAQ8OfferExactly) {
@@ -347,22 +347,28 @@ TEST(CodecNegotiation, LegacyFp32ReplySatisfiesAQ8OfferExactly) {
   // follows the tag, so the federation interoperates and the upload stays
   // exact.
   util::Rng rng{0x9baull};
-  const net::RoundReply reply = make_reply(WireCodec::Fp32, 256, rng);
-  const net::RoundReply decoded = net::decode_round_reply(net::encode_round_reply(reply));
-  EXPECT_EQ(decoded.psi_codec, WireCodec::Fp32);
-  EXPECT_EQ(decoded.update.psi, reply.update.psi);
+  ReplyWithData sent;
+  make_reply(WireCodec::Fp32, 256, rng, sent);
+  defenses::UpdateMatrix arena;
+  arena.reset(1, sent.psi.size(), sent.theta.size());
+  (void)net::decode_round_reply_into(net::encode_round_reply(sent.reply), arena.row(0));
+  const std::span<const float> psi = arena.psi(0);
+  EXPECT_EQ(std::vector<float>(psi.begin(), psi.end()), sent.psi);
 }
 
 TEST(CodecNegotiation, UnknownCodecTagIsRejected) {
   util::Rng rng{0x9bbull};
-  std::vector<std::byte> payload =
-      net::encode_round_reply(make_reply(WireCodec::Fp32, 256, rng));
+  ReplyWithData sent;
+  make_reply(WireCodec::Fp32, 256, rng, sent);
+  std::vector<std::byte> payload = net::encode_round_reply(sent.reply);
   // Payload layout: u64 round | u64 trace_id | u32 client | u64 samples |
   // u32 malicious | u32 codec tag | ψ | θ — the tag starts at byte 32.
   const std::uint32_t bogus = 7;
   std::memcpy(payload.data() + 32, &bogus, sizeof bogus);
+  defenses::UpdateMatrix arena;
+  arena.reset(1, sent.psi.size(), sent.theta.size());
   try {
-    (void)net::decode_round_reply(payload);
+    (void)net::decode_round_reply_into(payload, arena.row(0));
     FAIL() << "bogus codec tag decoded";
   } catch (const net::DecodeError& error) {
     EXPECT_EQ(error.code(), net::DecodeErrorCode::BadCodec);
@@ -372,14 +378,14 @@ TEST(CodecNegotiation, UnknownCodecTagIsRejected) {
 TEST(CodecNegotiation, FrameBytesHelperMatchesEncodedFrames) {
   util::Rng rng{0x9bcull};
   for (const WireCodec codec : {WireCodec::Fp32, WireCodec::Q8, WireCodec::Fp16}) {
-    const net::RoundReply reply = make_reply(codec, 64, rng);
+    ReplyWithData sent;
+    make_reply(codec, 64, rng, sent);
     const std::vector<std::byte> frame = net::encode_frame(
-        {net::MessageType::RoundReply, net::encode_round_reply(reply)});
+        {net::MessageType::RoundReply, net::encode_round_reply(sent.reply)});
     // The client's one-buffer reply frame is byte-identical.
-    EXPECT_EQ(net::encode_round_reply_frame(reply), frame) << util::to_string(codec);
+    EXPECT_EQ(net::encode_round_reply_frame(sent.reply), frame) << util::to_string(codec);
     EXPECT_EQ(frame.size(),
-              net::client_update_frame_bytes(reply.update.psi.size(),
-                                             reply.update.theta.size(), codec, 64))
+              net::client_update_frame_bytes(sent.psi.size(), sent.theta.size(), codec, 64))
         << util::to_string(codec);
   }
 }
@@ -393,7 +399,7 @@ TEST(QuantizedAggregation, NanPoisonedUploadStillRejectedAfterQuantization) {
   // Quantization must not launder a NaN upload into finite garbage: the chunk
   // dequantizes to NaN and the validate_view choke point still fires.
   util::Rng rng{0x9bdull};
-  std::vector<defenses::ClientUpdate> updates(3);
+  std::vector<strategy_path::Upload> updates(3);
   for (std::size_t i = 0; i < updates.size(); ++i) {
     updates[i].client_id = static_cast<int>(i);
     updates[i].num_samples = 100;
@@ -408,8 +414,7 @@ TEST(QuantizedAggregation, NanPoisonedUploadStillRejectedAfterQuantization) {
   const std::vector<float> global(512, 0.0f);
   defenses::AggregationContext context;
   context.global_parameters = global;
-  EXPECT_THROW((void)fedavg.aggregate(context, std::span<const defenses::ClientUpdate>{updates}),
-               util::CheckError);
+  EXPECT_THROW((void)strategy_path::aggregate(fedavg, context, updates), util::CheckError);
 }
 
 TEST(QuantizedAggregation, KrumStillEjectsAttackersUnderQ8HonestUploads) {
@@ -418,7 +423,7 @@ TEST(QuantizedAggregation, KrumStillEjectsAttackersUnderQ8HonestUploads) {
   util::Rng rng{0x9beull};
   const std::size_t dim = 256;
   const std::vector<float> base = random_values(dim, rng, -0.5f, 0.5f);
-  std::vector<defenses::ClientUpdate> updates(8);
+  std::vector<strategy_path::Upload> updates(8);
   for (std::size_t i = 0; i < updates.size(); ++i) {
     updates[i].client_id = static_cast<int>(i);
     updates[i].num_samples = 100;
@@ -438,8 +443,7 @@ TEST(QuantizedAggregation, KrumStillEjectsAttackersUnderQ8HonestUploads) {
   const std::vector<float> global(dim, 0.0f);
   defenses::AggregationContext context;
   context.global_parameters = global;
-  const defenses::AggregationResult result =
-      krum.aggregate(context, std::span<const defenses::ClientUpdate>{updates});
+  const defenses::AggregationResult result = strategy_path::aggregate(krum, context, updates);
   for (const int attacker : {6, 7}) {
     EXPECT_NE(std::find(result.rejected_clients.begin(), result.rejected_clients.end(),
                         attacker),

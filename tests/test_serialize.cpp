@@ -34,7 +34,10 @@ TEST(Serialize, RoundTripFloatSpan) {
   ByteReader reader{writer.bytes()};
   const auto count = reader.read_u64();
   EXPECT_EQ(count, values.size());
-  EXPECT_EQ(reader.read_f32_vector(count), values);
+  std::vector<float> decoded(count);
+  reader.read_f32_into(decoded);
+  EXPECT_EQ(decoded, values);
+  EXPECT_TRUE(reader.exhausted());
 }
 
 TEST(Serialize, ReaderUnderrunThrows) {
@@ -43,6 +46,18 @@ TEST(Serialize, ReaderUnderrunThrows) {
   ByteReader reader{writer.bytes()};
   (void)reader.read_u32();
   EXPECT_THROW((void)reader.read_u64(), std::out_of_range);
+}
+
+TEST(Serialize, LengthThatWrapsTheOffsetIsAnUnderrun) {
+  // A string length near 2^64 would wrap `offset + length` back into the
+  // buffer; the bound must still see that the bytes are not there.
+  ByteWriter writer;
+  writer.write_u32(7);
+  writer.write_u64(0 - static_cast<std::uint64_t>(sizeof(std::uint32_t) + sizeof(std::uint64_t)));
+  writer.write_u32(9);
+  ByteReader reader{writer.bytes()};
+  (void)reader.read_u32();
+  EXPECT_THROW((void)reader.read_string(), std::out_of_range);
 }
 
 TEST(Serialize, FileRoundTrip) {

@@ -28,6 +28,7 @@
 #include "fl/server.hpp"
 #include "net/remote.hpp"
 #include "net/shard.hpp"
+#include "strategy_path.hpp"
 #include "util/logging.hpp"
 
 namespace fedguard {
@@ -48,31 +49,14 @@ void fill_row(std::span<float> psi, std::size_t row) {
   }
 }
 
-/// The contiguous owner partition used by both tiers: slot -> floor(slot*S/n).
-std::vector<std::vector<std::size_t>> partition_slots(std::size_t count,
-                                                      std::size_t shards) {
-  std::vector<std::vector<std::size_t>> cohorts(shards);
-  for (std::size_t slot = 0; slot < count; ++slot) {
-    cohorts[slot * shards / count].push_back(slot);
-  }
-  return cohorts;
-}
+using strategy_path::two_tier_aggregate;
 
-/// Run the two-tier path: one partial per cohort, then the root merge.
-void two_tier_aggregate(defenses::AggregationStrategy& strategy,
-                        const AggregationContext& context, const UpdateMatrix& matrix,
-                        std::size_t shards, AggregationResult& out) {
-  const auto cohorts = partition_slots(matrix.count(), shards);
-  std::vector<ShardPartial> partials(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (cohorts[s].empty()) {
-      partials[s].clear();
-      continue;
-    }
-    const UpdateView view{matrix, cohorts[s]};
-    strategy.partial_aggregate_into(context, view, s, partials[s]);
-  }
-  strategy.merge_partials_into(context, partials, out);
+/// The single-tier weighted mean over every row: the FedAvg reference.
+std::vector<float> weighted_mean(const UpdateMatrix& matrix) {
+  std::vector<double> accumulator;
+  std::vector<float> out;
+  defenses::weighted_mean_into(UpdateView{matrix}, accumulator, out);
+  return out;
 }
 
 TEST(ShardedFedAvg, PartialMergeBitIdenticalAcrossShardCounts) {
@@ -89,19 +73,16 @@ TEST(ShardedFedAvg, PartialMergeBitIdenticalAcrossShardCounts) {
   AggregationContext context;
   context.global_parameters = global;
 
-  defenses::FedAvgAggregator reference;
-  ASSERT_TRUE(reference.supports_exact_merge());
-  AggregationResult single;
-  reference.aggregate_into(context, UpdateView{matrix}, single);
+  const std::vector<float> single = weighted_mean(matrix);
 
   for (const std::size_t shards : {1u, 2u, 3u, 5u}) {
     defenses::FedAvgAggregator sharded;
+    ASSERT_TRUE(sharded.supports_exact_merge());
     AggregationResult merged;
     two_tier_aggregate(sharded, context, matrix, shards, merged);
-    ASSERT_EQ(merged.parameters.size(), single.parameters.size()) << "shards=" << shards;
-    for (std::size_t i = 0; i < single.parameters.size(); ++i) {
-      ASSERT_EQ(merged.parameters[i], single.parameters[i])
-          << "shards=" << shards << " parameter " << i;
+    ASSERT_EQ(merged.parameters.size(), single.size()) << "shards=" << shards;
+    for (std::size_t i = 0; i < single.size(); ++i) {
+      ASSERT_EQ(merged.parameters[i], single[i]) << "shards=" << shards << " parameter " << i;
     }
     EXPECT_EQ(merged.accepted_clients.size(), kClients) << "shards=" << shards;
     EXPECT_TRUE(merged.rejected_clients.empty()) << "shards=" << shards;
@@ -124,16 +105,14 @@ TEST(ShardedFedAvg, ZeroWeightFallbackMergesGlobally) {
   AggregationContext context;
   context.global_parameters = global;
 
-  defenses::FedAvgAggregator reference;
-  AggregationResult single;
-  reference.aggregate_into(context, UpdateView{matrix}, single);
+  const std::vector<float> single = weighted_mean(matrix);
 
   defenses::FedAvgAggregator sharded;
   AggregationResult merged;
   two_tier_aggregate(sharded, context, matrix, 3, merged);
-  ASSERT_EQ(merged.parameters.size(), single.parameters.size());
-  for (std::size_t i = 0; i < single.parameters.size(); ++i) {
-    ASSERT_EQ(merged.parameters[i], single.parameters[i]) << "parameter " << i;
+  ASSERT_EQ(merged.parameters.size(), single.size());
+  for (std::size_t i = 0; i < single.size(); ++i) {
+    ASSERT_EQ(merged.parameters[i], single[i]) << "parameter " << i;
   }
 }
 
@@ -158,13 +137,12 @@ TEST(ShardedFedAvg, DeadShardsAreSkippedInMerge) {
   AggregationResult merged;
   strategy.merge_partials_into(context, partials, merged);
 
-  AggregationResult single;
-  strategy.aggregate_into(context, UpdateView{matrix}, single);
-  ASSERT_EQ(merged.parameters.size(), single.parameters.size());
+  const std::vector<float> single = weighted_mean(matrix);
+  ASSERT_EQ(merged.parameters.size(), single.size());
   for (std::size_t i = 0; i < kDim; ++i) {
     // One live shard: adding its sum to a zero accumulator reproduces the
     // single-tier fold exactly.
-    ASSERT_EQ(merged.parameters[i], single.parameters[i]) << "parameter " << i;
+    ASSERT_EQ(merged.parameters[i], single[i]) << "parameter " << i;
   }
 
   // All shards dead -> nothing mergeable -> typed failure, not a zero model.
@@ -202,7 +180,7 @@ TEST(ShardedKrum, AcceptSetDivergesFromUnsharded) {
   defenses::KrumAggregator unsharded{0.25, 1};
   ASSERT_FALSE(unsharded.supports_exact_merge());
   AggregationResult single;
-  unsharded.aggregate_into(context, UpdateView{matrix}, single);
+  two_tier_aggregate(unsharded, context, matrix, 1, single);
   ASSERT_EQ(single.accepted_clients.size(), 1u);
 
   defenses::KrumAggregator sharded{0.25, 1};
@@ -297,7 +275,7 @@ TEST(ShardedFedGuard, AcceptSetDivergesFromUnsharded) {
   fg.total_samples = 80;
   defenses::FedGuardAggregator unsharded{fg, models::ClassifierArch::Mlp, geometry, 905};
   AggregationResult single;
-  unsharded.aggregate_into(context, UpdateView{matrix}, single);
+  two_tier_aggregate(unsharded, context, matrix, 1, single);
 
   defenses::FedGuardAggregator sharded{fg, models::ClassifierArch::Mlp, geometry, 905};
   AggregationResult merged;
@@ -339,8 +317,8 @@ class RejectFarthest final : public defenses::AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "reject_farthest"; }
 
  private:
-  void do_aggregate(const AggregationContext& context, const UpdateView& updates,
-                    AggregationResult& out) override {
+  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                            ShardPartial& out) override {
     std::size_t farthest = 0;
     double farthest_distance = -1.0;
     for (std::size_t k = 0; k < updates.count(); ++k) {

@@ -5,10 +5,14 @@
 #include <algorithm>
 
 #include "data/synthetic_mnist.hpp"
+#include "strategy_path.hpp"
 #include "util/stats.hpp"
 
 namespace fedguard::defenses {
 namespace {
+
+using strategy_path::aggregate;
+using strategy_path::Upload;
 
 // Shared slow setup: a pre-trained Spectral aggregator plus a benign cohort.
 class SpectralTest : public ::testing::Test {
@@ -40,7 +44,7 @@ class SpectralTest : public ::testing::Test {
         const auto batch = train.gather(idx);
         classifier.train_batch(batch.images, batch.labels, 0.1f, 0.9f);
       }
-      ClientUpdate update;
+      Upload update;
       update.client_id = k;
       update.psi = classifier.parameters_flat();
       update.num_samples = train.size();
@@ -58,25 +62,25 @@ class SpectralTest : public ::testing::Test {
   data::Dataset auxiliary_;
   std::unique_ptr<SpectralAggregator> aggregator_;
   std::vector<float> global_;
-  std::vector<ClientUpdate> benign_;
+  std::vector<Upload> benign_;
 };
 
 TEST_F(SpectralTest, PretrainsLazilyOnFirstRound) {
   EXPECT_FALSE(aggregator_->pretrained());
-  (void)aggregator_->aggregate(context(), benign_);
+  (void)aggregate(*aggregator_, context(), benign_);
   EXPECT_TRUE(aggregator_->pretrained());
   EXPECT_EQ(aggregator_->last_errors().size(), benign_.size());
 }
 
 TEST_F(SpectralTest, GrossOutlierGetsHighestErrorAndIsRejected) {
-  std::vector<ClientUpdate> updates = benign_;
-  ClientUpdate poisoned = benign_.front();
+  std::vector<Upload> updates = benign_;
+  Upload poisoned = benign_.front();
   poisoned.client_id = 99;
   poisoned.truly_malicious = true;
   std::fill(poisoned.psi.begin(), poisoned.psi.end(), 1.0f);  // same-value attack
   updates.push_back(poisoned);
 
-  const auto result = aggregator_->aggregate(context(), updates);
+  const auto result = aggregate(*aggregator_, context(), updates);
   const auto& errors = aggregator_->last_errors();
   const std::size_t worst = static_cast<std::size_t>(
       std::max_element(errors.begin(), errors.end()) - errors.begin());
@@ -86,14 +90,14 @@ TEST_F(SpectralTest, GrossOutlierGetsHighestErrorAndIsRejected) {
 }
 
 TEST_F(SpectralTest, AggregateReturnsCorrectDimension) {
-  const auto result = aggregator_->aggregate(context(), benign_);
+  const auto result = aggregate(*aggregator_, context(), benign_);
   EXPECT_EQ(result.parameters.size(), global_.size());
   EXPECT_EQ(result.accepted_clients.size() + result.rejected_clients.size(),
             benign_.size());
 }
 
 TEST_F(SpectralTest, MeanThresholdNeverRejectsEverything) {
-  const auto result = aggregator_->aggregate(context(), benign_);
+  const auto result = aggregate(*aggregator_, context(), benign_);
   EXPECT_FALSE(result.accepted_clients.empty());
 }
 

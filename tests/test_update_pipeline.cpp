@@ -3,15 +3,16 @@
 // faults disabled) must
 // reproduce these run histories bit-for-bit — accuracies (exact double bits),
 // sampling/rejection counts, traffic bytes, and a hash of the final global
-// parameter vector. The goldens were captured from the pre-arena pipeline
-// (per-update ClientUpdate vectors, per-strategy re-concatenation), so any
-// refactor of the update path that changes a single RNG draw or float
-// summation order fails here.
+// parameter vector. The goldens were captured from the pipeline before the
+// update arena (owned per-client update vectors, per-strategy
+// re-concatenation) and still hold now that arena rows are the only form an
+// upload takes, so any refactor of the update path that changes a single RNG
+// draw or float summation order fails here.
 //
 // The pinned digests are exact only for the canonical build (Release, no
-// sanitizers): sanitizer instrumentation and -O0 change float codegen
-// (contraction, vectorization), which shifts low mantissa bits during
-// training. Non-canonical builds skip the pins but still enforce the
+// sanitizers), for any FEDGUARD_MARCH: sanitizer instrumentation and -O0
+// change float codegen (contraction, vectorization), which shifts low
+// mantissa bits during training. Non-canonical builds skip the pins but still enforce the
 // build-independent invariant — the in-process and remote pipelines agree
 // bit-for-bit with each other (everything except the traffic columns, which
 // legitimately differ by frame headers).
