@@ -100,7 +100,7 @@ void BM_KrumPairwise(benchmark::State& state) {
   for (auto& v : points) v = rng.uniform_float(-1.0f, 1.0f);
   const std::size_t f = count / 4;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(defenses::krum_scores(points, count, dim, f));
+    benchmark::DoNotOptimize(defenses::krum_scores(defenses::PointsView{points, count, dim}, f));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(count * count * dim / 2));

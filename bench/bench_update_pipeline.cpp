@@ -197,7 +197,7 @@ void BM_BulyanEliminationLegacy(benchmark::State& state) {
         points.insert(points.end(), sources[idx].begin(), sources[idx].end());
       }
       const std::vector<double> scores =
-          defenses::krum_scores(points, remaining.size(), dim, f);
+          defenses::krum_scores(defenses::PointsView{points, remaining.size(), dim}, f);
       const std::size_t best = static_cast<std::size_t>(
           std::min_element(scores.begin(), scores.end()) - scores.begin());
       selected.push_back(remaining[best]);

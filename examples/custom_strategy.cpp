@@ -7,7 +7,6 @@
 // from the paper's related-work taxonomy (§II).
 
 #include <cstdio>
-#include <numeric>
 
 #include "core/cli.hpp"
 #include "core/runner.hpp"
@@ -24,8 +23,9 @@ using namespace fedguard;
 /// threshold). Custom strategies override the private do_partial_aggregate
 /// hook and read the round's uploads through the zero-copy UpdateView;
 /// selections are index sub-views over the arena, never data copies. A
-/// selector writes its cohort's aggregate and accept/reject split into the
-/// shard partial, which the round merges.
+/// selector writes its cohort's aggregate into the shard partial and returns
+/// the slots it kept, with its per-slot scores and cut; the round splits the
+/// cohort, tallies the detections and merges the partials.
 class CosineFilterAggregator final : public defenses::AggregationStrategy {
  public:
   explicit CosineFilterAggregator(double threshold) : threshold_{threshold} {}
@@ -33,9 +33,9 @@ class CosineFilterAggregator final : public defenses::AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "cosine_filter"; }
 
  private:
-  void do_partial_aggregate(const defenses::AggregationContext& context,
-                            const defenses::UpdateView& updates,
-                            defenses::ShardPartial& out) override {
+  defenses::Selection do_partial_aggregate(const defenses::AggregationContext& context,
+                                           const defenses::UpdateView& updates,
+                                           defenses::ShardPartial& out) override {
     const std::size_t dim = updates.psi_dim();
     const auto global = context.global_parameters;
 
@@ -51,28 +51,29 @@ class CosineFilterAggregator final : public defenses::AggregationStrategy {
       }
     }
 
-    std::vector<std::size_t> kept_slots;
+    scores_.resize(updates.count());
+    kept_slots_.clear();
     for (std::size_t k = 0; k < updates.count(); ++k) {
-      if (util::cosine_similarity(deltas[k], mean_delta) >= threshold_) {
-        kept_slots.push_back(k);
-        out.accepted_clients.push_back(updates.meta(k).client_id);
-      } else {
-        out.rejected_clients.push_back(updates.meta(k).client_id);
-      }
+      scores_[k] = util::cosine_similarity(deltas[k], mean_delta);
+      if (scores_[k] >= threshold_) kept_slots_.push_back(k);
     }
-    if (kept_slots.empty()) {
-      kept_slots.resize(updates.count());
-      std::iota(kept_slots.begin(), kept_slots.end(), std::size_t{0});
-      out.accepted_clients.swap(out.rejected_clients);
-      out.rejected_clients.clear();
+    if (kept_slots_.empty()) {
+      // Nobody passes: aggregate the whole cohort. An empty kept list keeps
+      // every slot.
+      defenses::weighted_mean_into(updates, accumulator_, out.parameters);
+    } else {
+      const defenses::UpdateView kept = updates.select(kept_slots_, select_scratch_);
+      defenses::weighted_mean_into(kept, accumulator_, out.parameters);
     }
-    std::vector<std::size_t> select_scratch;
-    const defenses::UpdateView kept = updates.select(kept_slots, select_scratch);
-    defenses::weighted_mean_into(kept, accumulator_, out.parameters);
+    return defenses::Selection{.kept = kept_slots_, .scores = scores_, .threshold = threshold_};
   }
 
   double threshold_;
-  std::vector<double> accumulator_;  // round-persistent scratch
+  // Round-persistent scratch; the returned Selection points into it.
+  std::vector<double> scores_;
+  std::vector<std::size_t> kept_slots_;
+  std::vector<std::size_t> select_scratch_;
+  std::vector<double> accumulator_;
 };
 
 }  // namespace

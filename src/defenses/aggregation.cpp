@@ -1,21 +1,14 @@
 #include "defenses/aggregation.hpp"
 
-#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "obs/trace.hpp"
 #include "util/check.hpp"
+#include "util/stats.hpp"
 
 namespace fedguard::defenses {
-
-namespace {
-
-bool contains_id(const std::vector<int>& ids, int id) {
-  return std::find(ids.begin(), ids.end(), id) != ids.end();
-}
-
-}  // namespace
 
 std::size_t validate_view(const UpdateView& updates) {
   if (updates.count() == 0) {
@@ -41,15 +34,17 @@ void fold_exact_update(ShardPartial& partial, std::span<const float> psi,
     partial.psi_plain_sum.assign(dim, 0.0);
   }
   // Exactly weighted_mean_into's two accumulation branches, applied to one
-  // row: w·ψ products are exact in double (24-bit float significand times an
-  // integer weight), so the only inexactness anywhere is the running
-  // addition — which happens in the same slot order as the single-tier loop.
+  // row in one pass: w·ψ products are exact in double (24-bit float
+  // significand times an integer weight), so the only inexactness anywhere
+  // is the running addition — which each accumulator does in the same slot
+  // order as the single-tier loop.
   const double w = static_cast<double>(meta.num_samples);
+  double* weighted = partial.psi_weighted_sum.data();
+  double* plain = partial.psi_plain_sum.data();
   for (std::size_t i = 0; i < dim; ++i) {
-    partial.psi_weighted_sum[i] += w * static_cast<double>(psi[i]);
-  }
-  for (std::size_t i = 0; i < dim; ++i) {
-    partial.psi_plain_sum[i] += static_cast<double>(psi[i]);
+    const auto value = static_cast<double>(psi[i]);
+    weighted[i] += w * value;
+    plain[i] += value;
   }
   partial.weight_sum += w;
   partial.client_count += 1;
@@ -68,21 +63,50 @@ void AggregationStrategy::partial_aggregate_into(const AggregationContext& conte
   (void)validate_view(updates);
   out.clear();
   out.shard_id = shard_id;
-  do_partial_aggregate(context, updates, out);
-  if (!out.exact) {
-    // A selector's cohort bookkeeping (a fold keeps its own, row by row).
-    out.client_count = updates.count();
-    for (std::size_t k = 0; k < updates.count(); ++k) {
-      out.weight_sum += static_cast<double>(updates.meta(k).num_samples);
-      if (updates.meta(k).truly_malicious) out.malicious_count += 1;
-    }
+  const Selection selection = do_partial_aggregate(context, updates, out);
+  if (out.exact) return;  // a fold keeps its own bookkeeping, row by row
+
+  // A selector's split, ground-truth tallies and decision record, by slot.
+  const std::size_t count = updates.count();
+  kept_mask_.assign(count, selection.kept.empty() ? 1 : 0);
+  for (const std::size_t slot : selection.kept) {
+    if (slot >= count) throw std::logic_error{name() + ": kept slot out of range"};
+    kept_mask_[slot] = 1;
   }
-  for (std::size_t k = 0; k < updates.count(); ++k) {
+  out.client_count = count;
+  for (std::size_t k = 0; k < count; ++k) {
     const UpdateMeta& meta = updates.meta(k);
-    if (meta.truly_malicious && contains_id(out.rejected_clients, meta.client_id)) {
-      out.rejected_malicious_count += 1;
+    out.weight_sum += static_cast<double>(meta.num_samples);
+    if (meta.truly_malicious) out.malicious_count += 1;
+    if (kept_mask_[k] != 0) {
+      out.accepted_clients.push_back(meta.client_id);
+    } else {
+      out.rejected_clients.push_back(meta.client_id);
+      if (meta.truly_malicious) out.rejected_malicious_count += 1;
     }
   }
+  FEDGUARD_CHECK(selection.scores.empty() || selection.scores.size() == count,
+                 name() + ": selection scores are not one per slot");
+  out.selection_scores.assign(selection.scores.begin(), selection.scores.end());
+  out.selection_threshold = selection.threshold;
+}
+
+Selection select_by_mean(std::span<const double> scores, KeepSide side,
+                         std::vector<std::size_t>& kept) {
+  const double threshold = util::mean(scores);
+  kept.clear();
+  for (std::size_t k = 0; k < scores.size(); ++k) {
+    if (side == KeepSide::AtOrAbove ? scores[k] >= threshold : scores[k] <= threshold) {
+      kept.push_back(k);
+    }
+  }
+  if (kept.empty()) {
+    // Equal scores can round their mean past every one of them, and a NaN
+    // compares false: keep the whole cohort rather than aggregate nothing.
+    kept.resize(scores.size());
+    std::iota(kept.begin(), kept.end(), std::size_t{0});
+  }
+  return Selection{.kept = kept, .scores = scores, .threshold = threshold};
 }
 
 void AggregationStrategy::merge_partials_into(const AggregationContext& /*context*/,

@@ -8,9 +8,11 @@
 // (merge_partials_into); fl::RoundEngine makes exactly these two calls, with
 // one shard (S = 1) for a single-tier round.
 //
-// Strategies implement the private do_partial_aggregate() hook; the public
+// Strategies implement the private do_partial_aggregate() hook, which
+// computes the cohort's aggregate and names the slots it kept; the public
 // entry point validates the view (dimension + NaN/Inf choke point) exactly
-// once before dispatching.
+// once before dispatching, then writes the accept/reject split, the
+// ground-truth tallies and the decision record itself.
 
 #include <cstdint>
 #include <memory>
@@ -44,10 +46,9 @@ struct AggregationResult {
 /// One shard's contribution to a two-tier round: either an exact mergeable
 /// accumulator (FedAvg — running weighted/plain ψ sums in double, fold order
 /// = arena slot order) or routed selection metadata (every selector — the
-/// shard-local aggregate plus its accept/reject split and strategy-specific
-/// scores). The root merges partials with AggregationStrategy::
-/// merge_partials_into; docs/SHARDING.md states the exact-merge vs
-/// metadata-routing contract.
+/// shard-local aggregate plus its accept/reject split and decision record).
+/// The root merges partials with AggregationStrategy::merge_partials_into;
+/// docs/SHARDING.md states the exact-merge vs metadata-routing contract.
 struct ShardPartial {
   std::size_t shard_id = 0;
   /// Rows folded into this partial (0 = the shard collected nothing and the
@@ -70,12 +71,17 @@ struct ShardPartial {
 
   // ---- Metadata-routing path (everything else) ------------------------------
   std::vector<float> parameters;  // shard-local aggregate
-  /// Strategy-specific selection scores in cohort slot order (Krum distances
-  /// sums, FedGuard synthetic-set accuracies); diagnostics for the root.
+  /// The decision record: one selection score per cohort slot, in slot order
+  /// (FedGuard and AuxAudit accuracies, Spectral reconstruction errors, Krum
+  /// neighbour-distance sums, FedCPA similarities); empty for strategies that
+  /// score nothing.
   std::vector<double> selection_scores;
+  /// The mean the mean-threshold selectors cut their scores at; 0 otherwise.
   double selection_threshold = 0.0;
 
   // ---- Both paths -----------------------------------------------------------
+  /// The cohort's client ids split by the strategy's decision, each list in
+  /// ascending slot order.
   std::vector<int> accepted_clients;
   std::vector<int> rejected_clients;
 
@@ -107,6 +113,29 @@ struct ShardPartial {
 void fold_exact_update(ShardPartial& partial, std::span<const float> psi,
                        const UpdateMeta& meta);
 
+/// What a strategy's hook decided about its cohort. The spans point into
+/// strategy-owned scratch that stays valid until the strategy's next call;
+/// partial_aggregate_into copies them into the ShardPartial.
+struct Selection {
+  /// Cohort slots the aggregate was built from, in any order; empty keeps
+  /// every slot.
+  std::span<const std::size_t> kept{};
+  /// One selection score per cohort slot; empty when the strategy scores none.
+  std::span<const double> scores{};
+  /// The cut the scores were held against (the mean rule); 0 otherwise.
+  double threshold = 0.0;
+};
+
+/// Which side of the mean a mean-threshold selector keeps.
+enum class KeepSide { AtOrAbove, AtOrBelow };
+
+/// The mean-threshold rule FedGuard (Alg. 1 lines 6-7), AuxAudit and Spectral
+/// share: keeps, in slot order, the slots whose score lies at or above (at or
+/// below) the mean of `scores`, or every slot when none does. `kept` is the
+/// caller's scratch; the Selection records the scores and their mean.
+[[nodiscard]] Selection select_by_mean(std::span<const double> scores, KeepSide side,
+                                       std::vector<std::size_t>& kept);
+
 class AggregationStrategy {
  public:
   virtual ~AggregationStrategy() = default;
@@ -129,8 +158,9 @@ class AggregationStrategy {
 
   /// Shard-tier entry point: aggregate one cohort's view into a ShardPartial
   /// (cleared first). Validates the view — uniform non-zero dimension, finite
-  /// rows — before dispatching to the strategy body, then tallies the
-  /// cohort's ground-truth bookkeeping.
+  /// rows — before dispatching to the strategy body; for a selector it then
+  /// splits the cohort by the kept slots, tallies the ground truth by slot
+  /// and copies the decision record.
   void partial_aggregate_into(const AggregationContext& context, const UpdateView& updates,
                               std::size_t shard_id, ShardPartial& out);
 
@@ -147,13 +177,15 @@ class AggregationStrategy {
  private:
   /// Strategy body. `updates` is non-empty with a validated uniform psi
   /// dimension; `out` arrives cleared with its shard_id set. Exact
-  /// strategies fold every row with fold_exact_update. Selectors route
-  /// metadata: they write the cohort's aggregate into `out.parameters` and
-  /// its accept/reject split, plus any selection scores for the root.
-  virtual void do_partial_aggregate(const AggregationContext& context,
-                                    const UpdateView& updates, ShardPartial& out) = 0;
+  /// strategies fold every row with fold_exact_update and return {}.
+  /// Selectors write the cohort's aggregate into `out.parameters` and return
+  /// the slots it was built from, with their scores if they compute any;
+  /// they never touch the client lists or the record.
+  virtual Selection do_partial_aggregate(const AggregationContext& context,
+                                         const UpdateView& updates, ShardPartial& out) = 0;
 
   std::vector<double> merge_accumulator_;  // round-persistent merge scratch
+  std::vector<unsigned char> kept_mask_;   // per-slot split scratch
 };
 
 // ---- Shared helpers used by several strategies -------------------------------

@@ -3,8 +3,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "util/stats.hpp"
-
 namespace fedguard::defenses {
 
 AuxiliaryAuditAggregator::AuxiliaryAuditAggregator(models::ClassifierArch arch,
@@ -27,44 +25,26 @@ AuxiliaryAuditAggregator::AuxiliaryAuditAggregator(models::ClassifierArch arch,
 
 AuxiliaryAuditAggregator::~AuxiliaryAuditAggregator() = default;
 
-void AuxiliaryAuditAggregator::do_partial_aggregate(const AggregationContext& context,
-                                                    const UpdateView& updates, ShardPartial& out) {
-  const std::size_t count = updates.count();
+Selection AuxiliaryAuditAggregator::do_partial_aggregate(const AggregationContext& context,
+                                                         const UpdateView& updates,
+                                                         ShardPartial& out) {
   if (context.round < warmup_rounds_) {
     // PDGAN initialization phase: aggregate everything (the window during
     // which the system is vulnerable — paper §II / §VI-A).
-    last_scores_.assign(count, 0.0);
     weighted_mean_into(updates, accumulator_, out.parameters);
-    for (std::size_t k = 0; k < count; ++k) {
-      out.accepted_clients.push_back(updates.meta(k).client_id);
-    }
-    return;
+    return {};
   }
 
-  last_scores_.resize(count);
+  const std::size_t count = updates.count();
+  scores_.resize(count);
   for (std::size_t k = 0; k < count; ++k) {
     scratch_->load_parameters_flat(updates.psi(k));
-    last_scores_[k] = scratch_->evaluate_accuracy(audit_images_, audit_labels_);
+    scores_[k] = scratch_->evaluate_accuracy(audit_images_, audit_labels_);
   }
-  const double threshold = util::mean(std::span<const double>{last_scores_});
-
-  kept_slots_.clear();
-  for (std::size_t k = 0; k < count; ++k) {
-    if (last_scores_[k] >= threshold) {
-      kept_slots_.push_back(k);
-      out.accepted_clients.push_back(updates.meta(k).client_id);
-    } else {
-      out.rejected_clients.push_back(updates.meta(k).client_id);
-    }
-  }
-  if (kept_slots_.empty()) {
-    kept_slots_.resize(count);
-    std::iota(kept_slots_.begin(), kept_slots_.end(), std::size_t{0});
-    out.accepted_clients.swap(out.rejected_clients);
-    out.rejected_clients.clear();
-  }
-  const UpdateView kept = updates.select(kept_slots_, select_scratch_);
-  weighted_mean_into(kept, accumulator_, out.parameters);
+  const Selection selection = select_by_mean(scores_, KeepSide::AtOrAbove, kept_slots_);
+  weighted_mean_into(updates.select(selection.kept, select_scratch_), accumulator_,
+                     out.parameters);
+  return selection;
 }
 
 }  // namespace fedguard::defenses

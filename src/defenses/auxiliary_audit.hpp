@@ -30,21 +30,19 @@ class AuxiliaryAuditAggregator final : public AggregationStrategy {
 
   [[nodiscard]] std::string name() const override { return "aux_audit"; }
 
-  [[nodiscard]] const std::vector<double>& last_scores() const noexcept {
-    return last_scores_;
-  }
-
  private:
-  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            ShardPartial& out) override;
+  /// Warm-up rounds keep every slot and score none; audited rounds record
+  /// each slot's auxiliary accuracy and their mean, the threshold.
+  Selection do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                                 ShardPartial& out) override;
 
   data::Dataset auxiliary_;
   std::size_t warmup_rounds_;
   std::unique_ptr<models::Classifier> scratch_;
   tensor::Tensor audit_images_;
   std::vector<int> audit_labels_;
-  std::vector<double> last_scores_;
   // Round-persistent scratch.
+  std::vector<double> scores_;
   std::vector<std::size_t> kept_slots_;
   std::vector<std::size_t> select_scratch_;
   std::vector<double> accumulator_;

@@ -9,8 +9,8 @@
 
 namespace fedguard::defenses {
 
-void BulyanAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
-                                            const UpdateView& updates, ShardPartial& out) {
+Selection BulyanAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
+                                                 const UpdateView& updates, ShardPartial& out) {
   const std::size_t dim = updates.psi_dim();
   const std::size_t count = updates.count();
 
@@ -26,10 +26,10 @@ void BulyanAggregator::do_partial_aggregate(const AggregationContext& /*context*
   pairwise_squared_distances(updates.points(), distance2_);
   std::vector<std::size_t> remaining(count);
   std::iota(remaining.begin(), remaining.end(), std::size_t{0});
-  std::vector<std::size_t> selected;
-  while (selected.size() < selection_size && remaining.size() > 0) {
+  selected_.clear();
+  while (selected_.size() < selection_size && remaining.size() > 0) {
     if (remaining.size() == 1) {
-      selected.push_back(remaining.front());
+      selected_.push_back(remaining.front());
       remaining.clear();
       break;
     }
@@ -37,7 +37,7 @@ void BulyanAggregator::do_partial_aggregate(const AggregationContext& /*context*
         krum_scores_from_distances(distance2_, count, remaining, f);
     const std::size_t best = static_cast<std::size_t>(
         std::min_element(scores.begin(), scores.end(), nan_last_less) - scores.begin());
-    selected.push_back(remaining[best]);
+    selected_.push_back(remaining[best]);
     remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(best));
   }
 
@@ -45,14 +45,14 @@ void BulyanAggregator::do_partial_aggregate(const AggregationContext& /*context*
   // to the coordinate median (trimmed mean around the median). Coordinates
   // are independent, so the loop partitions over the kernel pool; each range
   // sorts into its own column buffer.
-  std::size_t beta = (selected.size() > 2 * f) ? selected.size() - 2 * f : 1;
+  std::size_t beta = (selected_.size() > 2 * f) ? selected_.size() - 2 * f : 1;
   out.parameters.resize(dim);
-  std::vector<const float*> rows(selected.size());
-  for (std::size_t k = 0; k < selected.size(); ++k) rows[k] = updates.psi(selected[k]).data();
+  std::vector<const float*> rows(selected_.size());
+  for (std::size_t k = 0; k < selected_.size(); ++k) rows[k] = updates.psi(selected_[k]).data();
   const auto trimmed_coordinates = [&](std::size_t begin, std::size_t end) {
-    std::vector<float> column(selected.size());
+    std::vector<float> column(selected_.size());
     for (std::size_t i = begin; i < end; ++i) {
-      for (std::size_t k = 0; k < selected.size(); ++k) {
+      for (std::size_t k = 0; k < selected_.size(); ++k) {
         column[k] = rows[k][i];
       }
       std::sort(column.begin(), column.end());
@@ -68,20 +68,13 @@ void BulyanAggregator::do_partial_aggregate(const AggregationContext& /*context*
     }
   };
   const parallel::KernelConfig kernel_cfg = parallel::kernel_config();
-  if (parallel::should_parallelize(dim * selected.size(),
+  if (parallel::should_parallelize(dim * selected_.size(),
                                    kernel_cfg.distance_min_elements)) {
     parallel::kernel_parallel_ranges(dim, 1024, trimmed_coordinates);
   } else {
     trimmed_coordinates(0, dim);
   }
-
-  for (std::size_t k = 0; k < count; ++k) {
-    if (std::find(selected.begin(), selected.end(), k) != selected.end()) {
-      out.accepted_clients.push_back(updates.meta(k).client_id);
-    } else {
-      out.rejected_clients.push_back(updates.meta(k).client_id);
-    }
-  }
+  return Selection{.kept = selected_};
 }
 
 }  // namespace fedguard::defenses

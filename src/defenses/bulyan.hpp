@@ -19,11 +19,14 @@ class BulyanAggregator final : public AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "bulyan"; }
 
  private:
-  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            ShardPartial& out) override;
+  /// Keeps the stage-1 selection (stage 2 trims coordinates, not rows).
+  Selection do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                                 ShardPartial& out) override;
 
   double byzantine_fraction_;
-  std::vector<double> distance2_;  // round-persistent pairwise distance matrix
+  // Round-persistent scratch.
+  std::vector<double> distance2_;  // pairwise distance matrix
+  std::vector<std::size_t> selected_;
 };
 
 }  // namespace fedguard::defenses

@@ -15,8 +15,8 @@ class FedAvgAggregator final : public AggregationStrategy {
 
  private:
   /// Exact path: fold every cohort row in slot order.
-  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            ShardPartial& out) override;
+  Selection do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                                 ShardPartial& out) override;
 };
 
 }  // namespace fedguard::defenses

@@ -40,8 +40,8 @@ double FedCpaAggregator::critical_similarity(std::span<const std::uint32_t> top_
   return std::max(0.0, cosine);
 }
 
-void FedCpaAggregator::do_partial_aggregate(const AggregationContext& context,
-                                            const UpdateView& updates, ShardPartial& out) {
+Selection FedCpaAggregator::do_partial_aggregate(const AggregationContext& context,
+                                                 const UpdateView& updates, ShardPartial& out) {
   const std::size_t count = updates.count();
   const std::size_t dim = updates.psi_dim();
   const std::span<const float> global = context.global_parameters;
@@ -157,13 +157,7 @@ void FedCpaAggregator::do_partial_aggregate(const AggregationContext& context,
   std::sort(selected_.begin(), selected_.end());
 
   mean_of_into(updates, selected_, accumulator_, out.parameters);
-  for (std::size_t k = 0; k < count; ++k) {
-    if (std::binary_search(selected_.begin(), selected_.end(), k)) {
-      out.accepted_clients.push_back(updates.meta(k).client_id);
-    } else {
-      out.rejected_clients.push_back(updates.meta(k).client_id);
-    }
-  }
+  return Selection{.kept = selected_, .scores = scores_};
 }
 
 }  // namespace fedguard::defenses

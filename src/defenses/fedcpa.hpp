@@ -49,8 +49,10 @@ class FedCpaAggregator final : public AggregationStrategy {
                                                   std::span<const float> values_b);
 
  private:
-  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            ShardPartial& out) override;
+  /// The per-slot gated similarity scores travel upward as the decision
+  /// record.
+  Selection do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                                 ShardPartial& out) override;
 
   FedCpaConfig config_;
   // Round-persistent scratch (reused across rounds; sized on first use).

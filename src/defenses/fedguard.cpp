@@ -1,16 +1,12 @@
 #include "defenses/fedguard.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "defenses/geomed.hpp"
 #include "defenses/median.hpp"
 #include "obs/trace.hpp"
-#include "nn/loss.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
-#include "util/stats.hpp"
 
 namespace fedguard::defenses {
 
@@ -51,8 +47,9 @@ std::size_t FedGuardAggregator::decoder_parameter_count() const {
   return scratch_decoder_->parameter_count();
 }
 
-void FedGuardAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
-                                              const UpdateView& updates, ShardPartial& out) {
+Selection FedGuardAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
+                                                   const UpdateView& updates,
+                                                   ShardPartial& out) {
   const std::size_t decoder_dim = scratch_decoder_->parameter_count();
   for (std::size_t j = 0; j < updates.count(); ++j) {
     if (updates.meta(j).theta_count != decoder_dim) {
@@ -77,7 +74,6 @@ void FedGuardAggregator::do_partial_aggregate(const AggregationContext& /*contex
   // (|D_syn| = |J| * t).
   std::vector<float> syn_pixels;
   std::vector<int> syn_labels;
-  const std::size_t pixels = geometry_.pixels();
   auto decode_range = [&](std::span<const float> theta, std::size_t begin, std::size_t count) {
     scratch_decoder_->load_parameters_flat(theta);
     tensor::Tensor z_slice{{count, latent}};
@@ -116,7 +112,7 @@ void FedGuardAggregator::do_partial_aggregate(const AggregationContext& /*contex
       std::move(syn_pixels));
 
   // (3) Score each client's classifier on D_syn (Alg. 1 line 5).
-  last_scores_.assign(active, 0.0);
+  scores_.assign(active, 0.0);
   {
   FEDGUARD_TRACE_SPAN("agg.fedguard", "score");
   for (std::size_t j = 0; j < active; ++j) {
@@ -137,38 +133,19 @@ void FedGuardAggregator::do_partial_aggregate(const AggregationContext& /*contex
           ++classes_present;
         }
       }
-      last_scores_[j] = classes_present > 0 ? total / static_cast<double>(classes_present)
-                                            : 0.0;
+      scores_[j] = classes_present > 0 ? total / static_cast<double>(classes_present) : 0.0;
     } else {
-      last_scores_[j] = scratch_classifier_->evaluate_accuracy(syn_images, syn_labels);
+      scores_[j] = scratch_classifier_->evaluate_accuracy(syn_images, syn_labels);
     }
   }
   }
-  (void)pixels;
 
   // (4) Selective aggregation: keep ACC_j >= mean(ACC) (Alg. 1 lines 6-7).
   // The kept set is an index sub-view over the round arena — no update is
   // ever copied for the internal operator.
   FEDGUARD_TRACE_SPAN("agg.fedguard", "select");
-  last_threshold_ = util::mean(std::span<const double>{last_scores_});
-  kept_slots_.clear();
-  for (std::size_t j = 0; j < active; ++j) {
-    if (last_scores_[j] >= last_threshold_) {
-      kept_slots_.push_back(j);
-      out.accepted_clients.push_back(updates.meta(j).client_id);
-    } else {
-      out.rejected_clients.push_back(updates.meta(j).client_id);
-    }
-  }
-  if (kept_slots_.empty()) {
-    // Cannot happen with a finite mean (the max is always >= mean), but stay
-    // defensive against NaN scores.
-    kept_slots_.resize(active);
-    std::iota(kept_slots_.begin(), kept_slots_.end(), std::size_t{0});
-    out.accepted_clients.swap(out.rejected_clients);
-    out.rejected_clients.clear();
-  }
-  const UpdateView kept = updates.select(kept_slots_, select_scratch_);
+  const Selection selection = select_by_mean(scores_, KeepSide::AtOrAbove, kept_slots_);
+  const UpdateView kept = updates.select(selection.kept, select_scratch_);
 
   switch (config_.internal_operator) {
     case InternalOperator::FedAvg:
@@ -181,8 +158,7 @@ void FedGuardAggregator::do_partial_aggregate(const AggregationContext& /*contex
       out.parameters = coordinate_median(kept.points());
       break;
   }
-  out.selection_scores = last_scores_;
-  out.selection_threshold = last_threshold_;
+  return selection;
 }
 
 }  // namespace fedguard::defenses

@@ -51,29 +51,20 @@ class FedGuardAggregator final : public AggregationStrategy {
   [[nodiscard]] bool wants_decoders() const override { return true; }
   [[nodiscard]] std::size_t decoder_parameter_count() const override;
 
-  /// Per-client accuracies on D_syn from the most recent round, in update
-  /// order (diagnostics).
-  [[nodiscard]] const std::vector<double>& last_scores() const noexcept {
-    return last_scores_;
-  }
-  /// Mean-accuracy threshold of the most recent round.
-  [[nodiscard]] double last_threshold() const noexcept { return last_threshold_; }
-
  private:
-  /// Metadata routing with diagnostics attached: each shard evaluates its
-  /// own cohort's decoders against its own D_syn and ships the per-slot
-  /// synthetic-set accuracies + acceptance threshold upward.
-  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            ShardPartial& out) override;
+  /// Each shard evaluates its own cohort's decoders against its own D_syn;
+  /// the per-slot synthetic-set accuracies and their mean, the acceptance
+  /// threshold, travel upward as the decision record.
+  Selection do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                                 ShardPartial& out) override;
 
   FedGuardConfig config_;
   models::ImageGeometry geometry_;
   util::Rng rng_;
   std::unique_ptr<models::Classifier> scratch_classifier_;
   std::unique_ptr<models::CvaeDecoder> scratch_decoder_;
-  std::vector<double> last_scores_;
-  double last_threshold_ = 0.0;
   // Round-persistent scratch.
+  std::vector<double> scores_;
   std::vector<std::size_t> kept_slots_;
   std::vector<std::size_t> select_scratch_;
   std::vector<double> accumulator_;

@@ -102,22 +102,10 @@ std::vector<float> geometric_median(const PointsView& points, std::size_t max_it
   return out;
 }
 
-std::vector<float> geometric_median(std::span<const float> points, std::size_t count,
-                                    std::size_t dim, std::size_t max_iterations,
-                                    double tolerance) {
-  if (count == 0 || dim == 0 || points.size() != count * dim) {
-    throw std::invalid_argument{"geometric_median: bad dimensions"};
-  }
-  return geometric_median(PointsView{points, count, dim}, max_iterations, tolerance);
-}
-
-void GeoMedAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
-                                            const UpdateView& updates, ShardPartial& out) {
+Selection GeoMedAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
+                                                 const UpdateView& updates, ShardPartial& out) {
   out.parameters = geometric_median(updates.points(), max_iterations_, tolerance_);
-  // GeoMed uses every update (robustness comes from the operator itself).
-  for (std::size_t k = 0; k < updates.count(); ++k) {
-    out.accepted_clients.push_back(updates.meta(k).client_id);
-  }
+  return {};
 }
 
 }  // namespace fedguard::defenses

@@ -15,8 +15,9 @@ class GeoMedAggregator final : public AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "geomed"; }
 
  private:
-  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            ShardPartial& out) override;
+  /// Keeps every row (robustness comes from the operator itself).
+  Selection do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                                 ShardPartial& out) override;
 
   std::size_t max_iterations_;
   double tolerance_;
@@ -25,11 +26,6 @@ class GeoMedAggregator final : public AggregationStrategy {
 /// Weiszfeld iteration over the view's rows (index indirection, no
 /// sub-matrix materialization).
 [[nodiscard]] std::vector<float> geometric_median(const PointsView& points,
-                                                  std::size_t max_iterations = 50,
-                                                  double tolerance = 1e-6);
-/// Flattened [count, dim] form, kept for direct testing and external callers.
-[[nodiscard]] std::vector<float> geometric_median(std::span<const float> points,
-                                                  std::size_t count, std::size_t dim,
                                                   std::size_t max_iterations = 50,
                                                   double tolerance = 1e-6);
 

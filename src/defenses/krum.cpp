@@ -157,40 +157,25 @@ std::vector<double> krum_scores(const PointsView& points, std::size_t byzantine_
   return krum_scores_from_distances(distance2, count, rows, byzantine_count);
 }
 
-std::vector<double> krum_scores(std::span<const float> points, std::size_t count,
-                                std::size_t dim, std::size_t byzantine_count) {
-  if (count == 0 || dim == 0 || points.size() != count * dim) {
-    throw std::invalid_argument{"krum_scores: bad dimensions"};
-  }
-  return krum_scores(PointsView{points, count, dim}, byzantine_count);
-}
-
-void KrumAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
-                                          const UpdateView& updates, ShardPartial& out) {
+Selection KrumAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
+                                               const UpdateView& updates, ShardPartial& out) {
   const std::size_t count = updates.count();
   const auto byzantine_count =
       static_cast<std::size_t>(byzantine_fraction_ * static_cast<double>(count));
-  // The per-slot scores travel to the root with the accept set.
-  out.selection_scores = krum_scores(updates.points(), byzantine_count);
-  const std::vector<double>& scores = out.selection_scores;
+  scores_ = krum_scores(updates.points(), byzantine_count);
 
   FEDGUARD_TRACE_SPAN("agg.krum", "pick");
   order_.resize(count);
   std::iota(order_.begin(), order_.end(), std::size_t{0});
-  std::sort(order_.begin(), order_.end(), [&scores](std::size_t a, std::size_t b) {
-    return nan_last_less(scores[a], scores[b]);
+  std::sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
+    return nan_last_less(scores_[a], scores_[b]);
   });
 
+  // The picks are summed in score order; that order fixes the aggregate's bits.
   const std::size_t keep = std::min(std::max<std::size_t>(multi_k_, 1), count);
   selected_.assign(order_.begin(), order_.begin() + static_cast<std::ptrdiff_t>(keep));
   mean_of_into(updates, selected_, accumulator_, out.parameters);
-  for (std::size_t k = 0; k < count; ++k) {
-    if (std::find(selected_.begin(), selected_.end(), k) != selected_.end()) {
-      out.accepted_clients.push_back(updates.meta(k).client_id);
-    } else {
-      out.rejected_clients.push_back(updates.meta(k).client_id);
-    }
-  }
+  return Selection{.kept = selected_, .scores = scores_};
 }
 
 }  // namespace fedguard::defenses

@@ -23,16 +23,16 @@ class KrumAggregator final : public AggregationStrategy {
   }
 
  private:
-  /// Metadata routing with scores attached: the shard runs Krum on its own
-  /// cohort (so its f budget applies per shard, not globally — the
-  /// robustness cost docs/SHARDING.md quantifies) and ships the per-slot
-  /// Krum scores upward alongside the accept set.
-  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            ShardPartial& out) override;
+  /// The shard runs Krum on its own cohort (so its f budget applies per
+  /// shard, not globally — the robustness cost docs/SHARDING.md quantifies);
+  /// the per-slot Krum scores travel upward as the decision record.
+  Selection do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                                 ShardPartial& out) override;
 
   double byzantine_fraction_;
   std::size_t multi_k_;
   // Round-persistent scratch.
+  std::vector<double> scores_;
   std::vector<std::size_t> order_;
   std::vector<std::size_t> selected_;
   std::vector<double> accumulator_;
@@ -46,14 +46,11 @@ class KrumAggregator final : public AggregationStrategy {
   return std::isnan(b) ? !std::isnan(a) : a < b;
 }
 
-/// Krum scores for an [count, dim] point set given the byzantine count f
-/// (clamped internally). The PointsView form reads rows through the view's
-/// index indirection without materializing a sub-matrix.
+/// Krum scores for a point set given the byzantine count f (clamped
+/// internally). Rows are read through the view's index indirection without
+/// materializing a sub-matrix.
 [[nodiscard]] std::vector<double> krum_scores(const PointsView& points,
                                               std::size_t byzantine_count);
-/// Flattened-buffer form, kept for direct testing and external callers.
-[[nodiscard]] std::vector<double> krum_scores(std::span<const float> points, std::size_t count,
-                                              std::size_t dim, std::size_t byzantine_count);
 
 /// Fills `distance2` with the [count, count] pairwise squared-distance matrix
 /// of the point set; each pair is computed exactly once (upper triangle,

@@ -30,21 +30,10 @@ std::vector<float> coordinate_median(const PointsView& points) {
   return out;
 }
 
-std::vector<float> coordinate_median(std::span<const float> points, std::size_t count,
-                                     std::size_t dim) {
-  if (count == 0 || dim == 0 || points.size() != count * dim) {
-    throw std::invalid_argument{"coordinate_median: bad dimensions"};
-  }
-  return coordinate_median(PointsView{points, count, dim});
-}
-
-void CoordinateMedianAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
-                                                      const UpdateView& updates,
-                                                      ShardPartial& out) {
+Selection CoordinateMedianAggregator::do_partial_aggregate(
+    const AggregationContext& /*context*/, const UpdateView& updates, ShardPartial& out) {
   out.parameters = coordinate_median(updates.points());
-  for (std::size_t k = 0; k < updates.count(); ++k) {
-    out.accepted_clients.push_back(updates.meta(k).client_id);
-  }
+  return {};
 }
 
 }  // namespace fedguard::defenses

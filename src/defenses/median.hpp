@@ -12,14 +12,11 @@ class CoordinateMedianAggregator final : public AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "median"; }
 
  private:
-  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            ShardPartial& out) override;
+  Selection do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                                 ShardPartial& out) override;
 };
 
 /// Coordinate-wise median over the view's rows.
 [[nodiscard]] std::vector<float> coordinate_median(const PointsView& points);
-/// Flattened [count, dim] form, kept for direct testing and external callers.
-[[nodiscard]] std::vector<float> coordinate_median(std::span<const float> points,
-                                                   std::size_t count, std::size_t dim);
 
 }  // namespace fedguard::defenses

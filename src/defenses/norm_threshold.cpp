@@ -7,8 +7,9 @@
 
 namespace fedguard::defenses {
 
-void NormThresholdAggregator::do_partial_aggregate(const AggregationContext& context,
-                                                   const UpdateView& updates, ShardPartial& out) {
+Selection NormThresholdAggregator::do_partial_aggregate(const AggregationContext& context,
+                                                        const UpdateView& updates,
+                                                        ShardPartial& out) {
   const std::size_t dim = updates.psi_dim();
   if (context.global_parameters.size() != dim) {
     throw std::invalid_argument{"norm_threshold: global parameter dimension mismatch"};
@@ -48,9 +49,7 @@ void NormThresholdAggregator::do_partial_aggregate(const AggregationContext& con
   for (std::size_t i = 0; i < dim; ++i) {
     out.parameters[i] = static_cast<float>(global[i] + accumulator[i] * inv);
   }
-  for (std::size_t k = 0; k < count; ++k) {
-    out.accepted_clients.push_back(updates.meta(k).client_id);
-  }
+  return {};
 }
 
 }  // namespace fedguard::defenses

@@ -19,8 +19,9 @@ class NormThresholdAggregator final : public AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "norm_threshold"; }
 
  private:
-  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            ShardPartial& out) override;
+  /// Keeps every row: oversized deltas are clipped, not rejected.
+  Selection do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                                 ShardPartial& out) override;
 
   double threshold_multiplier_;
 };

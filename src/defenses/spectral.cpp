@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "data/dataloader.hpp"
 #include "data/partition.hpp"
 #include "util/logging.hpp"
-#include "util/stats.hpp"
 
 namespace fedguard::defenses {
 
@@ -116,40 +114,26 @@ void SpectralAggregator::pretrain(std::span<const float> initial_parameters) {
                  static_cast<double>(final_loss), surrogates.size());
 }
 
-void SpectralAggregator::do_partial_aggregate(const AggregationContext& context,
-                                              const UpdateView& updates, ShardPartial& out) {
+Selection SpectralAggregator::do_partial_aggregate(const AggregationContext& context,
+                                                   const UpdateView& updates,
+                                                   ShardPartial& out) {
   if (!vae_) pretrain(context.global_parameters);
 
   // Score every update by surrogate reconstruction error.
   const std::size_t count = updates.count();
-  last_errors_.assign(count, 0.0);
+  errors_.assign(count, 0.0);
   for (std::size_t k = 0; k < count; ++k) {
     const std::vector<float> s = normalized_surrogate(updates.psi(k));
     tensor::Tensor batch = tensor::Tensor::from_data({1, s.size()}, s);
-    last_errors_[k] = vae_->reconstruction_errors(batch).front();
+    errors_[k] = vae_->reconstruction_errors(batch).front();
   }
-  const double threshold = util::mean(std::span<const double>{last_errors_});
 
   // Keep updates at or below the dynamic threshold (mean of errors). The kept
   // set is an index sub-view over the round arena — no psi copies.
-  kept_slots_.clear();
-  for (std::size_t k = 0; k < count; ++k) {
-    if (last_errors_[k] <= threshold) {
-      kept_slots_.push_back(k);
-      out.accepted_clients.push_back(updates.meta(k).client_id);
-    } else {
-      out.rejected_clients.push_back(updates.meta(k).client_id);
-    }
-  }
-  if (kept_slots_.empty()) {
-    // Degenerate round (all errors equal/above); fall back to FedAvg over all.
-    kept_slots_.resize(count);
-    std::iota(kept_slots_.begin(), kept_slots_.end(), std::size_t{0});
-    out.accepted_clients.swap(out.rejected_clients);
-    out.rejected_clients.clear();
-  }
-  const UpdateView kept = updates.select(kept_slots_, select_scratch_);
-  weighted_mean_into(kept, accumulator_, out.parameters);
+  const Selection selection = select_by_mean(errors_, KeepSide::AtOrBelow, kept_slots_);
+  weighted_mean_into(updates.select(selection.kept, select_scratch_), accumulator_,
+                     out.parameters);
+  return selection;
 }
 
 }  // namespace fedguard::defenses

@@ -53,15 +53,11 @@ class SpectralAggregator final : public AggregationStrategy {
 
   [[nodiscard]] std::string name() const override { return "spectral"; }
 
-  /// Reconstruction errors of the most recent round (diagnostics).
-  [[nodiscard]] const std::vector<double>& last_errors() const noexcept {
-    return last_errors_;
-  }
-  [[nodiscard]] bool pretrained() const noexcept { return vae_ != nullptr; }
-
  private:
-  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            ShardPartial& out) override;
+  /// Records each slot's surrogate reconstruction error and their mean, the
+  /// threshold; keeps the slots at or below it.
+  Selection do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                                 ShardPartial& out) override;
 
   void pretrain(std::span<const float> initial_parameters);
   [[nodiscard]] std::vector<float> surrogate(std::span<const float> psi) const;
@@ -76,9 +72,9 @@ class SpectralAggregator final : public AggregationStrategy {
   std::unique_ptr<models::Vae> vae_;
   std::vector<double> feature_mean_;
   std::vector<double> feature_stddev_;
-  std::vector<double> last_errors_;
   std::size_t effective_surrogate_dim_ = 0;
   // Round-persistent scratch.
+  std::vector<double> errors_;
   std::vector<std::size_t> kept_slots_;
   std::vector<std::size_t> select_scratch_;
   std::vector<double> accumulator_;

@@ -34,20 +34,11 @@ std::vector<float> trimmed_mean(const PointsView& points, double trim_fraction) 
   return out;
 }
 
-std::vector<float> trimmed_mean(std::span<const float> points, std::size_t count,
-                                std::size_t dim, double trim_fraction) {
-  if (count == 0 || dim == 0 || points.size() != count * dim) {
-    throw std::invalid_argument{"trimmed_mean: bad dimensions"};
-  }
-  return trimmed_mean(PointsView{points, count, dim}, trim_fraction);
-}
-
-void TrimmedMeanAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
-                                                 const UpdateView& updates, ShardPartial& out) {
+Selection TrimmedMeanAggregator::do_partial_aggregate(const AggregationContext& /*context*/,
+                                                      const UpdateView& updates,
+                                                      ShardPartial& out) {
   out.parameters = trimmed_mean(updates.points(), trim_fraction_);
-  for (std::size_t k = 0; k < updates.count(); ++k) {
-    out.accepted_clients.push_back(updates.meta(k).client_id);
-  }
+  return {};
 }
 
 }  // namespace fedguard::defenses

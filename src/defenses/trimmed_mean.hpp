@@ -14,16 +14,13 @@ class TrimmedMeanAggregator final : public AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "trimmed_mean"; }
 
  private:
-  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            ShardPartial& out) override;
+  Selection do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
+                                 ShardPartial& out) override;
 
   double trim_fraction_;
 };
 
 /// Trimmed mean over the view's rows.
 [[nodiscard]] std::vector<float> trimmed_mean(const PointsView& points, double trim_fraction);
-/// Flattened [count, dim] form, kept for direct testing and external callers.
-[[nodiscard]] std::vector<float> trimmed_mean(std::span<const float> points, std::size_t count,
-                                              std::size_t dim, double trim_fraction);
 
 }  // namespace fedguard::defenses

@@ -31,9 +31,11 @@ struct UpdateMeta {
   int client_id = -1;
   std::size_t num_samples = 0;
   bool truly_malicious = false;  // ground truth, for detection metrics only
-  /// Actual decoder vector length written into the row's theta plane. May
-  /// legitimately differ from UpdateMatrix::theta_dim() (a misconfigured
-  /// client); strategies validate it against decoder_parameter_count().
+  /// Actual decoder vector length written into the row's theta plane. An
+  /// in-process client with a misconfigured CVAE records a length that
+  /// differs from UpdateMatrix::theta_dim(), and the strategy rejects it
+  /// against decoder_parameter_count(); a socket reply of the wrong θ length
+  /// never gets here (decode_round_reply_into refuses it as BadShape).
   std::size_t theta_count = 0;
 };
 

@@ -108,6 +108,12 @@ void read_psi_span(util::ByteReader& reader, util::WireCodec codec, std::span<fl
 // RoundRequest fields ahead of the ψ0 span.
 constexpr std::size_t kRoundRequestFieldBytes = 8 + 4 + 4 + 4 + 8 + 8;
 
+// The least a TelemetryReport record can take on the wire. A span event:
+// rel_ts_ns, trace_id, round, tid, phase and its two string lengths. A
+// counter delta: its name length and value.
+constexpr std::size_t kMinTelemetryEventBytes = 8 + 8 + 8 + 4 + 4 + 8 + 8;
+constexpr std::size_t kMinCounterDeltaBytes = 8 + 8;
+
 void write_round_request(util::ByteWriter& writer, const RoundRequest& request) {
   writer.write_u64(request.round);
   writer.write_u32(request.want_decoder ? 1 : 0);
@@ -303,12 +309,12 @@ std::size_t decode_round_reply_into(std::span<const std::byte> payload,
     read_psi_span(reader, psi_codec, row.psi);
     const auto theta_count = static_cast<std::size_t>(reader.read_u64());
     row.meta->theta_count = theta_count;
-    if (theta_count > row.theta.size()) {
+    if (theta_count != row.theta.size()) {
       throw DecodeError{DecodeErrorCode::BadShape,
                         "decode_round_reply_into: theta count " + std::to_string(theta_count) +
-                            " exceeds capacity " + std::to_string(row.theta.size())};
+                            " != expected " + std::to_string(row.theta.size())};
     }
-    reader.read_f32_into(row.theta.subspan(0, theta_count));
+    reader.read_f32_into(row.theta);
     return round;
   } catch (const std::out_of_range&) {
     throw DecodeError{DecodeErrorCode::Truncated,
@@ -351,9 +357,9 @@ TelemetryFrame decode_telemetry_report(std::span<const std::byte> payload) {
     report.round = reader.read_u64();
     report.trace_id = reader.read_u64();
     const auto event_count = static_cast<std::size_t>(reader.read_u64());
-    // A declared count must at least fit in the payload (each event is ≥ 44
-    // bytes on the wire) — rejects allocation bombs before the reserve.
-    if (event_count > payload.size()) {
+    // A declared count must fit in the bytes left at each record's minimum
+    // wire size — rejects allocation bombs before the reserve.
+    if (event_count > reader.remaining() / kMinTelemetryEventBytes) {
       throw DecodeError{DecodeErrorCode::Truncated,
                         "decode_telemetry_report: event count exceeds payload"};
     }
@@ -370,7 +376,7 @@ TelemetryFrame decode_telemetry_report(std::span<const std::byte> payload) {
       report.events.push_back(std::move(event));
     }
     const auto delta_count = static_cast<std::size_t>(reader.read_u64());
-    if (delta_count > payload.size()) {
+    if (delta_count > reader.remaining() / kMinCounterDeltaBytes) {
       throw DecodeError{DecodeErrorCode::Truncated,
                         "decode_telemetry_report: delta count exceeds payload"};
     }

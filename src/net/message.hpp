@@ -165,8 +165,8 @@ struct RoundReply {
 /// The reply decoder: ψ is deserialized straight into `row.psi` (whose size
 /// is the expected dimension) and θ into `row.theta`, with the metadata
 /// fields written through `row.meta`. Throws DecodeError{BadShape} if the
-/// reply's ψ count differs from row.psi.size() or its θ count exceeds the
-/// row's θ capacity — the frame was intact (CRC passed), the peer just sent
+/// reply's ψ count differs from row.psi.size() or its θ count from
+/// row.theta.size() — the frame was intact (CRC passed), the peer just sent
 /// the wrong model shape, so the link itself stays trustworthy. Returns the
 /// round the reply answers (the caller decides whether it is stale).
 [[nodiscard]] std::size_t decode_round_reply_into(std::span<const std::byte> payload,

@@ -4,11 +4,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -87,25 +85,6 @@ void TcpStream::set_receive_timeout(std::chrono::milliseconds timeout) {
   const timeval tv = to_timeval(timeout);
   if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
     throw_errno("setsockopt(SO_RCVTIMEO)");
-  }
-}
-
-void TcpStream::set_send_timeout(std::chrono::milliseconds timeout) {
-  const timeval tv = to_timeval(timeout);
-  if (::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
-    throw_errno("setsockopt(SO_SNDTIMEO)");
-  }
-}
-
-bool TcpStream::wait_readable(std::chrono::milliseconds timeout) const {
-  pollfd pfd{fd_, POLLIN, 0};
-  for (;;) {
-    const int n = ::poll(&pfd, 1, static_cast<int>(timeout.count()));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("poll");
-    }
-    return n > 0;
   }
 }
 
@@ -281,23 +260,6 @@ std::optional<TcpStream> TcpListener::accept_nonblocking() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     return TcpStream{fd};
-  }
-}
-
-std::optional<TcpStream> TcpListener::accept_within(std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    const int wait = static_cast<int>(std::max<std::int64_t>(remaining.count(), 0));
-    pollfd pfd{fd_, POLLIN, 0};
-    const int n = ::poll(&pfd, 1, wait);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("poll(accept)");
-    }
-    if (n == 0) return std::nullopt;
-    return accept();
   }
 }
 

@@ -59,10 +59,6 @@ class TcpStream {
   /// Deadline for subsequent receives (SO_RCVTIMEO); zero restores blocking
   /// forever. Expiry raises SocketTimeout from recv_all / receive_message.
   void set_receive_timeout(std::chrono::milliseconds timeout);
-  /// Deadline for subsequent sends (SO_SNDTIMEO); zero restores blocking.
-  void set_send_timeout(std::chrono::milliseconds timeout);
-  /// Block until the stream is readable or `timeout` elapses (poll).
-  [[nodiscard]] bool wait_readable(std::chrono::milliseconds timeout) const;
 
   /// Switch the descriptor between blocking and O_NONBLOCK mode. Reactor
   /// connections run non-blocking; the request/reply helpers below
@@ -118,9 +114,6 @@ class TcpListener {
   [[nodiscard]] int fd() const noexcept { return fd_; }
   /// Block until a client connects (retries EINTR / ECONNABORTED).
   [[nodiscard]] TcpStream accept();
-  /// Accept with a deadline: nullopt when `timeout` elapses with no pending
-  /// connection (poll-based; never blocks past the deadline).
-  [[nodiscard]] std::optional<TcpStream> accept_within(std::chrono::milliseconds timeout);
   /// Non-blocking mode for the listening descriptor itself (reactor use).
   void set_nonblocking(bool enabled);
   /// Reactor accept path: nullopt when no connection is pending (EAGAIN) or

@@ -7,29 +7,6 @@
 
 namespace fedguard::nn {
 
-namespace {
-
-/// Shared walk for the parameter/gradient span exports: both must fill `out`
-/// exactly, in declaration order.
-template <typename TensorOf>
-void copy_flat_to(Module& module, std::span<float> out, TensorOf&& tensor_of,
-                  const char* too_short, const char* size_mismatch) {
-  std::size_t offset = 0;
-  for (Parameter* p : module.parameters()) {
-    const auto data = tensor_of(p).data();
-    if (offset + data.size() > out.size()) {
-      throw std::invalid_argument{too_short};
-    }
-    std::copy(data.begin(), data.end(), out.begin() + static_cast<std::ptrdiff_t>(offset));
-    offset += data.size();
-  }
-  if (offset != out.size()) {
-    throw std::invalid_argument{size_mismatch};
-  }
-}
-
-}  // namespace
-
 std::vector<float> flatten_parameters(Module& module) {
   std::vector<float> flat;
   flat.reserve(module.parameter_count());
@@ -41,8 +18,19 @@ std::vector<float> flatten_parameters(Module& module) {
 }
 
 void copy_parameters_to(Module& module, std::span<float> out) {
-  copy_flat_to(module, out, [](Parameter* p) -> auto& { return p->value; },
-               "copy_parameters_to: span too short", "copy_parameters_to: span size mismatch");
+  // Must fill `out` exactly, in declaration order.
+  std::size_t offset = 0;
+  for (Parameter* p : module.parameters()) {
+    const auto data = p->value.data();
+    if (offset + data.size() > out.size()) {
+      throw std::invalid_argument{"copy_parameters_to: span too short"};
+    }
+    std::copy(data.begin(), data.end(), out.begin() + static_cast<std::ptrdiff_t>(offset));
+    offset += data.size();
+  }
+  if (offset != out.size()) {
+    throw std::invalid_argument{"copy_parameters_to: span size mismatch"};
+  }
 }
 
 void unflatten_parameters(Module& module, std::span<const float> flat) {
@@ -68,11 +56,6 @@ std::vector<float> flatten_gradients(Module& module) {
     flat.insert(flat.end(), data.begin(), data.end());
   }
   return flat;
-}
-
-void copy_gradients_to(Module& module, std::span<float> out) {
-  copy_flat_to(module, out, [](Parameter* p) -> auto& { return p->grad; },
-               "copy_gradients_to: span too short", "copy_gradients_to: span size mismatch");
 }
 
 std::size_t parameter_wire_bytes(std::size_t count) noexcept {

@@ -26,9 +26,6 @@ void unflatten_parameters(Module& module, std::span<const float> flat);
 /// Concatenate all parameter *gradients* in declaration order.
 [[nodiscard]] std::vector<float> flatten_gradients(Module& module);
 
-/// Span form of flatten_gradients; `out` size must match exactly.
-void copy_gradients_to(Module& module, std::span<float> out);
-
 /// Serialized wire size (bytes) of a flat parameter vector of `count` floats,
 /// including the length prefix. Used by the traffic meter (Table V).
 [[nodiscard]] std::size_t parameter_wire_bytes(std::size_t count) noexcept;

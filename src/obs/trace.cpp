@@ -55,16 +55,6 @@ void set_trace_context(const TraceContext& context) noexcept {
   g_ctx_round.store(context.round, std::memory_order_relaxed);
 }
 
-void clear_trace_context() noexcept { set_trace_context(TraceContext{}); }
-
-TraceContext current_trace_context() noexcept {
-  TraceContext context;
-  context.trace_id = g_ctx_trace_id.load(std::memory_order_relaxed);
-  context.parent_span = g_ctx_parent_span.load(std::memory_order_relaxed);
-  context.round = g_ctx_round.load(std::memory_order_relaxed);
-  return context;
-}
-
 std::uint64_t make_trace_id(std::uint64_t seed, std::uint64_t round) noexcept {
   // splitmix64 finalizer over the mixed pair; forced nonzero because 0 is the
   // "no context" sentinel.

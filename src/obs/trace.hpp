@@ -51,13 +51,11 @@ struct TraceContext {
   std::uint64_t round = 0;
 };
 
-/// Install / clear / read the process-wide trace context. Fields are stored
-/// as independent relaxed atomics: rounds are sequenced by the driver, so a
-/// racing reader at a round boundary sees a harmless mix of two adjacent
-/// contexts at worst, never a torn value.
+/// Install the process-wide trace context. Fields are stored as independent
+/// relaxed atomics: the round loop runs one round at a time, so a racing
+/// reader at a round boundary sees a harmless mix of two adjacent contexts at
+/// worst, never a torn value.
 void set_trace_context(const TraceContext& context) noexcept;
-void clear_trace_context() noexcept;
-[[nodiscard]] TraceContext current_trace_context() noexcept;
 
 /// Deterministic nonzero trace id for (seed, round): splitmix64 finalizer
 /// over the pair, so every process in the federation derives the same id for

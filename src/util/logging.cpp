@@ -67,7 +67,6 @@ void log_message(LogLevel level, std::string_view message) {
 FEDGUARD_DEFINE_LOG_FN(log_debug, LogLevel::Debug)
 FEDGUARD_DEFINE_LOG_FN(log_info, LogLevel::Info)
 FEDGUARD_DEFINE_LOG_FN(log_warn, LogLevel::Warn)
-FEDGUARD_DEFINE_LOG_FN(log_error, LogLevel::Error)
 
 #undef FEDGUARD_DEFINE_LOG_FN
 

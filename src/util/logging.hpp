@@ -19,6 +19,5 @@ void log_message(LogLevel level, std::string_view message);
 void log_debug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 void log_info(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 void log_warn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void log_error(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace fedguard::util

@@ -7,12 +7,17 @@
 #include <numeric>
 #include <string>
 
+#include "data/synthetic_mnist.hpp"
+#include "defenses/auxiliary_audit.hpp"
 #include "defenses/bulyan.hpp"
 #include "defenses/fedavg.hpp"
+#include "defenses/fedcpa.hpp"
+#include "defenses/fedguard.hpp"
 #include "defenses/geomed.hpp"
 #include "defenses/krum.hpp"
 #include "defenses/median.hpp"
 #include "defenses/norm_threshold.hpp"
+#include "defenses/spectral.hpp"
 #include "defenses/trimmed_mean.hpp"
 #include "strategy_path.hpp"
 #include "tensor/kernels/kernel_arch.hpp"
@@ -82,7 +87,7 @@ TEST(Aggregation, ValidationErrors) {
 TEST(GeoMed, MatchesMedianInOneDimension) {
   // In 1-D the geometric median is the ordinary median.
   const std::vector<float> points{1.0f, 2.0f, 100.0f};
-  const std::vector<float> result = geometric_median(points, 3, 1, 200, 1e-9);
+  const std::vector<float> result = geometric_median(PointsView{points, 3, 1}, 200, 1e-9);
   EXPECT_NEAR(result[0], 2.0f, 0.05f);
 }
 
@@ -105,7 +110,7 @@ TEST(GeoMed, MinimizesDistanceSumBetterThanMean) {
   const std::size_t count = 9, dim = 5;
   std::vector<float> points(count * dim);
   for (auto& v : points) v = rng.uniform_float(-2.0f, 2.0f);
-  const std::vector<float> median = geometric_median(points, count, dim);
+  const std::vector<float> median = geometric_median(PointsView{points, count, dim});
 
   std::vector<float> mean(dim, 0.0f);
   for (std::size_t k = 0; k < count; ++k) {
@@ -126,14 +131,14 @@ TEST(GeoMed, MinimizesDistanceSumBetterThanMean) {
 TEST(GeoMed, ExactAtSamplePoint) {
   // Majority of identical points: median is that point.
   std::vector<float> points{1.0f, 1.0f, 1.0f, 1.0f, 9.0f, 9.0f};  // 3x(1,?) ...
-  const std::vector<float> result = geometric_median(points, 3, 2);
+  const std::vector<float> result = geometric_median(PointsView{points, 3, 2});
   EXPECT_NEAR(result[0], 1.0f, 0.2f);
 }
 
 TEST(Krum, ScoresFavorClusterCore) {
   // 5 points: 4 clustered, 1 far away; the outlier must get the worst score.
   std::vector<float> points{0.0f, 0.1f, -0.1f, 0.05f, 50.0f};
-  const std::vector<double> scores = krum_scores(points, 5, 1, 1);
+  const std::vector<double> scores = krum_scores(PointsView{points, 5, 1}, 1);
   const std::size_t worst =
       static_cast<std::size_t>(std::max_element(scores.begin(), scores.end()) -
                                scores.begin());
@@ -179,12 +184,12 @@ TEST(Krum, HandlesTinyCohorts) {
 
 TEST(CoordinateMedian, OddAndEvenCounts) {
   const std::vector<float> odd{1.0f, 10.0f, 2.0f, 20.0f, 3.0f, 30.0f};  // 3 points, dim 2
-  const std::vector<float> result = coordinate_median(odd, 3, 2);
+  const std::vector<float> result = coordinate_median(PointsView{odd, 3, 2});
   EXPECT_FLOAT_EQ(result[0], 2.0f);
   EXPECT_FLOAT_EQ(result[1], 20.0f);
 
   const std::vector<float> even{1.0f, 2.0f, 3.0f, 4.0f};  // 4 points, dim 1
-  EXPECT_FLOAT_EQ(coordinate_median(even, 4, 1)[0], 2.5f);
+  EXPECT_FLOAT_EQ(coordinate_median(PointsView{even, 4, 1})[0], 2.5f);
 }
 
 TEST(CoordinateMedian, RobustToMinorityExtremes) {
@@ -199,12 +204,12 @@ TEST(CoordinateMedian, RobustToMinorityExtremes) {
 
 TEST(TrimmedMean, DropsExtremesSymmetrically) {
   const std::vector<float> points{-100.0f, 1.0f, 2.0f, 3.0f, 100.0f};
-  EXPECT_FLOAT_EQ(trimmed_mean(points, 5, 1, 0.2)[0], 2.0f);
+  EXPECT_FLOAT_EQ(trimmed_mean(PointsView{points, 5, 1}, 0.2)[0], 2.0f);
 }
 
 TEST(TrimmedMean, ZeroTrimIsMean) {
   const std::vector<float> points{1.0f, 2.0f, 3.0f};
-  EXPECT_FLOAT_EQ(trimmed_mean(points, 3, 1, 0.0)[0], 2.0f);
+  EXPECT_FLOAT_EQ(trimmed_mean(PointsView{points, 3, 1}, 0.0)[0], 2.0f);
 }
 
 TEST(TrimmedMean, InvalidFractionRejected) {
@@ -236,25 +241,21 @@ TEST(NormThreshold, SignFlipDefeatsIt) {
   EXPECT_NEAR(result.parameters[0], 0.0f, 1e-5f);  // attack cancelled the signal
 }
 
-/// Accepts and rejects fixed client ids, so the test below controls the
-/// split whose bookkeeping partial_aggregate_into tallies.
+/// Keeps every slot but fixed ones, so the test below controls the split
+/// that partial_aggregate_into writes and tallies.
 class FixedSplit final : public AggregationStrategy {
  public:
-  explicit FixedSplit(std::vector<int> rejected) : rejected_{std::move(rejected)} {}
+  explicit FixedSplit(std::vector<std::size_t> kept) : kept_{std::move(kept)} {}
   [[nodiscard]] std::string name() const override { return "fixed_split"; }
 
  private:
-  void do_partial_aggregate(const AggregationContext& /*context*/, const UpdateView& updates,
-                            ShardPartial& out) override {
+  Selection do_partial_aggregate(const AggregationContext& /*context*/,
+                                 const UpdateView& updates, ShardPartial& out) override {
     out.parameters.assign(updates.psi(0).begin(), updates.psi(0).end());
-    for (std::size_t k = 0; k < updates.count(); ++k) {
-      const int id = updates.meta(k).client_id;
-      const bool reject = std::find(rejected_.begin(), rejected_.end(), id) != rejected_.end();
-      (reject ? out.rejected_clients : out.accepted_clients).push_back(id);
-    }
+    return Selection{.kept = kept_};
   }
 
-  std::vector<int> rejected_;
+  std::vector<std::size_t> kept_;
 };
 
 TEST(PartialAggregate, TalliesTheCohortAgainstGroundTruth) {
@@ -265,7 +266,7 @@ TEST(PartialAggregate, TalliesTheCohortAgainstGroundTruth) {
   updates.push_back(make_update(1, {1.0f}, 5, true));    // accepted -> FN
   updates.push_back(make_update(2, {1.0f}, 7, false));   // rejected -> FP
   updates.push_back(make_update(3, {1.0f}, 11, false));  // accepted -> TN
-  FixedSplit strategy{{0, 2}};
+  FixedSplit strategy{{3, 1}};  // in any order
   ShardPartial partial;
   const AggregationResult result = aggregate(strategy, context_for({}), updates, &partial);
   EXPECT_EQ(partial.client_count, 4u);
@@ -274,6 +275,14 @@ TEST(PartialAggregate, TalliesTheCohortAgainstGroundTruth) {
   EXPECT_EQ(partial.rejected_malicious_count, 1u);
   EXPECT_EQ(result.rejected_clients, (std::vector<int>{0, 2}));
   EXPECT_EQ(result.accepted_clients, (std::vector<int>{1, 3}));
+}
+
+TEST(PartialAggregate, KeptSlotOutsideTheCohortThrows) {
+  std::vector<Upload> updates;
+  updates.push_back(make_update(0, {1.0f}));
+  updates.push_back(make_update(1, {2.0f}));
+  FixedSplit strategy{{0, 2}};
+  EXPECT_THROW((void)aggregate(strategy, context_for({}), updates), std::logic_error);
 }
 
 // ---- Krum family against a textbook reference -------------------------------
@@ -409,7 +418,7 @@ TEST_F(KrumFamilyReference, MatchesTheTextbookOnEveryTier) {
       kernels::set_kernel_arch(arch);
       const std::string where = c.name + " on " + std::string{kernels::to_string(arch)};
       if (arch == kernels::KernelArch::Serial) {
-        const std::vector<double> scores = krum_scores(flat, count, dim, f);
+        const std::vector<double> scores = krum_scores(PointsView{flat, count, dim}, f);
         ASSERT_EQ(scores.size(), count) << where;
         EXPECT_EQ(std::memcmp(scores.data(), expect_scores.data(), count * sizeof(double)), 0)
             << where;
@@ -498,6 +507,229 @@ TEST(KrumFamily, NanUpdateIsNeverPicked) {
                               [](float v) { return std::isfinite(v); }))
           << where;
     }
+  }
+}
+
+// ---- The decision record every scoring selector writes -----------------------
+
+/// A random cohort over `global`: `distinct` rows of ψ0 plus noise of a random
+/// scale, the other rows copies of them (so their scores tie; distinct = 1
+/// makes every score equal), each with a random decoder θ, sample count and
+/// ground truth. Ids run down from 100 + 3·(count − 1), so slot order is not
+/// id order.
+std::vector<Upload> record_cohort(std::size_t count, std::size_t distinct,
+                                  std::span<const float> global, std::size_t theta_dim,
+                                  util::Rng& rng) {
+  std::vector<Upload> cohort(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    Upload& upload = cohort[k];
+    upload.client_id = 100 + 3 * static_cast<int>(count - 1 - k);
+    upload.num_samples = 1 + rng.uniform_int(50);
+    upload.truly_malicious = rng.bernoulli(0.4);
+    if (k < distinct) {
+      const float scale = rng.uniform_float(0.0f, 0.5f);
+      upload.psi.assign(global.begin(), global.end());
+      for (float& v : upload.psi) v += scale * rng.uniform_float(-1.0f, 1.0f);
+    } else {
+      upload.psi = cohort[rng.uniform_int(distinct)].psi;
+    }
+    upload.theta.resize(theta_dim);
+    for (float& v : upload.theta) v = rng.uniform_float(-0.2f, 0.2f);
+  }
+  return cohort;
+}
+
+/// The split the record must hold when `kept` names the kept slots: both
+/// lists in slot order, and the malicious rows among the rejected tallied.
+void expect_split(const std::vector<Upload>& cohort, const std::vector<bool>& kept,
+                  const ShardPartial& partial, const std::string& where) {
+  std::vector<int> accepted;
+  std::vector<int> rejected;
+  std::size_t rejected_malicious = 0;
+  for (std::size_t k = 0; k < cohort.size(); ++k) {
+    (kept[k] ? accepted : rejected).push_back(cohort[k].client_id);
+    if (!kept[k] && cohort[k].truly_malicious) ++rejected_malicious;
+  }
+  EXPECT_EQ(partial.accepted_clients, accepted) << where;
+  EXPECT_EQ(partial.rejected_clients, rejected) << where;
+  EXPECT_EQ(partial.rejected_malicious_count, rejected_malicious) << where;
+}
+
+/// The slots whose ids the partial accepted.
+std::vector<bool> accepted_slots(const std::vector<Upload>& cohort,
+                                 const ShardPartial& partial) {
+  std::vector<bool> kept(cohort.size(), false);
+  for (std::size_t k = 0; k < cohort.size(); ++k) {
+    kept[k] = std::count(partial.accepted_clients.begin(), partial.accepted_clients.end(),
+                         cohort[k].client_id) > 0;
+  }
+  return kept;
+}
+
+/// The mean rule: the threshold is util::mean of the scores bit for bit, and
+/// the kept slots are those on `side` of it, or every slot when none is.
+void expect_mean_rule(const std::vector<Upload>& cohort, const ShardPartial& partial,
+                      KeepSide side, const std::string& where) {
+  ASSERT_EQ(partial.selection_scores.size(), cohort.size()) << where;
+  const double mean = util::mean(std::span<const double>{partial.selection_scores});
+  EXPECT_EQ(std::memcmp(&partial.selection_threshold, &mean, sizeof mean), 0) << where;
+  std::vector<bool> kept(cohort.size());
+  for (std::size_t k = 0; k < cohort.size(); ++k) {
+    const double score = partial.selection_scores[k];
+    kept[k] = side == KeepSide::AtOrAbove ? score >= mean : score <= mean;
+  }
+  if (std::none_of(kept.begin(), kept.end(), [](bool b) { return b; })) {
+    kept.assign(cohort.size(), true);
+  }
+  expect_split(cohort, kept, partial, where);
+}
+
+TEST(SelectByMean, KeepsOneSideOfTheMeanOrEverySlot) {
+  std::vector<std::size_t> kept;
+  const std::vector<double> scores{1.0, 0.0, 0.5};  // mean 0.5, exactly
+  Selection selection = select_by_mean(scores, KeepSide::AtOrAbove, kept);
+  EXPECT_EQ(std::vector<std::size_t>(selection.kept.begin(), selection.kept.end()),
+            (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(selection.threshold, 0.5);
+  EXPECT_EQ(selection.scores.data(), scores.data());
+  selection = select_by_mean(scores, KeepSide::AtOrBelow, kept);
+  EXPECT_EQ(std::vector<std::size_t>(selection.kept.begin(), selection.kept.end()),
+            (std::vector<std::size_t>{1, 2}));
+  // Three equal scores whose mean rounds above them, and a NaN: no slot
+  // passes, so every slot is kept.
+  const std::vector<double> equal(3, 0.1);
+  ASSERT_LT(equal[0], util::mean(std::span<const double>{equal}));
+  selection = select_by_mean(equal, KeepSide::AtOrAbove, kept);
+  EXPECT_EQ(selection.kept.size(), 3u);
+  const std::vector<double> nan(2, std::numeric_limits<double>::quiet_NaN());
+  selection = select_by_mean(nan, KeepSide::AtOrBelow, kept);
+  EXPECT_EQ(selection.kept.size(), 2u);
+}
+
+/// Krum and Multi-Krum: min(k, n) slots kept, none scoring worse than a
+/// rejected one, and the record is krum_scores in slot order.
+void expect_krum_record(const std::vector<Upload>& cohort, const ShardPartial& partial,
+                        double fraction, std::size_t multi_k, const std::string& where) {
+  std::vector<float> flat;
+  for (const Upload& upload : cohort) {
+    flat.insert(flat.end(), upload.psi.begin(), upload.psi.end());
+  }
+  const auto f = static_cast<std::size_t>(fraction * static_cast<double>(cohort.size()));
+  const std::vector<double> scores =
+      krum_scores(PointsView{flat, cohort.size(), cohort.front().psi.size()}, f);
+  ASSERT_EQ(partial.selection_scores.size(), cohort.size()) << where;
+  EXPECT_EQ(std::memcmp(partial.selection_scores.data(), scores.data(),
+                        scores.size() * sizeof(double)),
+            0)
+      << where;
+  EXPECT_EQ(partial.selection_threshold, 0.0) << where;
+  const std::vector<bool> kept = accepted_slots(cohort, partial);
+  EXPECT_EQ(static_cast<std::size_t>(std::count(kept.begin(), kept.end(), true)),
+            std::min(multi_k, cohort.size()))
+      << where;
+  for (std::size_t a = 0; a < cohort.size(); ++a) {
+    for (std::size_t r = 0; r < cohort.size(); ++r) {
+      if (kept[a] && !kept[r]) {
+        EXPECT_LE(scores[a], scores[r]) << where << ": kept slot " << a << ", rejected " << r;
+      }
+    }
+  }
+  expect_split(cohort, kept, partial, where);
+}
+
+/// FedCPA: the ceil(keep·n) highest scores kept, ties to the lower slot.
+void expect_fedcpa_record(const std::vector<Upload>& cohort, const ShardPartial& partial,
+                          double keep_fraction, const std::string& where) {
+  const std::size_t n = cohort.size();
+  ASSERT_EQ(partial.selection_scores.size(), n) << where;
+  EXPECT_EQ(partial.selection_threshold, 0.0) << where;
+  const std::vector<double>& scores = partial.selection_scores;
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&scores](std::size_t a, std::size_t b) {
+    return scores[a] != scores[b] ? scores[a] > scores[b] : a < b;
+  });
+  const auto keep = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::ceil(keep_fraction * static_cast<double>(n))), 1, n);
+  std::vector<bool> kept(n, false);
+  for (std::size_t i = 0; i < keep; ++i) kept[order[i]] = true;
+  expect_split(cohort, kept, partial, where);
+}
+
+struct DecisionRecord : ::testing::Test {
+  void TearDown() override { tensor::kernels::set_kernel_arch(tensor::kernels::KernelArch::Auto); }
+};
+
+TEST_F(DecisionRecord, EveryScoringSelectorRecordsItsCut) {
+  namespace kernels = tensor::kernels;
+  std::vector<kernels::KernelArch> tiers{kernels::KernelArch::Serial};
+  for (const auto arch : {kernels::KernelArch::Avx2, kernels::KernelArch::Avx512}) {
+    if (kernels::kernel_arch_available(arch)) tiers.push_back(arch);
+  }
+  const models::ImageGeometry geometry{1, 28, 28, 10};
+  const data::Dataset auxiliary = data::generate_synthetic_mnist(60, 0x4155ull);
+  const std::vector<float> global =
+      models::Classifier{models::ClassifierArch::Mlp, geometry, 0x6c6full}.parameters_flat();
+  AggregationContext context = context_for(global);
+  context.round = 1;
+
+  FedGuardConfig fedguard_config;
+  fedguard_config.cvae_spec.hidden = 16;
+  fedguard_config.cvae_spec.latent = 2;
+  fedguard_config.total_samples = 40;
+  SpectralConfig spectral_config;
+  spectral_config.surrogate_dim = 256;
+  spectral_config.pretrain_rounds = 2;
+  spectral_config.pretrain_clients = 3;
+  spectral_config.vae_epochs = 5;
+  const FedCpaConfig fedcpa_config;
+
+  struct Shape {
+    std::size_t count;
+    std::size_t distinct;
+  };
+  const Shape shapes[] = {{1, 1}, {2, 2}, {9, 9}, {10, 4}, {6, 1}};
+  for (const kernels::KernelArch arch : tiers) {
+    kernels::set_kernel_arch(arch);
+    FedGuardAggregator fedguard{fedguard_config, models::ClassifierArch::Mlp, geometry, 7};
+    AuxiliaryAuditAggregator audit{models::ClassifierArch::Mlp, geometry, auxiliary,
+                                   /*warmup_rounds=*/1, 8};
+    SpectralAggregator spectral{spectral_config, models::ClassifierArch::Mlp, geometry,
+                                auxiliary, 9};
+    KrumAggregator krum{0.25, 1};
+    KrumAggregator multi_krum{0.25, 3};
+    FedCpaAggregator fedcpa{fedcpa_config};
+    util::Rng rng{0x5245434full};
+    for (const Shape& shape : shapes) {
+      const std::vector<Upload> cohort = record_cohort(
+          shape.count, shape.distinct, global, fedguard.decoder_parameter_count(), rng);
+      const std::string where = std::to_string(shape.count) + " rows, " +
+                                std::to_string(shape.distinct) + " distinct, on " +
+                                std::string{kernels::to_string(arch)};
+      ShardPartial partial;
+      (void)aggregate(fedguard, context, cohort, &partial);
+      expect_mean_rule(cohort, partial, KeepSide::AtOrAbove, "fedguard, " + where);
+      (void)aggregate(audit, context, cohort, &partial);
+      expect_mean_rule(cohort, partial, KeepSide::AtOrAbove, "aux_audit, " + where);
+      (void)aggregate(spectral, context, cohort, &partial);
+      expect_mean_rule(cohort, partial, KeepSide::AtOrBelow, "spectral, " + where);
+      (void)aggregate(krum, context, cohort, &partial);
+      expect_krum_record(cohort, partial, 0.25, 1, "krum, " + where);
+      (void)aggregate(multi_krum, context, cohort, &partial);
+      expect_krum_record(cohort, partial, 0.25, 3, "multi_krum, " + where);
+      (void)aggregate(fedcpa, context, cohort, &partial);
+      expect_fedcpa_record(cohort, partial, fedcpa_config.keep_fraction, "fedcpa, " + where);
+    }
+    // AuxAudit's warm-up keeps every slot and scores none.
+    AggregationContext warmup = context;
+    warmup.round = 0;
+    const std::vector<Upload> cohort =
+        record_cohort(5, 5, global, fedguard.decoder_parameter_count(), rng);
+    ShardPartial partial;
+    (void)aggregate(audit, warmup, cohort, &partial);
+    EXPECT_TRUE(partial.selection_scores.empty());
+    EXPECT_EQ(partial.selection_threshold, 0.0);
+    expect_split(cohort, std::vector<bool>(cohort.size(), true), partial, "aux_audit warm-up");
   }
 }
 

@@ -126,13 +126,13 @@ TEST_F(AssertsEnabledTest, GeoMedRejectsNanPsi) {
 TEST_F(AssertsEnabledTest, KrumScoresRejectNonFinitePoints) {
   std::vector<float> points(4 * 3, 0.25f);
   points[7] = kInf;
-  EXPECT_THROW((void)defenses::krum_scores(points, 4, 3, 1), util::CheckError);
+  EXPECT_THROW((void)defenses::krum_scores(defenses::PointsView{points, 4, 3}, 1), util::CheckError);
 }
 
 TEST_F(AssertsEnabledTest, GeometricMedianRejectsNonFinitePoints) {
   std::vector<float> points(3 * 2, 1.0f);
   points[2] = kNan;
-  EXPECT_THROW((void)defenses::geometric_median(points, 3, 2), util::CheckError);
+  EXPECT_THROW((void)defenses::geometric_median(defenses::PointsView{points, 3, 2}), util::CheckError);
 }
 
 // The FedGuard path additionally validates the uploaded decoder parameters

@@ -137,12 +137,13 @@ TEST_F(FedGuardAggTest, ScoresExposeAccuracyGap) {
   updates.push_back(update_with(1, std::move(noise_psi), true));
 
   FedGuardAggregator aggregator = make_aggregator();
-  (void)aggregate(aggregator, context(), updates);
-  const auto& scores = aggregator.last_scores();
+  ShardPartial partial;
+  (void)aggregate(aggregator, context(), updates, &partial);
+  const std::vector<double>& scores = partial.selection_scores;
   ASSERT_EQ(scores.size(), 2u);
   EXPECT_GT(scores[0], scores[1] + 0.3)
       << "benign update must score far higher on synthetic validation data";
-  EXPECT_GT(aggregator.last_threshold(), 0.0);
+  EXPECT_GT(partial.selection_threshold, 0.0);
 }
 
 TEST_F(FedGuardAggTest, AllBenignAcceptsEveryoneAboveOrAtMean) {

@@ -48,7 +48,7 @@ TEST(Messages, RoundReplyRoundTrip) {
   reply.psi = psi;
   reply.theta = theta;
   defenses::UpdateMatrix arena;
-  arena.reset(1, psi.size(), 4);
+  arena.reset(1, psi.size(), theta.size());
   EXPECT_EQ(decode_round_reply_into(encode_round_reply(reply), arena.row(0)), 11u);
   const defenses::UpdateMeta& meta = arena.meta(0);
   EXPECT_EQ(meta.client_id, 3);
@@ -73,6 +73,26 @@ TEST(Messages, RoundReplyOfTheWrongShapeIsTyped) {
     try {
       (void)decode_round_reply_into(payload, arena.row(0));
       ADD_FAILURE() << "decoded into a " << psi_dim << "/" << theta_dim << " row";
+    } catch (const DecodeError& e) {
+      EXPECT_EQ(e.code(), DecodeErrorCode::BadShape);
+    }
+  }
+}
+
+TEST(Messages, RoundReplyWithAShortThetaIsBadShape) {
+  // θ must fill the row's θ plane exactly, as ψ fills its own: one float
+  // short, or none at all (a client that trained no CVAE), is a wrong shape.
+  const std::vector<float> psi(3, 1.0f);
+  for (const std::size_t theta_count : {std::size_t{4}, std::size_t{0}}) {
+    const std::vector<float> theta(theta_count, 1.0f);
+    RoundReply reply;
+    reply.psi = psi;
+    reply.theta = theta;
+    defenses::UpdateMatrix arena;
+    arena.reset(1, psi.size(), 5);
+    try {
+      (void)decode_round_reply_into(encode_round_reply(reply), arena.row(0));
+      ADD_FAILURE() << "decoded a " << theta_count << "-float theta into a 5-float plane";
     } catch (const DecodeError& e) {
       EXPECT_EQ(e.code(), DecodeErrorCode::BadShape);
     }
@@ -591,6 +611,47 @@ TEST(Messages, TelemetryReportWithAWrappingLengthIsTruncated) {
   }
 }
 
+/// A TelemetryReport payload that declares `events` span events followed by
+/// `event_bytes` zero bytes, then `deltas` counter deltas followed by
+/// `delta_bytes` zero bytes. Zero bytes are minimal records: 48 for an event
+/// (empty strings), 16 for a delta.
+std::vector<std::byte> telemetry_payload(std::uint64_t events, std::size_t event_bytes,
+                                         std::uint64_t deltas, std::size_t delta_bytes) {
+  util::ByteWriter writer;
+  writer.write_u32(1);  // sender_pid
+  writer.write_u32(2);  // sender_id
+  writer.write_u64(0);  // round
+  writer.write_u64(0);  // trace_id
+  writer.write_u64(events);
+  writer.write_raw(std::vector<std::byte>(event_bytes));
+  writer.write_u64(deltas);
+  writer.write_raw(std::vector<std::byte>(delta_bytes));
+  return writer.release();
+}
+
+TEST(Messages, TelemetryCountsAreBoundedByTheirMinimumRecordSize) {
+  // 100 minimal events and 10 minimal deltas decode.
+  const TelemetryFrame report = decode_telemetry_report(telemetry_payload(100, 4800, 10, 160));
+  EXPECT_EQ(report.events.size(), 100u);
+  EXPECT_EQ(report.counter_deltas.size(), 10u);
+  // A count the bytes left cannot hold at the minimum record size is refused
+  // by the count check, before anything is reserved for it, even when it
+  // fits the payload's byte count (the old bound, which reserved 96 bytes of
+  // events per payload byte).
+  for (const auto& payload : {telemetry_payload(200, 4800, 0, 0),
+                              telemetry_payload(0, 0, 400, 4800)}) {
+    ASSERT_LE(200u, payload.size());
+    try {
+      (void)decode_telemetry_report(payload);
+      ADD_FAILURE() << "an oversized count decoded";
+    } catch (const DecodeError& e) {
+      EXPECT_EQ(e.code(), DecodeErrorCode::Truncated);
+      EXPECT_NE(std::string{e.what()}.find("count exceeds payload"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 std::unique_ptr<ShardAggregator> fedavg_shard() {
   ShardConfig config;
   config.round_timeout = std::chrono::milliseconds{10000};
@@ -616,19 +677,20 @@ TEST(ShardPeers, TelemetryWithAWrappingLengthIsACorruptFrame) {
   shard->shutdown();
 }
 
-TEST(ShardPeers, ReplyIsFiledUnderTheHelloId) {
-  // A peer that said Hello as client 7 and names client 3 in its reply
-  // answers for 7: the id a payload carries is not trusted.
-  const std::unique_ptr<ShardAggregator> shard = fedavg_shard();
-  TcpStream peer = TcpStream::connect("127.0.0.1", shard->port());
+/// Connects a raw peer to `shard` as client 7 and starts round 0 with a
+/// one-slot cohort for it: four zero globals and a `theta_dim` θ plane. The
+/// peer has read its RoundRequest on return.
+TcpStream join_round_as_client_7(ShardAggregator& shard, std::size_t theta_dim) {
+  TcpStream peer = TcpStream::connect("127.0.0.1", shard.port());
   peer.send_message({MessageType::Hello, encode_hello(7)});
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
-  while (!shard->registered(7) && std::chrono::steady_clock::now() < deadline) {
+  while (!shard.registered(7) && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds{5});
   }
-  ASSERT_TRUE(shard->registered(7));
+  EXPECT_TRUE(shard.registered(7));
 
   RoundRequest request;
+  request.want_decoder = theta_dim > 0;
   request.global_parameters = {0.0f, 0.0f, 0.0f, 0.0f};
   ShardAggregator::RoundCommand command;
   command.cohort = {7};
@@ -636,10 +698,19 @@ TEST(ShardPeers, ReplyIsFiledUnderTheHelloId) {
       std::make_shared<const std::vector<std::byte>>(encode_round_request_frame(request));
   command.global_parameters =
       std::make_shared<const std::vector<float>>(request.global_parameters);
-  shard->start_round(std::move(command));
+  command.theta_dim = theta_dim;
+  shard.start_round(std::move(command));
 
   peer.set_receive_timeout(std::chrono::milliseconds{10000});
-  ASSERT_EQ(peer.receive_message().type, MessageType::RoundRequest);
+  EXPECT_EQ(peer.receive_message().type, MessageType::RoundRequest);
+  return peer;
+}
+
+TEST(ShardPeers, ReplyIsFiledUnderTheHelloId) {
+  // A peer that said Hello as client 7 and names client 3 in its reply
+  // answers for 7: the id a payload carries is not trusted.
+  const std::unique_ptr<ShardAggregator> shard = fedavg_shard();
+  TcpStream peer = join_round_as_client_7(*shard, 0);
   const std::vector<float> psi{1.0f, 2.0f, 3.0f, 4.0f};
   RoundReply reply;
   reply.meta.client_id = 3;
@@ -653,6 +724,45 @@ TEST(ShardPeers, ReplyIsFiledUnderTheHelloId) {
   EXPECT_EQ(result.partial.accepted_clients, (std::vector<int>{7}));
   EXPECT_TRUE(result.failures.empty());
   shard->shutdown();
+}
+
+TEST(ShardPeers, ShortThetaIsACorruptReply) {
+  // A FedGuard reply whose θ is one float short of the decoder fails its
+  // slot at decode. It must never reach the strategy, whose own dimension
+  // check would throw on the shard's reactor thread and end the process.
+  defenses::FedGuardConfig fedguard;
+  fedguard.cvae_spec.hidden = 16;
+  fedguard.cvae_spec.latent = 2;
+  auto strategy = std::make_unique<defenses::FedGuardAggregator>(
+      fedguard, models::ClassifierArch::Mlp, models::ImageGeometry{}, 1);
+  const std::size_t theta_dim = strategy->decoder_parameter_count();
+  ShardConfig config;
+  config.round_timeout = std::chrono::milliseconds{10000};
+  ShardAggregator shard{config, std::move(strategy)};
+  const obs::Counter corrupt =
+      obs::Registry::global().counter("net_shard_corrupt_frames_total{shard=\"0\"}");
+  const std::uint64_t before = corrupt.value();
+  TcpStream peer = join_round_as_client_7(shard, theta_dim);
+
+  const std::vector<float> psi{1.0f, 2.0f, 3.0f, 4.0f};
+  const std::vector<float> theta(theta_dim - 1, 0.0f);
+  RoundReply reply;
+  reply.meta.client_id = 7;
+  reply.meta.num_samples = 10;
+  reply.psi = psi;
+  reply.theta = theta;
+  peer.send_message({MessageType::RoundReply, encode_round_reply(reply)});
+
+  ShardAggregator::RoundResult result;
+  ASSERT_TRUE(shard.wait_result(std::chrono::steady_clock::now() + std::chrono::seconds{10},
+                                0, result));
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures.front().client, 7u);
+  EXPECT_EQ(result.failures.front().kind, fl::FailureKind::Corrupt);
+  EXPECT_EQ(result.partial.client_count, 0u);
+  EXPECT_EQ(corrupt.value(), before + 1);
+  EXPECT_TRUE(shard.alive());
+  shard.shutdown();
 }
 
 }  // namespace

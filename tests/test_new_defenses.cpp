@@ -122,9 +122,10 @@ TEST_F(AuxAuditFixture, RejectsPoisonedUpdates) {
   updates.push_back(make_update(2, std::vector<float>(good_psi.size(), 1.0f), true));
   AggregationContext context = zero_context(global);
   context.round = 0;
-  const auto result = aggregate(audit, context, updates);
+  ShardPartial partial;
+  const auto result = aggregate(audit, context, updates, &partial);
   EXPECT_EQ(result.rejected_clients, (std::vector<int>{2}));
-  EXPECT_GT(audit.last_scores()[0], audit.last_scores()[2] + 0.3);
+  EXPECT_GT(partial.selection_scores[0], partial.selection_scores[2] + 0.3);
 }
 
 TEST_F(AuxAuditFixture, WarmupPhaseAcceptsEverything) {

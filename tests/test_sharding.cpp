@@ -274,18 +274,20 @@ TEST(ShardedFedGuard, AcceptSetDivergesFromUnsharded) {
   fg.cvae_spec = spec;
   fg.total_samples = 80;
   defenses::FedGuardAggregator unsharded{fg, models::ClassifierArch::Mlp, geometry, 905};
+  std::vector<ShardPartial> single_partials;
   AggregationResult single;
-  two_tier_aggregate(unsharded, context, matrix, 1, single);
+  two_tier_aggregate(unsharded, context, matrix, 1, single_partials, single);
 
   defenses::FedGuardAggregator sharded{fg, models::ClassifierArch::Mlp, geometry, 905};
   AggregationResult merged;
   two_tier_aggregate(sharded, context, matrix, 2, merged);
 
-  const auto& scores = unsharded.last_scores();
+  const ShardPartial& record = single_partials.front();
+  const std::vector<double>& scores = record.selection_scores;
   ASSERT_EQ(scores.size(), kClients);
   std::printf("fedguard scores:");
   for (const double s : scores) std::printf(" %.3f", s);
-  std::printf("  threshold %.3f\n", unsharded.last_threshold());
+  std::printf("  threshold %.3f\n", record.selection_threshold);
 
   // Both paths must still reject the hard-poisoned updates...
   for (const int poisoned : {5, 7}) {
@@ -317,8 +319,9 @@ class RejectFarthest final : public defenses::AggregationStrategy {
   [[nodiscard]] std::string name() const override { return "reject_farthest"; }
 
  private:
-  void do_partial_aggregate(const AggregationContext& context, const UpdateView& updates,
-                            ShardPartial& out) override {
+  defenses::Selection do_partial_aggregate(const AggregationContext& context,
+                                           const UpdateView& updates,
+                                           ShardPartial& out) override {
     std::size_t farthest = 0;
     double farthest_distance = -1.0;
     for (std::size_t k = 0; k < updates.count(); ++k) {
@@ -333,18 +336,15 @@ class RejectFarthest final : public defenses::AggregationStrategy {
         farthest = k;
       }
     }
-    std::vector<std::size_t> kept;
+    kept_.clear();
     for (std::size_t k = 0; k < updates.count(); ++k) {
-      if (k == farthest && updates.count() > 1) {
-        out.rejected_clients.push_back(updates.meta(k).client_id);
-      } else {
-        kept.push_back(k);
-        out.accepted_clients.push_back(updates.meta(k).client_id);
-      }
+      if (k != farthest || updates.count() == 1) kept_.push_back(k);
     }
-    defenses::mean_of_into(updates, kept, accumulator_, out.parameters);
+    defenses::mean_of_into(updates, kept_, accumulator_, out.parameters);
+    return defenses::Selection{.kept = kept_};
   }
 
+  std::vector<std::size_t> kept_;
   std::vector<double> accumulator_;
 };
 

@@ -65,11 +65,12 @@ class SpectralTest : public ::testing::Test {
   std::vector<Upload> benign_;
 };
 
-TEST_F(SpectralTest, PretrainsLazilyOnFirstRound) {
-  EXPECT_FALSE(aggregator_->pretrained());
-  (void)aggregate(*aggregator_, context(), benign_);
-  EXPECT_TRUE(aggregator_->pretrained());
-  EXPECT_EQ(aggregator_->last_errors().size(), benign_.size());
+TEST_F(SpectralTest, RecordsOneErrorPerSlotAndTheMean) {
+  ShardPartial partial;
+  (void)aggregate(*aggregator_, context(), benign_, &partial);
+  ASSERT_EQ(partial.selection_scores.size(), benign_.size());
+  EXPECT_EQ(partial.selection_threshold,
+            util::mean(std::span<const double>{partial.selection_scores}));
 }
 
 TEST_F(SpectralTest, GrossOutlierGetsHighestErrorAndIsRejected) {
@@ -80,8 +81,9 @@ TEST_F(SpectralTest, GrossOutlierGetsHighestErrorAndIsRejected) {
   std::fill(poisoned.psi.begin(), poisoned.psi.end(), 1.0f);  // same-value attack
   updates.push_back(poisoned);
 
-  const auto result = aggregate(*aggregator_, context(), updates);
-  const auto& errors = aggregator_->last_errors();
+  ShardPartial partial;
+  const auto result = aggregate(*aggregator_, context(), updates, &partial);
+  const std::vector<double>& errors = partial.selection_scores;
   const std::size_t worst = static_cast<std::size_t>(
       std::max_element(errors.begin(), errors.end()) - errors.begin());
   EXPECT_EQ(updates[worst].client_id, 99);
