@@ -5,6 +5,7 @@
 #include <string>
 
 #include "obs/trace.hpp"
+#include "parallel/kernel_config.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
 
@@ -137,7 +138,11 @@ void AggregationStrategy::merge_partials_into(const AggregationContext& /*contex
     throw std::invalid_argument{"merge_partials: mixed exact/metadata partials"};
   }
 
-  merge_accumulator_.assign(dim, 0.0);
+  // One pass over coordinate ranges: each coordinate starts at 0.0 and adds
+  // the live partials in shard order, so how the range is split changes no
+  // bit of the result.
+  out.parameters.resize(dim);
+  float* merged = out.parameters.data();
   if (any_exact) {
     // Sum the shard accumulators then divide once: with one live shard this
     // is bit-identical to weighted_mean_into (adding a sum to 0.0 reproduces
@@ -150,32 +155,33 @@ void AggregationStrategy::merge_partials_into(const AggregationContext& /*contex
       total_weight += partial.weight_sum;
       total_count += partial.client_count;
     }
-    if (total_weight == 0.0) {
-      for (const ShardPartial& partial : partials) {
-        if (partial.client_count == 0) continue;
-        for (std::size_t i = 0; i < dim; ++i) {
-          merge_accumulator_[i] += partial.psi_plain_sum[i];
-        }
+    const bool plain = total_weight == 0.0;
+    if (plain) total_weight = static_cast<double>(total_count);
+    std::vector<const double*> sums;
+    for (const ShardPartial& partial : partials) {
+      if (partial.client_count == 0) continue;
+      const std::vector<double>& sum = plain ? partial.psi_plain_sum : partial.psi_weighted_sum;
+      if (sum.size() != dim) {
+        throw std::invalid_argument{"merge_partials: shard parameter dimension mismatch"};
       }
-      total_weight = static_cast<double>(total_count);
-    } else {
-      for (const ShardPartial& partial : partials) {
-        if (partial.client_count == 0) continue;
-        for (std::size_t i = 0; i < dim; ++i) {
-          merge_accumulator_[i] += partial.psi_weighted_sum[i];
-        }
+      sums.push_back(sum.data());
+    }
+    parallel::elementwise_ranges(dim, parallel::kElementwiseGrain, dim * sums.size(),
+                                 [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        double total = 0.0;
+        for (const double* sum : sums) total += sum[i];
+        merged[i] = static_cast<float>(total / total_weight);
       }
-    }
-    out.parameters.resize(dim);
-    for (std::size_t i = 0; i < dim; ++i) {
-      out.parameters[i] = static_cast<float>(merge_accumulator_[i] / total_weight);
-    }
+    });
   } else {
     // Metadata routing: each shard already selected locally; the root trusts
     // the shard-local aggregates and combines them weighted by how many
     // clients each one accepted (a shard that rejected its whole cohort
     // still weighs 1 so its aggregate — by contract a usable fallback — is
     // not silently discarded).
+    std::vector<const float*> aggregates;
+    std::vector<double> weights;
     double total_weight = 0.0;
     for (const ShardPartial& partial : partials) {
       if (partial.client_count == 0) continue;
@@ -185,14 +191,19 @@ void AggregationStrategy::merge_partials_into(const AggregationContext& /*contex
       const double w = static_cast<double>(
           partial.accepted_clients.empty() ? 1 : partial.accepted_clients.size());
       total_weight += w;
-      for (std::size_t i = 0; i < dim; ++i) {
-        merge_accumulator_[i] += w * static_cast<double>(partial.parameters[i]);
+      aggregates.push_back(partial.parameters.data());
+      weights.push_back(w);
+    }
+    parallel::elementwise_ranges(dim, parallel::kElementwiseGrain, dim * aggregates.size(),
+                                 [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        double total = 0.0;
+        for (std::size_t s = 0; s < aggregates.size(); ++s) {
+          total += weights[s] * static_cast<double>(aggregates[s][i]);
+        }
+        merged[i] = static_cast<float>(total / total_weight);
       }
-    }
-    out.parameters.resize(dim);
-    for (std::size_t i = 0; i < dim; ++i) {
-      out.parameters[i] = static_cast<float>(merge_accumulator_[i] / total_weight);
-    }
+    });
   }
   for (const ShardPartial& partial : partials) {
     if (partial.client_count == 0) continue;

@@ -184,8 +184,7 @@ class AggregationStrategy {
   virtual Selection do_partial_aggregate(const AggregationContext& context,
                                          const UpdateView& updates, ShardPartial& out) = 0;
 
-  std::vector<double> merge_accumulator_;  // round-persistent merge scratch
-  std::vector<unsigned char> kept_mask_;   // per-slot split scratch
+  std::vector<unsigned char> kept_mask_;  // per-slot split scratch
 };
 
 // ---- Shared helpers used by several strategies -------------------------------

@@ -6,6 +6,7 @@
 
 #include "obs/exporter.hpp"
 #include "obs/trace.hpp"
+#include "parallel/kernel_config.hpp"
 #include "util/logging.hpp"
 
 namespace fedguard::fl {
@@ -76,7 +77,7 @@ RoundRecord RoundEngine::run_round(std::size_t round) {
   // Federation-wide correlation id: installed before the first span so every
   // local span — and, via the socket RoundRequest, every remote one — carries
   // the same id.
-  obs::set_trace_context({obs::make_trace_id(config_.seed, round), 0, round});
+  obs::set_trace_context({obs::make_trace_id(config_.seed, round), round});
   FEDGUARD_TRACE_SPAN("round", "round:" + std::to_string(round));
   RoundRecord record;
   record.round = round;
@@ -133,9 +134,13 @@ RoundRecord RoundEngine::run_round(std::size_t round) {
         throw std::runtime_error{"RoundEngine: strategy returned wrong parameter dimension"};
       }
       const float eta = config_.server_learning_rate;
-      for (std::size_t i = 0; i < global_parameters_.size(); ++i) {
-        global_parameters_[i] += eta * (result_.parameters[i] - global_parameters_[i]);
-      }
+      float* global = global_parameters_.data();
+      const float* merged = result_.parameters.data();
+      const std::size_t dim = global_parameters_.size();
+      parallel::elementwise_ranges(dim, parallel::kElementwiseGrain, dim,
+                                   [=](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) global[i] += eta * (merged[i] - global[i]);
+      });
       // The merged reject set is the union of the shards' (every strategy's
       // merge), so the shard tallies add up to the round's detection split.
       record.rejected_clients = result_.rejected_clients.size();

@@ -168,19 +168,6 @@ std::vector<double> Classifier::evaluate_per_class(const tensor::Tensor& images,
   return recall;
 }
 
-std::vector<std::size_t> Classifier::confusion_matrix(const tensor::Tensor& images,
-                                                      std::span<const int> labels) {
-  const std::size_t classes = geometry_.num_classes;
-  std::vector<std::size_t> matrix(classes * classes, 0);
-  const tensor::Tensor logits = network_->forward(images);
-  for (std::size_t n = 0; n < labels.size(); ++n) {
-    const auto truth = static_cast<std::size_t>(labels[n]);
-    const std::size_t predicted = tensor::argmax(logits.row(n));
-    ++matrix[truth * classes + predicted];
-  }
-  return matrix;
-}
-
 std::vector<float> Classifier::parameters_flat() { return nn::flatten_parameters(*network_); }
 
 void Classifier::copy_parameters_to(std::span<float> out) {

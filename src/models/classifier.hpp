@@ -77,12 +77,6 @@ class Classifier {
   [[nodiscard]] std::vector<double> evaluate_per_class(const tensor::Tensor& images,
                                                        std::span<const int> labels);
 
-  /// Row-major confusion matrix [num_classes x num_classes]: entry (t, p) is
-  /// the number of class-t samples predicted as class p. Shows exactly where
-  /// a targeted label-flip attack moved the errors (5->7, 4->2).
-  [[nodiscard]] std::vector<std::size_t> confusion_matrix(const tensor::Tensor& images,
-                                                          std::span<const int> labels);
-
   [[nodiscard]] nn::Sequential& network() noexcept { return *network_; }
   [[nodiscard]] ClassifierArch arch() const noexcept { return arch_; }
   [[nodiscard]] const ImageGeometry& geometry() const noexcept { return geometry_; }

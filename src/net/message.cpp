@@ -104,9 +104,9 @@ void read_psi_span(util::ByteReader& reader, util::WireCodec codec, std::span<fl
   reader.read_f32_into(out);
 }
 
-// round, want_decoder, psi codec, psi chunk, trace_id, parent_span: the
-// RoundRequest fields ahead of the ψ0 span.
-constexpr std::size_t kRoundRequestFieldBytes = 8 + 4 + 4 + 4 + 8 + 8;
+// round, want_decoder, psi codec, psi chunk, trace_id: the RoundRequest
+// fields ahead of the ψ0 span.
+constexpr std::size_t kRoundRequestFieldBytes = 8 + 4 + 4 + 4 + 8;
 
 // The least a TelemetryReport record can take on the wire. A span event:
 // rel_ts_ns, trace_id, round, tid, phase and its two string lengths. A
@@ -120,7 +120,6 @@ void write_round_request(util::ByteWriter& writer, const RoundRequest& request) 
   writer.write_u32(static_cast<std::uint32_t>(request.psi_codec));
   writer.write_u32(static_cast<std::uint32_t>(request.psi_chunk));
   writer.write_u64(request.trace_id);
-  writer.write_u64(request.parent_span);
   writer.write_f32_span(request.global_parameters);
 }
 
@@ -259,7 +258,6 @@ void decode_round_request_into(std::span<const std::byte> payload, RoundRequest&
     out.psi_codec = read_codec_tag(reader);
     out.psi_chunk = static_cast<std::size_t>(reader.read_u32());
     out.trace_id = reader.read_u64();
-    out.parent_span = reader.read_u64();
     const auto count = static_cast<std::size_t>(reader.read_u64());
     // Bound the declared count by the bytes actually present before sizing
     // the destination: a corrupt count must not become a huge allocation.

@@ -125,7 +125,6 @@ struct RoundRequest {
   // around its round work, so spans recorded on any host correlate under one
   // id. 0 = tracing off; purely observational either way.
   std::uint64_t trace_id = 0;
-  std::uint64_t parent_span = 0;
   std::vector<float> global_parameters;
 };
 [[nodiscard]] std::vector<std::byte> encode_round_request(const RoundRequest& request);

@@ -112,8 +112,7 @@ std::size_t run_remote_client(const std::string& host, std::uint16_t port,
     decode_round_request_into(message.payload, request);
     // Adopt the server's trace context for the round's work: every span below
     // (per-layer training included) gets stamped with the federation-wide id.
-    obs::set_trace_context(
-        {request.trace_id, request.parent_span, request.round});
+    obs::set_trace_context({request.trace_id, request.round});
     const FaultKind fault =
         faults ? faults->decide(client.id(), request.round) : FaultKind::None;
     if (fault == FaultKind::Drop) {

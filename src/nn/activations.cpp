@@ -3,19 +3,25 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "parallel/kernel_config.hpp"
+
 namespace fedguard::nn {
 
 tensor::Tensor ReLU::forward(const tensor::Tensor& input) {
   mask_ = tensor::Tensor{input.shape()};
   tensor::Tensor out{input.shape()};
-  const auto in = input.data();
-  auto mask = mask_.data();
-  auto dst = out.data();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const bool positive = in[i] > 0.0f;
-    mask[i] = positive ? 1.0f : 0.0f;
-    dst[i] = positive ? in[i] : 0.0f;
-  }
+  const float* in = input.raw();
+  float* mask = mask_.raw();
+  float* dst = out.raw();
+  const std::size_t size = input.size();
+  parallel::elementwise_ranges(size, parallel::kElementwiseGrain, size,
+                               [=](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const bool positive = in[i] > 0.0f;
+      mask[i] = positive ? 1.0f : 0.0f;
+      dst[i] = positive ? in[i] : 0.0f;
+    }
+  });
   return out;
 }
 

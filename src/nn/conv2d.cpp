@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "parallel/kernel_config.hpp"
 #include "tensor/init.hpp"
 
 namespace fedguard::nn {
@@ -70,15 +71,18 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& input) {
     tensor::matmul(weight_.value.raw(), scratch_columns_.data(), scratch_out_mat_.data(),
                    out_channels_, patch, cols);
     // Scatter [oc, sample, pixel] -> [sample, oc, pixel], adding the bias.
-    for (std::size_t s = 0; s < cs; ++s) {
-      float* dst = out.raw() + (s0 + s) * out_channels_ * pixels;
-      for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-        const float* src = scratch_out_mat_.data() + oc * cols + s * pixels;
-        const float b = with_bias_ ? bias_.value[oc] : 0.0f;
-        float* row = dst + oc * pixels;
-        for (std::size_t p = 0; p < pixels; ++p) row[p] = src[p] + b;
+    parallel::elementwise_ranges(cs, 1, out_channels_ * cols,
+                                 [&](std::size_t begin, std::size_t end) {
+      for (std::size_t s = begin; s < end; ++s) {
+        float* dst = out.raw() + (s0 + s) * out_channels_ * pixels;
+        for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+          const float* src = scratch_out_mat_.data() + oc * cols + s * pixels;
+          const float b = with_bias_ ? bias_.value[oc] : 0.0f;
+          float* row = dst + oc * pixels;
+          for (std::size_t p = 0; p < pixels; ++p) row[p] = src[p] + b;
+        }
       }
-    }
+    });
   }
   return out;
 }
@@ -112,13 +116,16 @@ void Conv2d::backward_chunks(const tensor::Tensor& grad_output, tensor::Tensor* 
     // Gather dY [sample, oc, pixel] -> [oc, sample, pixel] so the chunk is
     // one [oc, cs*pixels] matrix.
     scratch_grad_mat_.resize(out_channels_ * cols);
-    for (std::size_t s = 0; s < cs; ++s) {
-      const float* go = grad_output.raw() + (s0 + s) * out_channels_ * pixels;
-      for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-        std::copy(go + oc * pixels, go + (oc + 1) * pixels,
-                  scratch_grad_mat_.data() + oc * cols + s * pixels);
+    parallel::elementwise_ranges(cs, 1, out_channels_ * cols,
+                                 [&](std::size_t begin, std::size_t end) {
+      for (std::size_t s = begin; s < end; ++s) {
+        const float* go = grad_output.raw() + (s0 + s) * out_channels_ * pixels;
+        for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+          std::copy(go + oc * pixels, go + (oc + 1) * pixels,
+                    scratch_grad_mat_.data() + oc * cols + s * pixels);
+        }
       }
-    }
+    });
     scratch_columns_.resize(patch * cols);
     tensor::im2col_batch(cached_input_.data().subspan(s0 * image_size, cs * image_size), g,
                          cs, scratch_columns_.data());

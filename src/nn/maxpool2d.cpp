@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "parallel/kernel_config.hpp"
+
 namespace fedguard::nn {
 
 MaxPool2d::MaxPool2d(std::size_t kernel) : kernel_{kernel} {
@@ -26,18 +28,23 @@ tensor::Tensor MaxPool2d::forward(const tensor::Tensor& input) {
 
   const float* src = input.raw();
   float* dst = out.raw();
-  std::size_t out_index = 0;
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t c = 0; c < channels; ++c) {
-      const std::size_t plane = (n * channels + c) * in_h * in_w;
+  std::size_t* argmax = argmax_.data();
+  const std::size_t k = kernel_;
+  const std::size_t out_plane = out_h * out_w;
+  // Each (sample, channel) plane is pooled on its own, so the planes split
+  // freely.
+  parallel::elementwise_ranges(batch * channels, 1, input.size(),
+                               [=](std::size_t begin, std::size_t end) {
+    for (std::size_t plane_index = begin; plane_index < end; ++plane_index) {
+      const std::size_t plane = plane_index * in_h * in_w;
+      std::size_t out_index = plane_index * out_plane;
       for (std::size_t oy = 0; oy < out_h; ++oy) {
         for (std::size_t ox = 0; ox < out_w; ++ox) {
-          std::size_t best_index = plane + (oy * kernel_) * in_w + ox * kernel_;
+          std::size_t best_index = plane + (oy * k) * in_w + ox * k;
           float best = src[best_index];
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            for (std::size_t kx = 0; kx < kernel_; ++kx) {
-              const std::size_t idx =
-                  plane + (oy * kernel_ + ky) * in_w + (ox * kernel_ + kx);
+          for (std::size_t ky = 0; ky < k; ++ky) {
+            for (std::size_t kx = 0; kx < k; ++kx) {
+              const std::size_t idx = plane + (oy * k + ky) * in_w + (ox * k + kx);
               if (src[idx] > best) {
                 best = src[idx];
                 best_index = idx;
@@ -45,12 +52,12 @@ tensor::Tensor MaxPool2d::forward(const tensor::Tensor& input) {
             }
           }
           dst[out_index] = best;
-          argmax_[out_index] = best_index;
+          argmax[out_index] = best_index;
           ++out_index;
         }
       }
     }
-  }
+  });
   return out;
 }
 

@@ -20,7 +20,6 @@ std::atomic<std::uint64_t> g_epoch_source{0};
 // Process-wide trace context, one relaxed atomic per field (see the header
 // note on why tearing across fields is benign here).
 std::atomic<std::uint64_t> g_ctx_trace_id{0};
-std::atomic<std::uint64_t> g_ctx_parent_span{0};
 std::atomic<std::uint64_t> g_ctx_round{0};
 
 void append_hex16(std::string& out, std::uint64_t value) {
@@ -51,7 +50,6 @@ std::uint64_t now_ns() noexcept {
 
 void set_trace_context(const TraceContext& context) noexcept {
   g_ctx_trace_id.store(context.trace_id, std::memory_order_relaxed);
-  g_ctx_parent_span.store(context.parent_span, std::memory_order_relaxed);
   g_ctx_round.store(context.round, std::memory_order_relaxed);
 }
 

@@ -47,7 +47,6 @@ class Span;
 /// process boundaries. trace_id == 0 means "no context".
 struct TraceContext {
   std::uint64_t trace_id = 0;
-  std::uint64_t parent_span = 0;
   std::uint64_t round = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <thread>
 
@@ -50,6 +51,55 @@ PoolState& pool_state() {
   static PoolState instance;
   return instance;
 }
+
+/// One fan-out of kernel_parallel_ranges. The calling thread and its helper
+/// tasks claim chunks from `next`, so a caller never sits idle behind other
+/// callers' tasks in the shared queue while a chunk of its own is unclaimed.
+/// Helpers hold the state by shared_ptr: one that starts after the call
+/// returned finds every chunk claimed and never touches the caller's body.
+struct FanOut {
+  FanOut(std::size_t chunk_count, std::size_t chunk_stride, std::size_t item_count,
+         const std::function<void(std::size_t, std::size_t)>& chunk_body)
+      : chunks{chunk_count}, stride{chunk_stride}, count{item_count}, body{&chunk_body} {}
+
+  /// Runs chunks until none is left unclaimed.
+  void work() {
+    for (std::size_t chunk = next.fetch_add(1); chunk < chunks; chunk = next.fetch_add(1)) {
+      const std::size_t begin = chunk * stride;
+      const std::size_t end = std::min(count, begin + stride);
+      std::exception_ptr error;
+      try {
+        if (begin < end) (*body)(begin, end);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      const util::MutexLock lock{mutex};
+      if (error && !first_error) first_error = error;
+      if (++finished == chunks) all_finished.notify_all();
+    }
+  }
+
+  /// Blocks until every chunk has run; rethrows the first chunk's exception.
+  void wait() {
+    std::exception_ptr error;
+    {
+      const util::MutexLock lock{mutex};
+      while (finished < chunks) all_finished.wait(mutex);
+      error = first_error;
+    }
+    if (error) std::rethrow_exception(error);
+  }
+
+  const std::size_t chunks;
+  const std::size_t stride;
+  const std::size_t count;
+  const std::function<void(std::size_t, std::size_t)>* body;
+  std::atomic<std::size_t> next{0};
+  util::Mutex mutex;
+  util::CondVar all_finished;
+  std::size_t finished FEDGUARD_GUARDED_BY(mutex) = 0;
+  std::exception_ptr first_error FEDGUARD_GUARDED_BY(mutex);
+};
 
 }  // namespace
 
@@ -118,11 +168,13 @@ void kernel_parallel_ranges(std::size_t count, std::size_t grain,
   }
   const std::size_t blocks_per_chunk = (blocks + chunks - 1) / chunks;
   const std::size_t stride = blocks_per_chunk * grain;
-  kernel_pool().run_batch(chunks, [&](std::size_t chunk) {
-    const std::size_t begin = chunk * stride;
-    const std::size_t end = std::min(count, begin + stride);
-    if (begin < end) body(begin, end);
-  });
+  const auto fan_out = std::make_shared<FanOut>(chunks, stride, count, body);
+  ThreadPool& pool = kernel_pool();
+  for (std::size_t helper = 1; helper < chunks; ++helper) {
+    (void)pool.submit([fan_out] { fan_out->work(); });
+  }
+  fan_out->work();
+  fan_out->wait();
 }
 
 }  // namespace fedguard::parallel

@@ -29,8 +29,9 @@ struct KernelConfig {
   std::size_t threads = 0;
   /// GEMMs with fewer than this many flops (2*m*k*n) run serially.
   std::size_t gemm_min_flops = std::size_t{1} << 22;
-  /// Elementwise span ops (axpy/add/sub/scale/sum) shorter than this run
-  /// serially.
+  /// Elementwise work touching fewer floats than this runs serially: span
+  /// ops (axpy/add/sub/scale/sum), the conv lowering and the ReLU, max-pool
+  /// and conv scatter passes, and the root's merge and η step.
   std::size_t elementwise_min_size = std::size_t{1} << 16;
   /// Aggregator distance passes touching fewer than this many floats
   /// (count * dim) run serially.
@@ -64,9 +65,30 @@ void set_kernel_config(const KernelConfig& config) noexcept;
 
 /// Split [0, count) into at most kernel_threads() contiguous subranges whose
 /// sizes are multiples of `grain` (except the last) and run `body(begin, end)`
-/// for each on the kernel pool. Runs serially (one body call covering the
-/// whole range) when fan-out is not worthwhile. `count == 0` is a no-op.
+/// for each on the kernel pool, the calling thread taking ranges too: several
+/// threads may fan out onto the one pool at once, and a caller whose helpers
+/// are stuck behind other callers' work runs its own ranges. Runs serially
+/// (one body call covering the whole range) when fan-out is not worthwhile.
+/// `count == 0` is a no-op.
 void kernel_parallel_ranges(std::size_t count, std::size_t grain,
                             const std::function<void(std::size_t, std::size_t)>& body);
+
+/// Elements per range of a span op's fan-out (ranges are whole multiples).
+inline constexpr std::size_t kElementwiseGrain = 4096;
+
+/// Runs body(begin, end) over [0, count) for elementwise work that touches
+/// `floats` floats in all: through kernel_parallel_ranges(count, grain, body)
+/// when should_parallelize(floats, elementwise_min_size), otherwise as one
+/// inline body(0, count) call, which builds no std::function.
+template <typename Body>
+void elementwise_ranges(std::size_t count, std::size_t grain, std::size_t floats,
+                        const Body& body) {
+  if (count == 0) return;
+  if (!should_parallelize(floats, kernel_config().elementwise_min_size)) {
+    body(std::size_t{0}, count);
+    return;
+  }
+  kernel_parallel_ranges(count, grain, body);
+}
 
 }  // namespace fedguard::parallel

@@ -37,28 +37,29 @@ void check_matmul(std::size_t am, std::size_t ak, std::size_t bk, std::size_t bn
 // (a_rs = 1, a_cs = m). B and C are always row-major with unit column stride.
 //
 // Determinism: every C element accumulates its k products in ascending p
-// order regardless of blocking or row partitioning, so output is identical
-// for any thread count and bit-stable across runs.
+// order regardless of blocking or of how the rows and columns are split, so
+// output is identical for any thread count and bit-stable across runs.
 
 constexpr std::size_t kMc = 64;   // rows per macro tile
 constexpr std::size_t kKc = 256;  // depth chunk: A tile kMc x kKc = 64 KiB
 constexpr std::size_t kNc = 512;  // cols per macro tile: B tile kKc x kNc = 512 KiB
 
-/// Accumulates C[row_begin:row_end, :] += op(A) * B for one row slice. The
+/// Accumulates C[row_begin:row_end, col_begin:col_end] += op(A) * B. The
 /// micro-tile geometry and kernel come from the runtime dispatch table; the
 /// serial tier (kt.gemm_micro == nullptr) runs gemm_serial_micro, the
-/// determinism oracle.
-void gemm_rows(const float* a, std::size_t a_rs, std::size_t a_cs, const float* b, float* c,
-               std::size_t k, std::size_t n, std::size_t row_begin, std::size_t row_end,
-               const kernels::KernelTable& kt) {
+/// determinism oracle. col_begin is a multiple of kt.gemm_nr, so the register
+/// tiles fall where they fall for the whole matrix.
+void gemm_block(const float* a, std::size_t a_rs, std::size_t a_cs, const float* b, float* c,
+                std::size_t k, std::size_t n, std::size_t row_begin, std::size_t row_end,
+                std::size_t col_begin, std::size_t col_end, const kernels::KernelTable& kt) {
   const std::size_t tile_mr = kt.gemm_mr;
   const std::size_t tile_nr = kt.gemm_nr;
   for (std::size_t pc = 0; pc < k; pc += kKc) {
     const std::size_t kc = std::min(kKc, k - pc);
     for (std::size_t ic = row_begin; ic < row_end; ic += kMc) {
       const std::size_t mc = std::min(kMc, row_end - ic);
-      for (std::size_t jc = 0; jc < n; jc += kNc) {
-        const std::size_t nc = std::min(kNc, n - jc);
+      for (std::size_t jc = col_begin; jc < col_end; jc += kNc) {
+        const std::size_t nc = std::min(kNc, col_end - jc);
         for (std::size_t i = 0; i < mc; i += tile_mr) {
           const std::size_t mr = std::min(tile_mr, mc - i);
           for (std::size_t j = 0; j < nc; j += tile_nr) {
@@ -78,8 +79,10 @@ void gemm_rows(const float* a, std::size_t a_rs, std::size_t a_cs, const float* 
   }
 }
 
-/// Row-partitioned parallel driver. Partitions align to kMc blocks so every
-/// row is computed by exactly the same loop nest as the serial path.
+/// Parallel driver. Ranges of kMc-row blocks keep every row on the serial
+/// path's loop nest. A GEMM with fewer row blocks than kernel threads (a conv
+/// layer's C_out <= 64 rows, Linear's dX at small batch) splits its columns
+/// instead, on whole register tiles, so no edge tile appears mid-matrix.
 void gemm_dispatch(const float* a, std::size_t a_rs, std::size_t a_cs, const float* b, float* c,
                    std::size_t m, std::size_t k, std::size_t n) {
   if (m == 0 || n == 0 || k == 0) return;
@@ -87,11 +90,18 @@ void gemm_dispatch(const float* a, std::size_t a_rs, std::size_t a_cs, const flo
   const parallel::KernelConfig config = parallel::kernel_config();
   const std::size_t flops = 2 * m * k * n;
   if (!parallel::should_parallelize(flops, config.gemm_min_flops)) {
-    gemm_rows(a, a_rs, a_cs, b, c, k, n, 0, m, kt);
+    gemm_block(a, a_rs, a_cs, b, c, k, n, 0, m, 0, n, kt);
+    return;
+  }
+  if ((m + kMc - 1) / kMc < parallel::kernel_threads()) {
+    parallel::kernel_parallel_ranges(n, kt.gemm_nr,
+                                     [&](std::size_t col_begin, std::size_t col_end) {
+      gemm_block(a, a_rs, a_cs, b, c, k, n, 0, m, col_begin, col_end, kt);
+    });
     return;
   }
   parallel::kernel_parallel_ranges(m, kMc, [&](std::size_t row_begin, std::size_t row_end) {
-    gemm_rows(a, a_rs, a_cs, b, c, k, n, row_begin, row_end, kt);
+    gemm_block(a, a_rs, a_cs, b, c, k, n, row_begin, row_end, 0, n, kt);
   });
 }
 
@@ -132,16 +142,6 @@ void gemm_tb_dispatch(const float* a, const float* b, float* c, std::size_t m, s
     gemm_tb_rows(a, b, c, k, n, row_begin, row_end, kt.gemm_tb);
   });
 }
-
-/// True when a span op of `size` elements should fan out. The serial fast
-/// path in each elementwise op below stays a plain loop — no std::function
-/// is constructed unless the span crosses the threshold.
-bool elementwise_parallel(std::size_t size) noexcept {
-  return parallel::should_parallelize(size,
-                                      parallel::kernel_config().elementwise_min_size);
-}
-
-constexpr std::size_t kElementwiseGrain = 4096;
 
 }  // namespace
 
@@ -209,13 +209,7 @@ void axpy(float alpha, std::span<const float> x, std::span<float> out) {
   FEDGUARD_CHECK(x.size() == out.size(), "axpy: length mismatch");
   const float* src = x.data();
   float* dst = out.data();
-  const std::size_t size = x.size();
-  if (!elementwise_parallel(size)) {
-    for (std::size_t i = 0; i < size; ++i) dst[i] += alpha * src[i];
-    return;
-  }
-  parallel::kernel_parallel_ranges(size, kElementwiseGrain,
-                                   [=](std::size_t begin, std::size_t end) {
+  parallel::elementwise_ranges(x.size(), parallel::kElementwiseGrain, x.size(), [=](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) dst[i] += alpha * src[i];
   });
 }
@@ -225,13 +219,7 @@ void add(std::span<const float> a, std::span<const float> b, std::span<float> ou
   const float* pa = a.data();
   const float* pb = b.data();
   float* dst = out.data();
-  const std::size_t size = a.size();
-  if (!elementwise_parallel(size)) {
-    for (std::size_t i = 0; i < size; ++i) dst[i] = pa[i] + pb[i];
-    return;
-  }
-  parallel::kernel_parallel_ranges(size, kElementwiseGrain,
-                                   [=](std::size_t begin, std::size_t end) {
+  parallel::elementwise_ranges(a.size(), parallel::kElementwiseGrain, a.size(), [=](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) dst[i] = pa[i] + pb[i];
   });
 }
@@ -241,44 +229,14 @@ void sub(std::span<const float> a, std::span<const float> b, std::span<float> ou
   const float* pa = a.data();
   const float* pb = b.data();
   float* dst = out.data();
-  const std::size_t size = a.size();
-  if (!elementwise_parallel(size)) {
-    for (std::size_t i = 0; i < size; ++i) dst[i] = pa[i] - pb[i];
-    return;
-  }
-  parallel::kernel_parallel_ranges(size, kElementwiseGrain,
-                                   [=](std::size_t begin, std::size_t end) {
+  parallel::elementwise_ranges(a.size(), parallel::kElementwiseGrain, a.size(), [=](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) dst[i] = pa[i] - pb[i];
-  });
-}
-
-void hadamard(std::span<const float> a, std::span<const float> b,
-              std::span<float> out) {
-  FEDGUARD_CHECK(a.size() == b.size() && a.size() == out.size(),
-                 "hadamard: length mismatch");
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* dst = out.data();
-  const std::size_t size = a.size();
-  if (!elementwise_parallel(size)) {
-    for (std::size_t i = 0; i < size; ++i) dst[i] = pa[i] * pb[i];
-    return;
-  }
-  parallel::kernel_parallel_ranges(size, kElementwiseGrain,
-                                   [=](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) dst[i] = pa[i] * pb[i];
   });
 }
 
 void scale(std::span<float> x, float alpha) noexcept {
   float* dst = x.data();
-  const std::size_t size = x.size();
-  if (!elementwise_parallel(size)) {
-    for (std::size_t i = 0; i < size; ++i) dst[i] *= alpha;
-    return;
-  }
-  parallel::kernel_parallel_ranges(size, kElementwiseGrain,
-                                   [=](std::size_t begin, std::size_t end) {
+  parallel::elementwise_ranges(x.size(), parallel::kElementwiseGrain, x.size(), [=](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) dst[i] *= alpha;
   });
 }
@@ -350,22 +308,42 @@ void softmax_rows(const Tensor& logits, Tensor& out) {
   }
 }
 
-void log_softmax_rows(const Tensor& logits, Tensor& out) {
-  FEDGUARD_CHECK(logits.rank() == 2, "log_softmax_rows: logits must be rank 2");
-  FEDGUARD_CHECK_FINITE(logits.data(), "log_softmax_rows: non-finite logit");
-  if (!out.same_shape(logits)) out = Tensor{logits.shape()};
-  for (std::size_t r = 0; r < logits.dim(0); ++r) {
-    const auto in = logits.row(r);
-    auto dst = out.row(r);
-    const float max_logit = *std::max_element(in.begin(), in.end());
-    float total = 0.0f;
-    for (const float v : in) total += std::exp(v - max_logit);
-    const float log_norm = max_logit + std::log(total);
-    for (std::size_t c = 0; c < in.size(); ++c) dst[c] = in[c] - log_norm;
-  }
+// ---- im2col / col2im -------------------------------------------------------
+//
+// Each (channel, kh, kw) patch row reads image row y + kh - padding at
+// columns x + kw - padding. The columns that land inside the image form one
+// contiguous run, so a row is a zero fill, a copy and a zero fill (im2col),
+// or one run of adds (col2im).
+
+namespace {
+
+/// The output columns [begin, end) of kernel column `kw` whose source column
+/// x + kw - padding lies inside the image; `shift` is kw - padding.
+struct ColumnRun {
+  std::size_t begin;
+  std::size_t end;
+  std::ptrdiff_t shift;
+};
+
+ColumnRun column_run(const ConvGeometry& g, std::size_t kw) {
+  const std::ptrdiff_t shift =
+      static_cast<std::ptrdiff_t>(kw) - static_cast<std::ptrdiff_t>(g.padding);
+  const auto ow = static_cast<std::ptrdiff_t>(g.out_w());
+  const std::ptrdiff_t begin = std::clamp<std::ptrdiff_t>(-shift, 0, ow);
+  const std::ptrdiff_t end =
+      std::clamp<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(g.in_w) - shift, begin, ow);
+  return {static_cast<std::size_t>(begin), static_cast<std::size_t>(end), shift};
 }
 
-// ---- im2col / col2im -------------------------------------------------------
+/// The image row that kernel row `kh` reads for output row y; negative when
+/// that row lies in the padding.
+std::ptrdiff_t source_row(const ConvGeometry& g, std::size_t kh, std::size_t y) {
+  const std::ptrdiff_t src_y =
+      static_cast<std::ptrdiff_t>(y + kh) - static_cast<std::ptrdiff_t>(g.padding);
+  return src_y < static_cast<std::ptrdiff_t>(g.in_h) ? src_y : -1;
+}
+
+}  // namespace
 
 void im2col_strided(std::span<const float> image, const ConvGeometry& g, float* out,
                     std::size_t ld, std::size_t column_offset) {
@@ -373,26 +351,24 @@ void im2col_strided(std::span<const float> image, const ConvGeometry& g, float* 
   const std::size_t ow = g.out_w();
   FEDGUARD_CHECK(image.size() == g.in_channels * g.in_h * g.in_w,
                  "im2col_strided: image size mismatch");
-  const auto pad = static_cast<std::ptrdiff_t>(g.padding);
   for (std::size_t c = 0; c < g.in_channels; ++c) {
     const float* channel = image.data() + c * g.in_h * g.in_w;
     for (std::size_t kh = 0; kh < g.kernel; ++kh) {
       for (std::size_t kw = 0; kw < g.kernel; ++kw) {
         const std::size_t patch_row = (c * g.kernel + kh) * g.kernel + kw;
+        const ColumnRun run = column_run(g, kw);
         float* dst = out + patch_row * ld + column_offset;
-        for (std::size_t y = 0; y < oh; ++y) {
-          const std::ptrdiff_t src_y = static_cast<std::ptrdiff_t>(y + kh) - pad;
-          if (src_y < 0 || src_y >= static_cast<std::ptrdiff_t>(g.in_h)) {
-            std::fill(dst + y * ow, dst + (y + 1) * ow, 0.0f);
+        for (std::size_t y = 0; y < oh; ++y, dst += ow) {
+          const std::ptrdiff_t src_y = source_row(g, kh, y);
+          if (src_y < 0 || run.begin == run.end) {
+            std::fill(dst, dst + ow, 0.0f);
             continue;
           }
-          const float* src_row = channel + static_cast<std::size_t>(src_y) * g.in_w;
-          for (std::size_t x = 0; x < ow; ++x) {
-            const std::ptrdiff_t src_x = static_cast<std::ptrdiff_t>(x + kw) - pad;
-            dst[y * ow + x] = (src_x < 0 || src_x >= static_cast<std::ptrdiff_t>(g.in_w))
-                                  ? 0.0f
-                                  : src_row[static_cast<std::size_t>(src_x)];
-          }
+          const float* src = channel + static_cast<std::size_t>(src_y) * g.in_w +
+                             static_cast<std::ptrdiff_t>(run.begin) + run.shift;
+          std::fill(dst, dst + run.begin, 0.0f);
+          std::copy(src, src + (run.end - run.begin), dst + run.begin);
+          std::fill(dst + run.end, dst + ow, 0.0f);
         }
       }
     }
@@ -413,9 +389,12 @@ void im2col_batch(std::span<const float> images, const ConvGeometry& g, std::siz
   const std::size_t image_size = g.in_channels * g.in_h * g.in_w;
   FEDGUARD_CHECK(images.size() == count * image_size, "im2col_batch: images size mismatch");
   const std::size_t ld = count * pixels;
-  for (std::size_t s = 0; s < count; ++s) {
-    im2col_strided(images.subspan(s * image_size, image_size), g, columns, ld, s * pixels);
-  }
+  // Sample s writes only its own column range, so the samples split freely.
+  parallel::elementwise_ranges(count, 1, g.patch_size() * ld, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t s = begin; s < end; ++s) {
+      im2col_strided(images.subspan(s * image_size, image_size), g, columns, ld, s * pixels);
+    }
+  });
 }
 
 void col2im_strided_accumulate(const float* columns, std::size_t ld, std::size_t column_offset,
@@ -424,22 +403,23 @@ void col2im_strided_accumulate(const float* columns, std::size_t ld, std::size_t
   const std::size_t ow = g.out_w();
   FEDGUARD_CHECK(image_grad.size() == g.in_channels * g.in_h * g.in_w,
                  "col2im_strided_accumulate: image_grad size mismatch");
-  const auto pad = static_cast<std::ptrdiff_t>(g.padding);
+  // Each image element receives its additions in ascending (kh, kw) order,
+  // one per patch row that reads it.
   for (std::size_t c = 0; c < g.in_channels; ++c) {
     float* channel = image_grad.data() + c * g.in_h * g.in_w;
     for (std::size_t kh = 0; kh < g.kernel; ++kh) {
       for (std::size_t kw = 0; kw < g.kernel; ++kw) {
         const std::size_t patch_row = (c * g.kernel + kh) * g.kernel + kw;
-        const float* src = columns + patch_row * ld + column_offset;
-        for (std::size_t y = 0; y < oh; ++y) {
-          const std::ptrdiff_t dst_y = static_cast<std::ptrdiff_t>(y + kh) - pad;
-          if (dst_y < 0 || dst_y >= static_cast<std::ptrdiff_t>(g.in_h)) continue;
-          float* dst_row = channel + static_cast<std::size_t>(dst_y) * g.in_w;
-          for (std::size_t x = 0; x < ow; ++x) {
-            const std::ptrdiff_t dst_x = static_cast<std::ptrdiff_t>(x + kw) - pad;
-            if (dst_x < 0 || dst_x >= static_cast<std::ptrdiff_t>(g.in_w)) continue;
-            dst_row[static_cast<std::size_t>(dst_x)] += src[y * ow + x];
-          }
+        const ColumnRun run = column_run(g, kw);
+        if (run.begin == run.end) continue;
+        const std::size_t length = run.end - run.begin;
+        const float* src = columns + patch_row * ld + column_offset + run.begin;
+        for (std::size_t y = 0; y < oh; ++y, src += ow) {
+          const std::ptrdiff_t dst_y = source_row(g, kh, y);
+          if (dst_y < 0) continue;
+          float* dst = channel + static_cast<std::size_t>(dst_y) * g.in_w +
+                       static_cast<std::ptrdiff_t>(run.begin) + run.shift;
+          for (std::size_t x = 0; x < length; ++x) dst[x] += src[x];
         }
       }
     }
@@ -462,10 +442,13 @@ void col2im_batch_accumulate(const float* columns, const ConvGeometry& g, std::s
   FEDGUARD_CHECK(images_grad.size() == count * image_size,
                  "col2im_batch_accumulate: images_grad size mismatch");
   const std::size_t ld = count * pixels;
-  for (std::size_t s = 0; s < count; ++s) {
-    col2im_strided_accumulate(columns, ld, s * pixels, g,
-                              images_grad.subspan(s * image_size, image_size));
-  }
+  // Sample s adds only into its own image gradient.
+  parallel::elementwise_ranges(count, 1, g.patch_size() * ld, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t s = begin; s < end; ++s) {
+      col2im_strided_accumulate(columns, ld, s * pixels, g,
+                                images_grad.subspan(s * image_size, image_size));
+    }
+  });
 }
 
 }  // namespace fedguard::tensor

@@ -12,8 +12,9 @@ namespace fedguard::tensor {
 // ---- GEMM -----------------------------------------------------------------
 // All matrices are dense row-major. Output is overwritten unless the name
 // says "accumulate". The kernels are cache-blocked and register-tiled, and
-// fan out row-partitioned onto parallel::kernel_pool() above the
-// parallel::KernelConfig::gemm_min_flops threshold (see docs/PERFORMANCE.md).
+// fan out onto parallel::kernel_pool() above the
+// parallel::KernelConfig::gemm_min_flops threshold, split by rows or, when
+// the rows cannot fill the pool, by columns (see docs/PERFORMANCE.md).
 // Results are identical for any thread count.
 
 /// C[m,n] = A[m,k] * B[k,n]
@@ -52,8 +53,6 @@ void axpy(float alpha, std::span<const float> x, std::span<float> out);
 void add(std::span<const float> a, std::span<const float> b, std::span<float> out);
 /// out[i] = a[i] - b[i]
 void sub(std::span<const float> a, std::span<const float> b, std::span<float> out);
-/// out[i] = a[i] * b[i]
-void hadamard(std::span<const float> a, std::span<const float> b, std::span<float> out);
 /// x[i] *= alpha
 void scale(std::span<float> x, float alpha) noexcept;
 
@@ -72,8 +71,6 @@ void add_bias_rows(Tensor& rows, std::span<const float> bias);
 
 /// Row-wise numerically-stable softmax of logits [n, d] into out [n, d].
 void softmax_rows(const Tensor& logits, Tensor& out);
-/// Row-wise log-softmax of logits [n, d] into out [n, d].
-void log_softmax_rows(const Tensor& logits, Tensor& out);
 
 // ---- Convolution support ------------------------------------------------------
 
@@ -106,7 +103,8 @@ void im2col_strided(std::span<const float> image, const ConvGeometry& g, float* 
 /// Batched im2col: `count` images [count, C, H, W] (flattened) into one
 /// column matrix [patch_size, count * out_h*out_w], sample s occupying the
 /// column range [s*pixels, (s+1)*pixels). One GEMM against this matrix
-/// convolves the whole batch.
+/// convolves the whole batch. Samples fan out onto the kernel pool above the
+/// elementwise threshold.
 void im2col_batch(std::span<const float> images, const ConvGeometry& g, std::size_t count,
                   float* columns);
 
@@ -122,7 +120,8 @@ void col2im_strided_accumulate(const float* columns, std::size_t ld,
                                std::span<float> image_grad);
 
 /// Batched col2im: columns [patch_size, count * out_h*out_w] accumulated back
-/// into `count` image gradients (flattened [count, C, H, W]).
+/// into `count` image gradients (flattened [count, C, H, W]), samples fanned
+/// out like im2col_batch.
 void col2im_batch_accumulate(const float* columns, const ConvGeometry& g, std::size_t count,
                              std::span<float> images_grad);
 

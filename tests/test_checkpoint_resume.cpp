@@ -1,9 +1,8 @@
-// Server checkpoint/resume and classifier confusion-matrix tests.
+// Server checkpoint/resume tests.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <numeric>
 
 #include "data/partition.hpp"
 #include "data/synthetic_mnist.hpp"
@@ -91,45 +90,3 @@ TEST_F(ResumeFixture, LoadGlobalValidatesDimension) {
 
 }  // namespace
 }  // namespace fedguard::fl
-
-namespace fedguard::models {
-namespace {
-
-TEST(ConfusionMatrix, RowSumsMatchLabelCountsAndDiagonalIsCorrect) {
-  const data::Dataset train = data::generate_synthetic_mnist(400, 711);
-  Classifier classifier{ClassifierArch::Mlp, ImageGeometry{}, 712};
-  for (int epoch = 0; epoch < 12; ++epoch) {
-    for (std::size_t start = 0; start + 16 <= train.size(); start += 16) {
-      std::vector<std::size_t> idx(16);
-      std::iota(idx.begin(), idx.end(), start);
-      const auto batch = train.gather(idx);
-      classifier.train_batch(batch.images, batch.labels, 0.05f, 0.9f);
-    }
-  }
-  const data::Dataset test = data::generate_synthetic_mnist(200, 713);
-  std::vector<std::size_t> all(test.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  const auto batch = test.gather(all);
-  const std::vector<std::size_t> matrix =
-      classifier.confusion_matrix(batch.images, batch.labels);
-  ASSERT_EQ(matrix.size(), 100u);
-
-  // Row sums reproduce the per-class label counts.
-  const auto histogram = test.class_histogram();
-  std::size_t diagonal = 0;
-  for (std::size_t t = 0; t < 10; ++t) {
-    std::size_t row_sum = 0;
-    for (std::size_t p = 0; p < 10; ++p) row_sum += matrix[t * 10 + p];
-    EXPECT_EQ(row_sum, histogram[t]) << "class " << t;
-    diagonal += matrix[t * 10 + t];
-  }
-  // Diagonal / total == overall accuracy.
-  const double accuracy = classifier.evaluate_accuracy(batch.images, batch.labels);
-  EXPECT_NEAR(static_cast<double>(diagonal) / static_cast<double>(test.size()), accuracy,
-              1e-9);
-  // A reasonably trained model is diagonal-dominant.
-  EXPECT_GT(static_cast<double>(diagonal) / static_cast<double>(test.size()), 0.7);
-}
-
-}  // namespace
-}  // namespace fedguard::models

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -125,6 +129,71 @@ TEST_F(KernelConfigTest, ParallelRangesAlignToGrain) {
     begins.insert(begin);
   }
   EXPECT_EQ(begins.size(), ranges.size()) << "overlapping ranges";
+}
+
+TEST_F(KernelConfigTest, ParallelRangesFromConcurrentCallersCoverExactlyOnce) {
+  // Socket client threads and the round thread fan out onto the one pool at
+  // the same time.
+  KernelConfig config;
+  config.threads = 4;
+  set_kernel_config(config);
+  constexpr std::size_t kCount = 1001;
+  std::vector<std::vector<std::atomic<int>>> hits;
+  for (int caller = 0; caller < 4; ++caller) hits.emplace_back(kCount);
+  std::vector<std::thread> callers;
+  for (std::size_t caller = 0; caller < hits.size(); ++caller) {
+    callers.emplace_back([&hits, caller] {
+      for (int call = 0; call < 50; ++call) {
+        kernel_parallel_ranges(kCount, 1, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) hits[caller][i].fetch_add(1);
+        });
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const auto& caller_hits : hits) {
+    for (const std::atomic<int>& hit : caller_hits) ASSERT_EQ(hit.load(), 50);
+  }
+}
+
+TEST_F(KernelConfigTest, CallerRunsItsOwnRangesWhileThePoolIsBusy) {
+  KernelConfig config;
+  config.threads = 2;
+  set_kernel_config(config);
+  ThreadPool& pool = kernel_pool();
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::vector<std::future<void>> blockers;
+  for (std::size_t worker = 0; worker < pool.thread_count(); ++worker) {
+    blockers.push_back(pool.submit([released] { released.wait(); }));
+  }
+  std::vector<std::atomic<int>> hits(100);
+  std::future<void> call = std::async(std::launch::async, [&hits] {
+    kernel_parallel_ranges(hits.size(), 1, [&hits](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+    });
+  });
+  // Every worker is parked, so only the caller can run the ranges.
+  const bool finished = call.wait_for(std::chrono::seconds{30}) == std::future_status::ready;
+  release.set_value();
+  call.get();
+  for (std::future<void>& blocker : blockers) blocker.get();
+  EXPECT_TRUE(finished) << "the caller waited on a busy pool instead of running its ranges";
+  for (const std::atomic<int>& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
+TEST_F(KernelConfigTest, ParallelRangesRethrowAfterEveryRangeRan) {
+  KernelConfig config;
+  config.threads = 4;
+  set_kernel_config(config);
+  std::vector<std::atomic<int>> hits(1000);
+  EXPECT_THROW(kernel_parallel_ranges(hits.size(), 1,
+                                      [&hits](std::size_t begin, std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+                 if (begin == 0) throw std::runtime_error{"first range"};
+               }),
+               std::runtime_error);
+  for (const std::atomic<int>& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
 TEST_F(KernelConfigTest, ParallelRangesEmptyIsNoop) {

@@ -239,7 +239,6 @@ TEST(Messages, RoundRequestFrameEqualsFramedPayload) {
   request.psi_codec = util::WireCodec::Q8;
   request.psi_chunk = 64;
   request.trace_id = 0x1234;
-  request.parent_span = 0x55;
   request.global_parameters = {0.25f, -1.0f, 3.0f, 8.5f, -0.125f};
   EXPECT_EQ(encode_round_request_frame(request),
             encode_frame({MessageType::RoundRequest, encode_round_request(request)}));
@@ -264,9 +263,9 @@ TEST(Messages, RoundRequestWithInflatedCountIsTruncated) {
   RoundRequest request;
   request.global_parameters = {1.0f, 2.0f};
   std::vector<std::byte> payload = encode_round_request(request);
-  // The u64 ψ0 count sits right after the 36 bytes of scalar fields: claim
+  // The u64 ψ0 count sits right after the 28 bytes of scalar fields: claim
   // far more floats than the payload holds.
-  util::store_trivial(payload.data() + 36, std::uint64_t{1} << 40);
+  util::store_trivial(payload.data() + 28, std::uint64_t{1} << 40);
   RoundRequest decoded;
   try {
     decode_round_request_into(payload, decoded);

@@ -4,11 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "data/synthetic_mnist.hpp"
+#include "kernel_threads.hpp"
 #include "models/classifier.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -17,6 +24,7 @@
 #include "nn/maxpool2d.hpp"
 #include "nn/sequential.hpp"
 #include "obs/trace.hpp"
+#include "tensor/kernels/kernel_arch.hpp"
 #include "util/rng.hpp"
 
 namespace fedguard::nn {
@@ -280,6 +288,153 @@ TEST(Layer, ZeroGradClearsAllGradients) {
   for (Parameter* p : layer.parameters()) {
     for (const float g : p->grad.data()) EXPECT_FLOAT_EQ(g, 0.0f);
   }
+}
+
+// ---- Thread-count invariance of the conv stack ------------------------------
+//
+// Outside pool workers the conv lowering, the GEMMs, the scatter and gather,
+// ReLU and max pooling fan out onto the kernel pool; every output element is
+// still computed by the same arithmetic, so 4 threads match 1 bit for bit.
+
+std::vector<float> values(const Tensor& t) { return {t.data().begin(), t.data().end()}; }
+
+TEST(LayerThreads, Conv2dForwardAndBackwardMatchAcrossThreadCounts) {
+  util::Rng rng{120};
+  Conv2d conv{3, 8, 5, 11, 10, rng, 2};
+  const Tensor input = GradCheck::random_tensor({6, 3, 11, 10}, rng);
+  const Tensor grad_output = GradCheck::random_tensor({6, 8, 11, 10}, rng);
+  struct Pass {
+    Tensor out, grad_input, weight_grad, bias_grad;
+  };
+  const auto run = [&] {
+    conv.zero_grad();
+    Pass pass;
+    pass.out = conv.forward(input);
+    pass.grad_input = conv.backward(grad_output);
+    pass.weight_grad = conv.parameters()[0]->grad;
+    pass.bias_grad = conv.parameters()[1]->grad;
+    return pass;
+  };
+  const Pass one = kernel_threads::run_at(1, run);
+  for (const std::size_t threads : {3u, 4u}) {
+    const Pass many = kernel_threads::run_at(threads, run);
+    EXPECT_EQ(values(many.out), values(one.out)) << threads << " threads: forward";
+    EXPECT_EQ(values(many.grad_input), values(one.grad_input))
+        << threads << " threads: dX";
+    EXPECT_EQ(values(many.weight_grad), values(one.weight_grad))
+        << threads << " threads: dW";
+    EXPECT_EQ(values(many.bias_grad), values(one.bias_grad))
+        << threads << " threads: db";
+  }
+}
+
+TEST(LayerThreads, ReluAndMaxPoolForwardMatchAcrossThreadCounts) {
+  util::Rng rng{121};
+  // 15,345 floats: ReLU's ranges are whole 4096-float grains but the last,
+  // and the odd map sizes leave max pooling a dropped row and column.
+  const Tensor input = GradCheck::random_tensor({5, 3, 33, 31}, rng);
+  const Tensor grad = GradCheck::random_tensor({5, 3, 16, 15}, rng);
+  const auto run = [&] {
+    ReLU relu;
+    MaxPool2d pool{2};
+    const Tensor activated = relu.forward(input);
+    const Tensor pooled = pool.forward(activated);
+    // backward routes each gradient through the argmax forward recorded.
+    return std::vector<Tensor>{activated, relu.backward(activated), pooled,
+                               pool.backward(grad)};
+  };
+  const std::vector<Tensor> one = kernel_threads::run_at(1, run);
+  for (const std::size_t threads : {3u, 4u}) {
+    const std::vector<Tensor> many = kernel_threads::run_at(threads, run);
+    for (std::size_t k = 0; k < one.size(); ++k) {
+      EXPECT_EQ(values(many[k]), values(one[k])) << threads << " threads, output " << k;
+    }
+  }
+}
+
+// ---- Conv golden --------------------------------------------------------------
+//
+// A digest of the Table II CNN through three train_batch steps at batch 16
+// and a 50-image evaluation forward: the losses, the trained parameters and
+// the logits, as float bits. The MLP goldens of test_update_pipeline never
+// reach a conv layer, so this is the pin on the conv path. One digest per
+// kernel tier, each pinned from single-threaded conv layers; every kernel
+// thread count must reproduce it.
+//
+// Regenerate (only when a change is *supposed* to alter the science):
+//   FEDGUARD_GOLDEN_PRINT=1 ./test_nn_layers --gtest_filter='ConvGolden.*'
+
+#if defined(NDEBUG) && !defined(FEDGUARD_SANITIZE_ACTIVE)
+constexpr bool kCanonicalBuild = true;  // matches the build the pins came from
+#else
+constexpr bool kCanonicalBuild = false;
+#endif
+
+void fnv1a_floats(std::uint64_t& h, std::span<const float> values) {
+  for (const float f : values) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &f, sizeof bits);
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+}
+
+std::uint64_t paper_cnn_digest() {
+  constexpr std::size_t kBatch = 16;
+  constexpr std::size_t kSteps = 3;
+  constexpr std::size_t kEval = 50;
+  const data::Dataset train = data::generate_synthetic_mnist(kBatch * kSteps, 1201);
+  const data::Dataset test = data::generate_synthetic_mnist(kEval, 1202);
+  models::Classifier classifier{models::ClassifierArch::PaperCnn, models::ImageGeometry{}, 1203};
+  std::uint64_t h = 1469598103934665603ull;
+  std::vector<std::size_t> indices(kBatch);
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    std::iota(indices.begin(), indices.end(), step * kBatch);
+    const data::Dataset::Batch batch = train.gather(indices);
+    const float loss = classifier.train_batch(batch.images, batch.labels, 0.05f, 0.9f);
+    fnv1a_floats(h, {&loss, 1});
+  }
+  fnv1a_floats(h, classifier.parameters_flat());
+  indices.resize(kEval);
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
+  fnv1a_floats(h, classifier.forward(test.gather(indices).images).data());
+  return h;
+}
+
+TEST(ConvGolden, PaperCnnTrainAndEvalDigestPinnedOnEveryTier) {
+  using tensor::kernels::KernelArch;
+  const std::map<KernelArch, std::uint64_t> pinned = {
+      {KernelArch::Serial, 0xe58eb444748a31d8ull},
+      {KernelArch::Avx2, 0xe556d9fefc7b0066ull},
+      {KernelArch::Avx512, 0x0ee5c5298a94ec0bull},
+  };
+  const bool print = std::getenv("FEDGUARD_GOLDEN_PRINT") != nullptr;
+  const KernelArch active = tensor::kernels::active_kernel_arch();
+  for (const auto& [arch, digest] : pinned) {
+    const std::string tier{tensor::kernels::to_string(arch)};
+    if (!tensor::kernels::kernel_arch_available(arch)) {
+      std::printf("ConvGolden: the %s tier is not available here, not checked\n", tier.c_str());
+      continue;
+    }
+    // Outside the pinning build only thread invariance holds, and one tier
+    // shows it (sanitizer builds run this at a fraction of the speed).
+    if (!kCanonicalBuild && arch != active) continue;
+    tensor::kernels::set_kernel_arch(arch);
+    const std::uint64_t one = kernel_threads::run_at(1, paper_cnn_digest);
+    for (const std::size_t threads : {3u, 4u}) {
+      EXPECT_EQ(kernel_threads::run_at(threads, paper_cnn_digest), one)
+          << tier << ": " << threads << " threads diverged from 1 thread";
+    }
+    if (print) {
+      std::printf("GOLDEN[conv/%s] %016llx\n", tier.c_str(),
+                  static_cast<unsigned long long>(one));
+    } else if (kCanonicalBuild) {
+      EXPECT_EQ(one, digest) << tier << ": the conv path's digest moved";
+    }
+  }
+  tensor::kernels::set_kernel_arch(KernelArch::Auto);
 }
 
 }  // namespace

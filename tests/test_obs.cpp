@@ -461,7 +461,7 @@ TEST_F(ObsTest, TraceFileCarriesTraceContextArgs) {
   const std::string path = temp_path("ctx_trace.json");
   {
     TraceSession session{path};
-    set_trace_context({make_trace_id(42, 3), 0, 3});
+    set_trace_context({make_trace_id(42, 3), 3});
     { Span span{"round", "round:3"}; }
     set_trace_context({});
   }

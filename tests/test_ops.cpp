@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "kernel_threads.hpp"
 #include "parallel/kernel_config.hpp"
 #include "util/rng.hpp"
 
@@ -136,34 +137,32 @@ TEST_P(GemmOracle, BlockedMatchesNaiveSerialAndParallel) {
   for (std::size_t p = 0; p < k; ++p)
     for (std::size_t j = 0; j < n; ++j) b_t[j * k + p] = b[p * n + j];
 
-  KernelConfigGuard guard;
-  std::vector<float> serial_out;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    parallel::KernelConfig config;
-    config.threads = threads;
-    config.gemm_min_flops = 1;  // force the parallel dispatch path when threads > 1
-    parallel::set_kernel_config(config);
-
-    std::vector<float> c(m * n);
-    matmul(a.data(), b.data(), c.data(), m, k, n);
+  // 1 thread is the serial path; 2, 3 and 4 split by rows or, when there are
+  // fewer 64-row blocks than threads, by columns, unevenly at 3.
+  std::vector<float> serial_c, serial_ta, serial_tb;
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    std::vector<float> c(m * n), c_ta(m * n), c_tb(m * n);
+    kernel_threads::run_at(threads, [&] {
+      matmul(a.data(), b.data(), c.data(), m, k, n);
+      matmul_trans_a(a_t.data(), b.data(), c_ta.data(), m, k, n);
+      matmul_trans_b(a.data(), b_t.data(), c_tb.data(), m, k, n);
+    });
     expect_near_rel(c, reference, 1e-4f);
-
-    std::vector<float> c_ta(m * n);
-    matmul_trans_a(a_t.data(), b.data(), c_ta.data(), m, k, n);
     expect_near_rel(c_ta, reference, 1e-4f);
-
-    std::vector<float> c_tb(m * n);
-    matmul_trans_b(a.data(), b_t.data(), c_tb.data(), m, k, n);
     expect_near_rel(c_tb, reference, 1e-4f);
 
     // Thread-count invariance must be exact, not approximate: the blocked
-    // kernels accumulate every C element in the same order regardless of the
-    // row partitioning.
+    // kernels accumulate every C element in the same order however the rows
+    // or columns are split.
     if (threads == 1) {
-      serial_out = c;
-    } else {
-      ASSERT_EQ(c, serial_out) << "parallel GEMM diverged from single-threaded result";
+      serial_c = c;
+      serial_ta = c_ta;
+      serial_tb = c_tb;
+      continue;
     }
+    ASSERT_EQ(c, serial_c) << threads << " threads: matmul diverged from 1 thread";
+    ASSERT_EQ(c_ta, serial_ta) << threads << " threads: matmul_trans_a diverged from 1 thread";
+    ASSERT_EQ(c_tb, serial_tb) << threads << " threads: matmul_trans_b diverged from 1 thread";
   }
 }
 
@@ -175,7 +174,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(65, 257, 33),  // crosses kMc and kKc by one
                       std::make_tuple(200, 3, 2),    // tall-skinny
                       std::make_tuple(2, 3, 530),    // short-fat, crosses kNc
-                      std::make_tuple(31, 64, 10)));  // classifier head shape
+                      std::make_tuple(31, 64, 10),   // classifier head shape
+                      // Conv forward shapes W[C_out, patch] * cols: too few
+                      // row blocks for the pool, so the columns split.
+                      std::make_tuple(32, 25, 12544),  // conv1, 16 images
+                      std::make_tuple(64, 800, 5096),  // conv2, 26 images
+                      std::make_tuple(128, 25, 5099),  // 2 row blocks, edge tile
+                      std::make_tuple(128, 800, 1571)));
 
 TEST(Ops, MatmulDeterministicAcrossRuns) {
   util::Rng rng{7};
@@ -244,6 +249,104 @@ TEST(Ops, BatchedIm2ColMatchesPerSample) {
   }
 }
 
+// Element-by-element lowering with a bounds check per element: the reference
+// for what im2col_batch and col2im_batch_accumulate compute, additions in
+// the same per-element order.
+void reference_im2col_batch(const std::vector<float>& images, const ConvGeometry& g,
+                            std::size_t count, std::vector<float>& columns) {
+  const std::size_t oh = g.out_h(), ow = g.out_w(), pixels = oh * ow;
+  const std::size_t image_size = g.in_channels * g.in_h * g.in_w;
+  const auto pad = static_cast<std::ptrdiff_t>(g.padding);
+  columns.assign(g.patch_size() * count * pixels, -1.0f);
+  for (std::size_t s = 0; s < count; ++s) {
+    for (std::size_t c = 0; c < g.in_channels; ++c) {
+      for (std::size_t kh = 0; kh < g.kernel; ++kh) {
+        for (std::size_t kw = 0; kw < g.kernel; ++kw) {
+          const std::size_t row = (c * g.kernel + kh) * g.kernel + kw;
+          for (std::size_t y = 0; y < oh; ++y) {
+            for (std::size_t x = 0; x < ow; ++x) {
+              const std::ptrdiff_t sy = static_cast<std::ptrdiff_t>(y + kh) - pad;
+              const std::ptrdiff_t sx = static_cast<std::ptrdiff_t>(x + kw) - pad;
+              const bool inside = sy >= 0 && sy < static_cast<std::ptrdiff_t>(g.in_h) &&
+                                  sx >= 0 && sx < static_cast<std::ptrdiff_t>(g.in_w);
+              columns[row * count * pixels + s * pixels + y * ow + x] =
+                  inside ? images[s * image_size + (c * g.in_h + static_cast<std::size_t>(sy)) *
+                                                       g.in_w +
+                                  static_cast<std::size_t>(sx)]
+                         : 0.0f;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+void reference_col2im_batch(const std::vector<float>& columns, const ConvGeometry& g,
+                            std::size_t count, std::vector<float>& grads) {
+  const std::size_t oh = g.out_h(), ow = g.out_w(), pixels = oh * ow;
+  const std::size_t image_size = g.in_channels * g.in_h * g.in_w;
+  const auto pad = static_cast<std::ptrdiff_t>(g.padding);
+  for (std::size_t s = 0; s < count; ++s) {
+    for (std::size_t c = 0; c < g.in_channels; ++c) {
+      for (std::size_t kh = 0; kh < g.kernel; ++kh) {
+        for (std::size_t kw = 0; kw < g.kernel; ++kw) {
+          const std::size_t row = (c * g.kernel + kh) * g.kernel + kw;
+          for (std::size_t y = 0; y < oh; ++y) {
+            for (std::size_t x = 0; x < ow; ++x) {
+              const std::ptrdiff_t dy = static_cast<std::ptrdiff_t>(y + kh) - pad;
+              const std::ptrdiff_t dx = static_cast<std::ptrdiff_t>(x + kw) - pad;
+              if (dy < 0 || dy >= static_cast<std::ptrdiff_t>(g.in_h) || dx < 0 ||
+                  dx >= static_cast<std::ptrdiff_t>(g.in_w)) {
+                continue;
+              }
+              grads[s * image_size + (c * g.in_h + static_cast<std::size_t>(dy)) * g.in_w +
+                    static_cast<std::size_t>(dx)] +=
+                  columns[row * count * pixels + s * pixels + y * ow + x];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+class ConvLowering : public ::testing::TestWithParam<ConvGeometry> {};
+
+TEST_P(ConvLowering, BatchedLoweringMatchesReferenceAtOneAndFourThreads) {
+  const ConvGeometry g = GetParam();
+  constexpr std::size_t kCount = 7;
+  const std::size_t pixels = g.out_h() * g.out_w();
+  util::Rng rng{41};
+  const std::vector<float> images = random_buffer(kCount * g.in_channels * g.in_h * g.in_w, rng);
+  const std::vector<float> column_grads = random_buffer(g.patch_size() * kCount * pixels, rng);
+  // col2im accumulates: start every gradient from the same nonzero values.
+  const std::vector<float> grads0 = random_buffer(images.size(), rng);
+
+  std::vector<float> expected_columns;
+  reference_im2col_batch(images, g, kCount, expected_columns);
+  std::vector<float> expected_grads = grads0;
+  reference_col2im_batch(column_grads, g, kCount, expected_grads);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    std::vector<float> columns(expected_columns.size(), -1.0f);
+    std::vector<float> grads = grads0;
+    kernel_threads::run_at(threads, [&] {
+      im2col_batch(images, g, kCount, columns.data());
+      col2im_batch_accumulate(column_grads.data(), g, kCount, grads);
+    });
+    ASSERT_EQ(columns, expected_columns) << threads << " threads: im2col_batch";
+    ASSERT_EQ(grads, expected_grads) << threads << " threads: col2im_batch_accumulate";
+  }
+}
+
+// Odd sizes and more samples than threads, at padding 0 and 2; the last
+// geometry is one column wide, so some kernel columns read only padding.
+INSTANTIATE_TEST_SUITE_P(Geometries, ConvLowering,
+                         ::testing::Values(ConvGeometry{3, 9, 8, 5, 0},
+                                           ConvGeometry{3, 9, 8, 5, 2},
+                                           ConvGeometry{2, 3, 1, 5, 2}));
+
 TEST(Ops, MatmulTransAAccumulates) {
   const Tensor a = Tensor::from_data({1, 2}, {1, 2});  // A [k=1, m=2]
   const Tensor b = Tensor::from_data({1, 3}, {1, 1, 1});
@@ -261,8 +364,6 @@ TEST(Ops, ElementwiseOperations) {
   EXPECT_EQ(out, (std::vector<float>{5, 7, 9}));
   sub(a, b, out);
   EXPECT_EQ(out, (std::vector<float>{-3, -3, -3}));
-  hadamard(a, b, out);
-  EXPECT_EQ(out, (std::vector<float>{4, 10, 18}));
   out = a;
   axpy(2.0f, b, out);
   EXPECT_EQ(out, (std::vector<float>{9, 12, 15}));
@@ -300,16 +401,6 @@ TEST(Ops, SoftmaxRowsSumToOneAndOrder) {
   }
   // Numerical stability: huge logits must not produce NaN.
   for (const float v : probs.data()) EXPECT_FALSE(std::isnan(v));
-}
-
-TEST(Ops, LogSoftmaxMatchesLogOfSoftmax) {
-  const Tensor logits = Tensor::from_data({1, 4}, {0.1f, -0.3f, 2.0f, 0.7f});
-  Tensor probs, log_probs;
-  softmax_rows(logits, probs);
-  log_softmax_rows(logits, log_probs);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(log_probs[i], std::log(probs[i]), 1e-5f);
-  }
 }
 
 TEST(Ops, Im2ColNoPaddingKnownValues) {

@@ -26,6 +26,7 @@
 #include "defenses/fedguard.hpp"
 #include "defenses/krum.hpp"
 #include "fl/server.hpp"
+#include "kernel_threads.hpp"
 #include "net/remote.hpp"
 #include "net/shard.hpp"
 #include "strategy_path.hpp"
@@ -86,6 +87,43 @@ TEST(ShardedFedAvg, PartialMergeBitIdenticalAcrossShardCounts) {
     }
     EXPECT_EQ(merged.accepted_clients.size(), kClients) << "shards=" << shards;
     EXPECT_TRUE(merged.rejected_clients.empty()) << "shards=" << shards;
+  }
+}
+
+TEST(ShardedFedAvg, ExactMergeMatchesAcrossThreadCounts) {
+  // The root merges coordinate ranges in parallel; each coordinate still
+  // starts at 0.0 and adds the shards' sums in shard order. Several grains
+  // plus a partial one, with real and all-zero (plain-mean) sample counts.
+  constexpr std::size_t kClients = 9;
+  constexpr std::size_t kDim = 3 * parallel::kElementwiseGrain + 77;
+  for (const bool zero_weights : {false, true}) {
+    UpdateMatrix matrix;
+    matrix.reset(kClients, kDim);
+    for (std::size_t r = 0; r < kClients; ++r) {
+      fill_row(matrix.psi(r), r);
+      matrix.meta(r).client_id = static_cast<int>(r);
+      matrix.meta(r).num_samples = zero_weights ? 0 : 10 + r % 4;
+    }
+    std::vector<float> global(kDim, 0.0f);
+    AggregationContext context;
+    context.global_parameters = global;
+    const std::vector<float> single = weighted_mean(matrix);
+    for (const std::size_t shards : {1u, 2u, 3u}) {
+      const auto merge_at = [&](std::size_t threads) {
+        return kernel_threads::run_at(threads, [&] {
+          defenses::FedAvgAggregator strategy;
+          AggregationResult merged;
+          two_tier_aggregate(strategy, context, matrix, shards, merged);
+          return merged.parameters;
+        });
+      };
+      const std::vector<float> one = merge_at(1);
+      EXPECT_EQ(merge_at(4), one) << "shards=" << shards << " zero_weights=" << zero_weights;
+      // One live shard adds its sum to 0.0: the single-tier mean exactly.
+      if (shards == 1) {
+        EXPECT_EQ(one, single) << "zero_weights=" << zero_weights;
+      }
+    }
   }
 }
 
@@ -500,9 +538,9 @@ TEST_F(ShardedFederationFixture, TwoTierSocketRoundRecordMatchesInProcessTwin) {
   for (auto& thread : threads) thread.join();
 
   // The twin charges bare ψ spans; every frame adds a 20-byte header and its
-  // message's scalar fields (36 bytes each way), and a reply without θ still
-  // carries its 8-byte θ count.
-  constexpr std::size_t kRequestFraming = net::kFrameHeaderBytes + 36;
+  // message's scalar fields (28 bytes in a request, 36 in a reply), and a
+  // reply without θ still carries its 8-byte θ count.
+  constexpr std::size_t kRequestFraming = net::kFrameHeaderBytes + 28;
   constexpr std::size_t kReplyFraming = net::kFrameHeaderBytes + 36 + 8;
   std::size_t rejected_malicious = 0;
   std::size_t rejected_benign = 0;

@@ -158,32 +158,33 @@ const std::map<std::string, std::string>& golden_local() {
 const std::map<std::string, std::string>& golden_remote() {
   // Accuracy bits and param digests are identical to the local goldens (the
   // socket layer must not change the science); only the traffic columns
-  // differ — the remote path charges exact frame sizes, headers included (trace context adds 16 bytes per request, 8 per reply).
+  // differ — the remote path charges exact frame sizes, headers included
+  // (the trace id adds 8 bytes each way).
   static const std::map<std::string, std::string> goldens = {
       {"fedavg",
-       "r0 acc=3fd0a3d70a3d70a4 sampled=3 mal=0 rej=0 rejmal=0 rejben=0 up=1221432 down=1221456\n"
-       "r1 acc=3fe199999999999a sampled=3 mal=0 rej=0 rejmal=0 rejben=0 up=1221432 down=1221456\n"
-       "r2 acc=3fe2e147ae147ae1 sampled=3 mal=0 rej=0 rejmal=0 rejben=0 up=1221432 down=1221456\n"
+       "r0 acc=3fd0a3d70a3d70a4 sampled=3 mal=0 rej=0 rejmal=0 rejben=0 up=1221408 down=1221456\n"
+       "r1 acc=3fe199999999999a sampled=3 mal=0 rej=0 rejmal=0 rejben=0 up=1221408 down=1221456\n"
+       "r2 acc=3fe2e147ae147ae1 sampled=3 mal=0 rej=0 rejmal=0 rejben=0 up=1221408 down=1221456\n"
        "params=b405e49565a40bbb\n"},
       {"geomed",
-       "r0 acc=3fd1eb851eb851ec sampled=3 mal=0 rej=0 rejmal=0 rejben=0 up=1221432 down=1221456\n"
-       "r1 acc=3fe0a3d70a3d70a4 sampled=3 mal=0 rej=0 rejmal=0 rejben=0 up=1221432 down=1221456\n"
-       "r2 acc=3fe3333333333333 sampled=3 mal=0 rej=0 rejmal=0 rejben=0 up=1221432 down=1221456\n"
+       "r0 acc=3fd1eb851eb851ec sampled=3 mal=0 rej=0 rejmal=0 rejben=0 up=1221408 down=1221456\n"
+       "r1 acc=3fe0a3d70a3d70a4 sampled=3 mal=0 rej=0 rejmal=0 rejben=0 up=1221408 down=1221456\n"
+       "r2 acc=3fe3333333333333 sampled=3 mal=0 rej=0 rejmal=0 rejben=0 up=1221408 down=1221456\n"
        "params=27a70299719ecf00\n"},
       {"krum",
-       "r0 acc=3fd7ae147ae147ae sampled=3 mal=0 rej=2 rejmal=0 rejben=2 up=1221432 down=1221456\n"
-       "r1 acc=3fdae147ae147ae1 sampled=3 mal=0 rej=2 rejmal=0 rejben=2 up=1221432 down=1221456\n"
-       "r2 acc=3fe0a3d70a3d70a4 sampled=3 mal=0 rej=2 rejmal=0 rejben=2 up=1221432 down=1221456\n"
+       "r0 acc=3fd7ae147ae147ae sampled=3 mal=0 rej=2 rejmal=0 rejben=2 up=1221408 down=1221456\n"
+       "r1 acc=3fdae147ae147ae1 sampled=3 mal=0 rej=2 rejmal=0 rejben=2 up=1221408 down=1221456\n"
+       "r2 acc=3fe0a3d70a3d70a4 sampled=3 mal=0 rej=2 rejmal=0 rejben=2 up=1221408 down=1221456\n"
        "params=e39449391e8bef09\n"},
       {"spectral",
-       "r0 acc=3fdb851eb851eb85 sampled=3 mal=0 rej=1 rejmal=0 rejben=1 up=1221432 down=1221456\n"
-       "r1 acc=3fe1eb851eb851ec sampled=3 mal=0 rej=1 rejmal=0 rejben=1 up=1221432 down=1221456\n"
-       "r2 acc=3fdeb851eb851eb8 sampled=3 mal=0 rej=2 rejmal=0 rejben=2 up=1221432 down=1221456\n"
+       "r0 acc=3fdb851eb851eb85 sampled=3 mal=0 rej=1 rejmal=0 rejben=1 up=1221408 down=1221456\n"
+       "r1 acc=3fe1eb851eb851ec sampled=3 mal=0 rej=1 rejmal=0 rejben=1 up=1221408 down=1221456\n"
+       "r2 acc=3fdeb851eb851eb8 sampled=3 mal=0 rej=2 rejmal=0 rejben=2 up=1221408 down=1221456\n"
        "params=20273794b167e80e\n"},
       {"fedguard",
-       "r0 acc=3fd3333333333333 sampled=3 mal=0 rej=1 rejmal=0 rejben=1 up=1221432 down=1695816\n"
-       "r1 acc=3fdd70a3d70a3d71 sampled=3 mal=0 rej=1 rejmal=0 rejben=1 up=1221432 down=1695816\n"
-       "r2 acc=3fe147ae147ae148 sampled=3 mal=0 rej=2 rejmal=0 rejben=2 up=1221432 down=1695816\n"
+       "r0 acc=3fd3333333333333 sampled=3 mal=0 rej=1 rejmal=0 rejben=1 up=1221408 down=1695816\n"
+       "r1 acc=3fdd70a3d70a3d71 sampled=3 mal=0 rej=1 rejmal=0 rejben=1 up=1221408 down=1695816\n"
+       "r2 acc=3fe147ae147ae148 sampled=3 mal=0 rej=2 rejmal=0 rejben=2 up=1221408 down=1695816\n"
        "params=2f613987e00b6182\n"},
   };
   return goldens;
