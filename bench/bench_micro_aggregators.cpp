@@ -49,7 +49,7 @@ void run_aggregator(benchmark::State& state, Args&&... args) {
   defenses::AggregationResult result;
   for (auto _ : state) {
     strategy.partial_aggregate_into(context, defenses::UpdateView{arena}, 0, partials[0]);
-    strategy.merge_partials_into(context, partials, result);
+    defenses::merge_partials_into(partials, result);
     benchmark::DoNotOptimize(result.parameters.data());
     benchmark::ClobberMemory();
   }

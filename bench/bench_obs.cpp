@@ -87,7 +87,7 @@ class ObsRound {
         context_.global_parameters = global_;
         strategy_.partial_aggregate_into(context_, defenses::UpdateView{arena_}, 0,
                                          partials_[0]);
-        strategy_.merge_partials_into(context_, partials_, result_);
+        defenses::merge_partials_into(partials_, result_);
       }
       for (std::size_t i = 0; i < kDim; ++i) {
         global_[i] += 0.5f * (result_.parameters[i] - global_[i]);

@@ -72,7 +72,7 @@ void run_round_arena(benchmark::State& state, defenses::AggregationStrategy& str
     }
     context.global_parameters = global;
     strategy.partial_aggregate_into(context, defenses::UpdateView{arena}, 0, partials[0]);
-    strategy.merge_partials_into(context, partials, result);
+    defenses::merge_partials_into(partials, result);
     for (std::size_t i = 0; i < dim; ++i) {
       global[i] += 0.5f * (result.parameters[i] - global[i]);
     }

@@ -7,6 +7,7 @@
 // from the paper's related-work taxonomy (§II).
 
 #include <cstdio>
+#include <memory>
 
 #include "core/cli.hpp"
 #include "core/runner.hpp"
@@ -91,15 +92,17 @@ int main(int argc, char** argv) {
   config.malicious_fraction = 0.4;
 
   // Build the federation through the library, then swap in the custom
-  // strategy: the Federation struct exposes every component.
+  // strategy: the Federation struct exposes every component. The server
+  // takes a factory and builds one instance per shard.
   core::Federation federation = core::build_federation(config);
-  CosineFilterAggregator custom{options.get_double("threshold", 0.0)};
+  const double threshold = options.get_double("threshold", 0.0);
   fl::ServerConfig server_config;
   server_config.clients_per_round = config.clients_per_round;
   server_config.rounds = config.rounds;
   server_config.seed = config.seed;
-  fl::Server server{server_config, federation.clients, custom, federation.test_set,
-                    config.arch, config.geometry()};
+  fl::Server server{server_config, federation.clients,
+                    [threshold] { return std::make_unique<CosineFilterAggregator>(threshold); },
+                    federation.test_set, config.arch, config.geometry()};
 
   std::printf("custom cosine-similarity filter vs 40%% sign flipping:\n");
   fl::RunHistory history = server.run();

@@ -114,8 +114,7 @@ models::CvaeSpec demo_cvae() {
   return spec;
 }
 
-/// The demo's FedGuard strategy; the server calls this once per shard plus
-/// once for its root merge.
+/// The demo's FedGuard strategy; the server calls this once per shard.
 std::unique_ptr<defenses::AggregationStrategy> demo_fedguard() {
   defenses::FedGuardConfig fg;
   fg.cvae_spec = demo_cvae();

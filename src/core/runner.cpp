@@ -173,13 +173,12 @@ Federation build_federation_with_data(ExperimentConfig config, data::Dataset tra
                  config.num_clients, malicious_count, attacks::to_string(config.attack),
                  to_string(config.strategy));
 
-  fed.strategy = make_strategy(config, fed.auxiliary_set);
-
   fl::ServerConfig server_config;
   static_cast<fl::RoundConfig&>(server_config) = round_config(config);
   server_config.fault_plan = config.fault_plan;
-  fed.server = std::make_unique<fl::Server>(server_config, fed.clients, *fed.strategy,
-                                            fed.test_set, config.arch, config.geometry());
+  fed.server = std::make_unique<fl::Server>(
+      server_config, fed.clients, [&] { return make_strategy(config, fed.auxiliary_set); },
+      fed.test_set, config.arch, config.geometry());
   fed.config = std::move(config);
   return fed;
 }

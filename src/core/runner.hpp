@@ -26,7 +26,6 @@ struct Federation {
   data::Dataset auxiliary_set;
   std::unique_ptr<attacks::ModelAttack> model_attack;  // shared by malicious clients
   std::vector<std::unique_ptr<fl::Client>> clients;
-  std::unique_ptr<defenses::AggregationStrategy> strategy;
   std::unique_ptr<fl::Server> server;
   ExperimentConfig config;
 

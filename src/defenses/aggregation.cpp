@@ -110,14 +110,12 @@ Selection select_by_mean(std::span<const double> scores, KeepSide side,
   return Selection{.kept = kept, .scores = scores, .threshold = threshold};
 }
 
-void AggregationStrategy::merge_partials_into(const AggregationContext& /*context*/,
-                                              std::span<const ShardPartial> partials,
-                                              AggregationResult& out) {
-  FEDGUARD_TRACE_SPAN(std::string{"agg."} + name(), "merge");
+void merge_partials_into(std::span<const ShardPartial> partials, AggregationResult& out) {
+  FEDGUARD_TRACE_SPAN("agg.root", "merge");
   out.clear();
-  // Split the live partials by path. A single round never mixes paths (all
-  // partials come from one strategy), but a degraded shard may contribute an
-  // empty partial on either — those are skipped.
+  // Split the live partials by path. A single round never mixes paths (every
+  // shard runs an instance of one strategy), but a degraded shard may
+  // contribute an empty partial on either — those are skipped.
   std::size_t dim = 0;
   bool any_exact = false;
   bool any_metadata = false;

@@ -2,11 +2,12 @@
 // Aggregation strategy interface shared by the FL round and all defenses.
 //
 // Per federated round the uploads land as rows of a round-scoped UpdateMatrix
-// arena. Each shard hands its strategy a view over its cohort's rows
-// (partial_aggregate_into) and the root merges the shard partials into the
-// new global parameter vector plus the accept/reject split it decided on
-// (merge_partials_into); fl::RoundEngine makes exactly these two calls, with
-// one shard (S = 1) for a single-tier round.
+// arena. Each shard hands its own strategy instance a view over its cohort's
+// rows (partial_aggregate_into) and the root merges the shard partials into
+// the new global parameter vector plus the accept/reject split the shards
+// decided on (the free merge_partials_into, which needs no strategy);
+// fl::RoundEngine makes exactly these two calls, with one shard (S = 1) for a
+// single-tier round.
 //
 // Strategies implement the private do_partial_aggregate() hook, which
 // computes the cohort's aggregate and names the slots it kept; the public
@@ -15,6 +16,7 @@
 // ground-truth tallies and the decision record itself.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -47,8 +49,8 @@ struct AggregationResult {
 /// accumulator (FedAvg — running weighted/plain ψ sums in double, fold order
 /// = arena slot order) or routed selection metadata (every selector — the
 /// shard-local aggregate plus its accept/reject split and decision record).
-/// The root merges partials with AggregationStrategy::merge_partials_into;
-/// docs/SHARDING.md states the exact-merge vs metadata-routing contract.
+/// The root merges partials with merge_partials_into; docs/SHARDING.md
+/// states the exact-merge vs metadata-routing contract.
 struct ShardPartial {
   std::size_t shard_id = 0;
   /// Rows folded into this partial (0 = the shard collected nothing and the
@@ -164,16 +166,6 @@ class AggregationStrategy {
   void partial_aggregate_into(const AggregationContext& context, const UpdateView& updates,
                               std::size_t shard_id, ShardPartial& out);
 
-  /// Root-tier entry point: combine shard partials into the round result
-  /// (cleared first). Exact partials are summed and divided once (global
-  /// zero-weight fallback preserved); metadata partials are combined as the
-  /// accepted-count-weighted mean of the shard-local aggregates, with
-  /// accept/reject sets unioned in shard order. Partials with
-  /// client_count == 0 (dead or empty shards) are skipped; throws
-  /// std::invalid_argument when nothing is mergeable.
-  void merge_partials_into(const AggregationContext& context,
-                           std::span<const ShardPartial> partials, AggregationResult& out);
-
  private:
   /// Strategy body. `updates` is non-empty with a validated uniform psi
   /// dimension; `out` arrives cleared with its shard_id set. Exact
@@ -186,6 +178,20 @@ class AggregationStrategy {
 
   std::vector<unsigned char> kept_mask_;  // per-slot split scratch
 };
+
+/// Builds one strategy instance per call. fl::RoundEngine calls it once per
+/// shard, so every shard aggregates with its own instance and its own seeded
+/// state, on either transport.
+using StrategyFactory = std::function<std::unique_ptr<AggregationStrategy>()>;
+
+/// Root-tier entry point: combine shard partials into the round result
+/// (cleared first). Exact partials are summed and divided once (global
+/// zero-weight fallback preserved); metadata partials are combined as the
+/// accepted-count-weighted mean of the shard-local aggregates, with
+/// accept/reject sets unioned in shard order. Partials with
+/// client_count == 0 (dead or empty shards) are skipped; throws
+/// std::invalid_argument when nothing is mergeable.
+void merge_partials_into(std::span<const ShardPartial> partials, AggregationResult& out);
 
 // ---- Shared helpers used by several strategies -------------------------------
 

@@ -17,11 +17,11 @@ constexpr std::size_t kEvalBatchSize = 256;  // test-set evaluation batching
 
 }  // namespace
 
-RoundEngine::RoundEngine(const RoundConfig& config, defenses::AggregationStrategy& strategy,
+RoundEngine::RoundEngine(const RoundConfig& config,
+                         const defenses::StrategyFactory& strategy_factory,
                          std::size_t population, const data::Dataset& test_set,
                          models::ClassifierArch arch, models::ImageGeometry geometry)
     : config_{config},
-      strategy_{strategy},
       population_{population},
       test_set_{test_set},
       geometry_{geometry},
@@ -38,6 +38,16 @@ RoundEngine::RoundEngine(const RoundConfig& config, defenses::AggregationStrateg
   if (config_.min_clients > population_) {
     throw std::invalid_argument{"RoundEngine: min_clients exceeds the client count"};
   }
+  for (std::size_t shard = 0; shard < config_.shards; ++shard) {
+    strategies_.push_back(strategy_factory());
+    if (!strategies_.back()) {
+      throw std::invalid_argument{"RoundEngine: strategy factory returned null"};
+    }
+  }
+  const defenses::AggregationStrategy& first = *strategies_.front();
+  strategy_name_ = first.name();
+  wants_decoders_ = first.wants_decoders();
+  theta_dim_ = wants_decoders_ ? first.decoder_parameter_count() : 0;
   std::iota(universe_.begin(), universe_.end(), std::size_t{0});
   auto& registry = obs::Registry::global();
   rounds_total_ = registry.counter("fl_rounds_total");
@@ -126,10 +136,7 @@ RoundRecord RoundEngine::run_round(std::size_t round) {
       record.sampled_malicious += partial.malicious_count;
     }
     if (merged_clients > 0) {
-      defenses::AggregationContext context;
-      context.round = round;
-      context.global_parameters = global_parameters_;
-      strategy_.merge_partials_into(context, shard_partials, result_);
+      defenses::merge_partials_into(shard_partials, result_);
       if (result_.parameters.size() != global_parameters_.size()) {
         throw std::runtime_error{"RoundEngine: strategy returned wrong parameter dimension"};
       }
@@ -265,7 +272,7 @@ void RoundEngine::load_global(const std::string& path) {
 
 RunHistory RoundEngine::run() {
   RunHistory history;
-  history.strategy = strategy_.name();
+  history.strategy = strategy_name_;
   history.rounds.reserve(config_.rounds);
   for (std::size_t round = 0; round < config_.rounds; ++round) {
     RoundRecord record = run_round(round);

@@ -16,6 +16,12 @@
 // rule with min_clients; consecutive failures eject a client from the
 // sampling universe) and one counter family.
 //
+// Strategy instances: the engine owns them. It calls the factory once per
+// shard at construction and lends instance s to shard s, so shard s
+// aggregates with the same seeded state on both transports; after
+// construction only the thread that runs shard s touches instance s. The
+// root merge is strategy-free (defenses::merge_partials_into).
+//
 // Traffic accounting (Table V): RoundRecord's traffic and failure fields are
 // per-round deltas of the fl_* registry counters (docs/OBSERVABILITY.md), so
 // Table V and the metrics exposition can never disagree.
@@ -121,10 +127,11 @@ class RoundEngine {
   void load_global(const std::string& path);
 
  protected:
-  /// `strategy` merges the partials (and names the run); it and `test_set`
-  /// must outlive the engine. `population` is N, the client ids [0, N) the
-  /// universe starts with. ψ0 is the eval classifier's seeded initialization.
-  RoundEngine(const RoundConfig& config, defenses::AggregationStrategy& strategy,
+  /// Calls `strategy_factory` once per shard (std::invalid_argument if it
+  /// returns null); `test_set` must outlive the engine. `population` is N,
+  /// the client ids [0, N) the universe starts with. ψ0 is the eval
+  /// classifier's seeded initialization.
+  RoundEngine(const RoundConfig& config, const defenses::StrategyFactory& strategy_factory,
               std::size_t population, const data::Dataset& test_set,
               models::ClassifierArch arch, models::ImageGeometry geometry);
 
@@ -144,14 +151,24 @@ class RoundEngine {
   /// min_clients (0 = all N) joined.
   void admit(std::vector<std::size_t> joined);
   [[nodiscard]] std::span<const std::size_t> universe() const noexcept { return universe_; }
-  [[nodiscard]] defenses::AggregationStrategy& strategy() const noexcept { return strategy_; }
+  /// Shard `shard`'s strategy instance, for the thread that runs that shard.
+  [[nodiscard]] defenses::AggregationStrategy& shard_strategy(std::size_t shard) const {
+    return *strategies_.at(shard);
+  }
+  /// Whether uploads carry CVAE decoders, and the θ length each one carries
+  /// (0 when they do not); read from instance 0 at construction.
+  [[nodiscard]] bool wants_decoders() const noexcept { return wants_decoders_; }
+  [[nodiscard]] std::size_t theta_dim() const noexcept { return theta_dim_; }
 
  private:
   /// Streaks, ejection and per-class counters for this round's outcomes.
   void settle(const Collection& collection);
 
   RoundConfig config_;
-  defenses::AggregationStrategy& strategy_;
+  std::vector<std::unique_ptr<defenses::AggregationStrategy>> strategies_;  // one per shard
+  std::string strategy_name_;
+  bool wants_decoders_ = false;
+  std::size_t theta_dim_ = 0;
   std::size_t population_;
   const data::Dataset& test_set_;
   models::ImageGeometry geometry_;

@@ -6,9 +6,10 @@
 namespace fedguard::fl {
 
 Server::Server(ServerConfig config, std::vector<std::unique_ptr<Client>>& clients,
-               defenses::AggregationStrategy& strategy, const data::Dataset& test_set,
-               models::ClassifierArch arch, models::ImageGeometry geometry)
-    : RoundEngine{config, strategy, clients.size(), test_set, arch, geometry},
+               const defenses::StrategyFactory& strategy_factory,
+               const data::Dataset& test_set, models::ClassifierArch arch,
+               models::ImageGeometry geometry)
+    : RoundEngine{config, strategy_factory, clients.size(), test_set, arch, geometry},
       config_{config},
       clients_{clients},
       faults_{config.fault_plan},
@@ -51,8 +52,7 @@ void Server::collect(std::size_t round, std::span<const std::size_t> sampled,
 
   // Client work items run concurrently on the pool, each writing its
   // assigned arena row in place.
-  arena_.reset(trainers_.size(), psi0.size(),
-               strategy().wants_decoders() ? strategy().decoder_parameter_count() : 0);
+  arena_.reset(trainers_.size(), psi0.size(), theta_dim());
   arena_capacity_bytes_.set(static_cast<std::int64_t>(arena_.capacity_bytes()));
   parallel::parallel_for(parallel::global_pool(), 0, trainers_.size(), [&](std::size_t k) {
     const defenses::UpdateRow row = arena_.row(k);
@@ -69,7 +69,7 @@ void Server::collect(std::size_t round, std::span<const std::size_t> sampled,
   out.download_bytes = responders_.size() * util::codec_span_wire_size(config_.psi_codec,
                                                                        psi0.size(),
                                                                        config_.psi_chunk);
-  if (strategy().wants_decoders()) {
+  if (wants_decoders()) {
     for (const std::size_t k : responders_) {
       out.download_bytes += nn::parameter_wire_bytes(arena_.meta(k).theta_count);
     }
@@ -97,7 +97,7 @@ std::span<const defenses::ShardPartial> Server::partials(std::size_t round,
     const defenses::UpdateView cohort = rows.size() == arena_.count()
                                             ? defenses::UpdateView{arena_}
                                             : defenses::UpdateView{arena_, rows};
-    strategy().partial_aggregate_into(context, cohort, shard, partials_[shard]);
+    shard_strategy(shard).partial_aggregate_into(context, cohort, shard, partials_[shard]);
   }
   return partials_;
 }

@@ -3,7 +3,8 @@
 // fl::Client objects. Each sampled client runs its work item concurrently on
 // the pool (one process per client on the paper's testbed), writing its
 // update straight into the round's UpdateMatrix arena; the partials are
-// partial_aggregate_into over per-shard cohorts of that arena.
+// partial_aggregate_into over per-shard cohorts of that arena, cohort s
+// through the engine's strategy instance s, as socket shard s does.
 //
 // Faults: the server plays the seeded FaultPlan the way socket clients act
 // it out (net::run_remote_client) and files each failure as a shard would
@@ -32,9 +33,10 @@ struct ServerConfig : RoundConfig {
 
 class Server final : public RoundEngine {
  public:
-  /// `clients`, `strategy` and `test_set` must outlive the server.
+  /// `clients` and `test_set` must outlive the server; `strategy_factory` is
+  /// called once per shard, here.
   Server(ServerConfig config, std::vector<std::unique_ptr<Client>>& clients,
-         defenses::AggregationStrategy& strategy, const data::Dataset& test_set,
+         const defenses::StrategyFactory& strategy_factory, const data::Dataset& test_set,
          models::ClassifierArch arch, models::ImageGeometry geometry);
 
  private:

@@ -27,10 +27,9 @@ constexpr int kListenBacklog = 1024;
 
 // ---- ShardAggregator ---------------------------------------------------------
 
-ShardAggregator::ShardAggregator(ShardConfig config,
-                                 std::unique_ptr<defenses::AggregationStrategy> strategy)
+ShardAggregator::ShardAggregator(ShardConfig config, defenses::AggregationStrategy& strategy)
     : config_{config},
-      strategy_{std::move(strategy)},
+      strategy_{strategy},
       listener_{config.port, kListenBacklog},
       reactor_{Reactor::Callbacks{
           // on_accept: nothing until the peer introduces itself with Hello.
@@ -48,9 +47,6 @@ ShardAggregator::ShardAggregator(ShardConfig config,
             // desync and the reactor drops the link regardless.
             return error.code() == DecodeErrorCode::BadCrc;
           }}} {
-  if (!strategy_) {
-    throw std::invalid_argument{"ShardAggregator: null strategy"};
-  }
   const std::string label = "{shard=\"" + std::to_string(config_.shard_id) + "\"}";
   auto& registry = obs::Registry::global();
   replies_total_ = registry.counter("net_shard_replies_total" + label);
@@ -187,7 +183,7 @@ void ShardAggregator::begin_round(RoundCommand command) {
   slots_.assign(cohort_size, Slot::Pending);
   pending_slots_.clear();
   next_fold_ = 0;
-  exact_ = strategy_->supports_exact_merge();
+  exact_ = strategy_.supports_exact_merge();
   building_.partial.clear();
   building_.partial.shard_id = config_.shard_id;
   building_.partial.exact = exact_;
@@ -372,7 +368,7 @@ void ShardAggregator::publish() {
     defenses::AggregationContext context;
     context.round = round_command_.round;
     context.global_parameters = *round_command_.global_parameters;
-    strategy_->partial_aggregate_into(context, view, config_.shard_id, building_.partial);
+    strategy_.partial_aggregate_into(context, view, config_.shard_id, building_.partial);
   }
   // (0 replies: the partial stays cleared with client_count == 0 — the root
   // skips it when merging.)
@@ -419,34 +415,13 @@ void ShardAggregator::stop(bool graceful) {
 
 // ---- HierarchicalServer ------------------------------------------------------
 
-namespace {
-
-std::unique_ptr<defenses::AggregationStrategy> checked(
-    std::unique_ptr<defenses::AggregationStrategy> strategy) {
-  if (!strategy) {
-    throw std::invalid_argument{"HierarchicalServer: strategy_factory returned null"};
-  }
-  return strategy;
-}
-
-}  // namespace
-
 HierarchicalServer::HierarchicalServer(HierarchicalServerConfig config,
-                                       const StrategyFactory& strategy_factory,
+                                       const defenses::StrategyFactory& strategy_factory,
                                        const data::Dataset& test_set,
                                        models::ClassifierArch arch,
                                        models::ImageGeometry geometry)
-    : HierarchicalServer{std::move(config), strategy_factory, checked(strategy_factory()),
-                         test_set, arch, geometry} {}
-
-HierarchicalServer::HierarchicalServer(
-    HierarchicalServerConfig config, const StrategyFactory& strategy_factory,
-    std::unique_ptr<defenses::AggregationStrategy> merge_strategy,
-    const data::Dataset& test_set, models::ClassifierArch arch,
-    models::ImageGeometry geometry)
-    : RoundEngine{config, *merge_strategy, config.expected_clients, test_set, arch, geometry},
+    : RoundEngine{config, strategy_factory, config.expected_clients, test_set, arch, geometry},
       config_{std::move(config)},
-      merge_strategy_{std::move(merge_strategy)},
       degraded_rounds_total_{obs::Registry::global().counter("net_root_degraded_rounds_total")} {
   if (config_.expected_clients < config_.shards) {
     throw std::invalid_argument{
@@ -460,8 +435,7 @@ HierarchicalServer::HierarchicalServer(
     if (config_.port != 0) shard_config.port = static_cast<std::uint16_t>(config_.port + shard);
     shard_config.round_timeout =
         milliseconds{static_cast<std::int64_t>(config_.round_timeout_ms)};
-    shards_.push_back(
-        std::make_unique<ShardAggregator>(shard_config, checked(strategy_factory())));
+    shards_.push_back(std::make_unique<ShardAggregator>(shard_config, shard_strategy(shard)));
   }
   if (config_.http_port != 0) {
     http_server_ = std::make_unique<TelemetryHttpServer>(
@@ -550,7 +524,7 @@ void HierarchicalServer::collect(std::size_t round, std::span<const std::size_t>
   // cohort connection then shares this one buffer.
   RoundRequest request;
   request.round = round;
-  request.want_decoder = strategy().wants_decoders();
+  request.want_decoder = wants_decoders();
   request.psi_codec = config_.psi_codec;
   request.psi_chunk = config_.psi_chunk;
   request.trace_id = obs::make_trace_id(config_.seed, round);
@@ -559,8 +533,6 @@ void HierarchicalServer::collect(std::size_t round, std::span<const std::size_t>
       std::make_shared<const std::vector<std::byte>>(encode_round_request_frame(request));
   const auto globals =
       std::make_shared<const std::vector<float>>(std::move(request.global_parameters));
-  const std::size_t theta_dim =
-      strategy().wants_decoders() ? strategy().decoder_parameter_count() : 0;
   std::vector<bool> dispatched(shards_.size(), false);
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
     if (cohorts_[shard].empty() || !shards_[shard]->alive()) continue;
@@ -569,7 +541,7 @@ void HierarchicalServer::collect(std::size_t round, std::span<const std::size_t>
     command.cohort = cohorts_[shard];
     command.request_frame = frame;
     command.global_parameters = globals;
-    command.theta_dim = theta_dim;
+    command.theta_dim = theta_dim();
     shards_[shard]->start_round(std::move(command));
     dispatched[shard] = true;
   }

@@ -1,9 +1,10 @@
 #pragma once
 // The socket transport of the round engine: edge ShardAggregators each own a
 // client cohort on their own reactor thread and partially aggregate uploads
-// as they arrive; the root HierarchicalServer (an fl::RoundEngine) fans each
-// round out to the shards and hands their ShardPartials to the engine's
-// merge. A single-tier socket federation is S = 1. docs/SHARDING.md has the
+// as they arrive, with the strategy instance the engine lends shard s; the
+// root HierarchicalServer (an fl::RoundEngine) fans each round out to the
+// shards and hands their ShardPartials to the engine's strategy-free merge.
+// A single-tier socket federation is S = 1. docs/SHARDING.md has the
 // topology diagram and the exact-merge vs metadata-routing contract;
 // docs/ROBUSTNESS.md the fault model.
 //
@@ -59,12 +60,13 @@ struct ShardConfig {
   std::chrono::milliseconds round_timeout{30000};
 };
 
-/// Edge aggregator: owns a listener + reactor + one cohort of clients and a
-/// private strategy instance (thread confinement — strategies keep scratch).
+/// Edge aggregator: owns a listener + reactor + one cohort of clients, and
+/// borrows a strategy instance that only its reactor thread touches (thread
+/// confinement — strategies keep scratch).
 class ShardAggregator {
  public:
-  ShardAggregator(ShardConfig config,
-                  std::unique_ptr<defenses::AggregationStrategy> strategy);
+  /// `strategy` must outlive the shard.
+  ShardAggregator(ShardConfig config, defenses::AggregationStrategy& strategy);
   ~ShardAggregator();
   ShardAggregator(const ShardAggregator&) = delete;
   ShardAggregator& operator=(const ShardAggregator&) = delete;
@@ -138,7 +140,7 @@ class ShardAggregator {
   void stop(bool graceful);
 
   ShardConfig config_;
-  std::unique_ptr<defenses::AggregationStrategy> strategy_;
+  defenses::AggregationStrategy& strategy_;
   TcpListener listener_;
   Reactor reactor_;
 
@@ -208,11 +210,10 @@ struct HierarchicalServerConfig : fl::RoundConfig {
 /// Root of the socket transport: drives the shards for the round engine.
 class HierarchicalServer final : public fl::RoundEngine {
  public:
-  using StrategyFactory = std::function<std::unique_ptr<defenses::AggregationStrategy>()>;
-
-  /// `strategy_factory` builds the root's merge instance and one private
-  /// strategy instance per shard (call count: shards + 1).
-  HierarchicalServer(HierarchicalServerConfig config, const StrategyFactory& strategy_factory,
+  /// `strategy_factory` is called once per shard, here; shard s aggregates
+  /// with the engine's instance s.
+  HierarchicalServer(HierarchicalServerConfig config,
+                     const defenses::StrategyFactory& strategy_factory,
                      const data::Dataset& test_set, models::ClassifierArch arch,
                      models::ImageGeometry geometry);
   ~HierarchicalServer() override;
@@ -231,11 +232,6 @@ class HierarchicalServer final : public fl::RoundEngine {
   void kill_shard(std::size_t shard);
 
  private:
-  HierarchicalServer(HierarchicalServerConfig config, const StrategyFactory& strategy_factory,
-                     std::unique_ptr<defenses::AggregationStrategy> merge_strategy,
-                     const data::Dataset& test_set, models::ClassifierArch arch,
-                     models::ImageGeometry geometry);
-
   void collect(std::size_t round, std::span<const std::size_t> sampled,
                std::span<const float> psi0, fl::Collection& out) override;
   std::span<const defenses::ShardPartial> partials(std::size_t round,
@@ -246,7 +242,6 @@ class HierarchicalServer final : public fl::RoundEngine {
   void readmit_lost_clients();
 
   HierarchicalServerConfig config_;
-  std::unique_ptr<defenses::AggregationStrategy> merge_strategy_;
   std::unique_ptr<TelemetryHttpServer> http_server_;  // config.http_port != 0
   std::vector<std::unique_ptr<ShardAggregator>> shards_;
   // Round-persistent scratch.

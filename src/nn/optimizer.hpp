@@ -37,9 +37,6 @@ class Sgd final : public Optimizer {
 
   void step() override;
 
-  void set_learning_rate(float lr) noexcept { learning_rate_ = lr; }
-  [[nodiscard]] float learning_rate() const noexcept { return learning_rate_; }
-
  private:
   float learning_rate_;
   float momentum_;
@@ -54,9 +51,6 @@ class Adam final : public Optimizer {
        float beta2 = 0.999f, float epsilon = 1e-8f, float weight_decay = 0.0f);
 
   void step() override;
-
-  void set_learning_rate(float lr) noexcept { learning_rate_ = lr; }
-  [[nodiscard]] float learning_rate() const noexcept { return learning_rate_; }
 
  private:
   float learning_rate_;

@@ -48,16 +48,6 @@ void unflatten_parameters(Module& module, std::span<const float> flat) {
   }
 }
 
-std::vector<float> flatten_gradients(Module& module) {
-  std::vector<float> flat;
-  flat.reserve(module.parameter_count());
-  for (Parameter* p : module.parameters()) {
-    const auto data = p->grad.data();
-    flat.insert(flat.end(), data.begin(), data.end());
-  }
-  return flat;
-}
-
 std::size_t parameter_wire_bytes(std::size_t count) noexcept {
   return util::f32_vector_wire_size(count);
 }

@@ -23,9 +23,6 @@ void copy_parameters_to(Module& module, std::span<float> out);
 /// Write `flat` back into the module's parameters; size must match exactly.
 void unflatten_parameters(Module& module, std::span<const float> flat);
 
-/// Concatenate all parameter *gradients* in declaration order.
-[[nodiscard]] std::vector<float> flatten_gradients(Module& module);
-
 /// Serialized wire size (bytes) of a flat parameter vector of `count` floats,
 /// including the length prefix. Used by the traffic meter (Table V).
 [[nodiscard]] std::size_t parameter_wire_bytes(std::size_t count) noexcept;

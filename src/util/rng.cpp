@@ -39,11 +39,6 @@ Rng::result_type Rng::operator()() noexcept {
   return result;
 }
 
-Rng Rng::fork(std::uint64_t stream) noexcept {
-  std::uint64_t mix = (*this)() ^ (stream * 0x9e3779b97f4a7c15ULL + 0xd1b54a32d192ed03ULL);
-  return Rng{mix};
-}
-
 double Rng::uniform() noexcept {
   // 53-bit mantissa construction gives uniform in [0, 1).
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;

@@ -30,10 +30,6 @@ class Rng {
 
   result_type operator()() noexcept;
 
-  /// Derive an independent child generator; `stream` distinguishes children
-  /// created from the same parent state.
-  [[nodiscard]] Rng fork(std::uint64_t stream) noexcept;
-
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform() noexcept;
   /// Uniform double in [lo, hi).

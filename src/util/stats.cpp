@@ -66,16 +66,6 @@ double quantile(std::span<const double> values, double q) {
   return copy[lo] * (1.0 - frac) + copy[hi] * frac;
 }
 
-double min_value(std::span<const double> values) noexcept {
-  if (values.empty()) return 0.0;
-  return *std::min_element(values.begin(), values.end());
-}
-
-double max_value(std::span<const double> values) noexcept {
-  if (values.empty()) return 0.0;
-  return *std::max_element(values.begin(), values.end());
-}
-
 TrailingStats trailing_stats(std::span<const double> series, std::size_t window) {
   TrailingStats out;
   if (series.empty()) return out;

@@ -25,9 +25,6 @@ namespace fedguard::util {
 /// q-quantile with linear interpolation, q in [0,1]; returns 0 for empty.
 [[nodiscard]] double quantile(std::span<const double> values, double q);
 
-[[nodiscard]] double min_value(std::span<const double> values) noexcept;
-[[nodiscard]] double max_value(std::span<const double> values) noexcept;
-
 /// Summary over the trailing `window` entries of a series (Table IV uses the
 /// last 40 rounds). If the series is shorter than `window`, uses all of it.
 struct TrailingStats {

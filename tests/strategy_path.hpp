@@ -1,11 +1,13 @@
 #pragma once
 // Test-only driver that runs an AggregationStrategy the way a federated round
 // does: the uploads fill one UpdateMatrix arena, each shard partial-aggregates
-// its cohort (partial_aggregate_into), and the root merges the partials
-// (merge_partials_into). With one shard this is a single-tier round, so
-// strategy unit tests exercise exactly the calls fl::RoundEngine makes.
+// its cohort (partial_aggregate_into) with its own strategy instance, and the
+// root merges the partials (merge_partials_into). With one shard this is a
+// single-tier round, so strategy unit tests exercise exactly the calls
+// fl::RoundEngine makes.
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -44,11 +46,12 @@ inline void fill_arena(defenses::UpdateMatrix& arena, std::span<const Upload> up
 }
 
 /// The round's aggregation over `matrix` with S shards: slot s goes to shard
-/// floor(s * S / count) (fl::Server's contiguous owner partition), one
-/// partial per cohort (a cohort holding the whole arena reads it as the
-/// identity view, as fl::Server does), then the root merge. `partials`
+/// floor(s * S / count) (fl::Server's contiguous owner partition), and each
+/// shard partial-aggregates its cohort with its own instance from `factory`,
+/// as both transports do (a cohort holding the whole arena reads it as the
+/// identity view, as fl::Server does); then the root merge. `partials`
 /// receives the shard partials.
-inline void two_tier_aggregate(defenses::AggregationStrategy& strategy,
+inline void two_tier_aggregate(const defenses::StrategyFactory& factory,
                                const defenses::AggregationContext& context,
                                const defenses::UpdateMatrix& matrix, std::size_t shards,
                                std::vector<defenses::ShardPartial>& partials,
@@ -59,6 +62,7 @@ inline void two_tier_aggregate(defenses::AggregationStrategy& strategy,
   }
   partials.resize(shards);
   for (std::size_t s = 0; s < shards; ++s) {
+    const std::unique_ptr<defenses::AggregationStrategy> strategy = factory();
     if (cohorts[s].empty()) {
       partials[s].clear();  // merged as a skipped (empty) shard
       continue;
@@ -66,30 +70,33 @@ inline void two_tier_aggregate(defenses::AggregationStrategy& strategy,
     const defenses::UpdateView view = cohorts[s].size() == matrix.count()
                                           ? defenses::UpdateView{matrix}
                                           : defenses::UpdateView{matrix, cohorts[s]};
-    strategy.partial_aggregate_into(context, view, s, partials[s]);
+    strategy->partial_aggregate_into(context, view, s, partials[s]);
   }
-  strategy.merge_partials_into(context, partials, out);
+  defenses::merge_partials_into(partials, out);
 }
 
-inline void two_tier_aggregate(defenses::AggregationStrategy& strategy,
+inline void two_tier_aggregate(const defenses::StrategyFactory& factory,
                                const defenses::AggregationContext& context,
                                const defenses::UpdateMatrix& matrix, std::size_t shards,
                                defenses::AggregationResult& out) {
   std::vector<defenses::ShardPartial> partials;
-  two_tier_aggregate(strategy, context, matrix, shards, partials, out);
+  two_tier_aggregate(factory, context, matrix, shards, partials, out);
 }
 
-/// A single-tier round over `uploads`: one shard (S = 1), then the merge.
-/// `partial`, when given, receives that shard's partial.
+/// A single-tier round over `uploads` with the caller's instance (which
+/// keeps its state across calls, as a shard's does across rounds): one
+/// shard (S = 1), then the merge. `partial`, when given, receives that
+/// shard's partial.
 inline defenses::AggregationResult aggregate(defenses::AggregationStrategy& strategy,
                                              const defenses::AggregationContext& context,
                                              std::span<const Upload> uploads,
                                              defenses::ShardPartial* partial = nullptr) {
   defenses::UpdateMatrix arena;
   fill_arena(arena, uploads);
-  std::vector<defenses::ShardPartial> partials;
+  std::vector<defenses::ShardPartial> partials(1);
+  strategy.partial_aggregate_into(context, defenses::UpdateView{arena}, 0, partials.front());
   defenses::AggregationResult out;
-  two_tier_aggregate(strategy, context, arena, 1, partials, out);
+  defenses::merge_partials_into(partials, out);
   if (partial != nullptr) *partial = partials.front();
   return out;
 }

@@ -14,6 +14,11 @@
 namespace fedguard::fl {
 namespace {
 
+/// One FedAvg instance per shard.
+defenses::StrategyFactory fedavg() {
+  return [] { return std::make_unique<defenses::FedAvgAggregator>(); };
+}
+
 struct ResumeFixture : ::testing::Test {
   static void SetUpTestSuite() { util::set_log_level(util::LogLevel::Warn); }
 
@@ -52,8 +57,7 @@ struct ResumeFixture : ::testing::Test {
 
 TEST_F(ResumeFixture, SaveLoadGlobalRoundTrip) {
   const std::string path = "/tmp/fedguard_global_test.bin";
-  defenses::FedAvgAggregator strategy;
-  Server trained{server_config(), clients, strategy, test, models::ClassifierArch::Mlp,
+  Server trained{server_config(), clients, fedavg(), test, models::ClassifierArch::Mlp,
                  geometry};
   (void)trained.run_round(0);
   (void)trained.run_round(1);
@@ -61,10 +65,9 @@ TEST_F(ResumeFixture, SaveLoadGlobalRoundTrip) {
   trained.save_global(path);
 
   // A fresh server (different init) restores the trained state exactly.
-  defenses::FedAvgAggregator strategy2;
   ServerConfig fresh_config = server_config();
   fresh_config.seed = 999;
-  Server resumed{fresh_config, clients, strategy2, test, models::ClassifierArch::Mlp,
+  Server resumed{fresh_config, clients, fedavg(), test, models::ClassifierArch::Mlp,
                  geometry};
   EXPECT_NE(resumed.evaluate_global(), trained_accuracy);
   resumed.load_global(path);
@@ -81,8 +84,7 @@ TEST_F(ResumeFixture, LoadGlobalValidatesDimension) {
   const std::string path = "/tmp/fedguard_global_bad.bin";
   const std::vector<float> wrong(10, 0.0f);
   util::save_f32_vector(path, wrong);
-  defenses::FedAvgAggregator strategy;
-  Server server{server_config(), clients, strategy, test, models::ClassifierArch::Mlp,
+  Server server{server_config(), clients, fedavg(), test, models::ClassifierArch::Mlp,
                 geometry};
   EXPECT_THROW(server.load_global(path), std::runtime_error);
   std::remove(path.c_str());

@@ -49,6 +49,11 @@ std::vector<float> to_vector(std::span<const float> values) {
   return {values.begin(), values.end()};
 }
 
+/// One FedAvg instance per shard.
+defenses::StrategyFactory fedavg() {
+  return [] { return std::make_unique<defenses::FedAvgAggregator>(); };
+}
+
 struct FlFixture : ::testing::Test {
   void SetUp() override {
     geometry = models::ImageGeometry{1, 28, 28, 10};
@@ -156,8 +161,7 @@ struct ServerFixture : ::testing::Test {
 };
 
 TEST_F(ServerFixture, RoundRecordsTrafficAndSampling) {
-  defenses::FedAvgAggregator strategy;
-  Server server{server_config(4, 1), clients, strategy, test,
+  Server server{server_config(4, 1), clients, fedavg(), test,
                 models::ClassifierArch::Mlp, geometry};
   const RoundRecord record = server.run_round(0);
   EXPECT_EQ(record.sampled_clients, 4u);
@@ -172,8 +176,7 @@ TEST_F(ServerFixture, RoundRecordsTrafficAndSampling) {
 }
 
 TEST_F(ServerFixture, TrainingImprovesAccuracy) {
-  defenses::FedAvgAggregator strategy;
-  Server server{server_config(6, 8), clients, strategy, test,
+  Server server{server_config(6, 8), clients, fedavg(), test,
                 models::ClassifierArch::Mlp, geometry};
   const double before = server.evaluate_global();
   const RunHistory history = server.run();
@@ -184,8 +187,7 @@ TEST_F(ServerFixture, TrainingImprovesAccuracy) {
 
 TEST_F(ServerFixture, ServerLearningRateDampensUpdate) {
   // η = 0: the global model must not move.
-  defenses::FedAvgAggregator strategy;
-  Server server{server_config(4, 1, 0.0f), clients, strategy, test,
+  Server server{server_config(4, 1, 0.0f), clients, fedavg(), test,
                 models::ClassifierArch::Mlp, geometry};
   const std::vector<float> before{server.global_parameters().begin(),
                                   server.global_parameters().end()};
@@ -196,11 +198,9 @@ TEST_F(ServerFixture, ServerLearningRateDampensUpdate) {
 }
 
 TEST_F(ServerFixture, PartialServerLearningRateInterpolates) {
-  defenses::FedAvgAggregator strategy_full;
-  defenses::FedAvgAggregator strategy_half;
-  Server full{server_config(4, 1, 1.0f), clients, strategy_full, test,
+  Server full{server_config(4, 1, 1.0f), clients, fedavg(), test,
               models::ClassifierArch::Mlp, geometry};
-  Server half{server_config(4, 1, 0.5f), clients, strategy_half, test,
+  Server half{server_config(4, 1, 0.5f), clients, fedavg(), test,
               models::ClassifierArch::Mlp, geometry};
   const std::vector<float> init{full.global_parameters().begin(),
                                 full.global_parameters().end()};
@@ -218,11 +218,10 @@ TEST_F(ServerFixture, PartialServerLearningRateInterpolates) {
 }
 
 TEST_F(ServerFixture, InvalidConfigRejected) {
-  defenses::FedAvgAggregator strategy;
-  EXPECT_THROW((Server{server_config(0, 1), clients, strategy, test,
+  EXPECT_THROW((Server{server_config(0, 1), clients, fedavg(), test,
                        models::ClassifierArch::Mlp, geometry}),
                std::invalid_argument);
-  EXPECT_THROW((Server{server_config(7, 1), clients, strategy, test,
+  EXPECT_THROW((Server{server_config(7, 1), clients, fedavg(), test,
                        models::ClassifierArch::Mlp, geometry}),
                std::invalid_argument);
 }

@@ -16,6 +16,11 @@
 namespace fedguard::fl {
 namespace {
 
+/// One FedAvg instance per shard.
+defenses::StrategyFactory fedavg() {
+  return [] { return std::make_unique<defenses::FedAvgAggregator>(); };
+}
+
 struct ExtensionFixture : ::testing::Test {
   static void SetUpTestSuite() { util::set_log_level(util::LogLevel::Warn); }
 
@@ -50,8 +55,7 @@ TEST_F(ExtensionFixture, PerClassTrackingRecordsTenRecalls) {
   config.rounds = 2;
   config.seed = 505;
   config.track_per_class_accuracy = true;
-  defenses::FedAvgAggregator strategy;
-  Server server{config, clients, strategy, test, models::ClassifierArch::Mlp, geometry};
+  Server server{config, clients, fedavg(), test, models::ClassifierArch::Mlp, geometry};
   const RoundRecord record = server.run_round(0);
   ASSERT_EQ(record.per_class_accuracy.size(), 10u);
   for (const double recall : record.per_class_accuracy) {
@@ -70,8 +74,7 @@ TEST_F(ExtensionFixture, PerClassTrackingOffByDefault) {
   config.clients_per_round = 4;
   config.rounds = 1;
   config.seed = 506;
-  defenses::FedAvgAggregator strategy;
-  Server server{config, clients, strategy, test, models::ClassifierArch::Mlp, geometry};
+  Server server{config, clients, fedavg(), test, models::ClassifierArch::Mlp, geometry};
   EXPECT_TRUE(server.run_round(0).per_class_accuracy.empty());
 }
 
@@ -82,8 +85,7 @@ TEST_F(ExtensionFixture, DroppedClientsReduceTrafficAndParticipation) {
   config.seed = 507;
   config.fault_plan.drop_probability = 0.5;
   config.fault_plan.seed = 507;
-  defenses::FedAvgAggregator strategy;
-  Server server{config, clients, strategy, test, models::ClassifierArch::Mlp, geometry};
+  Server server{config, clients, fedavg(), test, models::ClassifierArch::Mlp, geometry};
 
   // Across several rounds, some drops must occur, each recorded as the
   // timeout a shard would see, and traffic must scale with responders only.
@@ -109,8 +111,7 @@ TEST_F(ExtensionFixture, AllDroppedLeaveModelUnchanged) {
   config.rounds = 1;
   config.seed = 508;
   config.fault_plan.drop_probability = 1.0;
-  defenses::FedAvgAggregator strategy;
-  Server server{config, clients, strategy, test, models::ClassifierArch::Mlp, geometry};
+  Server server{config, clients, fedavg(), test, models::ClassifierArch::Mlp, geometry};
   const std::vector<float> before{server.global_parameters().begin(),
                                   server.global_parameters().end()};
   const RoundRecord record = server.run_round(0);
@@ -136,18 +137,17 @@ TEST_F(ExtensionFixture, NeverConnectPlanFollowsTheAcceptRule) {
   }
   ASSERT_GT(joined, 0u) << "plan seed must leave someone connected";
   ASSERT_LT(joined, clients.size()) << "plan seed must keep someone away";
-  defenses::FedAvgAggregator strategy;
 
   // min_clients = 0 asks for all N, as a socket accept deadline would.
-  EXPECT_THROW((Server{config, clients, strategy, test, models::ClassifierArch::Mlp, geometry}),
+  EXPECT_THROW((Server{config, clients, fedavg(), test, models::ClassifierArch::Mlp, geometry}),
                std::runtime_error);
   config.min_clients = joined + 1;
-  EXPECT_THROW((Server{config, clients, strategy, test, models::ClassifierArch::Mlp, geometry}),
+  EXPECT_THROW((Server{config, clients, fedavg(), test, models::ClassifierArch::Mlp, geometry}),
                std::runtime_error);
 
   // Enough joined: rounds sample only from them.
   config.min_clients = joined;
-  Server server{config, clients, strategy, test, models::ClassifierArch::Mlp, geometry};
+  Server server{config, clients, fedavg(), test, models::ClassifierArch::Mlp, geometry};
   const RoundRecord record = server.run_round(0);
   EXPECT_EQ(record.sampled_clients, joined);
   EXPECT_EQ(record.stragglers, 0u);

@@ -383,7 +383,7 @@ struct RemoteFixture : ::testing::Test {
     return spec;
   }
 
-  static HierarchicalServer::StrategyFactory fedavg() {
+  static defenses::StrategyFactory fedavg() {
     return [] { return std::make_unique<defenses::FedAvgAggregator>(); };
   }
 
@@ -651,29 +651,31 @@ TEST(Messages, TelemetryCountsAreBoundedByTheirMinimumRecordSize) {
   }
 }
 
-std::unique_ptr<ShardAggregator> fedavg_shard() {
-  ShardConfig config;
-  config.round_timeout = std::chrono::milliseconds{10000};
-  return std::make_unique<ShardAggregator>(config,
-                                           std::make_unique<defenses::FedAvgAggregator>());
-}
+/// A FedAvg shard and the strategy instance it borrows, declared first so
+/// that it outlives the shard.
+struct FedAvgShard {
+  defenses::FedAvgAggregator strategy;
+  ShardAggregator shard{ShardConfig{.round_timeout = std::chrono::milliseconds{10000}},
+                        strategy};
+};
 
 TEST(ShardPeers, TelemetryWithAWrappingLengthIsACorruptFrame) {
   // Any peer that can connect may send a TelemetryReport, Hello or not; a
   // hostile one must cost a corrupt-frame count, never the shard process.
-  const std::unique_ptr<ShardAggregator> shard = fedavg_shard();
+  const auto fedavg = std::make_unique<FedAvgShard>();
+  ShardAggregator& shard = fedavg->shard;
   const obs::Counter corrupt =
       obs::Registry::global().counter("net_shard_corrupt_frames_total{shard=\"0\"}");
   const std::uint64_t before = corrupt.value();
-  TcpStream peer = TcpStream::connect("127.0.0.1", shard->port());
+  TcpStream peer = TcpStream::connect("127.0.0.1", shard.port());
   peer.send_message({MessageType::TelemetryReport, wrapping_telemetry_payload()});
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
   while (corrupt.value() == before && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds{5});
   }
   EXPECT_EQ(corrupt.value(), before + 1);
-  EXPECT_TRUE(shard->alive());
-  shard->shutdown();
+  EXPECT_TRUE(shard.alive());
+  shard.shutdown();
 }
 
 /// Connects a raw peer to `shard` as client 7 and starts round 0 with a
@@ -708,8 +710,9 @@ TcpStream join_round_as_client_7(ShardAggregator& shard, std::size_t theta_dim) 
 TEST(ShardPeers, ReplyIsFiledUnderTheHelloId) {
   // A peer that said Hello as client 7 and names client 3 in its reply
   // answers for 7: the id a payload carries is not trusted.
-  const std::unique_ptr<ShardAggregator> shard = fedavg_shard();
-  TcpStream peer = join_round_as_client_7(*shard, 0);
+  const auto fedavg = std::make_unique<FedAvgShard>();
+  ShardAggregator& shard = fedavg->shard;
+  TcpStream peer = join_round_as_client_7(shard, 0);
   const std::vector<float> psi{1.0f, 2.0f, 3.0f, 4.0f};
   RoundReply reply;
   reply.meta.client_id = 3;
@@ -718,11 +721,11 @@ TEST(ShardPeers, ReplyIsFiledUnderTheHelloId) {
   peer.send_message({MessageType::RoundReply, encode_round_reply(reply)});
 
   ShardAggregator::RoundResult result;
-  ASSERT_TRUE(shard->wait_result(std::chrono::steady_clock::now() + std::chrono::seconds{10},
+  ASSERT_TRUE(shard.wait_result(std::chrono::steady_clock::now() + std::chrono::seconds{10},
                                  0, result));
   EXPECT_EQ(result.partial.accepted_clients, (std::vector<int>{7}));
   EXPECT_TRUE(result.failures.empty());
-  shard->shutdown();
+  shard.shutdown();
 }
 
 TEST(ShardPeers, ShortThetaIsACorruptReply) {
@@ -732,12 +735,12 @@ TEST(ShardPeers, ShortThetaIsACorruptReply) {
   defenses::FedGuardConfig fedguard;
   fedguard.cvae_spec.hidden = 16;
   fedguard.cvae_spec.latent = 2;
-  auto strategy = std::make_unique<defenses::FedGuardAggregator>(
-      fedguard, models::ClassifierArch::Mlp, models::ImageGeometry{}, 1);
-  const std::size_t theta_dim = strategy->decoder_parameter_count();
+  defenses::FedGuardAggregator strategy{fedguard, models::ClassifierArch::Mlp,
+                                        models::ImageGeometry{}, 1};
+  const std::size_t theta_dim = strategy.decoder_parameter_count();
   ShardConfig config;
   config.round_timeout = std::chrono::milliseconds{10000};
-  ShardAggregator shard{config, std::move(strategy)};
+  ShardAggregator shard{config, strategy};
   const obs::Counter corrupt =
       obs::Registry::global().counter("net_shard_corrupt_frames_total{shard=\"0\"}");
   const std::uint64_t before = corrupt.value();

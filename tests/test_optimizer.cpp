@@ -76,12 +76,6 @@ TEST(Sgd, WeightDecayShrinksParameters) {
   EXPECT_FLOAT_EQ(param.value[0], 1.0f - 0.1f * 0.5f);
 }
 
-TEST(Sgd, LearningRateAdjustable) {
-  Sgd sgd{{}, 0.1f};
-  sgd.set_learning_rate(0.01f);
-  EXPECT_FLOAT_EQ(sgd.learning_rate(), 0.01f);
-}
-
 TEST(Adam, ConvergesOnQuadratic) {
   Quadratic problem{{0.5f, -1.5f, 2.5f, 0.0f}};
   Adam adam{{&problem.param}, 0.05f};

@@ -62,24 +62,6 @@ TEST(ParameterVector, SizeMismatchThrows) {
   EXPECT_THROW(unflatten_parameters(net, too_long), std::invalid_argument);
 }
 
-TEST(ParameterVector, FlattenGradients) {
-  Sequential net = make_net(7);
-  net.zero_grad();
-  const std::vector<float> zero_grads = flatten_gradients(net);
-  EXPECT_EQ(zero_grads.size(), net.parameter_count());
-  for (const float g : zero_grads) EXPECT_FLOAT_EQ(g, 0.0f);
-
-  util::Rng rng{8};
-  tensor::Tensor input{{3, 4}};
-  for (auto& v : input.data()) v = rng.uniform_float(-1.0f, 1.0f);
-  (void)net.forward(input);
-  (void)net.backward(tensor::Tensor{{3, 3}, 1.0f});
-  const std::vector<float> grads = flatten_gradients(net);
-  bool any_nonzero = false;
-  for (const float g : grads) any_nonzero |= g != 0.0f;
-  EXPECT_TRUE(any_nonzero);
-}
-
 TEST(ParameterVector, WireBytesIncludesPrefix) {
   EXPECT_EQ(parameter_wire_bytes(0), 8u);
   EXPECT_EQ(parameter_wire_bytes(100), 8u + 400u);

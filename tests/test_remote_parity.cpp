@@ -1,18 +1,24 @@
 // Parity between the in-process simulator and the TCP deployment (a
-// single-tier HierarchicalServer, S = 1): with the same strategy, data and
-// fault plan, both paths produce the same round records and the same model
-// (the socket layer must not change the science).
+// HierarchicalServer with S shards, single-tier being S = 1): with the same
+// strategy, data, shard count and fault plan, both paths produce the same
+// round records and the same model (the socket layer must not change the
+// science).
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "data/partition.hpp"
 #include "data/synthetic_mnist.hpp"
+#include "defenses/auxiliary_audit.hpp"
 #include "defenses/fedavg.hpp"
+#include "defenses/fedcpa.hpp"
+#include "defenses/fedguard.hpp"
 #include "defenses/krum.hpp"
+#include "defenses/spectral.hpp"
 #include "fl/fault_plan.hpp"
 #include "fl/server.hpp"
 #include "net/remote.hpp"
@@ -29,14 +35,15 @@ struct ParityFixture : ::testing::Test {
     geometry = models::ImageGeometry{1, 28, 28, 10};
     train = data::generate_synthetic_mnist(320, 801);
     test = data::generate_synthetic_mnist(100, 802);
-    partition = data::iid_partition(train.size(), 4, 803);
+    auxiliary = data::generate_synthetic_mnist(200, 804);
   }
 
-  fl::ClientConfig client_config() const {
+  fl::ClientConfig client_config(bool with_cvae) const {
     fl::ClientConfig config;
     config.local_epochs = 1;
     config.batch_size = 16;
-    config.train_cvae = false;
+    config.train_cvae = with_cvae;
+    config.cvae_epochs = 2;
     return config;
   }
 
@@ -47,11 +54,14 @@ struct ParityFixture : ::testing::Test {
     return spec;
   }
 
-  std::vector<std::unique_ptr<fl::Client>> make_clients(std::uint64_t seed_base) const {
+  std::vector<std::unique_ptr<fl::Client>> make_clients(std::uint64_t seed_base,
+                                                        std::size_t count = 4,
+                                                        bool with_cvae = false) const {
+    const data::Partition partition = data::iid_partition(train.size(), count, 803);
     std::vector<std::unique_ptr<fl::Client>> clients;
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       clients.push_back(std::make_unique<fl::Client>(
-          static_cast<int>(i), train, partition[i], client_config(),
+          static_cast<int>(i), train, partition[i], client_config(with_cvae),
           models::ClassifierArch::Mlp, geometry, cvae_spec(), seed_base + i));
     }
     return clients;
@@ -65,9 +75,10 @@ struct ParityFixture : ::testing::Test {
         models::ClassifierArch::Mlp, geometry);
   }
 
-  /// One federation run on both transports from identically built clients:
-  /// in process with `plan` in fl::ServerConfig, and over loopback (S = 1)
-  /// with every socket client acting `plan` out.
+  /// One federation run on both transports from `clients` identically built
+  /// clients and round.shards shards: in process with `plan` in
+  /// fl::ServerConfig, and over loopback with every socket client dialing its
+  /// owner shard and acting `plan` out.
   struct Twin {
     fl::RunHistory local;
     fl::RunHistory remote;
@@ -77,33 +88,34 @@ struct ParityFixture : ::testing::Test {
   };
   Twin run_twin(const fl::RoundConfig& round, std::uint64_t client_seed,
                 const fl::FaultPlan& plan = {},
-                const net::HierarchicalServer::StrategyFactory& factory =
-                    [] { return std::make_unique<defenses::FedAvgAggregator>(); }) const {
+                const defenses::StrategyFactory& factory =
+                    [] { return std::make_unique<defenses::FedAvgAggregator>(); },
+                std::size_t clients = 4) const {
     Twin out;
-    auto local_clients = make_clients(client_seed);
-    const auto local_strategy = factory();
+    const bool with_cvae = factory()->wants_decoders();
+    auto local_clients = make_clients(client_seed, clients, with_cvae);
     fl::ServerConfig local_config;
     static_cast<fl::RoundConfig&>(local_config) = round;
     local_config.fault_plan = plan;
-    fl::Server local_server{local_config, local_clients, *local_strategy, test,
+    fl::Server local_server{local_config, local_clients, factory, test,
                             models::ClassifierArch::Mlp, geometry};
     out.local = local_server.run();
     out.local_params.assign(local_server.global_parameters().begin(),
                             local_server.global_parameters().end());
 
-    auto remote_clients = make_clients(client_seed);
+    auto remote_clients = make_clients(client_seed, clients, with_cvae);
     net::HierarchicalServerConfig remote_config;
     static_cast<fl::RoundConfig&>(remote_config) = round;
-    remote_config.expected_clients = 4;
+    remote_config.expected_clients = clients;
     remote_config.round_timeout_ms = 1500;  // what a drop costs
     remote_config.accept_timeout_ms = plan.never_connect_probability > 0.0 ? 500 : 10000;
     net::HierarchicalServer remote_server{remote_config, factory, test,
                                           models::ClassifierArch::Mlp, geometry};
-    const std::uint16_t port = remote_server.shard_port(0);
     fl::FaultInjector injector{plan};
     std::vector<std::thread> threads;
-    for (std::size_t i = 0; i < 4; ++i) {
-      threads.emplace_back([&, i] {
+    for (std::size_t i = 0; i < clients; ++i) {
+      const std::uint16_t port = remote_server.shard_port(remote_server.shard_of(i));
+      threads.emplace_back([&, i, port] {
         net::RemoteClientOptions options;
         options.faults = &injector;
         options.reconnect_attempts = 6;  // repeated truncate/disconnect rejoins
@@ -124,7 +136,7 @@ struct ParityFixture : ::testing::Test {
   models::ImageGeometry geometry;
   data::Dataset train;
   data::Dataset test;
-  data::Partition partition;
+  data::Dataset auxiliary;
 };
 
 /// Every RoundRecord field but the byte counts and round_seconds is equal
@@ -251,6 +263,86 @@ TEST_F(ParityFixture, FaultPlanGivesTheSameRecordsOnBothTransports) {
       EXPECT_GT(twin.remote.total_ejected(), 0u) << "plan seed must eject someone";
     }
   }
+}
+
+TEST_F(ParityFixture, ShardedRemoteMatchesLocalForEveryStrategy) {
+  // Shard s aggregates with the engine's instance s on both transports, so a
+  // strategy that draws from its own rng on every call (FedGuard's D_syn)
+  // makes the same draws at every S. N = m = 6 gives every cohort at least
+  // two rows at S = 3: the mean cut keeps a lone row whatever its score.
+  defenses::FedGuardConfig fedguard;
+  fedguard.cvae_spec = cvae_spec();
+  fedguard.total_samples = 40;
+  defenses::SpectralConfig spectral;
+  spectral.surrogate_dim = 512;
+  spectral.pretrain_rounds = 2;
+  spectral.pretrain_clients = 4;
+  spectral.vae_epochs = 10;
+  const std::vector<std::pair<std::string, defenses::StrategyFactory>> strategies = {
+      {"fedavg", [] { return std::make_unique<defenses::FedAvgAggregator>(); }},
+      {"krum", [] { return std::make_unique<defenses::KrumAggregator>(0.25, 1); }},
+      {"fedcpa", [] { return std::make_unique<defenses::FedCpaAggregator>(); }},
+      {"aux_audit",
+       [&] {
+         return std::make_unique<defenses::AuxiliaryAuditAggregator>(
+             models::ClassifierArch::Mlp, geometry, auxiliary, 0, 861);
+       }},
+      {"spectral",
+       [&] {
+         return std::make_unique<defenses::SpectralAggregator>(
+             spectral, models::ClassifierArch::Mlp, geometry, auxiliary, 862);
+       }},
+      {"fedguard",
+       [&] {
+         return std::make_unique<defenses::FedGuardAggregator>(
+             fedguard, models::ClassifierArch::Mlp, geometry, 863);
+       }},
+  };
+  for (const auto& [name, factory] : strategies) {
+    for (const std::size_t shards : {2u, 3u}) {
+      SCOPED_TRACE(name + " at S = " + std::to_string(shards));
+      fl::RoundConfig round;
+      round.clients_per_round = 6;
+      round.rounds = 3;
+      round.seed = 864;
+      round.shards = shards;
+      expect_same_run(run_twin(round, 865, {}, factory, 6));
+    }
+  }
+}
+
+TEST_F(ParityFixture, EachTransportCallsTheFactoryOncePerShard) {
+  std::size_t calls = 0;
+  const defenses::StrategyFactory counting = [&calls] {
+    ++calls;
+    return std::make_unique<defenses::FedAvgAggregator>();
+  };
+  auto clients = make_clients(866);
+  for (const std::size_t shards : {1u, 2u, 3u}) {
+    SCOPED_TRACE("S = " + std::to_string(shards));
+    fl::ServerConfig local_config;
+    local_config.clients_per_round = 4;
+    local_config.shards = shards;
+    calls = 0;
+    const fl::Server local{local_config, clients, counting, test, models::ClassifierArch::Mlp,
+                           geometry};
+    EXPECT_EQ(calls, shards);
+
+    net::HierarchicalServerConfig remote_config;
+    remote_config.expected_clients = 4;
+    remote_config.clients_per_round = 4;
+    remote_config.shards = shards;
+    calls = 0;
+    const net::HierarchicalServer remote{remote_config, counting, test,
+                                         models::ClassifierArch::Mlp, geometry};
+    EXPECT_EQ(calls, shards);
+  }
+  fl::ServerConfig config;
+  config.clients_per_round = 4;
+  EXPECT_THROW((fl::Server{config, clients,
+                           [] { return std::unique_ptr<defenses::AggregationStrategy>{}; },
+                           test, models::ClassifierArch::Mlp, geometry}),
+               std::invalid_argument);
 }
 
 TEST_F(ParityFixture, RemoteUploadTrafficMatchesFrameArithmetic) {

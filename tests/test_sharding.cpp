@@ -52,6 +52,11 @@ void fill_row(std::span<float> psi, std::size_t row) {
 
 using strategy_path::two_tier_aggregate;
 
+/// One FedAvg instance per shard.
+defenses::StrategyFactory fedavg() {
+  return [] { return std::make_unique<defenses::FedAvgAggregator>(); };
+}
+
 /// The single-tier weighted mean over every row: the FedAvg reference.
 std::vector<float> weighted_mean(const UpdateMatrix& matrix) {
   std::vector<double> accumulator;
@@ -76,11 +81,10 @@ TEST(ShardedFedAvg, PartialMergeBitIdenticalAcrossShardCounts) {
 
   const std::vector<float> single = weighted_mean(matrix);
 
+  ASSERT_TRUE(defenses::FedAvgAggregator{}.supports_exact_merge());
   for (const std::size_t shards : {1u, 2u, 3u, 5u}) {
-    defenses::FedAvgAggregator sharded;
-    ASSERT_TRUE(sharded.supports_exact_merge());
     AggregationResult merged;
-    two_tier_aggregate(sharded, context, matrix, shards, merged);
+    two_tier_aggregate(fedavg(), context, matrix, shards, merged);
     ASSERT_EQ(merged.parameters.size(), single.size()) << "shards=" << shards;
     for (std::size_t i = 0; i < single.size(); ++i) {
       ASSERT_EQ(merged.parameters[i], single[i]) << "shards=" << shards << " parameter " << i;
@@ -111,9 +115,8 @@ TEST(ShardedFedAvg, ExactMergeMatchesAcrossThreadCounts) {
     for (const std::size_t shards : {1u, 2u, 3u}) {
       const auto merge_at = [&](std::size_t threads) {
         return kernel_threads::run_at(threads, [&] {
-          defenses::FedAvgAggregator strategy;
           AggregationResult merged;
-          two_tier_aggregate(strategy, context, matrix, shards, merged);
+          two_tier_aggregate(fedavg(), context, matrix, shards, merged);
           return merged.parameters;
         });
       };
@@ -145,9 +148,8 @@ TEST(ShardedFedAvg, ZeroWeightFallbackMergesGlobally) {
 
   const std::vector<float> single = weighted_mean(matrix);
 
-  defenses::FedAvgAggregator sharded;
   AggregationResult merged;
-  two_tier_aggregate(sharded, context, matrix, 3, merged);
+  two_tier_aggregate(fedavg(), context, matrix, 3, merged);
   ASSERT_EQ(merged.parameters.size(), single.size());
   for (std::size_t i = 0; i < single.size(); ++i) {
     ASSERT_EQ(merged.parameters[i], single[i]) << "parameter " << i;
@@ -173,7 +175,7 @@ TEST(ShardedFedAvg, DeadShardsAreSkippedInMerge) {
   partials[1].clear();
   partials[2].clear();
   AggregationResult merged;
-  strategy.merge_partials_into(context, partials, merged);
+  defenses::merge_partials_into(partials, merged);
 
   const std::vector<float> single = weighted_mean(matrix);
   ASSERT_EQ(merged.parameters.size(), single.size());
@@ -186,8 +188,7 @@ TEST(ShardedFedAvg, DeadShardsAreSkippedInMerge) {
   // All shards dead -> nothing mergeable -> typed failure, not a zero model.
   for (auto& partial : partials) partial.clear();
   AggregationResult empty;
-  EXPECT_THROW(strategy.merge_partials_into(context, partials, empty),
-               std::invalid_argument);
+  EXPECT_THROW(defenses::merge_partials_into(partials, empty), std::invalid_argument);
 }
 
 TEST(ShardedKrum, AcceptSetDivergesFromUnsharded) {
@@ -215,15 +216,16 @@ TEST(ShardedKrum, AcceptSetDivergesFromUnsharded) {
   AggregationContext context;
   context.global_parameters = global;
 
-  defenses::KrumAggregator unsharded{0.25, 1};
-  ASSERT_FALSE(unsharded.supports_exact_merge());
+  const defenses::StrategyFactory krum = [] {
+    return std::make_unique<defenses::KrumAggregator>(0.25, 1);
+  };
+  ASSERT_FALSE(krum()->supports_exact_merge());
   AggregationResult single;
-  two_tier_aggregate(unsharded, context, matrix, 1, single);
+  two_tier_aggregate(krum, context, matrix, 1, single);
   ASSERT_EQ(single.accepted_clients.size(), 1u);
 
-  defenses::KrumAggregator sharded{0.25, 1};
   AggregationResult merged;
-  two_tier_aggregate(sharded, context, matrix, 2, merged);
+  two_tier_aggregate(krum, context, matrix, 2, merged);
   ASSERT_EQ(merged.accepted_clients.size(), 2u);
 
   // Divergence golden: the sharded accept set is strictly larger, and both
@@ -311,14 +313,18 @@ TEST(ShardedFedGuard, AcceptSetDivergesFromUnsharded) {
   defenses::FedGuardConfig fg;
   fg.cvae_spec = spec;
   fg.total_samples = 80;
-  defenses::FedGuardAggregator unsharded{fg, models::ClassifierArch::Mlp, geometry, 905};
+  // Every shard draws D_syn from its own instance, seeded alike, as on both
+  // transports.
+  const defenses::StrategyFactory fedguard = [&] {
+    return std::make_unique<defenses::FedGuardAggregator>(fg, models::ClassifierArch::Mlp,
+                                                          geometry, 905);
+  };
   std::vector<ShardPartial> single_partials;
   AggregationResult single;
-  two_tier_aggregate(unsharded, context, matrix, 1, single_partials, single);
+  two_tier_aggregate(fedguard, context, matrix, 1, single_partials, single);
 
-  defenses::FedGuardAggregator sharded{fg, models::ClassifierArch::Mlp, geometry, 905};
   AggregationResult merged;
-  two_tier_aggregate(sharded, context, matrix, 2, merged);
+  two_tier_aggregate(fedguard, context, matrix, 2, merged);
 
   const ShardPartial& record = single_partials.front();
   const std::vector<double>& scores = record.selection_scores;
@@ -421,14 +427,12 @@ struct ShardedFederationFixture : ::testing::Test {
   fl::RunHistory run_in_process(std::size_t shards, std::uint64_t seed_base,
                                 std::uint64_t seed, std::vector<float>& params_out) {
     auto clients = make_clients(seed_base);
-    defenses::FedAvgAggregator strategy;
     fl::ServerConfig config;
     config.clients_per_round = 4;
     config.rounds = 3;
     config.seed = seed;
     config.shards = shards;
-    fl::Server server{config, clients, strategy, test, models::ClassifierArch::Mlp,
-                      geometry};
+    fl::Server server{config, clients, fedavg(), test, models::ClassifierArch::Mlp, geometry};
     fl::RunHistory history = server.run();
     params_out.assign(server.global_parameters().begin(),
                       server.global_parameters().end());
@@ -470,9 +474,7 @@ TEST_F(ShardedFederationFixture, TwoTierSocketMatchesInProcessBitForBit) {
   config.clients_per_round = 4;
   config.rounds = 3;
   config.seed = 931;
-  net::HierarchicalServer server{
-      config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
-      models::ClassifierArch::Mlp, geometry};
+  net::HierarchicalServer server{config, fedavg(), test, models::ClassifierArch::Mlp, geometry};
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < 4; ++i) {
     const std::uint16_t port = server.shard_port(server.shard_of(i));
@@ -506,14 +508,16 @@ TEST_F(ShardedFederationFixture, TwoTierSocketRoundRecordMatchesInProcessTwin) {
 
   auto local_clients = make_clients(960);
   local_clients[3]->corrupt_with_model_attack(&attack);
-  RejectFarthest local_strategy;
   fl::ServerConfig local_config;
   local_config.clients_per_round = 4;
   local_config.rounds = 3;
   local_config.seed = kSeed;
   local_config.shards = kShards;
   local_config.psi_codec = util::WireCodec::Q8;
-  fl::Server twin{local_config, local_clients, local_strategy, test,
+  const defenses::StrategyFactory reject_farthest = [] {
+    return std::make_unique<RejectFarthest>();
+  };
+  fl::Server twin{local_config, local_clients, reject_farthest, test,
                   models::ClassifierArch::Mlp, geometry};
   const fl::RunHistory local = twin.run();
 
@@ -526,8 +530,8 @@ TEST_F(ShardedFederationFixture, TwoTierSocketRoundRecordMatchesInProcessTwin) {
   config.rounds = 3;
   config.seed = kSeed;
   config.psi_codec = util::WireCodec::Q8;
-  net::HierarchicalServer server{config, [] { return std::make_unique<RejectFarthest>(); },
-                                 test, models::ClassifierArch::Mlp, geometry};
+  net::HierarchicalServer server{config, reject_farthest, test, models::ClassifierArch::Mlp,
+                                 geometry};
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < 4; ++i) {
     const std::uint16_t port = server.shard_port(server.shard_of(i));
@@ -575,9 +579,7 @@ TEST_F(ShardedFederationFixture, ShardKillDegradesGracefully) {
   config.shard_kill_predicate = [](std::size_t shard, std::size_t round) {
     return shard == 1 && round == 1;
   };
-  net::HierarchicalServer server{
-      config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
-      models::ClassifierArch::Mlp, geometry};
+  net::HierarchicalServer server{config, fedavg(), test, models::ClassifierArch::Mlp, geometry};
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < 4; ++i) {
     const std::uint16_t port = server.shard_port(server.shard_of(i));

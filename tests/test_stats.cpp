@@ -55,12 +55,6 @@ TEST(Stats, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(quantile(std::span<const double>{v}, 0.125), 0.5);
 }
 
-TEST(Stats, MinMax) {
-  const std::vector<double> v{3.0, -1.0, 7.0};
-  EXPECT_DOUBLE_EQ(min_value(std::span<const double>{v}), -1.0);
-  EXPECT_DOUBLE_EQ(max_value(std::span<const double>{v}), 7.0);
-}
-
 TEST(Stats, TrailingStatsWindow) {
   // Series 0..9; trailing 4 -> {6,7,8,9}.
   std::vector<double> series(10);

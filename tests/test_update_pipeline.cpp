@@ -264,15 +264,14 @@ struct PipelineGoldenTest : ::testing::Test {
 
   std::string run_local(const std::string& name,
                         util::WireCodec codec = util::WireCodec::Fp32) const {
-    auto strategy = make_strategy(name);
-    auto clients = make_clients(strategy->wants_decoders());
+    auto clients = make_clients(make_strategy(name)->wants_decoders());
     fl::ServerConfig config;
     config.clients_per_round = kClientsPerRound;
     config.rounds = kRounds;
     config.seed = 930;
     config.psi_codec = codec;
-    fl::Server server{config, clients, *strategy, test, models::ClassifierArch::Mlp,
-                      geometry};
+    fl::Server server{config, clients, [&] { return make_strategy(name); }, test,
+                      models::ClassifierArch::Mlp, geometry};
     const fl::RunHistory history = server.run();
     return serialize(history, server.global_parameters());
   }
