@@ -11,23 +11,21 @@
 //   --seed N                      matrix seed (default 42)
 //   --rounds N                    rounds per cell override
 //   --cell ID[,ID...]             replay just these cells by id (e.g.
-//                                 "covert+40/fedguard/iid") — the (matrix
-//                                 seed, cell id) pair fully determines a
-//                                 cell's run, so the emitted rows are
-//                                 bit-identical to the same rows of the full
-//                                 sweep and merge back in cleanly with
-//                                 scripts/merge_robustness.py. Each attack
-//                                 cell's none+0 baseline cell is run too so
-//                                 baseline_accuracy/attack_success carry the
-//                                 same linked values the sweep would emit.
+//                                 "covert+40/fedguard/iid") through
+//                                 scenario::run_sweep, which runs each cell's
+//                                 none+0 baseline too — the (matrix seed,
+//                                 cell id) pair fully determines a cell's
+//                                 run, so the emitted rows equal the full
+//                                 sweep's and merge back in cleanly with
+//                                 scripts/merge_robustness.py.
 //   --out PATH                    leaderboard path (default BENCH_robustness.json)
 //   --kernel-arch TIER            auto|serial|avx2|avx512 — pin serial for the
 //                                 bit-identical reproducibility contract
 //   --quiet                       suppress per-round logging (cell lines stay)
 
-#include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -80,76 +78,28 @@ int main(int argc, char** argv) {
   }
   if (options.has("quiet")) util::set_log_level(util::LogLevel::Warn);
 
+  const std::vector<std::string> cell_ids = scenario::split_list(options.get("cell", ""));
+  if (options.has("cell") && cell_ids.empty()) {
+    std::fprintf(stderr, "--cell names no cell id\n");
+    return 2;
+  }
+  if (cell_ids.empty()) {
+    std::printf("=== robustness sweep: matrix=%s, %zu cells, seed=%llu, R=%zu ===\n",
+                matrix_name.c_str(), matrix.enumerate().size(),
+                static_cast<unsigned long long>(matrix.base.seed), matrix.base.rounds);
+  }
   scenario::Leaderboard board;
-  if (options.has("cell")) {
-    // Targeted replay: run only the named cells. Cell seeds derive from
-    // (matrix seed, cell id), so these rows match the full sweep's exactly.
-    const std::vector<scenario::Cell> all = matrix.enumerate();
-    board.matrix_name = matrix_name;
-    board.seed = matrix.base.seed;
-    board.rounds = matrix.base.rounds;
-    std::string ids = options.get("cell", "");
-    for (std::size_t begin = 0; begin <= ids.size();) {
-      std::size_t comma = ids.find(',', begin);
-      if (comma == std::string::npos) comma = ids.size();
-      const std::string id = ids.substr(begin, comma - begin);
-      begin = comma + 1;
-      if (id.empty()) continue;
-      const auto it = std::find_if(all.begin(), all.end(), [&](const auto& c) {
-        return c.id() == id;
-      });
-      if (it == all.end()) {
-        std::fprintf(stderr, "--cell '%s' is not in matrix '%s'\n", id.c_str(),
-                     matrix_name.c_str());
-        return 2;
-      }
-      const bool seen = std::any_of(
-          board.cells.begin(), board.cells.end(),
-          [&](const auto& row) { return row.cell_id == id; });
-      if (!seen) board.cells.push_back(scenario::run_cell(matrix, *it));
-    }
-    // Pull in each attack cell's none+0 baseline so the linked
-    // baseline_accuracy/attack_success fields match the full sweep's rows.
-    const std::size_t requested = board.cells.size();
-    for (std::size_t i = 0; i < requested; ++i) {
-      if (board.cells[i].attack == "none") continue;
-      const std::string baseline_id =
-          "none+0/" + board.cells[i].defense + "/" + board.cells[i].regime;
-      const bool seen = std::any_of(
-          board.cells.begin(), board.cells.end(),
-          [&](const auto& row) { return row.cell_id == baseline_id; });
-      if (seen) continue;
-      const auto it = std::find_if(all.begin(), all.end(), [&](const auto& c) {
-        return c.id() == baseline_id;
-      });
-      if (it != all.end()) board.cells.push_back(scenario::run_cell(matrix, *it));
-    }
-    for (auto& row : board.cells) {
-      const auto it = std::find_if(
-          board.cells.begin(), board.cells.end(), [&](const auto& candidate) {
-            return candidate.attack == "none" &&
-                   candidate.defense == row.defense &&
-                   candidate.regime == row.regime;
-          });
-      if (it == board.cells.end()) continue;
-      row.baseline_accuracy = it->final_accuracy;
-      if (row.attack != "none" && it->final_accuracy > 0.0) {
-        row.attack_success = std::max(
-            0.0, (it->final_accuracy - row.final_accuracy) / it->final_accuracy);
-      }
-    }
-    std::sort(board.cells.begin(), board.cells.end(),
-              [](const auto& a, const auto& b) { return a.cell_id < b.cell_id; });
+  try {
+    board = scenario::run_sweep(matrix, matrix_name, cell_ids);
+  } catch (const std::invalid_argument& error) {
+    if (cell_ids.empty()) throw;  // not an unknown id: a cell run failed
+    std::fprintf(stderr, "--cell %s\n", error.what());
+    return 2;
+  }
+  if (!cell_ids.empty()) {
     std::printf("=== robustness replay: matrix=%s, %zu cell(s), seed=%llu ===\n",
                 matrix_name.c_str(), board.cells.size(),
                 static_cast<unsigned long long>(board.seed));
-  } else {
-    const std::size_t cell_count = matrix.enumerate().size();
-    std::printf("=== robustness sweep: matrix=%s, %zu cells, seed=%llu, R=%zu ===\n",
-                matrix_name.c_str(), cell_count,
-                static_cast<unsigned long long>(matrix.base.seed),
-                matrix.base.rounds);
-    board = scenario::run_sweep(matrix, matrix_name);
   }
   scenario::print_leaderboard(std::cout, board);
 

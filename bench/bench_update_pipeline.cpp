@@ -139,7 +139,7 @@ BENCHMARK(BM_RoundPipelineFedAvg)->Apply(pipeline_args);
 BENCHMARK(BM_RoundPipelineKrum)->Apply(pipeline_args);
 BENCHMARK(BM_RoundPipelineFedGuard)->Apply(pipeline_args);
 
-// ---- Bulyan stage-1 elimination: selection views vs per-iteration rebuild ---
+// ---- Bulyan stage-1 elimination through selection views ----------------------
 
 /// The post-refactor loop, as BulyanAggregator runs it: the pairwise distance
 /// matrix is computed once over the arena, then every elimination iteration
@@ -176,42 +176,10 @@ void BM_BulyanElimination(benchmark::State& state) {
   }
 }
 
-/// The pre-refactor loop (src/defenses/bulyan.cpp before the arena): every
-/// iteration re-concatenates the remaining rows into a fresh flat buffer.
-void BM_BulyanEliminationLegacy(benchmark::State& state) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  const auto dim = static_cast<std::size_t>(state.range(1));
-  const auto sources = make_psi_sources(count, dim);
-  const auto f = static_cast<std::size_t>(0.2 * static_cast<double>(count));
-  const std::size_t selection_size = (count > 2 * f) ? count - 2 * f : 1;
-
-  std::vector<std::size_t> remaining, selected;
-  std::vector<float> points;
-  for (auto _ : state) {
-    remaining.resize(count);
-    std::iota(remaining.begin(), remaining.end(), std::size_t{0});
-    selected.clear();
-    while (selected.size() < selection_size && remaining.size() > 1) {
-      points.clear();
-      for (const std::size_t idx : remaining) {
-        points.insert(points.end(), sources[idx].begin(), sources[idx].end());
-      }
-      const std::vector<double> scores =
-          defenses::krum_scores(defenses::PointsView{points, remaining.size(), dim}, f);
-      const std::size_t best = static_cast<std::size_t>(
-          std::min_element(scores.begin(), scores.end()) - scores.begin());
-      selected.push_back(remaining[best]);
-      remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(best));
-    }
-    benchmark::DoNotOptimize(selected.data());
-  }
-}
-
 void bulyan_args(benchmark::internal::Benchmark* bench) {
   bench->Args({20, 100000})->Args({50, 100000})->Unit(benchmark::kMillisecond);
 }
 
 BENCHMARK(BM_BulyanElimination)->Apply(bulyan_args);
-BENCHMARK(BM_BulyanEliminationLegacy)->Apply(bulyan_args);
 
 }  // namespace

@@ -50,12 +50,14 @@ no-raw-intrinsics    No raw SIMD intrinsics (<immintrin.h>, _mm*_ calls,
                      ISA flags behind the runtime cpuid gate; an intrinsic
                      anywhere else either fails to compile or, worse, sneaks
                      past the gate and SIGILLs on older hosts.
-sweep-roster         Every attack name produced by the AttackType → string
-                     table in src/attacks/attack.cpp and every strategy name
-                     from the StrategyKind table in src/core/experiment.cpp
-                     must appear in the sweep rosters in
-                     src/scenario/matrix.cpp — a new attack or defense cannot
-                     silently stay off the robustness leaderboard.
+sweep-roster         Every enumerator with a case in the AttackType → string
+                     switch of src/attacks/attack.cpp must be listed in
+                     attacks::kAllAttackTypes (src/attacks/attack.hpp), and
+                     every StrategyKind case in src/core/experiment.cpp in
+                     core::kAllStrategyKinds (src/core/experiment.hpp). The
+                     full robustness matrix sweeps those arrays, so a new
+                     attack or defense cannot silently stay off the
+                     leaderboard.
 layering             The #include graph over src/ must respect the
                      architecture layer DAG (util -> parallel -> tensor ->
                      data/nn -> models -> attacks/defenses -> fl -> net ->
@@ -127,7 +129,7 @@ RULES = {
     "no-raw-stopwatch": "util::Stopwatch in round-path code (use obs::now_ns)",
     "span-category-docs": "span category or metric name missing from docs/OBSERVABILITY.md",
     "no-raw-intrinsics": "raw SIMD intrinsics outside src/tensor/kernels/",
-    "sweep-roster": "attack/strategy name missing from the scenario sweep roster",
+    "sweep-roster": "attack/strategy enumerator missing from its kAll* sweep roster",
     "layering": "include crosses the architecture layer DAG backwards (or cycles)",
     "no-unannotated-mutex": "mutex member with no FEDGUARD_* annotation naming it",
     "no-const-cast-mutex": "const_cast on a mutex (declare it mutable instead)",
@@ -189,17 +191,16 @@ INTRINSICS_RE = re.compile(
 )
 INTRINSICS_SCOPE_DIR = "src/tensor/kernels/"
 
-# Enum → string tables whose names must all be reachable from the robustness
-# sweep rosters (the greppable kAttackRoster/kDefenseRoster string tables in
-# src/scenario/matrix.cpp). Patterns run over raw text: the names live inside
-# string literals, and a case split across lines must still match.
-SWEEP_CASE_SOURCES = (
-    ("src/attacks/attack.cpp",
-     re.compile(r'case\s+AttackType::\w+\s*:\s*\n?\s*return\s*"([a-z0-9_]+)"')),
-    ("src/core/experiment.cpp",
-     re.compile(r'case\s+StrategyKind::\w+\s*:\s*\n?\s*return\s*"([a-z0-9_]+)"')),
+# Enum → string switches whose every case must name an enumerator listed in
+# the matching kAll* array, the roster the full robustness matrix sweeps:
+# (to_string source, enum, array header, array name). The case pattern runs
+# over raw text: it keys on the `return "name"` that marks a to_string case,
+# and a case split across lines must still match.
+SWEEP_ROSTERS = (
+    ("src/attacks/attack.cpp", "AttackType", "src/attacks/attack.hpp", "kAllAttackTypes"),
+    ("src/core/experiment.cpp", "StrategyKind", "src/core/experiment.hpp",
+     "kAllStrategyKinds"),
 )
-SWEEP_ROSTER_FILE = "src/scenario/matrix.cpp"
 
 # ---- Architecture layering (rule: layering) ---------------------------------
 # Rank order of the enforced layer DAG over src/. A file may include only its
@@ -697,33 +698,34 @@ def check_span_categories(root: Path) -> list[Violation]:
 
 
 def check_sweep_roster(root: Path) -> list[Violation]:
-    """Every name the enum → string tables can produce must appear (as a
-    quoted literal) in the sweep roster tables — otherwise a new attack or
-    defense ships without ever being exercised by the robustness sweep."""
+    """Every enumerator a to_string switch names must be listed in its kAll*
+    array — otherwise a new attack or defense ships without ever being
+    exercised by the robustness sweep."""
     violations: list[Violation] = []
-    roster_path = root / SWEEP_ROSTER_FILE
-    if not roster_path.is_file():
-        return violations
-    roster_text = roster_path.read_text(encoding="utf-8", errors="replace")
-    for relpath, pattern in SWEEP_CASE_SOURCES:
+    for relpath, enum, header_relpath, array in SWEEP_ROSTERS:
         path = root / relpath
-        if not path.is_file():
+        header = root / header_relpath
+        if not path.is_file() or not header.is_file():
             continue
+        header_code = strip_comments_and_strings(
+            header.read_text(encoding="utf-8", errors="replace"))
+        body = re.search(r"\b" + array + r"\s*\{([^}]*)\}", header_code)
+        listed = set(re.findall(enum + r"::(\w+)", body.group(1) if body else ""))
         text = path.read_text(encoding="utf-8", errors="replace")
         # Allow problems are already reported by check_source_file.
         allows, _ = parse_allows(text.splitlines(), relpath)
-        for match in pattern.finditer(text):
+        case_re = re.compile(r"case\s+" + enum +
+                             r'::(\w+)\s*:\s*\n?\s*return\s*"[a-z0-9_]+"')
+        for match in case_re.finditer(text):
             name = match.group(1)
             line_no = text.count("\n", 0, match.start()) + 1
-            if f'"{name}"' in roster_text:
-                continue
-            if allowed(allows, line_no, "sweep-roster"):
+            if name in listed or allowed(allows, line_no, "sweep-roster"):
                 continue
             violations.append(Violation(
                 relpath, line_no, "sweep-roster",
-                f"'{name}' has an enum → string mapping but no entry in the "
-                f"sweep rosters in {SWEEP_ROSTER_FILE}; add it so the "
-                "robustness leaderboard covers it (or allow() it with a reason)"))
+                f"{enum}::{name} has a to_string case but is missing from "
+                f"{array} in {header_relpath}; add it so the robustness "
+                "leaderboard covers it (or allow() it with a reason)"))
     return violations
 
 

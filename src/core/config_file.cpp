@@ -197,12 +197,6 @@ void apply_config_values(ExperimentConfig& config,
     }
     else if (key == "wire_chunk_size") config.wire_chunk_size = to_positive_size(value, key);
     else if (key == "kernel_threads") config.kernel.threads = to_size(value, key);
-    else if (key == "kernel_gemm_min_flops")
-      config.kernel.gemm_min_flops = to_size(value, key);
-    else if (key == "kernel_elementwise_min")
-      config.kernel.elementwise_min_size = to_size(value, key);
-    else if (key == "kernel_distance_min")
-      config.kernel.distance_min_elements = to_size(value, key);
     else if (key == "obs_trace_path") config.obs.trace_path = value;
     else if (key == "obs_metrics_path") config.obs.metrics_path = value;
     else if (key == "obs_flush_every_rounds")

@@ -95,8 +95,6 @@ struct ExperimentConfig {
   // ---- Defense strategy ----------------------------------------------------------
   StrategyKind strategy = StrategyKind::FedGuard;
   std::size_t fedguard_total_samples = 100;  // t (paper: 2m = 100)
-  defenses::FedGuardConfig::SampleMode fedguard_sample_mode =
-      defenses::FedGuardConfig::SampleMode::Split;
   defenses::InternalOperator fedguard_internal_operator =
       defenses::InternalOperator::FedAvg;
   defenses::FedGuardConfig::ScoreMetric fedguard_score_metric =
@@ -104,7 +102,6 @@ struct ExperimentConfig {
   double krum_byzantine_fraction = 0.25;
   std::size_t multi_krum_k = 3;
   double trimmed_mean_fraction = 0.2;
-  double norm_threshold_multiplier = 1.0;
   double bulyan_byzantine_fraction = 0.2;
   std::size_t aux_audit_warmup_rounds = 0;  // PDGAN-style init phase length
   double fedcpa_top_fraction = 0.05;   // FedCPA critical-coordinate fraction
@@ -136,9 +133,9 @@ struct ExperimentConfig {
 
   // ---- Compute kernels -------------------------------------------------------
   // Applied process-wide (parallel::set_kernel_config) when the federation is
-  // built; keys kernel_threads / kernel_gemm_min_flops / kernel_elementwise_min
-  // / kernel_distance_min in the descriptor. FEDGUARD_THREADS overrides a
-  // kernel_threads of 0 (auto).
+  // built; descriptor key kernel_threads sets the pool size (FEDGUARD_THREADS
+  // overrides a kernel_threads of 0, auto). The fan-out thresholds have no
+  // descriptor keys: tests and micro-benches set them on the struct.
   parallel::KernelConfig kernel;
   // SIMD kernel tier (descriptor key kernel_arch: auto/serial/avx2/avx512);
   // applied process-wide via tensor::kernels::set_kernel_arch when the

@@ -36,8 +36,7 @@ std::unique_ptr<defenses::AggregationStrategy> make_strategy(const ExperimentCon
     case StrategyKind::TrimmedMean:
       return std::make_unique<defenses::TrimmedMeanAggregator>(config.trimmed_mean_fraction);
     case StrategyKind::NormThreshold:
-      return std::make_unique<defenses::NormThresholdAggregator>(
-          config.norm_threshold_multiplier);
+      return std::make_unique<defenses::NormThresholdAggregator>();
     case StrategyKind::Bulyan:
       return std::make_unique<defenses::BulyanAggregator>(config.bulyan_byzantine_fraction);
     case StrategyKind::AuxAudit:
@@ -58,7 +57,6 @@ std::unique_ptr<defenses::AggregationStrategy> make_strategy(const ExperimentCon
       defenses::FedGuardConfig fg;
       fg.cvae_spec = config.cvae;
       fg.total_samples = config.fedguard_total_samples;
-      fg.sample_mode = config.fedguard_sample_mode;
       fg.internal_operator = config.fedguard_internal_operator;
       fg.score_metric = config.fedguard_score_metric;
       return std::make_unique<defenses::FedGuardAggregator>(fg, config.arch,

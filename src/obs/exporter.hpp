@@ -67,10 +67,10 @@ class RoundExporter {
   RoundExporter(const RoundExporter&) = delete;
   RoundExporter& operator=(const RoundExporter&) = delete;
 
-  /// Called (via round_tick) after each completed round. Appends the JSON
-  /// snapshot line and honours the flush cadence. Safe from concurrent
-  /// reporting threads (sharded aggregators): io_mutex_ serializes the file
-  /// writes.
+  /// Called (via round_tick) after each completed round, from the round
+  /// thread; shard threads never report. Appends the JSON snapshot line and
+  /// honours the flush cadence. io_mutex_ orders its file writes with
+  /// flush()'s.
   void on_round_end(std::size_t round_index) FEDGUARD_EXCLUDES(io_mutex_);
 
   /// Force a metrics rewrite + trace flush now (teardown path).
@@ -83,7 +83,7 @@ class RoundExporter {
 
   ObsOptions options_;  // immutable after construction
   // Serializes every file write (metrics text, JSONL snapshots, trace flush)
-  // so round_tick can be called from concurrent shard threads.
+  // between the round thread's on_round_end and flush().
   util::Mutex io_mutex_;
   std::unique_ptr<TraceSession> trace_ FEDGUARD_PT_GUARDED_BY(io_mutex_);
   // Sampled under io_mutex_ every round so the JSONL snapshot that follows
@@ -92,8 +92,9 @@ class RoundExporter {
   bool installed_ = false;
 };
 
-/// Report a completed round to the installed exporter, if any. No-op (one
-/// relaxed atomic load) when observability is off.
+/// Report a completed round to the installed exporter, if any; the round
+/// engine calls it from the round thread once per round. No-op (one relaxed
+/// atomic load) when observability is off.
 void round_tick(std::size_t round_index);
 
 }  // namespace fedguard::obs

@@ -7,6 +7,7 @@
 #include <memory>
 #include <thread>
 
+#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -62,9 +63,13 @@ struct FanOut {
          const std::function<void(std::size_t, std::size_t)>& chunk_body)
       : chunks{chunk_count}, stride{chunk_stride}, count{item_count}, body{&chunk_body} {}
 
-  /// Runs chunks until none is left unclaimed.
-  void work() {
-    for (std::size_t chunk = next.fetch_add(1); chunk < chunks; chunk = next.fetch_add(1)) {
+  /// Claims the next chunk; a result >= chunks means none was left.
+  std::size_t claim() { return next.fetch_add(1); }
+
+  /// Runs `chunk`, if it is one, then claims and runs chunks until none is
+  /// left unclaimed.
+  void work(std::size_t chunk) {
+    for (; chunk < chunks; chunk = claim()) {
       const std::size_t begin = chunk * stride;
       const std::size_t end = std::min(count, begin + stride);
       std::exception_ptr error;
@@ -171,9 +176,16 @@ void kernel_parallel_ranges(std::size_t count, std::size_t grain,
   const auto fan_out = std::make_shared<FanOut>(chunks, stride, count, body);
   ThreadPool& pool = kernel_pool();
   for (std::size_t helper = 1; helper < chunks; ++helper) {
-    (void)pool.submit([fan_out] { fan_out->work(); });
+    (void)pool.submit([fan_out] {
+      // A helper that starts after the caller claimed every chunk did no
+      // work and records no span; the caller's own chunks run in its span.
+      const std::size_t chunk = fan_out->claim();
+      if (chunk >= fan_out->chunks) return;
+      FEDGUARD_TRACE_SPAN("pool.task", "task");
+      fan_out->work(chunk);
+    });
   }
-  fan_out->work();
+  fan_out->work(fan_out->claim());
   fan_out->wait();
 }
 

@@ -30,7 +30,7 @@ struct KernelConfig {
   /// GEMMs with fewer than this many flops (2*m*k*n) run serially.
   std::size_t gemm_min_flops = std::size_t{1} << 22;
   /// Elementwise work touching fewer floats than this runs serially: span
-  /// ops (axpy/add/sub/scale/sum), the conv lowering and the ReLU, max-pool
+  /// ops (axpy/add/sub/scale), the conv lowering and the ReLU, max-pool
   /// and conv scatter passes, and the root's merge and η step.
   std::size_t elementwise_min_size = std::size_t{1} << 16;
   /// Aggregator distance passes touching fewer than this many floats
@@ -67,9 +67,10 @@ void set_kernel_config(const KernelConfig& config) noexcept;
 /// sizes are multiples of `grain` (except the last) and run `body(begin, end)`
 /// for each on the kernel pool, the calling thread taking ranges too: several
 /// threads may fan out onto the one pool at once, and a caller whose helpers
-/// are stuck behind other callers' work runs its own ranges. Runs serially
-/// (one body call covering the whole range) when fan-out is not worthwhile.
-/// `count == 0` is a no-op.
+/// are stuck behind other callers' work runs its own ranges. A helper that
+/// claims ranges runs them in one `pool.task` trace span; one that finds them
+/// all claimed records none. Runs serially (one body call covering the whole
+/// range) when fan-out is not worthwhile. `count == 0` is a no-op.
 void kernel_parallel_ranges(std::size_t count, std::size_t grain,
                             const std::function<void(std::size_t, std::size_t)>& body);
 

@@ -60,10 +60,7 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     }
     queue_depth_.sub(1);
     const std::uint64_t start_ns = obs::now_ns();
-    {
-      FEDGUARD_TRACE_SPAN("pool.task", "task");
-      task();
-    }
+    task();
     const std::uint64_t busy_ns = obs::now_ns() - start_ns;
     tasks_total_.add(1);
     task_seconds_.observe(static_cast<double>(busy_ns) * 1e-9);
@@ -81,7 +78,10 @@ void ThreadPool::run_batch(std::size_t count, const std::function<void(std::size
   std::vector<std::future<void>> futures;
   futures.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    futures.push_back(submit([&factory, i] { factory(i); }));
+    futures.push_back(submit([&factory, i] {
+      FEDGUARD_TRACE_SPAN("pool.task", "task");
+      factory(i);
+    }));
   }
   std::exception_ptr first_error;
   for (auto& future : futures) {

@@ -50,9 +50,10 @@ class ThreadPool {
     return result;
   }
 
-  /// Run `count` tasks produced by `factory(i)` and wait for all of them.
-  /// Rethrows the first exception encountered (after all tasks finish).
-  /// `count == 0` returns immediately without touching the queue or its lock.
+  /// Run `count` tasks produced by `factory(i)` and wait for all of them,
+  /// each in one `pool.task` trace span. Rethrows the first exception
+  /// encountered (after all tasks finish). `count == 0` returns immediately
+  /// without touching the queue or its lock.
   void run_batch(std::size_t count, const std::function<void(std::size_t)>& factory);
 
  private:

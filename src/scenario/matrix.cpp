@@ -12,20 +12,6 @@ namespace fedguard::scenario {
 
 namespace {
 
-// The sweep rosters, spelled as string literals on purpose: fedguard-lint
-// (rule sweep-roster) greps this file for every name the enum → string
-// tables in src/attacks/attack.cpp and src/core/experiment.cpp produce, so
-// adding an AttackType or StrategyKind without extending these arrays fails
-// the merge gate.
-constexpr const char* kAttackRoster[] = {
-    "none",    "same_value",    "sign_flip", "additive_noise", "label_flip",
-    "scaling", "random_update", "covert",    "krum_evade",
-};
-constexpr const char* kDefenseRoster[] = {
-    "fedavg", "geomed",    "krum",     "multi_krum", "median",   "trimmed_mean",
-    "bulyan", "aux_audit", "spectral", "fedguard",   "fedcpa",   "norm_threshold",
-};
-
 std::string format_alpha(double alpha) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%g", alpha);
@@ -54,21 +40,7 @@ core::ExperimentConfig sweep_base(std::uint64_t seed) {
   return config;
 }
 
-std::vector<attacks::AttackType> parse_attack_roster() {
-  std::vector<attacks::AttackType> roster;
-  for (const char* name : kAttackRoster) {
-    roster.push_back(attacks::attack_type_from_string(name));
-  }
-  return roster;
-}
-
-std::vector<core::StrategyKind> parse_defense_roster() {
-  std::vector<core::StrategyKind> roster;
-  for (const char* name : kDefenseRoster) {
-    roster.push_back(core::strategy_kind_from_string(name));
-  }
-  return roster;
-}
+}  // namespace
 
 std::vector<std::string> split_list(const std::string& text) {
   std::vector<std::string> items;
@@ -84,8 +56,6 @@ std::vector<std::string> split_list(const std::string& text) {
   if (!current.empty()) items.push_back(current);
   return items;
 }
-
-}  // namespace
 
 std::string DataRegime::label() const {
   switch (scheme) {
@@ -138,6 +108,14 @@ std::uint64_t Cell::cell_seed(std::uint64_t matrix_seed) const {
   return util::splitmix64(state);
 }
 
+Cell Cell::baseline() const {
+  Cell cell;
+  cell.defense = defense;
+  cell.regime = regime;
+  cell.shards = shards;
+  return cell;
+}
+
 std::vector<Cell> SweepMatrix::enumerate() const {
   std::vector<Cell> cells;
   const std::vector<std::size_t> shard_counts =
@@ -145,22 +123,16 @@ std::vector<Cell> SweepMatrix::enumerate() const {
   for (const core::StrategyKind defense : defense_axis) {
     for (const DataRegime& regime : regime_axis) {
       for (const std::size_t shards : shard_counts) {
-        Cell baseline;
-        baseline.attack = attacks::AttackType::None;
-        baseline.defense = defense;
-        baseline.regime = regime;
-        baseline.malicious_fraction = 0.0;
-        baseline.shards = shards;
-        cells.push_back(baseline);
+        Cell cell;
+        cell.defense = defense;
+        cell.regime = regime;
+        cell.shards = shards;
+        cells.push_back(cell.baseline());
         for (const attacks::AttackType attack : attack_axis) {
           if (attack == attacks::AttackType::None) continue;
           for (const double fraction : fraction_axis) {
-            Cell cell;
             cell.attack = attack;
-            cell.defense = defense;
-            cell.regime = regime;
             cell.malicious_fraction = fraction;
-            cell.shards = shards;
             cells.push_back(cell);
           }
         }
@@ -223,8 +195,9 @@ SweepMatrix default_matrix(std::uint64_t seed) {
 SweepMatrix full_matrix(std::uint64_t seed) {
   SweepMatrix matrix;
   matrix.base = sweep_base(seed);
-  matrix.attack_axis = attack_roster();
-  matrix.defense_axis = defense_roster();
+  matrix.attack_axis.assign(attacks::kAllAttackTypes.begin(),
+                            attacks::kAllAttackTypes.end());
+  matrix.defense_axis.assign(core::kAllStrategyKinds.begin(), core::kAllStrategyKinds.end());
   matrix.regime_axis = {
       DataRegime{data::PartitionScheme::Iid, 10.0},
       DataRegime{data::PartitionScheme::Dirichlet, 0.5},
@@ -232,16 +205,6 @@ SweepMatrix full_matrix(std::uint64_t seed) {
   };
   matrix.fraction_axis = {0.2, 0.4};
   return matrix;
-}
-
-const std::vector<attacks::AttackType>& attack_roster() {
-  static const std::vector<attacks::AttackType> roster = parse_attack_roster();
-  return roster;
-}
-
-const std::vector<core::StrategyKind>& defense_roster() {
-  static const std::vector<core::StrategyKind> roster = parse_defense_roster();
-  return roster;
 }
 
 void apply_scenario_values(SweepMatrix& matrix,

@@ -7,9 +7,9 @@
 // is replayable in isolation — a diff in BENCH_robustness.json is a science
 // change, never run-order noise.
 //
-// One None-attack baseline cell per defense × regime rides along in every
-// enumeration; the runner computes each cell's attack success rate against
-// the matching baseline.
+// One None-attack baseline cell per defense × regime × shards rides along in
+// every enumeration (Cell::baseline() names it); the runner computes each
+// cell's attack success rate against it.
 
 #include <cstdint>
 #include <map>
@@ -52,6 +52,10 @@ struct Cell {
   /// Experiment seed for this cell: a splitmix64 hash of the matrix seed and
   /// the cell id — nothing else. Replaying (seed, id) reproduces the cell.
   [[nodiscard]] std::uint64_t cell_seed(std::uint64_t matrix_seed) const;
+  /// The cell this one's attack success is measured against: attack none,
+  /// fraction 0, and the same defense, regime and shards. A baseline cell is
+  /// its own baseline.
+  [[nodiscard]] Cell baseline() const;
 };
 
 struct SweepMatrix {
@@ -66,9 +70,9 @@ struct SweepMatrix {
   /// None baseline per defense × regime). Empty is treated as {1}.
   std::vector<std::size_t> shards_axis{1};
 
-  /// Cross product of the axes plus one None baseline per defense × regime,
-  /// sorted by cell id. AttackType::None on the attack axis is ignored (the
-  /// baselines already cover it).
+  /// Cross product of the axes plus every such cell's baseline(), sorted by
+  /// cell id. AttackType::None on the attack axis is ignored (the baselines
+  /// already cover it).
   [[nodiscard]] std::vector<Cell> enumerate() const;
   /// The base config with one cell's coordinates applied.
   [[nodiscard]] core::ExperimentConfig cell_config(const Cell& cell) const;
@@ -80,16 +84,15 @@ struct SweepMatrix {
 /// The paper's four attacks plus both adaptive attacks over the headline
 /// defenses, IID + label-skew regimes.
 [[nodiscard]] SweepMatrix default_matrix(std::uint64_t seed);
-/// Every AttackType × every registered strategy (the full rosters below) ×
-/// three regimes × two fractions. Hours, not seconds.
+/// Every AttackType × every StrategyKind (attacks::kAllAttackTypes ×
+/// core::kAllStrategyKinds) × three regimes × two fractions. Hours, not
+/// seconds. fedguard_lint.py (rule sweep-roster) checks that both arrays
+/// list every enumerator their to_string names, so a new attack or defense
+/// cannot silently stay off the leaderboard.
 [[nodiscard]] SweepMatrix full_matrix(std::uint64_t seed);
 
-/// The sweep rosters: every AttackType name and every registered strategy
-/// name, as used by full_matrix(). fedguard_lint.py (rule sweep-roster)
-/// cross-checks these against the enum → string tables so a new attack or
-/// defense cannot silently stay off the leaderboard.
-[[nodiscard]] const std::vector<attacks::AttackType>& attack_roster();
-[[nodiscard]] const std::vector<core::StrategyKind>& defense_roster();
+/// Split a comma-separated list, dropping blanks and empty items.
+[[nodiscard]] std::vector<std::string> split_list(const std::string& text);
 
 /// Apply scenario_* descriptor keys (see docs/CONFIG_REFERENCE.md) on top of
 /// a matrix; unknown scenario_* keys throw, non-scenario keys are ignored

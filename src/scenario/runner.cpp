@@ -2,31 +2,13 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <stdexcept>
 
 #include "core/runner.hpp"
-#include "obs/metrics.hpp"
 #include "util/logging.hpp"
 
 namespace fedguard::scenario {
-
-namespace {
-
-struct DetectionSnapshot {
-  std::uint64_t sampled_malicious = 0;
-  std::uint64_t rejected_malicious = 0;
-  std::uint64_t rejected_benign = 0;
-};
-
-DetectionSnapshot snapshot_detection_counters() {
-  auto& registry = obs::Registry::global();
-  DetectionSnapshot snap;
-  snap.sampled_malicious = registry.counter_value("fl_sampled_malicious_total");
-  snap.rejected_malicious = registry.counter_value("fl_rejected_malicious_total");
-  snap.rejected_benign = registry.counter_value("fl_rejected_benign_total");
-  return snap;
-}
-
-}  // namespace
 
 const CellResult* Leaderboard::find(const std::string& cell_id) const {
   for (const CellResult& cell : cells) {
@@ -37,10 +19,7 @@ const CellResult* Leaderboard::find(const std::string& cell_id) const {
 
 CellResult run_cell(const SweepMatrix& matrix, const Cell& cell) {
   const core::ExperimentConfig config = matrix.cell_config(cell);
-
-  const DetectionSnapshot before = snapshot_detection_counters();
   const fl::RunHistory history = core::run_experiment(config);
-  const DetectionSnapshot after = snapshot_detection_counters();
 
   CellResult result;
   result.cell_id = cell.id();
@@ -56,9 +35,11 @@ CellResult run_cell(const SweepMatrix& matrix, const Cell& cell) {
   const std::size_t window = std::max<std::size_t>(1, (config.rounds + 2) / 3);
   result.final_accuracy = history.trailing_accuracy(window).mean;
 
-  result.sampled_malicious = after.sampled_malicious - before.sampled_malicious;
-  result.rejected_malicious = after.rejected_malicious - before.rejected_malicious;
-  result.rejected_benign = after.rejected_benign - before.rejected_benign;
+  for (const fl::RoundRecord& record : history.rounds) {
+    result.sampled_malicious += record.sampled_malicious;
+    result.rejected_malicious += record.rejected_malicious;
+    result.rejected_benign += record.rejected_benign;
+  }
   const std::uint64_t rejected = result.rejected_malicious + result.rejected_benign;
   result.ejection_precision =
       rejected == 0 ? 1.0
@@ -72,16 +53,31 @@ CellResult run_cell(const SweepMatrix& matrix, const Cell& cell) {
   return result;
 }
 
-Leaderboard run_sweep(const SweepMatrix& matrix, const std::string& matrix_name) {
+Leaderboard run_sweep(const SweepMatrix& matrix, const std::string& matrix_name,
+                      const std::vector<std::string>& cell_ids) {
   Leaderboard board;
   board.matrix_name = matrix_name;
   board.seed = matrix.base.seed;
   board.rounds = matrix.base.rounds;
 
-  const std::vector<Cell> cells = matrix.enumerate();
-  // Baseline accuracy per defense × regime comes from the None cells, which
-  // enumerate() guarantees are present.
-  std::map<std::string, double> baselines;
+  // enumerate() sorts by id and holds every cell's baseline, so the selected
+  // cells keep the sweep's row order and find their baselines among them.
+  std::vector<Cell> cells = matrix.enumerate();
+  if (!cell_ids.empty()) {
+    std::set<std::string> wanted;
+    for (const std::string& id : cell_ids) {
+      const auto it = std::find_if(cells.begin(), cells.end(),
+                                   [&](const Cell& cell) { return cell.id() == id; });
+      if (it == cells.end()) {
+        throw std::invalid_argument{"'" + id + "' is not in matrix '" + matrix_name + "'"};
+      }
+      wanted.insert(id);
+      wanted.insert(it->baseline().id());
+    }
+    std::erase_if(cells, [&](const Cell& cell) { return wanted.count(cell.id()) == 0; });
+  }
+
+  std::map<std::string, double> baselines;  // baseline cell id -> final accuracy
   board.cells.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
@@ -92,25 +88,19 @@ Leaderboard run_sweep(const SweepMatrix& matrix, const std::string& matrix_name)
                    static_cast<unsigned long long>(result.rejected_benign),
                    static_cast<unsigned long long>(result.sampled_malicious));
     if (cell.attack == attacks::AttackType::None) {
-      baselines[result.defense + "/" + result.regime + "/s" +
-                std::to_string(result.shards)] = result.final_accuracy;
+      baselines[result.cell_id] = result.final_accuracy;
     }
     board.cells.push_back(std::move(result));
   }
 
-  for (CellResult& result : board.cells) {
-    const auto it = baselines.find(result.defense + "/" + result.regime + "/s" +
-                                   std::to_string(result.shards));
-    if (it == baselines.end()) continue;
-    result.baseline_accuracy = it->second;
-    if (result.attack != "none" && it->second > 0.0) {
-      result.attack_success =
-          std::max(0.0, (it->second - result.final_accuracy) / it->second);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    CellResult& result = board.cells[i];
+    const double baseline = baselines.at(cells[i].baseline().id());
+    result.baseline_accuracy = baseline;
+    if (cells[i].attack != attacks::AttackType::None && baseline > 0.0) {
+      result.attack_success = std::max(0.0, (baseline - result.final_accuracy) / baseline);
     }
   }
-
-  std::sort(board.cells.begin(), board.cells.end(),
-            [](const CellResult& a, const CellResult& b) { return a.cell_id < b.cell_id; });
   return board;
 }
 

@@ -1,9 +1,9 @@
 #pragma once
 // Executes a SweepMatrix cell by cell: each cell is an independent seeded
-// short federation; accuracy comes from the run history and attacker-
-// ejection precision/recall from deltas of the fl_* detection counters in
-// the global obs registry (docs/OBSERVABILITY.md), so the leaderboard and
-// the metrics exposition can never disagree.
+// short federation. Accuracy and the attacker-ejection tallies both come
+// from the cell's own run history: the tallies sum its RoundRecords, whose
+// per-round values are the ones the round engine adds to the fl_* detection
+// counters (docs/OBSERVABILITY.md).
 
 #include <cstdint>
 #include <string>
@@ -25,13 +25,13 @@ struct CellResult {
   std::size_t rounds = 0;
 
   double final_accuracy = 0.0;     // trailing-window mean (last ⌈R/3⌉ rounds)
-  /// The None cell of the same defense × regime × shards.
+  /// final_accuracy of the cell's Cell::baseline().
   double baseline_accuracy = 0.0;
   /// max(0, (baseline − final) / baseline): 0 = the defense fully held, 1 =
   /// the attack drove accuracy to zero. 0 for baseline cells by construction.
   double attack_success = 0.0;
 
-  // Detection tallies over the whole cell run (obs registry deltas).
+  // Detection tallies over the whole cell run (sums of its RoundRecords).
   std::uint64_t sampled_malicious = 0;
   std::uint64_t rejected_malicious = 0;  // true positives
   std::uint64_t rejected_benign = 0;     // false positives
@@ -54,9 +54,14 @@ struct Leaderboard {
 /// Run one cell (no baseline linkage: baseline_accuracy/attack_success stay 0).
 [[nodiscard]] CellResult run_cell(const SweepMatrix& matrix, const Cell& cell);
 
-/// Run every cell of the matrix and link attack success rates to the
-/// None-attack baselines. Logs one line per cell at info level.
+/// Run the matrix's cells and link every row to its Cell::baseline(). With
+/// `cell_ids` empty every cell runs; otherwise only the named cells and
+/// their baselines do, and each row equals the full sweep's row (a cell
+/// depends on (matrix seed, cell id) alone). Throws std::invalid_argument
+/// naming the first id that is not a cell of the matrix, before any cell
+/// runs. Logs one line per cell at info level.
 [[nodiscard]] Leaderboard run_sweep(const SweepMatrix& matrix,
-                                    const std::string& matrix_name);
+                                    const std::string& matrix_name,
+                                    const std::vector<std::string>& cell_ids = {});
 
 }  // namespace fedguard::scenario

@@ -94,10 +94,10 @@ void gemm_serial_micro(const float* a, std::size_t a_rs, std::size_t a_cs,
   }
 }
 
-void gemm_tb_serial_rows(const float* a, const float* b, float* c, std::size_t k,
-                         std::size_t n, std::size_t row_begin, std::size_t row_end) {
+void gemm_tb_serial(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
+                    std::size_t n) {
   const std::size_t k_lanes = k - k % kLanes;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
+  for (std::size_t i = 0; i < m; ++i) {
     const float* a_row = a + i * k;
     float* c_row = c + i * n;
     std::size_t j = 0;

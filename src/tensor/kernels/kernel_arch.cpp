@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "tensor/gemm_serial.hpp"
 #include "tensor/kernels/kernel_impl.hpp"
 
 namespace fedguard::tensor::kernels {
@@ -47,9 +48,9 @@ bool cpu_supports(KernelArch arch) {
 }
 
 constexpr KernelTable kSerialTable{
-    KernelArch::Serial,              nullptr,
+    KernelArch::Serial,              &detail::gemm_serial_micro,
     4,                               16,
-    nullptr,                         1,
+    &detail::gemm_tb_serial,         1,
     &serial::squared_distance_tiles, &serial::squared_distance_wide,
     &serial::sgd_step,               &serial::adam_step,
 };

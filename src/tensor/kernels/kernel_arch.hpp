@@ -21,10 +21,10 @@ namespace fedguard::tensor::kernels {
 enum class KernelArch { Auto = 0, Serial, Avx2, Avx512 };
 
 /// GEMM register micro-kernel over an `mr x nr` tile of C (mr/nr may be the
-/// partial edge sizes). Signature matches the scalar micro-kernel in ops.cpp:
-/// A is addressed as a[ii * a_rs + p * a_cs], B/C row-major with unit column
-/// stride, and every C element accumulates its kc products in ascending p
-/// order so results are blocking- and thread-count independent.
+/// partial edge sizes). A is addressed as a[ii * a_rs + p * a_cs], B/C
+/// row-major with unit column stride, and every C element accumulates its kc
+/// products in ascending p order so results are blocking- and thread-count
+/// independent.
 using GemmMicroKernelFn = void (*)(const float* a, std::size_t a_rs, std::size_t a_cs,
                                    const float* b_panel, std::size_t ldb, float* c_tile,
                                    std::size_t ldc, std::size_t mr, std::size_t nr,
@@ -90,11 +90,11 @@ using SquaredDistanceWideFn = double (*)(const float* point, const double* cente
 
 struct KernelTable {
   KernelArch arch = KernelArch::Serial;
-  // nullptr selects the inlined scalar 4x16 micro-kernel in ops.cpp.
+  // The GEMM kernels are never null; the serial entries are the loops in
+  // tensor/gemm_serial.cpp, which spell out their rounding.
   GemmMicroKernelFn gemm_micro = nullptr;
   std::size_t gemm_mr = 4;
   std::size_t gemm_nr = 16;
-  // nullptr selects the inlined lane-blocked dot loop in ops.cpp.
   GemmTbFn gemm_tb = nullptr;
   // A rows per gemm_tb register tile; the parallel row split aligns to it.
   std::size_t gemm_tb_mr = 1;

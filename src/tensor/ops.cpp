@@ -6,8 +6,6 @@
 
 #include "obs/trace.hpp"
 #include "parallel/kernel_config.hpp"
-#include "parallel/thread_pool.hpp"
-#include "tensor/gemm_serial.hpp"
 #include "tensor/kernels/kernel_arch.hpp"
 #include "util/check.hpp"
 
@@ -46,9 +44,9 @@ constexpr std::size_t kNc = 512;  // cols per macro tile: B tile kKc x kNc = 512
 
 /// Accumulates C[row_begin:row_end, col_begin:col_end] += op(A) * B. The
 /// micro-tile geometry and kernel come from the runtime dispatch table; the
-/// serial tier (kt.gemm_micro == nullptr) runs gemm_serial_micro, the
-/// determinism oracle. col_begin is a multiple of kt.gemm_nr, so the register
-/// tiles fall where they fall for the whole matrix.
+/// serial tier's is gemm_serial_micro, the determinism oracle. col_begin is a
+/// multiple of kt.gemm_nr, so the register tiles fall where they fall for the
+/// whole matrix.
 void gemm_block(const float* a, std::size_t a_rs, std::size_t a_cs, const float* b, float* c,
                 std::size_t k, std::size_t n, std::size_t row_begin, std::size_t row_end,
                 std::size_t col_begin, std::size_t col_end, const kernels::KernelTable& kt) {
@@ -64,14 +62,8 @@ void gemm_block(const float* a, std::size_t a_rs, std::size_t a_cs, const float*
           const std::size_t mr = std::min(tile_mr, mc - i);
           for (std::size_t j = 0; j < nc; j += tile_nr) {
             const std::size_t nr = std::min(tile_nr, nc - j);
-            if (kt.gemm_micro != nullptr) {
-              kt.gemm_micro(a + (ic + i) * a_rs + pc * a_cs, a_rs, a_cs, b + pc * n + jc + j,
-                            n, c + (ic + i) * n + jc + j, n, mr, nr, kc);
-            } else {
-              detail::gemm_serial_micro(a + (ic + i) * a_rs + pc * a_cs, a_rs, a_cs,
-                                        b + pc * n + jc + j, n, c + (ic + i) * n + jc + j, n,
-                                        mr, nr, kc);
-            }
+            kt.gemm_micro(a + (ic + i) * a_rs + pc * a_cs, a_rs, a_cs, b + pc * n + jc + j, n,
+                          c + (ic + i) * n + jc + j, n, mr, nr, kc);
           }
         }
       }
@@ -114,12 +106,8 @@ void gemm_dispatch(const float* a, std::size_t a_rs, std::size_t a_cs, const flo
 // per-element arithmetic is fixed, so results do not depend on the row split.
 
 void gemm_tb_rows(const float* a, const float* b, float* c, std::size_t k, std::size_t n,
-                  std::size_t row_begin, std::size_t row_end, kernels::GemmTbFn simd_tile) {
-  if (simd_tile != nullptr) {
-    simd_tile(a + row_begin * k, b, c + row_begin * n, row_end - row_begin, k, n);
-    return;
-  }
-  detail::gemm_tb_serial_rows(a, b, c, k, n, row_begin, row_end);
+                  std::size_t row_begin, std::size_t row_end, kernels::GemmTbFn tile) {
+  tile(a + row_begin * k, b, c + row_begin * n, row_end - row_begin, k, n);
 }
 
 void gemm_tb_dispatch(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
@@ -239,32 +227,6 @@ void scale(std::span<float> x, float alpha) noexcept {
   parallel::elementwise_ranges(x.size(), parallel::kElementwiseGrain, x.size(), [=](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) dst[i] *= alpha;
   });
-}
-
-float sum(std::span<const float> x) noexcept {
-  const parallel::KernelConfig config = parallel::kernel_config();
-  if (!parallel::should_parallelize(x.size(), config.elementwise_min_size)) {
-    double total = 0.0;
-    for (const float v : x) total += v;
-    return static_cast<float>(total);
-  }
-  // Fixed-size chunks with an ordered final reduction: the result depends on
-  // the chunking, not on scheduling, so repeated runs agree exactly.
-  constexpr std::size_t kChunk = std::size_t{1} << 14;
-  const std::size_t chunks = (x.size() + kChunk - 1) / kChunk;
-  std::vector<double> partials(chunks, 0.0);
-  const float* src = x.data();
-  const std::size_t size = x.size();
-  parallel::parallel_for(parallel::kernel_pool(), 0, chunks, [&](std::size_t chunk) {
-    const std::size_t begin = chunk * kChunk;
-    const std::size_t end = std::min(size, begin + kChunk);
-    double total = 0.0;
-    for (std::size_t i = begin; i < end; ++i) total += src[i];
-    partials[chunk] = total;
-  });
-  double total = 0.0;
-  for (const double v : partials) total += v;
-  return static_cast<float>(total);
 }
 
 std::size_t argmax(std::span<const float> x) {

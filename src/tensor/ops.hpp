@@ -58,7 +58,6 @@ void scale(std::span<float> x, float alpha) noexcept;
 
 // ---- Reductions -------------------------------------------------------------
 
-[[nodiscard]] float sum(std::span<const float> x) noexcept;
 /// Index of the maximum element (first on ties); requires non-empty input.
 [[nodiscard]] std::size_t argmax(std::span<const float> x);
 

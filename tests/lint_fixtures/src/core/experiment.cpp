@@ -1,13 +1,13 @@
 // Fixture: StrategyKind -> string table feeding the sweep-roster rule.
+#include "core/experiment.hpp"
 namespace fedguard::core {
 
-enum class StrategyKind { FedavgOk, GhostDefense };
-
+// kAllStrategyKinds (experiment.hpp) lists FedavgOk alone.
 const char* to_string(StrategyKind kind) {
   switch (kind) {
-    case StrategyKind::FedavgOk: return "fedavg_ok";  // in the roster: NOT flagged
+    case StrategyKind::FedavgOk: return "fedavg_ok";  // in kAllStrategyKinds: NOT flagged
     case StrategyKind::GhostDefense: return "ghost_defense";
-    // ^ VIOLATION: mapped to a string but absent from the fixture rosters.
+    // ^ VIOLATION: mapped to a string but absent from kAllStrategyKinds.
   }
   return "";
 }

@@ -284,8 +284,8 @@ TEST(KrumEvadeBreakdown, CoordinateMedianHolds) {
 // ---- Adaptive attacks: federation-level breakdown ---------------------------
 //
 // Short seeded federations through the scenario harness; attacker-ejection
-// precision/recall comes from the fl_* obs-registry counters (the same path
-// the BENCH_robustness.json leaderboard reports).
+// precision/recall comes from the run's round records (the same path the
+// BENCH_robustness.json leaderboard reports).
 
 scenario::SweepMatrix federation_matrix() {
   scenario::SweepMatrix matrix = scenario::smoke_matrix(/*seed=*/42);
@@ -327,7 +327,7 @@ TEST(AdaptiveFederationBreakdown, CovertDegradesFedAvgButNotTheRobustTrio) {
   EXPECT_GT(fedcpa.final_accuracy, fedavg.final_accuracy + 0.25);
   EXPECT_GT(fedguard.final_accuracy, fedavg.final_accuracy + 0.25);
 
-  // Ejection quality pinned from the obs counters: FedAvg never rejects
+  // Ejection quality pinned from the round records: FedAvg never rejects
   // (recall 0 with sampled attackers), the filtering defenses actually catch
   // the mirrored updates.
   EXPECT_GT(fedavg.sampled_malicious, 0u);

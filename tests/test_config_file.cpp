@@ -95,15 +95,9 @@ TEST_F(ConfigFileTest, PaperScaleSelectable) {
 }
 
 TEST_F(ConfigFileTest, KernelKeysApply) {
-  const ExperimentConfig config = load_experiment_config(
-      write_file("kernel_threads = 2\n"
-                 "kernel_gemm_min_flops = 4096\n"
-                 "kernel_elementwise_min = 8192\n"
-                 "kernel_distance_min = 512\n"));
+  const ExperimentConfig config =
+      load_experiment_config(write_file("kernel_threads = 2\n"));
   EXPECT_EQ(config.kernel.threads, 2u);
-  EXPECT_EQ(config.kernel.gemm_min_flops, 4096u);
-  EXPECT_EQ(config.kernel.elementwise_min_size, 8192u);
-  EXPECT_EQ(config.kernel.distance_min_elements, 512u);
   EXPECT_THROW((void)load_experiment_config(write_file("kernel_threads = -1\n")),
                std::invalid_argument);
 }

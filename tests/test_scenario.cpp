@@ -1,5 +1,5 @@
 // Scenario sweep harness: matrix enumeration, cell-id replay, roster
-// completeness, and the reproducibility contract — the same matrix under
+// coverage, and the reproducibility contract — the same matrix under
 // serial kernels serializes to byte-identical JSON on every run, and the
 // matrix seed is the only source of variation.
 
@@ -109,6 +109,14 @@ TEST(SweepMatrixEnumerate, BaselinePerDefenseRegimeAndSorted) {
   }
   EXPECT_EQ(sharded_ids.size(), sharded.size());
   for (const std::string& id : ids) EXPECT_TRUE(sharded_ids.count(id)) << id;
+  // Every cell's baseline is the none+0 cell of its defense × regime ×
+  // shards, and the enumeration holds it.
+  for (const Cell& cell : sharded) {
+    const Cell baseline = cell.baseline();
+    EXPECT_EQ(baseline.attack, attacks::AttackType::None);
+    EXPECT_EQ(baseline.shards, cell.shards);
+    EXPECT_TRUE(sharded_ids.count(baseline.id())) << cell.id();
+  }
 }
 
 TEST(SweepMatrixEnumerate, CellConfigAppliesCoordinates) {
@@ -127,21 +135,22 @@ TEST(SweepMatrixEnumerate, CellConfigAppliesCoordinates) {
   EXPECT_EQ(config.seed, cell.cell_seed(matrix.base.seed));
 }
 
-TEST(SweepRosters, CoverEveryAttackAndStrategy) {
-  // The lint rule (sweep-roster) enforces this textually; this is the
-  // semantic version — every enum value must be reachable from the sweep.
-  const auto& attack_ros = attack_roster();
+TEST(SweepRosters, FullMatrixCoversEveryAttackAndStrategy) {
+  // The lint rule (sweep-roster) checks that the kAll* arrays list every
+  // enumerator; this checks that the full matrix reaches each of them: 12
+  // defenses × 3 regimes × (none+0 + 8 attacks × 2 fractions) cells.
+  const std::vector<Cell> cells = full_matrix(42).enumerate();
+  EXPECT_EQ(cells.size(), 612u);
   for (const attacks::AttackType type : attacks::kAllAttackTypes) {
-    EXPECT_NE(std::find(attack_ros.begin(), attack_ros.end(), type), attack_ros.end())
-        << "attack missing from sweep roster: " << attacks::to_string(type);
+    EXPECT_TRUE(std::any_of(cells.begin(), cells.end(),
+                            [&](const Cell& cell) { return cell.attack == type; }))
+        << "attack missing from the full matrix: " << attacks::to_string(type);
   }
-  EXPECT_EQ(attack_ros.size(), attacks::kAllAttackTypes.size());
-  const auto& defense_ros = defense_roster();
   for (const core::StrategyKind kind : core::kAllStrategyKinds) {
-    EXPECT_NE(std::find(defense_ros.begin(), defense_ros.end(), kind), defense_ros.end())
-        << "strategy missing from sweep roster: " << core::to_string(kind);
+    EXPECT_TRUE(std::any_of(cells.begin(), cells.end(),
+                            [&](const Cell& cell) { return cell.defense == kind; }))
+        << "strategy missing from the full matrix: " << core::to_string(kind);
   }
-  EXPECT_EQ(defense_ros.size(), core::kAllStrategyKinds.size());
 }
 
 TEST(ApplyScenarioValues, ParsesAxesAndRejectsUnknownKeys) {
@@ -223,6 +232,54 @@ TEST(SweepDeterminism, CellReplaysFromSeedAndIdAlone) {
   EXPECT_EQ(solo.sampled_malicious, swept->sampled_malicious);
   EXPECT_EQ(solo.rejected_malicious, swept->rejected_malicious);
   EXPECT_EQ(solo.rejected_benign, swept->rejected_benign);
+  util::set_log_level(util::LogLevel::Info);
+}
+
+TEST(SweepDeterminism, ReplayedRowsEqualSweptRows) {
+  util::set_log_level(util::LogLevel::Warn);
+  SweepMatrix matrix = micro_matrix(42);
+  matrix.attack_axis = {attacks::AttackType::SignFlip, attacks::AttackType::Covert};
+  matrix.shards_axis = {1, 2};
+  const Leaderboard sweep = run_sweep(matrix, "micro");
+  ASSERT_EQ(sweep.cells.size(), 6u);
+
+  // Each requested cell brings its own baseline: the /s2 row links to the
+  // /s2 none+0 row, not to the single-tier one.
+  const Leaderboard replay =
+      run_sweep(matrix, "micro", {"covert+40/fedavg/iid/s2", "covert+40/fedavg/iid"});
+  ASSERT_EQ(replay.cells.size(), 4u);
+  EXPECT_EQ(replay.matrix_name, sweep.matrix_name);
+  EXPECT_EQ(replay.seed, sweep.seed);
+  EXPECT_EQ(replay.rounds, sweep.rounds);
+  for (const CellResult& row : replay.cells) {
+    SCOPED_TRACE(row.cell_id);
+    const CellResult* swept = sweep.find(row.cell_id);
+    ASSERT_NE(swept, nullptr);
+    EXPECT_EQ(row.attack, swept->attack);
+    EXPECT_EQ(row.malicious_pct, swept->malicious_pct);
+    EXPECT_EQ(row.defense, swept->defense);
+    EXPECT_EQ(row.regime, swept->regime);
+    EXPECT_EQ(row.shards, swept->shards);
+    EXPECT_EQ(row.seed, swept->seed);
+    EXPECT_EQ(row.rounds, swept->rounds);
+    EXPECT_EQ(row.final_accuracy, swept->final_accuracy);
+    EXPECT_EQ(row.baseline_accuracy, swept->baseline_accuracy);
+    EXPECT_EQ(row.attack_success, swept->attack_success);
+    EXPECT_EQ(row.sampled_malicious, swept->sampled_malicious);
+    EXPECT_EQ(row.rejected_malicious, swept->rejected_malicious);
+    EXPECT_EQ(row.rejected_benign, swept->rejected_benign);
+    EXPECT_EQ(row.ejection_precision, swept->ejection_precision);
+    EXPECT_EQ(row.ejection_recall, swept->ejection_recall);
+  }
+  const CellResult* sharded = replay.find("covert+40/fedavg/iid/s2");
+  const CellResult* sharded_baseline = replay.find("none+0/fedavg/iid/s2");
+  ASSERT_NE(sharded, nullptr);
+  ASSERT_NE(sharded_baseline, nullptr);
+  EXPECT_EQ(sharded->baseline_accuracy, sharded_baseline->final_accuracy);
+
+  // An id outside the matrix fails before any cell runs.
+  EXPECT_THROW((void)run_sweep(matrix, "micro", {"covert+40/fedavg/iid/s3"}),
+               std::invalid_argument);
   util::set_log_level(util::LogLevel::Info);
 }
 
