@@ -9,14 +9,19 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "core/cli.hpp"
+#include "util/logging.hpp"
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   using namespace fedguard;
-  const core::CliOptions options = core::CliOptions::parse(argc, argv);
-  core::ExperimentConfig base = bench::config_from_cli(options);
-  // 12 FedGuard federations run below; keep each short by default.
-  if (!options.has("rounds")) base.rounds = std::min<std::size_t>(base.rounds, 8);
+  const core::CliOptions options = core::CliOptions::parse(argc, argv, {"quiet"});
+  const core::ExperimentConfig base = core::parse_or_exit([&] {
+    return core::experiment_config(options, [](core::ExperimentConfig& config) {
+      config.rounds = 8;  // 12 FedGuard federations run below: keep each short
+    });
+  });
+  if (options.has("quiet")) util::set_log_level(util::LogLevel::Warn);
   const std::size_t window = base.rounds * 2 / 3;
 
   std::printf("=== FedGuard ablations (scale=%s, N=%zu, m=%zu, R=%zu) ===\n",

@@ -1,22 +1,16 @@
 #pragma once
-// Shared machinery for the table/figure reproduction harnesses.
-//
-// Every harness accepts:
-//   --scale small|paper   (default small: minutes on one CPU core)
-//   --rounds N            override round count
-//   --clients N           override population size
-//   --sampled M           override clients per round
-//   --seed S
-//   --csv PATH            dump per-round series for plotting
-//   --quiet               suppress per-round logging
+// Shared machinery for the table/figure reproduction harnesses. Each one
+// reads its run settings from flags named after the descriptor keys
+// (core/cli.hpp): --scale small|paper, --rounds N, --num_clients N,
+// --clients_per_round M, --seed S, ...; its own flags (--quiet, and --csv,
+// --svg or --window where it writes or reads them) are the ones it names to
+// core::CliOptions::parse.
 
 #include <string>
 #include <vector>
 
-#include "core/cli.hpp"
 #include "core/experiment.hpp"
 #include "core/runner.hpp"
-#include "util/logging.hpp"
 
 namespace fedguard::bench {
 
@@ -44,23 +38,6 @@ inline std::vector<core::StrategyKind> paper_strategies() {
   return {core::StrategyKind::FedAvg, core::StrategyKind::GeoMed,
           core::StrategyKind::Krum, core::StrategyKind::Spectral,
           core::StrategyKind::FedGuard};
-}
-
-/// Resolve the base ExperimentConfig from --scale and the common overrides.
-inline core::ExperimentConfig config_from_cli(const core::CliOptions& options) {
-  core::ExperimentConfig config = options.get("scale", "small") == "paper"
-                                      ? core::ExperimentConfig::paper_scale()
-                                      : core::ExperimentConfig::small_scale();
-  config.rounds = static_cast<std::size_t>(
-      options.get_int("rounds", static_cast<std::int64_t>(config.rounds)));
-  config.num_clients = static_cast<std::size_t>(
-      options.get_int("clients", static_cast<std::int64_t>(config.num_clients)));
-  config.clients_per_round = static_cast<std::size_t>(
-      options.get_int("sampled", static_cast<std::int64_t>(config.clients_per_round)));
-  config.seed = static_cast<std::uint64_t>(
-      options.get_int("seed", static_cast<std::int64_t>(config.seed)));
-  if (options.has("quiet")) util::set_log_level(util::LogLevel::Warn);
-  return config;
 }
 
 /// Run one (strategy, scenario) cell.

@@ -12,13 +12,17 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/cli.hpp"
 #include "core/report.hpp"
+#include "util/logging.hpp"
 #include "util/svg_plot.hpp"
 
 int main(int argc, char** argv) {
   using namespace fedguard;
-  const core::CliOptions options = core::CliOptions::parse(argc, argv);
-  const core::ExperimentConfig base = bench::config_from_cli(options);
+  const core::CliOptions options = core::CliOptions::parse(argc, argv, {"csv", "svg", "quiet"});
+  const core::ExperimentConfig base =
+      core::parse_or_exit([&] { return core::experiment_config(options); });
+  if (options.has("quiet")) util::set_log_level(util::LogLevel::Warn);
   const std::string csv_prefix = options.get("csv", "");
   const std::string svg_prefix = options.get("svg", "");
 

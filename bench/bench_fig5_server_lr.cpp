@@ -9,17 +9,23 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/cli.hpp"
 #include "core/report.hpp"
+#include "util/logging.hpp"
 #include "util/stats.hpp"
 #include "util/svg_plot.hpp"
 
 int main(int argc, char** argv) {
   using namespace fedguard;
-  const core::CliOptions options = core::CliOptions::parse(argc, argv);
-  core::ExperimentConfig base = bench::config_from_cli(options);
-  // Fig. 5 uses a longer horizon than the other figures so the slow-η run
-  // has time to converge.
-  if (!options.has("rounds")) base.rounds = base.rounds * 3 / 2;
+  const core::CliOptions options = core::CliOptions::parse(argc, argv, {"csv", "svg", "quiet"});
+  const core::ExperimentConfig base = core::parse_or_exit([&] {
+    return core::experiment_config(options, [](core::ExperimentConfig& config) {
+      // A longer horizon than the other figures, so the slow-η run has time
+      // to converge.
+      config.rounds = config.rounds * 3 / 2;
+    });
+  });
+  if (options.has("quiet")) util::set_log_level(util::LogLevel::Warn);
 
   const bench::Scenario scenario{"Label Flipping 40%", attacks::AttackType::LabelFlip, 0.4};
   std::printf("=== Fig. 5: FedGuard server learning rate ablation (%s, R=%zu) ===\n\n",

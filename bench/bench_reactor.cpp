@@ -9,7 +9,8 @@
 // reactor refactor changes. Results go to BENCH_reactor.json via
 // scripts/run_all_benches.sh.
 //
-// Flags (core::CliOptions --key value):
+// Flags (core/cli.hpp; this bench builds no ExperimentConfig, so any other
+// flag is rejected):
 //   --clients N   fleet size (default 2048)
 //   --shards S    shard count of the two-tier scenario (default 4)
 //   --rounds R    rounds per scenario (default 2)
@@ -197,11 +198,19 @@ std::string to_json(const std::vector<ScenarioResult>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const core::CliOptions options = core::CliOptions::parse(argc, argv);
-  const auto clients = static_cast<std::size_t>(options.get_int("clients", 2048));
-  const auto shards = static_cast<std::size_t>(options.get_int("shards", 4));
-  const auto rounds = static_cast<std::size_t>(options.get_int("rounds", 2));
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 42));
+  const core::CliOptions options =
+      core::CliOptions::parse(argc, argv, {"clients", "shards", "rounds", "seed", "out", "quiet"});
+  std::size_t clients = 0;
+  std::size_t shards = 0;
+  std::size_t rounds = 0;
+  std::uint64_t seed = 0;
+  core::parse_or_exit([&] {
+    options.reject_settings();
+    clients = options.get_size("clients", 2048);
+    shards = options.get_size("shards", 4);
+    rounds = options.get_size("rounds", 2);
+    seed = options.get_size("seed", 42);
+  });
   const std::string out_path = options.get("out", "BENCH_reactor.json");
   if (options.has("quiet")) util::set_log_level(util::LogLevel::Warn);
 

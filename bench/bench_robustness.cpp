@@ -3,13 +3,11 @@
 // and writes the BENCH_robustness.json leaderboard artifact that
 // scripts/check_robustness.py gates against the committed baseline.
 //
-// Flags (core::CliOptions --key value):
-//   --matrix smoke|default|full   matrix preset (default: smoke)
+// Flags (core/cli.hpp): its own, plus any descriptor key as --key value.
+//   --matrix smoke|default|full   matrix preset (default: smoke, seed 42)
 //   --config PATH                 descriptor file: base-config keys plus the
-//                                 scenario_* axis overrides, applied on top
-//                                 of the preset
-//   --seed N                      matrix seed (default 42)
-//   --rounds N                    rounds per cell override
+//                                 scenario_* axis keys, applied on top of the
+//                                 preset; flags apply after it
 //   --cell ID[,ID...]             replay just these cells by id (e.g.
 //                                 "covert+40/fedguard/iid") through
 //                                 scenario::run_sweep, which runs each cell's
@@ -19,9 +17,11 @@
 //                                 sweep's and merge back in cleanly with
 //                                 scripts/merge_robustness.py.
 //   --out PATH                    leaderboard path (default BENCH_robustness.json)
-//   --kernel-arch TIER            auto|serial|avx2|avx512 — pin serial for the
-//                                 bit-identical reproducibility contract
 //   --quiet                       suppress per-round logging (cell lines stay)
+// Every other flag goes through scenario::apply_scenario_values like a
+// --config line: --seed N sets the matrix seed, --rounds N the rounds per
+// cell, --kernel_arch serial pins the bit-identical reproducibility contract,
+// and --scenario_defenses krum,fedguard narrows an axis.
 
 #include <cstdio>
 #include <iostream>
@@ -34,55 +34,33 @@
 #include "scenario/matrix.hpp"
 #include "scenario/report.hpp"
 #include "scenario/runner.hpp"
-#include "tensor/kernels/kernel_arch.hpp"
 #include "util/logging.hpp"
 
 int main(int argc, char** argv) {
   using namespace fedguard;
-  const core::CliOptions options = core::CliOptions::parse(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 42));
+  const core::CliOptions options =
+      core::CliOptions::parse(argc, argv, {"matrix", "config", "cell", "out", "quiet"});
   const std::string matrix_name = options.get("matrix", "smoke");
-
-  scenario::SweepMatrix matrix;
-  if (matrix_name == "smoke") matrix = scenario::smoke_matrix(seed);
-  else if (matrix_name == "default") matrix = scenario::default_matrix(seed);
-  else if (matrix_name == "full") matrix = scenario::full_matrix(seed);
-  else {
-    std::fprintf(stderr, "unknown --matrix '%s' (smoke|default|full)\n",
-                 matrix_name.c_str());
-    return 2;
-  }
-
-  if (options.has("config")) {
-    const auto values = core::parse_config_file(options.get("config", ""));
-    std::map<std::string, std::string> base_values;
-    for (const auto& [key, value] : values) {
-      if (key.rfind("scenario_", 0) != 0) base_values[key] = value;
+  const std::vector<std::string> cell_ids = scenario::split_list(options.get("cell", ""));
+  const scenario::SweepMatrix matrix = core::parse_or_exit([&] {
+    if (options.has("cell") && cell_ids.empty()) {
+      throw std::invalid_argument{"config: cell names no cell id"};
     }
-    core::apply_config_values(matrix.base, base_values);
-    scenario::apply_scenario_values(matrix, values);
-    matrix.base.seed = seed;  // --seed stays authoritative for replay
-  }
-  if (options.has("rounds")) {
-    matrix.base.rounds = static_cast<std::size_t>(options.get_int("rounds", 6));
-  }
-  if (options.has("kernel-arch")) {
-    tensor::kernels::KernelArch arch{};
-    const std::string tier = options.get("kernel-arch", "auto");
-    if (!tensor::kernels::parse_kernel_arch(tier, arch)) {
-      std::fprintf(stderr, "unknown --kernel-arch '%s' (auto|serial|avx2|avx512)\n",
-                   tier.c_str());
-      return 2;
+    constexpr std::uint64_t kSeed = 42;
+    scenario::SweepMatrix preset;
+    if (matrix_name == "smoke") preset = scenario::smoke_matrix(kSeed);
+    else if (matrix_name == "default") preset = scenario::default_matrix(kSeed);
+    else if (matrix_name == "full") preset = scenario::full_matrix(kSeed);
+    else throw std::invalid_argument{"config: unknown matrix '" + matrix_name +
+                                     "' (smoke|default|full)"};
+    if (options.has("config")) {
+      scenario::apply_scenario_values(preset, core::parse_config_file(options.get("config", "")));
     }
-    matrix.base.kernel_arch = arch;
-  }
+    scenario::apply_scenario_values(preset, options.settings());
+    return preset;
+  });
   if (options.has("quiet")) util::set_log_level(util::LogLevel::Warn);
 
-  const std::vector<std::string> cell_ids = scenario::split_list(options.get("cell", ""));
-  if (options.has("cell") && cell_ids.empty()) {
-    std::fprintf(stderr, "--cell names no cell id\n");
-    return 2;
-  }
   if (cell_ids.empty()) {
     std::printf("=== robustness sweep: matrix=%s, %zu cells, seed=%llu, R=%zu ===\n",
                 matrix_name.c_str(), matrix.enumerate().size(),

@@ -16,14 +16,18 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/cli.hpp"
 #include "core/report.hpp"
+#include "util/logging.hpp"
 
 int main(int argc, char** argv) {
   using namespace fedguard;
-  const core::CliOptions options = core::CliOptions::parse(argc, argv);
-  const core::ExperimentConfig base = bench::config_from_cli(options);
-  const auto window = static_cast<std::size_t>(
-      options.get_int("window", static_cast<std::int64_t>(base.rounds * 2 / 3)));
+  const core::CliOptions options = core::CliOptions::parse(argc, argv, {"window", "quiet"});
+  const core::ExperimentConfig base =
+      core::parse_or_exit([&] { return core::experiment_config(options); });
+  const std::size_t window =
+      core::parse_or_exit([&] { return options.get_size("window", base.rounds * 2 / 3); });
+  if (options.has("quiet")) util::set_log_level(util::LogLevel::Warn);
 
   std::printf("=== Table IV: trailing accuracy (scale=%s, N=%zu, m=%zu, R=%zu, window=%zu) ===\n\n",
               options.get("scale", "small").c_str(), base.num_clients,

@@ -15,15 +15,20 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/cli.hpp"
 #include "core/report.hpp"
 #include "models/cvae.hpp"
 #include "nn/parameter_vector.hpp"
+#include "util/logging.hpp"
 
 int main(int argc, char** argv) {
   using namespace fedguard;
-  const core::CliOptions options = core::CliOptions::parse(argc, argv);
-  core::ExperimentConfig base = bench::config_from_cli(options);
-  if (!options.has("rounds")) base.rounds = std::min<std::size_t>(base.rounds, 6);
+  const core::CliOptions options = core::CliOptions::parse(argc, argv, {"quiet"});
+  const core::ExperimentConfig base = core::parse_or_exit([&] {
+    return core::experiment_config(options,
+                                   [](core::ExperimentConfig& config) { config.rounds = 6; });
+  });
+  if (options.has("quiet")) util::set_log_level(util::LogLevel::Warn);
 
   std::printf("=== Table V: system overhead (measured at scale=%s, N=%zu, m=%zu, R=%zu) ===\n\n",
               options.get("scale", "small").c_str(), base.num_clients,

@@ -12,12 +12,18 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "core/cli.hpp"
+#include "util/logging.hpp"
 
 int main(int argc, char** argv) {
   using namespace fedguard;
-  const core::CliOptions options = core::CliOptions::parse(argc, argv);
-  core::ExperimentConfig base = bench::config_from_cli(options);
-  base.track_per_class_accuracy = true;
+  const core::CliOptions options = core::CliOptions::parse(argc, argv, {"quiet"});
+  const core::ExperimentConfig base = core::parse_or_exit([&] {
+    return core::experiment_config(options, [](core::ExperimentConfig& config) {
+      config.track_per_class_accuracy = true;
+    });
+  });
+  if (options.has("quiet")) util::set_log_level(util::LogLevel::Warn);
   const std::size_t window = base.rounds * 2 / 3;
 
   const bench::Scenario scenario{"Label Flipping 30%", attacks::AttackType::LabelFlip, 0.3};

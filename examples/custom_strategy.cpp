@@ -80,31 +80,34 @@ class CosineFilterAggregator final : public defenses::AggregationStrategy {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const core::CliOptions options = core::CliOptions::parse(argc, argv);
+  const core::CliOptions options = core::CliOptions::parse(argc, argv, {"threshold"});
+  const core::ExperimentConfig config = core::parse_or_exit([&] {
+    return core::experiment_config(options, [](core::ExperimentConfig& defaults) {
+      defaults.num_clients = 16;
+      defaults.clients_per_round = 8;
+      defaults.train_samples = 1600;
+      defaults.rounds = 10;
+      defaults.attack = attacks::AttackType::SignFlip;
+      defaults.malicious_fraction = 0.4;
+    });
+  });
+  const double threshold =
+      core::parse_or_exit([&] { return options.get_number("threshold", 0.0); });
   util::set_log_level(util::LogLevel::Warn);
 
-  core::ExperimentConfig config = core::ExperimentConfig::small_scale();
-  config.num_clients = 16;
-  config.clients_per_round = 8;
-  config.train_samples = 1600;
-  config.rounds = static_cast<std::size_t>(options.get_int("rounds", 10));
-  config.attack = attacks::AttackType::SignFlip;
-  config.malicious_fraction = 0.4;
-
-  // Build the federation through the library, then swap in the custom
-  // strategy: the Federation struct exposes every component. The server
-  // takes a factory and builds one instance per shard.
+  // Build the federation through the library, then run its clients under a
+  // server with the custom strategy: the Federation struct exposes every
+  // component. The server takes a factory and builds one instance per shard.
   core::Federation federation = core::build_federation(config);
-  const double threshold = options.get_double("threshold", 0.0);
   fl::ServerConfig server_config;
-  server_config.clients_per_round = config.clients_per_round;
-  server_config.rounds = config.rounds;
-  server_config.seed = config.seed;
+  static_cast<fl::RoundConfig&>(server_config) = core::round_config(config);
+  server_config.fault_plan = config.fault_plan;
   fl::Server server{server_config, federation.clients,
                     [threshold] { return std::make_unique<CosineFilterAggregator>(threshold); },
                     federation.test_set, config.arch, config.geometry()};
 
-  std::printf("custom cosine-similarity filter vs 40%% sign flipping:\n");
+  std::printf("custom cosine-similarity filter vs %.0f%% %s:\n",
+              config.malicious_fraction * 100.0, attacks::to_string(config.attack));
   fl::RunHistory history = server.run();
   for (const auto& round : history.rounds) {
     std::printf("  round %2zu: accuracy %5.1f%%, rejected %zu (malicious %zu)\n",
@@ -114,7 +117,8 @@ int main(int argc, char** argv) {
   std::printf("\nfinal accuracy %.1f%% | detection TPR %.2f FPR %.2f\n",
               history.rounds.back().test_accuracy * 100.0,
               history.true_positive_rate(), history.false_positive_rate());
-  std::printf("\n(compare: ./attack_comparison --attack sign_flip --strategy fedguard "
-              "--fraction 0.4)\n");
+  std::printf("\n(compare: ./run_config --strategy fedguard --num_clients 16 "
+              "--clients_per_round 8 --train_samples 1600 --rounds 10 --attack sign_flip "
+              "--malicious_fraction 0.4)\n");
   return 0;
 }

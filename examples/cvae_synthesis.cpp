@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <numeric>
+#include <stdexcept>
 
 #include "core/cli.hpp"
 #include "data/synthetic_mnist.hpp"
@@ -33,9 +34,18 @@ void print_ascii(std::span<const float> image, std::size_t size) {
 
 int main(int argc, char** argv) {
   using namespace fedguard;
-  const core::CliOptions options = core::CliOptions::parse(argc, argv);
-  const auto sample_count = static_cast<std::size_t>(options.get_int("samples", 400));
-  const auto epochs = static_cast<std::size_t>(options.get_int("epochs", 40));
+  const core::CliOptions options =
+      core::CliOptions::parse(argc, argv, {"samples", "epochs", "digit"});
+  std::size_t sample_count = 0;
+  std::size_t epochs = 0;
+  std::size_t digit = 0;
+  core::parse_or_exit([&] {
+    options.reject_settings();  // no federation here: no descriptor keys
+    sample_count = options.get_size("samples", 400);
+    epochs = options.get_size("epochs", 40);
+    digit = options.get_size("digit", 3);
+    if (digit > 9) throw std::invalid_argument{"config: digit must be 0..9"};
+  });
 
   std::printf("Training a CVAE on %zu synthetic digits (%zu epochs)...\n", sample_count,
               epochs);
@@ -66,10 +76,9 @@ int main(int argc, char** argv) {
   util::Rng rng{19};
   if (options.has("digit")) {
     // Render a few variations of one conditioned class.
-    const int digit = static_cast<int>(options.get_int("digit", 3));
-    std::printf("decoder conditioned on class %d:\n\n", digit);
+    std::printf("decoder conditioned on class %zu:\n\n", digit);
     const tensor::Tensor z = models::sample_standard_normal(3, spec.latent, rng);
-    const std::vector<int> y(3, digit);
+    const std::vector<int> y(3, static_cast<int>(digit));
     const tensor::Tensor generated = cvae.decoder().decode(z, y);
     for (std::size_t i = 0; i < 3; ++i) {
       print_ascii(generated.row(i), 28);

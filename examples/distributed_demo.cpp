@@ -1,37 +1,36 @@
 // Distributed deployment demo — the paper's testbed shape (§IV-E: one server
 // process, clients as separate processes over ethernet).
 //
-// Run as separate processes:
-//   terminal 1: ./distributed_demo --role server --port 7700 --clients 4 --rounds 6
-//   terminal 2: ./distributed_demo --role client --id 0 --port 7700
-//   ...         ./distributed_demo --role client --id 3 --port 7700 --attack sign_flip
+// The federation is an ExperimentConfig: every descriptor key is a flag
+// (docs/CONFIG_REFERENCE.md), on top of this demo's defaults (4 clients, 3
+// sampled per round, 6 rounds, FedGuard, one sign-flipper). It is built by
+// core::build_federation, so every process given the same flags derives the
+// same data partition and the same malicious clients.
 //
-// Or run the whole federation in one process with threads (default):
+// One process, one TCP client thread per client (default):
 //   ./distributed_demo
+// Separate processes, all given the same flags:
+//   terminal 1: ./distributed_demo --role server --port 7700
+//   terminal 2: ./distributed_demo --role client --id 0 --port 7700
+//   ...         ./distributed_demo --role client --id 3 --port 7700
+// Shard s listens on port + s, and client k dials its shard's port.
 //
-// Chaos flags (see docs/ROBUSTNESS.md) build one seeded fl::FaultPlan that
-// the socket clients act out, so the fault-tolerance path can be watched live
-// (an in-process run plays the same plan through fl::ServerConfig):
-//   ./distributed_demo --drop 0.25 --disconnect 0.1 --fault-seed 7
-// Fault kinds: --drop, --delay (+ --delay-ms), --truncate, --bitflip,
-// --disconnect, --never-connect; each takes a per-round probability. The same
-// --fault-seed replays the identical fault schedule.
+// Chaos: the fault_* keys build one seeded fl::FaultPlan that the socket
+// clients act out (docs/ROBUSTNESS.md); the same fault_seed replays the same
+// fault schedule:
+//   ./distributed_demo --fault_drop_probability 0.25 --fault_disconnect_probability 0.1
 //
 // Two-tier topology (docs/SHARDING.md): --shards N runs N epoll-reactor edge
-// aggregators under one root merger, with --clients-per-shard M TCP clients
-// each. Shard-failure chaos kills a shard mid-run and demonstrates graceful
-// degradation (the federation finishes on the surviving shards):
-//   ./distributed_demo --shards 4 --clients-per-shard 3 --kill-shard 1 --kill-round 2
+// aggregators under one root merger. --kill-shard/--kill-round kill a shard
+// mid-run, and the demo checks that the federation degrades gracefully (it
+// finishes on the surviving shards):
+//   ./distributed_demo --shards 2 --num_clients 4 --kill-shard 1 --kill-round 1
 //
-// Observability (server/demo roles; see docs/OBSERVABILITY.md):
-//   --trace trace.json      Chrome trace_event output (open at ui.perfetto.dev)
-//   --metrics metrics.prom  Prometheus text + per-round snapshots (.jsonl)
-//   --metrics-port 9464     Live /metrics, /metrics.json and /healthz over
-//                           HTTP: the root serves PORT, and every shard data
-//                           port also answers scrapes. The sharded demo
-//                           self-checks the endpoints mid-federation and
-//                           prints a FAIL: line when a scrape does not come
-//                           back healthy.
+// Observability (docs/OBSERVABILITY.md): --obs_trace_path, --obs_metrics_path,
+// and --obs_http_port PORT for live /metrics, /metrics.json and /healthz: the
+// root serves PORT, and every shard data port also answers scrapes. The demo
+// then checks both endpoints mid-run and prints a FAIL: line when a scrape
+// does not come back healthy.
 
 #include <atomic>
 #include <chrono>
@@ -40,15 +39,14 @@
 #include <iostream>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "core/cli.hpp"
+#include "core/config_file.hpp"
 #include "core/report.hpp"
-#include "data/partition.hpp"
-#include "data/synthetic_mnist.hpp"
-#include "defenses/fedguard.hpp"
-#include "defenses/fedavg.hpp"
+#include "core/runner.hpp"
 #include "net/remote.hpp"
 #include "net/shard.hpp"
 #include "net/socket.hpp"
@@ -58,19 +56,6 @@
 namespace {
 
 using namespace fedguard;
-
-/// Build a RoundExporter from --trace/--metrics, or null when neither is set.
-std::unique_ptr<obs::RoundExporter> exporter_from_options(
-    const core::CliOptions& options) {
-  obs::ObsOptions obs_options;
-  obs_options.trace_path = options.get("trace", "");
-  obs_options.metrics_path = options.get("metrics", "");
-  if (!obs_options.enabled()) return nullptr;
-  return std::make_unique<obs::RoundExporter>(obs_options);
-}
-
-constexpr std::size_t kTrainSamples = 800;
-constexpr std::uint64_t kDataSeed = 77;
 
 /// One-shot HTTP/1.0 scrape of 127.0.0.1:`port`; returns the raw response
 /// ("" on connect/send/receive failure).
@@ -107,257 +92,141 @@ bool probe_until(std::uint16_t port, const std::string& path,
   return false;
 }
 
-models::CvaeSpec demo_cvae() {
-  models::CvaeSpec spec;
-  spec.hidden = 96;
-  spec.latent = 2;
-  return spec;
+/// The demo's defaults; flags apply on top.
+void demo_defaults(core::ExperimentConfig& config) {
+  config.num_clients = 4;
+  config.clients_per_round = 3;
+  config.rounds = 6;
+  config.train_samples = 800;
+  config.test_samples = 200;
+  config.attack = attacks::AttackType::SignFlip;
+  config.malicious_fraction = 0.25;
+  config.client.local_epochs = 2;
+  config.client.cvae_epochs = 30;
+  // Chaos runs: a dropped reply costs one bounded wait, and the federation
+  // starts with whoever joined.
+  config.remote_round_timeout_ms = 5000;
+  config.min_clients = 1;
+  config.seed = 77;
 }
 
-/// The demo's FedGuard strategy; the server calls this once per shard.
-std::unique_ptr<defenses::AggregationStrategy> demo_fedguard() {
-  defenses::FedGuardConfig fg;
-  fg.cvae_spec = demo_cvae();
-  fg.total_samples = 100;
-  return std::make_unique<defenses::FedGuardAggregator>(fg, models::ClassifierArch::Mlp,
-                                                        models::ImageGeometry{},
-                                                        kDataSeed ^ 0xf9ULL);
-}
+/// What a demo process was asked to do, besides the federation itself.
+struct Role {
+  std::string name = "demo";  // demo | server | client
+  std::size_t id = 0;         // client role: which client of the federation
+  std::string host = "127.0.0.1";
+  std::uint16_t port = 0;     // shard 0's port (shard s: port + s); 0 = ephemeral
+  bool kill = false;
+  std::size_t kill_shard = 0;
+  std::size_t kill_round = 1;
+};
 
-fl::ClientConfig demo_client_config() {
-  fl::ClientConfig config;
-  config.local_epochs = 2;
-  config.batch_size = 16;
-  config.cvae_epochs = 30;
-  config.cvae_batch_size = 8;
-  config.cvae_learning_rate = 3e-3f;
-  return config;
-}
-
-fl::FaultPlan plan_from_options(const core::CliOptions& options) {
-  fl::FaultPlan plan;
-  plan.drop_probability = options.get_double("drop", 0.0);
-  plan.delay_probability = options.get_double("delay", 0.0);
-  plan.delay_ms = static_cast<std::size_t>(options.get_int("delay-ms", 20));
-  plan.truncate_probability = options.get_double("truncate", 0.0);
-  plan.bit_flip_probability = options.get_double("bitflip", 0.0);
-  plan.disconnect_probability = options.get_double("disconnect", 0.0);
-  plan.never_connect_probability = options.get_double("never-connect", 0.0);
-  plan.seed = static_cast<std::uint64_t>(options.get_int("fault-seed", 1));
-  return plan;
-}
-
-/// Every process derives the same deterministic partition, so a client only
-/// needs its id to know its shard — no data ever crosses the network (the
-/// FL premise).
-std::unique_ptr<fl::Client> make_client(int id, std::size_t num_clients) {
-  const data::Dataset train = data::generate_synthetic_mnist(kTrainSamples, kDataSeed);
-  const data::Partition partition =
-      data::dirichlet_partition(train, num_clients, 10.0, kDataSeed ^ 0xd17ULL);
-  return std::make_unique<fl::Client>(
-      id, train, partition[static_cast<std::size_t>(id)], demo_client_config(),
-      models::ClassifierArch::Mlp, models::ImageGeometry{}, demo_cvae(),
-      kDataSeed ^ (0xc11ULL + static_cast<std::uint64_t>(id)));
-}
-
-int run_server(const core::CliOptions& options) {
-  const auto clients = static_cast<std::size_t>(options.get_int("clients", 4));
-  const auto rounds = static_cast<std::size_t>(options.get_int("rounds", 6));
-  const auto port = static_cast<std::uint16_t>(options.get_int("port", 7700));
-
-  const data::Dataset test = data::generate_synthetic_mnist(200, kDataSeed ^ 0x7e57ULL);
-  net::HierarchicalServerConfig config;  // one shard: a single-tier server
-  config.port = port;
-  config.expected_clients = clients;
-  config.clients_per_round = std::max<std::size_t>(1, clients / 2 + 1);
-  config.rounds = rounds;
-  config.seed = kDataSeed;
-  // Survive a chaos run: bound every wait, tolerate absent clients.
-  config.accept_timeout_ms = static_cast<std::size_t>(options.get_int("accept-ms", 30000));
-  config.round_timeout_ms = static_cast<std::size_t>(options.get_int("round-ms", 30000));
-  config.min_clients = static_cast<std::size_t>(options.get_int("min-clients", 0));
-  config.eject_after_failures = 3;
-  config.http_port = static_cast<std::uint16_t>(options.get_int("metrics-port", 0));
-  net::HierarchicalServer server{config, demo_fedguard, test, models::ClassifierArch::Mlp,
-                                 models::ImageGeometry{}};
-  std::printf("server listening on port %u, waiting for %zu clients...\n",
-              static_cast<unsigned>(server.shard_port(0)), clients);
-  const auto exporter = exporter_from_options(options);
-  const fl::RunHistory history = server.run();
-  std::printf("\nfinal accuracy: %.2f%% (strategy %s)\n",
-              history.rounds.back().test_accuracy * 100.0, history.strategy.c_str());
-  core::print_fault_summary(std::cout, history);
-  return 0;
-}
-
-int run_client(const core::CliOptions& options) {
-  const int id = static_cast<int>(options.get_int("id", 0));
-  const auto port = static_cast<std::uint16_t>(options.get_int("port", 7700));
-  const std::string host = options.get("host", "127.0.0.1");
-  const auto clients = static_cast<std::size_t>(options.get_int("clients", 4));
-
-  auto client = make_client(id, clients);
-  std::unique_ptr<attacks::ModelAttack> attack;
-  const std::string attack_name = options.get("attack", "none");
-  if (attack_name != "none") {
-    attack = attacks::make_model_attack(attacks::attack_type_from_string(attack_name), {});
-    if (attack) client->corrupt_with_model_attack(attack.get());
+/// The demo's own flags, checked against the federation they address.
+Role role_from(const core::CliOptions& options, const core::ExperimentConfig& config) {
+  Role role;
+  role.name = options.get("role", role.name);
+  if (role.name != "demo" && role.name != "server" && role.name != "client") {
+    throw std::invalid_argument{"config: unknown role '" + role.name + "' (demo|server|client)"};
   }
-  std::printf("client %d connecting to %s:%u%s\n", id, host.c_str(),
-              static_cast<unsigned>(port), attack ? " (malicious)" : "");
-  const fl::FaultPlan plan = plan_from_options(options);
-  fl::FaultInjector injector{plan};
-  net::RemoteClientOptions remote_options;
-  if (plan.any()) remote_options.faults = &injector;
+  role.id = options.get_size("id", 0);
+  if (role.id >= config.num_clients) {
+    throw std::invalid_argument{"config: id " + std::to_string(role.id) +
+                                " is not a client of " + std::to_string(config.num_clients)};
+  }
+  role.host = options.get("host", role.host);
+  role.port = core::to_port(options.get("port", role.name == "demo" ? "0" : "7700"), "port");
+  role.kill = options.has("kill-shard");
+  role.kill_shard = options.get_size("kill-shard", 0);
+  role.kill_round = options.get_size("kill-round", role.kill_round);
+  if (role.kill && role.kill_shard >= config.shards) {
+    throw std::invalid_argument{"config: kill-shard " + std::to_string(role.kill_shard) +
+                                " is not a shard of " + std::to_string(config.shards)};
+  }
+  return role;
+}
+
+/// One client of the federation, served over TCP from this process.
+int run_client(const core::ExperimentConfig& config, const Role& role) {
+  const core::Federation federation = core::build_federation(config);
+  fl::Client& client = *federation.clients.at(role.id);
+  const auto port =
+      static_cast<std::uint16_t>(role.port + role.id * config.shards / config.num_clients);
+  std::printf("client %zu connecting to %s:%u%s\n", role.id, role.host.c_str(),
+              static_cast<unsigned>(port), client.malicious() ? " (malicious)" : "");
+  fl::FaultInjector injector{config.fault_plan};
+  net::RemoteClientOptions options;
+  if (config.fault_plan.any()) options.faults = &injector;
   // Separate-process clients ship their spans and counter deltas upstream so
   // the server's trace holds the whole federation (docs/OBSERVABILITY.md).
-  remote_options.relay_telemetry = true;
-  const std::size_t served = net::run_remote_client(host, port, *client, remote_options);
-  std::printf("client %d served %zu rounds (%zu faults injected)\n", id, served,
+  options.relay_telemetry = true;
+  const std::size_t served = net::run_remote_client(role.host, port, client, options);
+  std::printf("client %zu served %zu rounds (%zu faults injected)\n", role.id, served,
               injector.total_injected());
   return 0;
 }
 
-int run_threaded_demo(const core::CliOptions& options) {
-  std::printf("single-process demo: FedGuard server + 4 TCP clients (1 sign-flipper)\n\n");
-  const fl::FaultPlan plan = plan_from_options(options);
-  fl::FaultInjector injector{plan};
-  if (plan.any()) {
-    std::printf("chaos plan active (seed %llu): drop %.2f delay %.2f truncate %.2f "
-                "bitflip %.2f disconnect %.2f never-connect %.2f\n\n",
-                static_cast<unsigned long long>(plan.seed), plan.drop_probability,
-                plan.delay_probability, plan.truncate_probability,
-                plan.bit_flip_probability, plan.disconnect_probability,
-                plan.never_connect_probability);
-  }
-  const data::Dataset test = data::generate_synthetic_mnist(200, kDataSeed ^ 0x7e57ULL);
-  net::HierarchicalServerConfig config;  // one shard on an ephemeral port
-  config.expected_clients = 4;
-  config.clients_per_round = 3;
-  config.rounds = 6;
-  config.seed = kDataSeed;
-  config.eject_after_failures = 3;
-  if (plan.any()) {
-    // Chaos runs need bounded waits and tolerance for absent clients.
-    config.round_timeout_ms = 5000;
-    config.accept_timeout_ms = 5000;
-    config.min_clients = 1;
-  }
-  config.http_port = static_cast<std::uint16_t>(options.get_int("metrics-port", 0));
-  net::HierarchicalServer server{config, demo_fedguard, test, models::ClassifierArch::Mlp,
-                                 models::ImageGeometry{}};
-  const std::uint16_t port = server.shard_port(0);
-
-  const attacks::SignFlipAttack sign_flip;
-  std::vector<std::unique_ptr<fl::Client>> clients;
-  std::vector<std::thread> threads;
-  // Build every client before spawning any thread: a later push_back can
-  // reallocate `clients` while an earlier thread dereferences clients[id].
-  for (int id = 0; id < 4; ++id) {
-    clients.push_back(make_client(id, 4));
-    if (id == 3) clients.back()->corrupt_with_model_attack(&sign_flip);
-  }
-  for (int id = 0; id < 4; ++id) {
-    threads.emplace_back([&, id] {
-      net::RemoteClientOptions remote_options;
-      if (plan.any()) remote_options.faults = &injector;
-      (void)net::run_remote_client("127.0.0.1", port, *clients[id], remote_options);
-    });
-  }
-  const auto exporter = exporter_from_options(options);
-  const fl::RunHistory history = server.run();
-  for (auto& thread : threads) thread.join();
-
-  for (const auto& round : history.rounds) {
-    std::printf("round %zu: accuracy %5.1f%% | rejected malicious %zu/%zu | "
-                "%.1f KB down over TCP\n",
-                round.round, round.test_accuracy * 100.0, round.rejected_malicious,
-                round.sampled_malicious,
-                static_cast<double>(round.server_download_bytes) / 1e3);
-  }
-  if (plan.any()) {
-    std::printf("\n%zu faults injected by the plan\n", injector.total_injected());
-    core::print_fault_summary(std::cout, history);
-  }
-  return 0;
-}
-
-/// Two-tier federation in one process: N reactor shards + root merger, with
-/// M TCP clients per shard connecting to their owner shard's port. With
-/// --kill-shard/--kill-round the run doubles as a shard-failure chaos drill:
-/// it asserts the federation degrades gracefully (all rounds complete, the
-/// killed shard is the only casualty) instead of just hoping.
-int run_sharded_demo(const core::CliOptions& options) {
-  const auto shards = static_cast<std::size_t>(options.get_int("shards", 2));
-  const auto per_shard =
-      static_cast<std::size_t>(options.get_int("clients-per-shard", 2));
-  const auto rounds = static_cast<std::size_t>(options.get_int("rounds", 4));
-  const long long kill_shard = options.get_int("kill-shard", -1);
-  const auto kill_round = static_cast<std::size_t>(options.get_int("kill-round", 1));
-  const std::size_t num_clients = shards * per_shard;
-  std::printf("two-tier demo: %zu shards x %zu clients, FedAvg root merge, %zu rounds\n",
-              shards, per_shard, rounds);
-  if (kill_shard >= 0) {
-    std::printf("chaos: shard %lld dies at the start of round %zu\n", kill_shard,
-                kill_round);
-  }
-
-  const data::Dataset test = data::generate_synthetic_mnist(200, kDataSeed ^ 0x7e57ULL);
-  net::HierarchicalServerConfig config;
-  config.shards = shards;
-  config.expected_clients = num_clients;
-  config.clients_per_round = std::max<std::size_t>(1, num_clients / 2 + 1);
-  config.rounds = rounds;
-  config.seed = kDataSeed;
-  config.accept_timeout_ms = static_cast<std::size_t>(options.get_int("accept-ms", 30000));
-  config.round_timeout_ms = static_cast<std::size_t>(options.get_int("round-ms", 30000));
-  const auto metrics_port =
-      static_cast<std::uint16_t>(options.get_int("metrics-port", 0));
-  config.http_port = metrics_port;
-  if (kill_shard >= 0) {
-    config.shard_kill_predicate = [kill_shard, kill_round](std::size_t shard,
-                                                           std::size_t round) {
-      return shard == static_cast<std::size_t>(kill_shard) && round == kill_round;
+/// The root and its shards; in the demo role, every client too, each on its
+/// own thread dialing its shard.
+int run_server(const core::ExperimentConfig& config, const Role& role) {
+  const core::Federation federation = core::build_federation(config);
+  net::HierarchicalServerConfig server_config =
+      core::hierarchical_server_config(federation.config);
+  server_config.port = role.port;
+  if (role.kill) {
+    server_config.shard_kill_predicate = [role](std::size_t shard, std::size_t round) {
+      return shard == role.kill_shard && round == role.kill_round;
     };
   }
   net::HierarchicalServer server{
-      config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
-      models::ClassifierArch::Mlp, models::ImageGeometry{}};
+      server_config,
+      [&] { return core::make_strategy(federation.config, federation.auxiliary_set); },
+      federation.test_set, federation.config.arch, federation.config.geometry()};
+  std::printf("%s over %zu shard(s): %zu clients, %zu sampled per round, %zu rounds\n",
+              core::to_string(config.strategy), config.shards, config.num_clients,
+              config.clients_per_round, config.rounds);
+  if (role.kill) {
+    std::printf("chaos: shard %zu dies at the start of round %zu\n", role.kill_shard,
+                role.kill_round);
+  }
 
-  const attacks::SignFlipAttack sign_flip;
-  std::vector<std::unique_ptr<fl::Client>> clients;
+  fl::FaultInjector injector{config.fault_plan};
   std::vector<std::thread> threads;
-  for (std::size_t id = 0; id < num_clients; ++id) {
-    clients.push_back(make_client(static_cast<int>(id), num_clients));
-    if (id + 1 == num_clients) clients.back()->corrupt_with_model_attack(&sign_flip);
+  if (role.name == "demo") {
+    for (std::size_t id = 0; id < config.num_clients; ++id) {
+      const std::uint16_t port = server.shard_port(server.shard_of(id));
+      threads.emplace_back([&, id, port] {
+        net::RemoteClientOptions options;
+        if (config.fault_plan.any()) options.faults = &injector;
+        (void)net::run_remote_client("127.0.0.1", port, *federation.clients[id], options);
+      });
+    }
+  } else {
+    std::printf("server listening on port %u, waiting for %zu clients...\n",
+                static_cast<unsigned>(server.shard_port(0)), config.num_clients);
   }
-  for (std::size_t id = 0; id < num_clients; ++id) {
-    const std::uint16_t port = server.shard_port(server.shard_of(id));
-    threads.emplace_back([&clients, id, port] {
-      (void)net::run_remote_client("127.0.0.1", port, *clients[id], {});
-    });
-  }
-  const auto exporter = exporter_from_options(options);
-  // Mid-federation scrape smoke check: while the rounds run, hit the root's
+  std::unique_ptr<obs::RoundExporter> exporter;
+  if (config.obs.enabled()) exporter = std::make_unique<obs::RoundExporter>(config.obs);
+  // Mid-federation scrape check: while the rounds run, hit the root's
   // /healthz (standalone listener) and shard 0's data port /metrics (reactor
   // auto-detection) and record whether both answered healthy.
+  const std::uint16_t http_port = config.obs.http_port;
   std::atomic<bool> root_healthy{false};
   std::atomic<bool> shard_healthy{false};
   std::thread probe;
-  if (metrics_port != 0) {
+  if (http_port != 0) {
     const std::uint16_t shard0_port = server.shard_port(0);
     probe = std::thread{[&, shard0_port] {
-      root_healthy = probe_until(metrics_port, "/healthz", "\"status\":\"ok\"");
+      root_healthy = probe_until(http_port, "/healthz", "\"status\":\"ok\"");
       shard_healthy = probe_until(shard0_port, "/metrics", "net_shard_rounds_total");
     }};
   }
   const fl::RunHistory history = server.run();
   for (auto& thread : threads) thread.join();
   if (probe.joinable()) probe.join();
-  if (metrics_port != 0) {
+  if (http_port != 0) {
     if (!root_healthy) {
       std::printf("FAIL: root /healthz on port %u never answered healthy\n",
-                  static_cast<unsigned>(metrics_port));
+                  static_cast<unsigned>(http_port));
       return 1;
     }
     if (!shard_healthy) {
@@ -367,37 +236,44 @@ int run_sharded_demo(const core::CliOptions& options) {
     std::printf("live telemetry verified mid-run (root /healthz + shard /metrics)\n");
   }
 
+  std::printf("\n");
   for (const auto& round : history.rounds) {
-    std::printf("round %zu: accuracy %5.1f%% | sampled %zu | stragglers %zu\n",
+    std::printf("round %zu: accuracy %5.1f%% | sampled %zu | rejected malicious %zu/%zu | "
+                "stragglers %zu | %.1f KB down over TCP\n",
                 round.round, round.test_accuracy * 100.0, round.sampled_clients,
-                round.stragglers);
+                round.rejected_malicious, round.sampled_malicious, round.stragglers,
+                static_cast<double>(round.server_download_bytes) / 1e3);
   }
-  if (kill_shard >= 0) {
-    // Graceful-degradation assertions: the run must survive a dead shard.
-    const std::size_t expected_live = shards - 1;
-    if (history.rounds.size() != rounds) {
-      std::printf("FAIL: only %zu of %zu rounds completed after shard kill\n",
-                  history.rounds.size(), rounds);
-      return 1;
+  if (config.fault_plan.any()) {
+    if (role.name == "demo") {
+      std::printf("\n%zu faults injected by the plan\n", injector.total_injected());
     }
-    if (server.live_shards() > expected_live) {
+    core::print_fault_summary(std::cout, history);
+  }
+  if (history.rounds.size() != config.rounds) {
+    std::printf("FAIL: only %zu of %zu rounds completed\n", history.rounds.size(),
+                config.rounds);
+    return 1;
+  }
+  const fl::RoundRecord& last = history.rounds.back();
+  if (role.kill) {
+    // Graceful-degradation checks: the run must survive a dead shard. (run()
+    // has already shut the surviving shards down, so live_shards() is 0 here
+    // by design.)
+    if (server.live_shards() > config.shards - 1) {
       std::printf("FAIL: killed shard still reports alive\n");
       return 1;
     }
-    const fl::RoundRecord& last = history.rounds.back();
     if (last.sampled_clients == 0) {
       std::printf("FAIL: final round sampled nobody\n");
       return 1;
     }
-    // (run() has already shut the surviving shards down gracefully, so
-    // live_shards() is 0 here by design; the assertions above checked the
-    // degradation itself.)
-    std::printf("\ngraceful degradation held: shard %lld died, %zu rounds "
-                "completed on the survivors, final accuracy %.1f%%\n",
-                kill_shard, history.rounds.size(), last.test_accuracy * 100.0);
+    std::printf("\ngraceful degradation held: shard %zu died, %zu rounds completed on the "
+                "survivors, final accuracy %.1f%%\n",
+                role.kill_shard, history.rounds.size(), last.test_accuracy * 100.0);
   } else {
-    std::printf("\nfinal accuracy: %.2f%% over %zu shards\n",
-                history.rounds.back().test_accuracy * 100.0, shards);
+    std::printf("\nfinal accuracy: %.2f%% over %zu shard(s) (strategy %s)\n",
+                last.test_accuracy * 100.0, config.shards, history.strategy.c_str());
   }
   return 0;
 }
@@ -405,11 +281,11 @@ int run_sharded_demo(const core::CliOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const core::CliOptions options = core::CliOptions::parse(argc, argv);
+  const core::CliOptions options = core::CliOptions::parse(
+      argc, argv, {"role", "id", "host", "port", "kill-shard", "kill-round"});
+  const core::ExperimentConfig config =
+      core::parse_or_exit([&] { return core::experiment_config(options, demo_defaults); });
+  const Role role = core::parse_or_exit([&] { return role_from(options, config); });
   util::set_log_level(util::LogLevel::Warn);
-  const std::string role = options.get("role", "demo");
-  if (role == "server") return run_server(options);
-  if (role == "client") return run_client(options);
-  if (options.get_int("shards", 0) > 0) return run_sharded_demo(options);
-  return run_threaded_demo(options);
+  return role.name == "client" ? run_client(config, role) : run_server(config, role);
 }

@@ -3,7 +3,10 @@
 // substitute (DESIGN.md §1).
 //
 //   $ ./mnist_real --data-dir /path/to/mnist ...
-//         [--strategy fedguard] [--attack sign_flip] [--fraction 0.5]
+//         [--strategy fedguard] [--attack sign_flip] [--malicious_fraction 0.5]
+//
+// Runs start from the paper preset (--scale paper); every descriptor key is
+// a flag.
 //
 // expects the standard file names inside --data-dir:
 //   train-images-idx3-ubyte  train-labels-idx1-ubyte
@@ -20,7 +23,16 @@
 
 int main(int argc, char** argv) {
   using namespace fedguard;
-  const core::CliOptions options = core::CliOptions::parse(argc, argv);
+  const core::CliOptions options = core::CliOptions::parse(argc, argv, {"data-dir"});
+  const core::ExperimentConfig config = core::parse_or_exit([&] {
+    return core::experiment_config(
+        options,
+        [](core::ExperimentConfig& defaults) {
+          defaults.attack = attacks::AttackType::SignFlip;
+          defaults.malicious_fraction = 0.5;
+        },
+        "", "paper");
+  });
   util::set_log_level(util::LogLevel::Warn);
 
   const std::string dir = options.get("data-dir", "./mnist");
@@ -50,14 +62,6 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> aux_indices(1000);
   for (std::size_t i = 0; i < aux_indices.size(); ++i) aux_indices[i] = i;
   data::Dataset auxiliary = test.subset(aux_indices);
-
-  core::ExperimentConfig config = core::ExperimentConfig::paper_scale();
-  config.strategy = core::strategy_kind_from_string(options.get("strategy", "fedguard"));
-  config.attack = attacks::attack_type_from_string(options.get("attack", "sign_flip"));
-  config.malicious_fraction = options.get_double("fraction", 0.5);
-  config.rounds = static_cast<std::size_t>(options.get_int("rounds", 50));
-  config.num_clients = static_cast<std::size_t>(options.get_int("clients", 100));
-  config.clients_per_round = static_cast<std::size_t>(options.get_int("sampled", 50));
 
   core::Federation federation = core::build_federation_with_data(
       config, std::move(train), std::move(test), std::move(auxiliary));

@@ -1,7 +1,10 @@
 // Quickstart: run a small federation twice — undefended FedAvg and FedGuard —
 // under a 50% sign-flipping attack, and print what happens.
 //
-//   $ ./quickstart [--rounds N] [--clients N] [--seed S]
+//   $ ./quickstart [--rounds N] [--num_clients N] [--seed S] [--KEY VALUE ...]
+//
+// Any descriptor key (docs/CONFIG_REFERENCE.md) is a flag; the defaults below
+// are this example's own.
 //
 // This is the minimal end-to-end use of the public API:
 //   ExperimentConfig -> run_experiment -> RunHistory.
@@ -15,21 +18,24 @@
 int main(int argc, char** argv) {
   using namespace fedguard;
   const core::CliOptions options = core::CliOptions::parse(argc, argv);
+  // The reduced-scale preset with the attack scenario applied.
+  core::ExperimentConfig config = core::parse_or_exit([&] {
+    return core::experiment_config(options, [](core::ExperimentConfig& defaults) {
+      defaults.num_clients = 12;
+      defaults.clients_per_round = 6;
+      defaults.rounds = 10;
+      defaults.train_samples = 1200;
+      defaults.seed = 7;
+      defaults.attack = attacks::AttackType::SignFlip;
+      defaults.malicious_fraction = 0.5;
+    });
+  });
   util::set_log_level(util::LogLevel::Warn);
 
-  // Start from the reduced-scale preset and apply the attack scenario.
-  core::ExperimentConfig config = core::ExperimentConfig::small_scale();
-  config.num_clients = static_cast<std::size_t>(options.get_int("clients", 12));
-  config.clients_per_round = config.num_clients / 2;
-  config.rounds = static_cast<std::size_t>(options.get_int("rounds", 10));
-  config.train_samples = config.num_clients * 100;
-  config.seed = static_cast<std::uint64_t>(options.get_int("seed", 7));
-  config.attack = attacks::AttackType::SignFlip;
-  config.malicious_fraction = 0.5;
-
   std::printf("Federation: %zu clients (%zu sampled/round), %zu rounds, "
-              "50%% of clients flip the sign of every uploaded weight.\n\n",
-              config.num_clients, config.clients_per_round, config.rounds);
+              "%.0f%% of clients run the %s attack.\n\n",
+              config.num_clients, config.clients_per_round, config.rounds,
+              config.malicious_fraction * 100.0, attacks::to_string(config.attack));
 
   for (const auto strategy : {core::StrategyKind::FedAvg, core::StrategyKind::FedGuard}) {
     config.strategy = strategy;

@@ -4,7 +4,9 @@
 // against FedGuard with periodic CVAE retraining
 // (ClientConfig::cvae_retrain_interval).
 //
-//   $ ./streaming_clients [--rounds N] [--retrain K]
+//   $ ./streaming_clients [--rounds N] [--cvae_retrain_interval K] [--KEY VALUE ...]
+//
+// The second run retrains every cvae_retrain_interval rounds (default 3).
 
 #include <cstdio>
 
@@ -17,20 +19,22 @@
 int main(int argc, char** argv) {
   using namespace fedguard;
   const core::CliOptions options = core::CliOptions::parse(argc, argv);
+  const core::ExperimentConfig base = core::parse_or_exit([&] {
+    return core::experiment_config(options, [](core::ExperimentConfig& defaults) {
+      defaults.num_clients = 12;
+      defaults.clients_per_round = 6;
+      defaults.train_samples = 1200;
+      defaults.strategy = core::StrategyKind::FedGuard;
+      defaults.attack = attacks::AttackType::SignFlip;
+      defaults.malicious_fraction = 0.5;
+      defaults.client.cvae_retrain_interval = 3;
+    });
+  });
   util::set_log_level(util::LogLevel::Warn);
 
-  const auto rounds = static_cast<std::size_t>(options.get_int("rounds", 12));
-  const auto retrain = static_cast<std::size_t>(options.get_int("retrain", 3));
-
-  for (const std::size_t retrain_interval : {std::size_t{0}, retrain}) {
-    core::ExperimentConfig config = core::ExperimentConfig::small_scale();
-    config.num_clients = 12;
-    config.clients_per_round = 6;
-    config.train_samples = 1200;
-    config.rounds = rounds;
-    config.strategy = core::StrategyKind::FedGuard;
-    config.attack = attacks::AttackType::SignFlip;
-    config.malicious_fraction = 0.5;
+  for (const std::size_t retrain_interval :
+       {std::size_t{0}, base.client.cvae_retrain_interval}) {
+    core::ExperimentConfig config = base;
     config.client.cvae_retrain_interval = retrain_interval;
 
     core::Federation federation = core::build_federation(config);

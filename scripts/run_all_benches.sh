@@ -41,7 +41,7 @@ for b in "$BUILD_DIR"/bench/*; do
       # Smoke attack×defense leaderboard -> BENCH_robustness.json. Serial
       # kernels pin the bit-identical reproducibility contract the committed
       # baseline (scripts/robustness_baseline.json) is checked against below.
-      "$b" --quiet --matrix smoke --kernel-arch serial --out BENCH_robustness.json
+      "$b" --quiet --matrix smoke --kernel_arch serial --out BENCH_robustness.json
       ;;
     *bench_reactor*)
       # Connection-scaling numbers (single-tier vs 4-shard two-tier fan-in

@@ -160,7 +160,7 @@ if [ "$RUN_ROBUSTNESS" -eq 1 ]; then
   # keeps its timings visible when iterating on the sweep itself.
   ctest --test-dir "$BUILD_DIR" -L scenario --output-on-failure
   "$BUILD_DIR"/bench/bench_robustness --quiet --matrix smoke \
-      --kernel-arch serial --out BENCH_robustness.json
+      --kernel_arch serial --out BENCH_robustness.json
   python3 "$SCRIPT_DIR/check_robustness.py" BENCH_robustness.json \
       --baseline "$SCRIPT_DIR/robustness_baseline.json"
 fi

@@ -1,26 +1,34 @@
 #include "core/cli.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
+
+#include "core/config_file.hpp"
 
 namespace fedguard::core {
 
-CliOptions CliOptions::parse(int argc, const char* const* argv) {
+CliOptions CliOptions::parse(int argc, const char* const* argv,
+                             std::initializer_list<std::string_view> owned) {
   CliOptions options;
   for (int i = 1; i < argc; ++i) {
-    std::string arg{argv[i]};
-    if (arg.rfind("--", 0) != 0) continue;  // skip positional args
-    arg = arg.substr(2);
-    // "--key=value" form.
-    if (const auto eq = arg.find('='); eq != std::string::npos) {
-      options.values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+    const std::string_view arg{argv[i]};
+    if (!arg.starts_with("--")) {
+      options.positional_.emplace_back(arg);
       continue;
     }
-    // "--key value" form, unless the next token is another flag / absent.
-    if (i + 1 < argc && std::string{argv[i + 1]}.rfind("--", 0) != 0) {
-      options.values_[arg] = argv[++i];
-    } else {
-      options.values_[arg] = "1";
+    std::string key{arg.substr(2)};
+    std::string value{"1"};  // a switch, unless a value follows
+    if (const auto eq = key.find('='); eq != std::string::npos) {
+      value = key.substr(eq + 1);
+      key.resize(eq);
+    } else if (i + 1 < argc && !std::string_view{argv[i + 1]}.starts_with("--")) {
+      value = std::string{argv[++i]};
     }
+    if (std::find(owned.begin(), owned.end(), key) == owned.end()) {
+      options.settings_[key] = value;
+    }
+    options.values_[key] = std::move(value);
   }
   return options;
 }
@@ -32,16 +40,41 @@ std::string CliOptions::get(const std::string& key, const std::string& fallback)
   return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t CliOptions::get_int(const std::string& key, std::int64_t fallback) const {
+std::size_t CliOptions::get_size(const std::string& key, std::size_t fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::stoll(it->second);
+  return it == values_.end() ? fallback : to_size(it->second, key);
 }
 
-double CliOptions::get_double(const std::string& key, double fallback) const {
+double CliOptions::get_number(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  return it == values_.end() ? fallback : to_double(it->second, key);
+}
+
+void CliOptions::reject_settings() const {
+  if (!settings_.empty()) {
+    throw std::invalid_argument{"config: unknown key '" + settings_.begin()->first + "'"};
+  }
+}
+
+ExperimentConfig experiment_config(const CliOptions& options,
+                                   const std::function<void(ExperimentConfig&)>& defaults,
+                                   const std::string& descriptor,
+                                   const std::string& default_scale) {
+  const std::map<std::string, std::string> file =
+      descriptor.empty() ? std::map<std::string, std::string>{} : parse_config_file(descriptor);
+  const auto file_scale = file.find("scale");
+  const std::string scale =
+      options.get("scale", file_scale == file.end() ? default_scale : file_scale->second);
+  if (scale != "small" && scale != "paper") {
+    throw std::invalid_argument{"config: unknown scale '" + scale + "' (small/paper)"};
+  }
+  ExperimentConfig config =
+      scale == "paper" ? ExperimentConfig::paper_scale() : ExperimentConfig::small_scale();
+  if (defaults) defaults(config);
+  apply_config_values(config, file);
+  apply_config_values(config, options.settings());
+  check_sampling(config);
+  return config;
 }
 
 }  // namespace fedguard::core

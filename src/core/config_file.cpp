@@ -20,6 +20,17 @@ bool to_bool(const std::string& value, const std::string& key) {
   throw std::invalid_argument{"config: bad boolean for '" + key + "': " + value};
 }
 
+/// `parse(value)`, an enum parser that does not know its key: its error is
+/// rethrown naming `key`.
+template <typename Parse>
+auto parse_named(const std::string& value, const std::string& key, Parse parse) {
+  try {
+    return parse(value);
+  } catch (const std::invalid_argument& error) {
+    throw std::invalid_argument{"config: bad value for '" + key + "': " + error.what()};
+  }
+}
+
 }  // namespace
 
 std::size_t to_size(const std::string& value, const std::string& key) {
@@ -37,6 +48,12 @@ std::size_t to_positive_size(const std::string& value, const std::string& key) {
   const std::size_t parsed = to_size(value, key);
   if (parsed == 0) throw std::invalid_argument{"config: " + key + " must be positive"};
   return parsed;
+}
+
+std::uint16_t to_port(const std::string& value, const std::string& key) {
+  const std::size_t port = to_size(value, key);
+  if (port > 65535) throw std::invalid_argument{"config: " + key + " out of range: " + value};
+  return static_cast<std::uint16_t>(port);
 }
 
 double to_double(const std::string& value, const std::string& key) {
@@ -80,19 +97,19 @@ std::map<std::string, std::string> parse_config_file(const std::string& path) {
 void apply_config_values(ExperimentConfig& config,
                          const std::map<std::string, std::string>& values) {
   for (const auto& [key, value] : values) {
-    if (key == "scale") continue;  // handled by load_experiment_config
+    if (key == "scale") continue;  // names the preset: core::experiment_config
     if (key == "train_samples") config.train_samples = to_size(value, key);
     else if (key == "test_samples") config.test_samples = to_size(value, key);
     else if (key == "auxiliary_samples") config.auxiliary_samples = to_size(value, key);
     else if (key == "image_size") config.image_size = to_size(value, key);
     else if (key == "dirichlet_alpha") config.dirichlet_alpha = to_double(value, key);
     else if (key == "partition_scheme")
-      config.partition_scheme = data::partition_scheme_from_string(value);
+      config.partition_scheme = parse_named(value, key, data::partition_scheme_from_string);
     else if (key == "partition_shards_per_client")
       config.shards_per_client = to_size(value, key);
     else if (key == "num_clients") config.num_clients = to_size(value, key);
     else if (key == "clients_per_round") config.clients_per_round = to_size(value, key);
-    else if (key == "rounds") config.rounds = to_size(value, key);
+    else if (key == "rounds") config.rounds = to_positive_size(value, key);
     else if (key == "server_learning_rate")
       config.server_learning_rate = static_cast<float>(to_double(value, key));
     else if (key == "track_per_class_accuracy")
@@ -114,8 +131,10 @@ void apply_config_values(ExperimentConfig& config,
       config.client.cvae_retrain_interval = to_size(value, key);
     else if (key == "cvae_hidden") config.cvae.hidden = to_size(value, key);
     else if (key == "cvae_latent") config.cvae.latent = to_size(value, key);
-    else if (key == "arch") config.arch = models::classifier_arch_from_string(value);
-    else if (key == "attack") config.attack = attacks::attack_type_from_string(value);
+    else if (key == "arch")
+      config.arch = parse_named(value, key, models::classifier_arch_from_string);
+    else if (key == "attack")
+      config.attack = parse_named(value, key, attacks::attack_type_from_string);
     else if (key == "malicious_fraction")
       config.malicious_fraction = to_double(value, key);
     else if (key == "same_value_constant")
@@ -127,21 +146,22 @@ void apply_config_values(ExperimentConfig& config,
       config.covert_stealth = static_cast<float>(to_double(value, key));
     else if (key == "attack_krum_evade_epsilon")
       config.krum_evade_epsilon = to_double(value, key);
-    else if (key == "strategy") config.strategy = strategy_kind_from_string(value);
+    else if (key == "strategy")
+      config.strategy = parse_named(value, key, strategy_kind_from_string);
     else if (key == "fedguard_total_samples")
       config.fedguard_total_samples = to_size(value, key);
     else if (key == "fedguard_internal_operator") {
       if (value == "fedavg") config.fedguard_internal_operator = defenses::InternalOperator::FedAvg;
       else if (value == "geomed") config.fedguard_internal_operator = defenses::InternalOperator::GeoMed;
       else if (value == "median") config.fedguard_internal_operator = defenses::InternalOperator::Median;
-      else throw std::invalid_argument{"config: unknown internal operator: " + value};
+      else throw std::invalid_argument{"config: unknown fedguard_internal_operator: " + value};
     }
     else if (key == "fedguard_score_metric") {
       if (value == "accuracy")
         config.fedguard_score_metric = defenses::FedGuardConfig::ScoreMetric::Accuracy;
       else if (value == "balanced")
         config.fedguard_score_metric = defenses::FedGuardConfig::ScoreMetric::Balanced;
-      else throw std::invalid_argument{"config: unknown score metric: " + value};
+      else throw std::invalid_argument{"config: unknown fedguard_score_metric: " + value};
     }
     else if (key == "krum_byzantine_fraction")
       config.krum_byzantine_fraction = to_double(value, key);
@@ -202,31 +222,20 @@ void apply_config_values(ExperimentConfig& config,
     else if (key == "obs_flush_every_rounds")
       config.obs.flush_every_rounds = to_size(value, key);
     else if (key == "obs_histogram_buckets")
-      config.obs.histogram_buckets = obs::parse_histogram_buckets(value);
-    else if (key == "obs_http_port") {
-      const std::size_t port = to_size(value, key);
-      if (port > 65535) {
-        throw std::invalid_argument{"config: obs_http_port out of range"};
-      }
-      config.obs.http_port = static_cast<std::uint16_t>(port);
-    }
+      config.obs.histogram_buckets = parse_named(value, key, obs::parse_histogram_buckets);
+    else if (key == "obs_http_port") config.obs.http_port = to_port(value, key);
     else if (key == "seed") config.seed = static_cast<std::uint64_t>(to_size(value, key));
     else throw std::invalid_argument{"config: unknown key '" + key + "'"};
   }
 }
 
-ExperimentConfig load_experiment_config(const std::string& path) {
-  const auto values = parse_config_file(path);
-  ExperimentConfig config;
-  if (const auto it = values.find("scale"); it != values.end()) {
-    if (it->second == "paper") config = ExperimentConfig::paper_scale();
-    else if (it->second == "small") config = ExperimentConfig::small_scale();
-    else throw std::invalid_argument{"config: unknown scale '" + it->second + "'"};
-  } else {
-    config = ExperimentConfig::small_scale();
+void check_sampling(const ExperimentConfig& config) {
+  if (config.clients_per_round == 0 || config.clients_per_round > config.num_clients) {
+    throw std::invalid_argument{"config: clients_per_round (" +
+                                std::to_string(config.clients_per_round) +
+                                ") must be in [1, num_clients = " +
+                                std::to_string(config.num_clients) + "]"};
   }
-  apply_config_values(config, values);
-  return config;
 }
 
 }  // namespace fedguard::core

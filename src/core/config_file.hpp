@@ -6,7 +6,10 @@
 //
 // Supported syntax: one `key = value` per line, `#` comments, blank lines.
 // Unknown keys are an error (typos must not silently change an experiment).
+// Every key is also a flag of the examples and benches (core/cli.hpp), read
+// by the same apply_config_values.
 
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -18,19 +21,24 @@ namespace fedguard::core {
 /// Throws std::runtime_error on I/O errors or malformed lines.
 [[nodiscard]] std::map<std::string, std::string> parse_config_file(const std::string& path);
 
-/// Apply a parsed descriptor onto a config (usually a preset). Throws
-/// std::invalid_argument on unknown keys or unparseable values.
+/// Apply a parsed descriptor onto a config (usually a preset); `scale` is
+/// skipped (it names the preset). Throws std::invalid_argument naming the key
+/// on unknown keys or unparseable values.
 void apply_config_values(ExperimentConfig& config,
                          const std::map<std::string, std::string>& values);
 
-/// Convenience: preset selected by the descriptor's `scale` key ("small",
-/// default, or "paper"), then every other key applied on top.
-[[nodiscard]] ExperimentConfig load_experiment_config(const std::string& path);
+/// Throws std::invalid_argument unless clients_per_round is in [1,
+/// num_clients]. Keys are applied one at a time, so the pair is checked once
+/// every line of a run is in: a binary's own defaults, a descriptor and the
+/// flags can each set one of the two.
+void check_sampling(const ExperimentConfig& config);
 
 /// Descriptor numbers, parsed whole: trailing characters, a negative integer
 /// or an empty value throw std::invalid_argument naming `key`.
 [[nodiscard]] std::size_t to_size(const std::string& value, const std::string& key);
 [[nodiscard]] std::size_t to_positive_size(const std::string& value, const std::string& key);
 [[nodiscard]] double to_double(const std::string& value, const std::string& key);
+/// A TCP port: an integer in [0, 65535].
+[[nodiscard]] std::uint16_t to_port(const std::string& value, const std::string& key);
 
 }  // namespace fedguard::core

@@ -41,8 +41,7 @@ std::unique_ptr<defenses::AggregationStrategy> make_strategy(const ExperimentCon
       return std::make_unique<defenses::BulyanAggregator>(config.bulyan_byzantine_fraction);
     case StrategyKind::AuxAudit:
       return std::make_unique<defenses::AuxiliaryAuditAggregator>(
-          config.arch, config.geometry(), auxiliary, config.aux_audit_warmup_rounds,
-          config.seed ^ 0xa0d17ULL);
+          config.arch, config.geometry(), auxiliary, config.aux_audit_warmup_rounds);
     case StrategyKind::Spectral:
       return std::make_unique<defenses::SpectralAggregator>(
           config.spectral, config.arch, config.geometry(), auxiliary,
@@ -75,9 +74,9 @@ fl::RunHistory Federation::run() {
   if (config.obs.enabled()) {
     exporter = std::make_unique<obs::RoundExporter>(config.obs);
   }
-  // Live exposition (descriptor key obs_http_port / --metrics-port): the
-  // in-process simulator has no reactor of its own, so scrapes get a
-  // dedicated listener thread for the duration of the run.
+  // Live exposition (descriptor key obs_http_port): the in-process
+  // simulator has no reactor of its own, so scrapes get a dedicated listener
+  // thread for the duration of the run.
   std::unique_ptr<net::TelemetryHttpServer> http_server;
   if (config.obs.http_port != 0) {
     http_server = std::make_unique<net::TelemetryHttpServer>(
@@ -207,6 +206,7 @@ net::HierarchicalServerConfig hierarchical_server_config(const ExperimentConfig&
   hier.expected_clients = config.num_clients;
   hier.accept_timeout_ms = config.remote_accept_timeout_ms;
   hier.round_timeout_ms = config.remote_round_timeout_ms;
+  hier.http_port = config.obs.http_port;
   return hier;
 }
 

@@ -54,8 +54,8 @@ struct Federation {
 [[nodiscard]] fl::RoundConfig round_config(const ExperimentConfig& config);
 
 /// Map an ExperimentConfig onto the socket deployment's knob panel: the
-/// round knobs plus the remote_* deadlines. Shard listeners bind ephemeral
-/// ports.
+/// round knobs, the remote_* deadlines and the root's live-scrape port
+/// (obs_http_port). Shard listeners bind ephemeral ports.
 [[nodiscard]] net::HierarchicalServerConfig hierarchical_server_config(
     const ExperimentConfig& config);
 

@@ -8,11 +8,11 @@ namespace fedguard::defenses {
 AuxiliaryAuditAggregator::AuxiliaryAuditAggregator(models::ClassifierArch arch,
                                                    models::ImageGeometry geometry,
                                                    data::Dataset auxiliary,
-                                                   std::size_t warmup_rounds,
-                                                   std::uint64_t seed)
+                                                   std::size_t warmup_rounds)
     : auxiliary_{std::move(auxiliary)},
       warmup_rounds_{warmup_rounds},
-      scratch_{std::make_unique<models::Classifier>(arch, geometry, seed)} {
+      // Every audit loads the client's parameters first: the init is never read.
+      scratch_{std::make_unique<models::Classifier>(arch, geometry, /*seed=*/0)} {
   if (auxiliary_.empty()) {
     throw std::invalid_argument{"AuxiliaryAuditAggregator: auxiliary dataset is empty"};
   }

@@ -24,8 +24,7 @@ class AuxiliaryAuditAggregator final : public AggregationStrategy {
   /// `warmup_rounds`: rounds of plain FedAvg before auditing starts (PDGAN's
   /// initialization phase; 0 = audit from the first round).
   AuxiliaryAuditAggregator(models::ClassifierArch arch, models::ImageGeometry geometry,
-                           data::Dataset auxiliary, std::size_t warmup_rounds = 0,
-                           std::uint64_t seed = 1);
+                           data::Dataset auxiliary, std::size_t warmup_rounds = 0);
   ~AuxiliaryAuditAggregator() override;
 
   [[nodiscard]] std::string name() const override { return "aux_audit"; }

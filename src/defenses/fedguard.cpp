@@ -24,17 +24,12 @@ FedGuardAggregator::FedGuardAggregator(FedGuardConfig config, models::Classifier
     : config_{std::move(config)},
       geometry_{geometry},
       rng_{seed},
+      class_weights_(config_.cvae_spec.num_classes,
+                     1.0 / static_cast<double>(config_.cvae_spec.num_classes)),
       scratch_classifier_{std::make_unique<models::Classifier>(arch, geometry, seed)},
       scratch_decoder_{std::make_unique<models::CvaeDecoder>(config_.cvae_spec, seed)} {
   if (config_.cvae_spec.input_dim != geometry.pixels()) {
     throw std::invalid_argument{"FedGuardAggregator: CVAE input_dim != image pixels"};
-  }
-  if (config_.class_alpha.empty()) {
-    config_.class_alpha.assign(config_.cvae_spec.num_classes,
-                               1.0 / static_cast<double>(config_.cvae_spec.num_classes));
-  }
-  if (config_.class_alpha.size() != config_.cvae_spec.num_classes) {
-    throw std::invalid_argument{"FedGuardAggregator: class_alpha size mismatch"};
   }
   if (config_.total_samples == 0) {
     throw std::invalid_argument{"FedGuardAggregator: total_samples must be > 0"};
@@ -66,12 +61,10 @@ Selection FedGuardAggregator::do_partial_aggregate(const AggregationContext& /*c
   const std::size_t t = config_.total_samples;
   const tensor::Tensor z = models::sample_standard_normal(t, latent, rng_);
   const std::vector<int> y =
-      models::sample_categorical_labels(t, config_.class_alpha, rng_);
+      models::sample_categorical_labels(t, class_weights_, rng_);
 
-  // (2) Synthesize D_syn from the uploaded decoders (Alg. 1 line 4).
-  // Split mode: decoder j synthesizes the j-th slice of the shared samples
-  // (|D_syn| = t). PerDecoder mode: every decoder synthesizes all t samples
-  // (|D_syn| = |J| * t).
+  // (2) Synthesize D_syn from the uploaded decoders (Alg. 1 line 4): decoder
+  // j synthesizes the j-th slice of the shared samples (|D_syn| = t).
   std::vector<float> syn_pixels;
   std::vector<int> syn_labels;
   auto decode_range = [&](std::span<const float> theta, std::size_t begin, std::size_t count) {
@@ -90,19 +83,15 @@ Selection FedGuardAggregator::do_partial_aggregate(const AggregationContext& /*c
 
   {
     FEDGUARD_TRACE_SPAN("agg.fedguard", "decode");
-    if (config_.sample_mode == FedGuardConfig::SampleMode::PerDecoder) {
-      for (std::size_t j = 0; j < active; ++j) decode_range(updates.theta(j), 0, t);
-    } else {
-      // Distribute t samples over |J| decoders, remainder to the first ones.
-      const std::size_t base = t / active;
-      const std::size_t extra = t % active;
-      std::size_t offset = 0;
-      for (std::size_t j = 0; j < active; ++j) {
-        const std::size_t count = base + (j < extra ? 1 : 0);
-        if (count == 0) continue;
-        decode_range(updates.theta(j), offset, count);
-        offset += count;
-      }
+    // Distribute t samples over |J| decoders, remainder to the first ones.
+    const std::size_t base = t / active;
+    const std::size_t extra = t % active;
+    std::size_t offset = 0;
+    for (std::size_t j = 0; j < active; ++j) {
+      const std::size_t count = base + (j < extra ? 1 : 0);
+      if (count == 0) continue;
+      decode_range(updates.theta(j), offset, count);
+      offset += count;
     }
   }
 

@@ -10,10 +10,9 @@
 //      survivors with the internal operator (FedAvg by default; GeoMed and
 //      coordinate-median are available per the paper's future-work note).
 //
-// The t samples can be distributed across the active decoders (the paper's
-// configuration: t = 2m = 100 total synthetic digits) or generated in full by
-// every decoder (SampleMode::PerDecoder), trading validation-data diversity
-// for server compute — the paper's "tuneable overhead" knob.
+// The t samples are split across the active decoders, each synthesizing its
+// slice (the paper's configuration: t = 2m = 100 total synthetic digits); t is
+// the paper's "tuneable overhead" knob (descriptor key fedguard_total_samples).
 
 #include <cstdint>
 #include <memory>
@@ -31,9 +30,7 @@ enum class InternalOperator { FedAvg, GeoMed, Median };
 
 struct FedGuardConfig {
   models::CvaeSpec cvae_spec;            // must match the clients' CVAEs
-  std::size_t total_samples = 100;       // t: size of D_syn in Split mode
-  enum class SampleMode { Split, PerDecoder } sample_mode = SampleMode::Split;
-  std::vector<double> class_alpha;       // Cat(L, alpha); empty = uniform
+  std::size_t total_samples = 100;       // t: size of D_syn
   InternalOperator internal_operator = InternalOperator::FedAvg;
   /// L_ACC choice (Alg. 1 line 5). Accuracy is the paper's metric; Balanced
   /// scores each update by its mean per-class recall on D_syn, which is more
@@ -61,6 +58,7 @@ class FedGuardAggregator final : public AggregationStrategy {
   FedGuardConfig config_;
   models::ImageGeometry geometry_;
   util::Rng rng_;
+  std::vector<double> class_weights_;  // Cat(L, α): uniform over the L classes
   std::unique_ptr<models::Classifier> scratch_classifier_;
   std::unique_ptr<models::CvaeDecoder> scratch_decoder_;
   // Round-persistent scratch.

@@ -91,13 +91,6 @@ RoundRecord RoundEngine::run_round(std::size_t round) {
   FEDGUARD_TRACE_SPAN("round", "round:" + std::to_string(round));
   RoundRecord record;
   record.round = round;
-  const std::uint64_t upload0 = upload_bytes_total_.value();
-  const std::uint64_t download0 = download_bytes_total_.value();
-  const std::uint64_t stragglers0 = stragglers_total_.value();
-  const std::uint64_t dropouts0 = dropouts_total_.value();
-  const std::uint64_t timeouts0 = timeouts_total_.value();
-  const std::uint64_t corrupt0 = corrupt_frames_total_.value();
-  const std::uint64_t ejected0 = ejected_clients_total_.value();
 
   // Uniform sampling of m participating clients from the live universe
   // (Alg. 1 line 17). While nobody is missing the universe is [0, N), so the
@@ -119,9 +112,16 @@ RoundRecord RoundEngine::run_round(std::size_t round) {
     FEDGUARD_TRACE_SPAN("round", "collect");
     collect(round, sampled_, global_parameters_, collection_);
   }
-  upload_bytes_total_.add(collection_.upload_bytes);
-  download_bytes_total_.add(collection_.download_bytes);
-  settle(collection_);
+  record.server_upload_bytes = collection_.upload_bytes;
+  record.server_download_bytes = collection_.download_bytes;
+  settle(collection_, record);
+  upload_bytes_total_.add(record.server_upload_bytes);
+  download_bytes_total_.add(record.server_download_bytes);
+  stragglers_total_.add(record.stragglers);
+  dropouts_total_.add(record.dropouts);
+  timeouts_total_.add(record.timeouts);
+  corrupt_frames_total_.add(record.corrupt_frames);
+  ejected_clients_total_.add(record.ejected_clients);
 
   // Merge the shard partials and apply the server learning rate. Nothing
   // merged (every sampled client failed) leaves the model unchanged.
@@ -167,13 +167,6 @@ RoundRecord RoundEngine::run_round(std::size_t round) {
   FEDGUARD_TRACE_SPAN("round", "eval");
   record.test_accuracy = evaluate_global();
   if (config_.track_per_class_accuracy) record.per_class_accuracy = evaluate_per_class();
-  record.server_upload_bytes = upload_bytes_total_.value() - upload0;
-  record.server_download_bytes = download_bytes_total_.value() - download0;
-  record.stragglers = stragglers_total_.value() - stragglers0;
-  record.dropouts = dropouts_total_.value() - dropouts0;
-  record.timeouts = timeouts_total_.value() - timeouts0;
-  record.corrupt_frames = corrupt_frames_total_.value() - corrupt0;
-  record.ejected_clients = ejected_clients_total_.value() - ejected0;
   const double seconds = static_cast<double>(obs::now_ns() - round_start_ns) * 1e-9;
   record.round_seconds = seconds;
   round_seconds_.observe(seconds);
@@ -182,7 +175,7 @@ RoundRecord RoundEngine::run_round(std::size_t round) {
   return record;
 }
 
-void RoundEngine::settle(const Collection& collection) {
+void RoundEngine::settle(const Collection& collection, RoundRecord& record) {
   for (const ClientFailure& failure : collection.failures) {
     failed_.at(failure.client) = static_cast<std::uint8_t>(failure.kind) + 1;
   }
@@ -194,18 +187,18 @@ void RoundEngine::settle(const Collection& collection) {
       failure_streak_[client] = 0;
       continue;
     }
-    stragglers_total_.add(1);
+    ++record.stragglers;
     switch (static_cast<FailureKind>(mark - 1)) {
-      case FailureKind::Dropout: dropouts_total_.add(1); break;
-      case FailureKind::Timeout: timeouts_total_.add(1); break;
-      case FailureKind::Corrupt: corrupt_frames_total_.add(1); break;
+      case FailureKind::Dropout: ++record.dropouts; break;
+      case FailureKind::Timeout: ++record.timeouts; break;
+      case FailureKind::Corrupt: ++record.corrupt_frames; break;
     }
     if (config_.eject_after_failures == 0 ||
         ++failure_streak_[client] < config_.eject_after_failures) {
       continue;
     }
     universe_.erase(std::find(universe_.begin(), universe_.end(), client));
-    ejected_clients_total_.add(1);
+    ++record.ejected_clients;
     util::log_warn("ejecting client %zu after %zu consecutive failures", client,
                    failure_streak_[client]);
     on_ejected(client);

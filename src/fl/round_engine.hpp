@@ -23,8 +23,10 @@
 // root merge is strategy-free (defenses::merge_partials_into).
 //
 // Traffic accounting (Table V): RoundRecord's traffic and failure fields are
-// per-round deltas of the fl_* registry counters (docs/OBSERVABILITY.md), so
-// Table V and the metrics exposition can never disagree.
+// what the round itself counted (its Collection's bytes, settle's failure
+// classes), and the round adds the same numbers to the fl_* registry
+// counters (docs/OBSERVABILITY.md), so Table V and the metrics exposition can
+// never disagree.
 
 #include <cstdint>
 #include <memory>
@@ -161,8 +163,9 @@ class RoundEngine {
   [[nodiscard]] std::size_t theta_dim() const noexcept { return theta_dim_; }
 
  private:
-  /// Streaks, ejection and per-class counters for this round's outcomes.
-  void settle(const Collection& collection);
+  /// Streaks and ejection for this round's outcomes; counts the failures by
+  /// class and the ejections into `record`.
+  void settle(const Collection& collection, RoundRecord& record);
 
   RoundConfig config_;
   std::vector<std::unique_ptr<defenses::AggregationStrategy>> strategies_;  // one per shard
@@ -185,8 +188,8 @@ class RoundEngine {
   Collection collection_;
   defenses::AggregationResult result_;
   std::vector<std::size_t> eval_indices_;
-  // Registry instruments (docs/OBSERVABILITY.md §fl_*); only the thread that
-  // runs rounds increments them, so per-round deltas are exact.
+  // Registry instruments (docs/OBSERVABILITY.md §fl_*); each round adds what
+  // its record says.
   obs::Counter rounds_total_;
   obs::Counter upload_bytes_total_;
   obs::Counter download_bytes_total_;

@@ -33,7 +33,6 @@ class Sequential final : public Module {
   std::vector<Parameter*> parameters() override;
 
   [[nodiscard]] std::string name() const override { return "Sequential"; }
-  [[nodiscard]] std::size_t layer_count() const noexcept { return layers_.size(); }
   [[nodiscard]] Module& layer(std::size_t i) noexcept { return *layers_[i]; }
 
  private:

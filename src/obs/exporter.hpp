@@ -38,7 +38,7 @@ struct ObsOptions {
   // Histogram bucket upper bounds for histograms registered without explicit
   // bounds; empty keeps Registry::default_buckets().
   std::vector<double> histogram_buckets;
-  // Live scrape endpoint port (obs_http_port key / --metrics-port flag);
+  // Live scrape endpoint port (descriptor key obs_http_port);
   // 0 disables. The root (or the in-process server) serves on this port;
   // shard aggregators answer scrapes on their data ports — see
   // docs/OBSERVABILITY.md § Live exposition. Hosted by the net layer

@@ -209,9 +209,15 @@ SweepMatrix full_matrix(std::uint64_t seed) {
 
 void apply_scenario_values(SweepMatrix& matrix,
                            const std::map<std::string, std::string>& values) {
+  std::map<std::string, std::string> base_values;
   for (const auto& [key, value] : values) {
-    if (key.rfind("scenario_", 0) != 0) continue;  // base-config keys
-    if (key == "scenario_attacks") {
+    if (key == "scale") {
+      throw std::invalid_argument{"config: scale does not apply to a sweep (--matrix picks "
+                                  "its base)"};
+    }
+    if (key.rfind("scenario_", 0) != 0) {
+      base_values.emplace(key, value);
+    } else if (key == "scenario_attacks") {
       matrix.attack_axis.clear();
       for (const std::string& name : split_list(value)) {
         matrix.attack_axis.push_back(attacks::attack_type_from_string(name));
@@ -231,7 +237,7 @@ void apply_scenario_values(SweepMatrix& matrix,
       for (const std::string& item : split_list(value)) {
         const double fraction = core::to_double(item, key);
         if (fraction < 0.0 || fraction >= 1.0) {
-          throw std::invalid_argument{"scenario_fractions: '" + item +
+          throw std::invalid_argument{"config: scenario_fractions: '" + item +
                                       "' outside [0, 1)"};
         }
         matrix.fraction_axis.push_back(fraction);
@@ -241,12 +247,12 @@ void apply_scenario_values(SweepMatrix& matrix,
       for (const std::string& item : split_list(value)) {
         matrix.shards_axis.push_back(core::to_positive_size(item, key));
       }
-    } else if (key == "scenario_rounds") {
-      matrix.base.rounds = core::to_positive_size(value, key);
     } else {
-      throw std::invalid_argument{"unknown scenario key '" + key + "'"};
+      throw std::invalid_argument{"config: unknown key '" + key + "'"};
     }
   }
+  core::apply_config_values(matrix.base, base_values);
+  core::check_sampling(matrix.base);
 }
 
 }  // namespace fedguard::scenario

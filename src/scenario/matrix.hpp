@@ -94,9 +94,10 @@ struct SweepMatrix {
 /// Split a comma-separated list, dropping blanks and empty items.
 [[nodiscard]] std::vector<std::string> split_list(const std::string& text);
 
-/// Apply scenario_* descriptor keys (see docs/CONFIG_REFERENCE.md) on top of
-/// a matrix; unknown scenario_* keys throw, non-scenario keys are ignored
-/// (they belong to the base experiment config).
+/// Apply descriptor lines (a --config file or bench_robustness's flags) to a
+/// matrix: scenario_* keys set the axes (see docs/CONFIG_REFERENCE.md) and
+/// every other key goes to the base config through core::apply_config_values.
+/// An unknown key of either kind, or `scale`, throws std::invalid_argument.
 void apply_scenario_values(SweepMatrix& matrix,
                            const std::map<std::string, std::string>& values);
 

@@ -7,7 +7,6 @@
 // layers.
 
 #include <chrono>
-#include <cstdint>
 
 namespace fedguard::util {
 
@@ -18,13 +17,6 @@ class Stopwatch {
   /// Seconds elapsed since construction or the last reset().
   [[nodiscard]] double seconds() const noexcept {
     return std::chrono::duration<double>(clock::now() - start_).count();
-  }
-
-  /// Nanoseconds elapsed since construction or the last reset().
-  [[nodiscard]] std::uint64_t elapsed_ns() const noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - start_)
-            .count());
   }
 
   void reset() noexcept { start_ = clock::now(); }

@@ -693,7 +693,7 @@ TEST_F(DecisionRecord, EveryScoringSelectorRecordsItsCut) {
     kernels::set_kernel_arch(arch);
     FedGuardAggregator fedguard{fedguard_config, models::ClassifierArch::Mlp, geometry, 7};
     AuxiliaryAuditAggregator audit{models::ClassifierArch::Mlp, geometry, auxiliary,
-                                   /*warmup_rounds=*/1, 8};
+                                   /*warmup_rounds=*/1};
     SpectralAggregator spectral{spectral_config, models::ClassifierArch::Mlp, geometry,
                                 auxiliary, 9};
     KrumAggregator krum{0.25, 1};

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/cli.hpp"
 #include "core/experiment.hpp"
@@ -14,17 +18,17 @@ TEST(Cli, ParsesKeyValuePairs) {
   const CliOptions options = CliOptions::parse(6, argv);
   EXPECT_TRUE(options.has("scale"));
   EXPECT_EQ(options.get("scale", "small"), "paper");
-  EXPECT_EQ(options.get_int("rounds", 0), 12);
+  EXPECT_EQ(options.get_size("rounds", 0), 12u);
   EXPECT_TRUE(options.has("verbose"));
   EXPECT_EQ(options.get("verbose", ""), "1");
   EXPECT_EQ(options.get("missing", "fallback"), "fallback");
-  EXPECT_EQ(options.get_int("missing", 7), 7);
+  EXPECT_EQ(options.get_size("missing", 7), 7u);
 }
 
 TEST(Cli, ParsesEqualsForm) {
   const char* argv[] = {"prog", "--alpha=0.5", "--name=x"};
   const CliOptions options = CliOptions::parse(3, argv);
-  EXPECT_DOUBLE_EQ(options.get_double("alpha", 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(options.get_number("alpha", 0.0), 0.5);
   EXPECT_EQ(options.get("name", ""), "x");
 }
 
@@ -32,7 +36,35 @@ TEST(Cli, BooleanFlagBeforeAnotherFlag) {
   const char* argv[] = {"prog", "--quiet", "--rounds", "3"};
   const CliOptions options = CliOptions::parse(4, argv);
   EXPECT_EQ(options.get("quiet", ""), "1");
-  EXPECT_EQ(options.get_int("rounds", 0), 3);
+  EXPECT_EQ(options.get_size("rounds", 0), 3u);
+}
+
+TEST(Cli, NumbersAreParsedWholeNamingTheFlag) {
+  // The getters parse like a descriptor value: no numeric prefix, no
+  // negative count wrapping to 2^64 - 1.
+  const char* argv[] = {"prog", "--window", "3x", "--count", "-1", "--threshold", "0.5y"};
+  const CliOptions options = CliOptions::parse(7, argv);
+  for (const char* key : {"window", "count"}) {
+    try {
+      (void)options.get_size(key, 0);
+      ADD_FAILURE() << key << " parsed";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find(std::string{"'"} + key + "'"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_THROW((void)options.get_number("threshold", 0.0), std::invalid_argument);
+}
+
+TEST(Cli, OwnedFlagsPositionalsAndSettings) {
+  const char* argv[] = {"prog", "run.conf", "--csv", "out.csv", "--rounds=4", "--quiet"};
+  const CliOptions options = CliOptions::parse(6, argv, {"csv", "quiet"});
+  EXPECT_EQ(options.positional(), (std::vector<std::string>{"run.conf"}));
+  EXPECT_EQ(options.get("csv", ""), "out.csv");
+  EXPECT_EQ(options.settings(), (std::map<std::string, std::string>{{"rounds", "4"}}));
+  EXPECT_THROW(options.reject_settings(), std::invalid_argument);
+  EXPECT_NO_THROW(CliOptions::parse(4, argv, {"csv"}).reject_settings());
 }
 
 TEST(Experiment, StrategyStringRoundTrip) {

@@ -13,6 +13,7 @@
 #include "fl/server.hpp"
 #include "attacks/label_flip.hpp"
 #include "nn/parameter_vector.hpp"
+#include "obs/metrics.hpp"
 
 namespace fedguard::fl {
 namespace {
@@ -173,6 +174,31 @@ TEST_F(ServerFixture, RoundRecordsTrafficAndSampling) {
   EXPECT_GE(record.test_accuracy, 0.0);
   EXPECT_LE(record.test_accuracy, 1.0);
   EXPECT_GT(record.round_seconds, 0.0);
+}
+
+/// Charges the process-wide fl_* counters from inside a client's round, as
+/// any other code in the process may; the update itself is left alone.
+class CounterChargingAttack final : public attacks::ModelAttack {
+ public:
+  void apply(std::span<float> /*update*/, std::span<const float> /*global*/,
+             std::size_t /*round*/) const override {
+    obs::Registry::global().counter("fl_upload_bytes_total").add(12345);
+    obs::Registry::global().counter("fl_stragglers_total").add(1);
+  }
+  [[nodiscard]] std::string name() const override { return "counter_charging"; }
+};
+
+TEST_F(ServerFixture, RoundRecordIsWhatTheRoundCounted) {
+  const CounterChargingAttack charging;
+  for (const auto& client : clients) client->corrupt_with_model_attack(&charging);
+  Server server{server_config(4, 1), clients, fedavg(), test,
+                models::ClassifierArch::Mlp, geometry};
+  const RoundRecord record = server.run_round(0);
+  const std::size_t psi_wire =
+      nn::parameter_wire_bytes(server.global_parameters().size());
+  EXPECT_EQ(record.server_upload_bytes, 4 * psi_wire);
+  EXPECT_EQ(record.server_download_bytes, 4 * psi_wire);
+  EXPECT_EQ(record.stragglers, 0u);
 }
 
 TEST_F(ServerFixture, TrainingImprovesAccuracy) {

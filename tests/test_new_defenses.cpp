@@ -115,7 +115,7 @@ struct AuxAuditFixture : ::testing::Test {
 };
 
 TEST_F(AuxAuditFixture, RejectsPoisonedUpdates) {
-  AuxiliaryAuditAggregator audit{models::ClassifierArch::Mlp, geometry, auxiliary, 0, 405};
+  AuxiliaryAuditAggregator audit{models::ClassifierArch::Mlp, geometry, auxiliary, 0};
   std::vector<Upload> updates;
   updates.push_back(make_update(0, good_psi, false));
   updates.push_back(make_update(1, good_psi, false));
@@ -131,7 +131,7 @@ TEST_F(AuxAuditFixture, RejectsPoisonedUpdates) {
 TEST_F(AuxAuditFixture, WarmupPhaseAcceptsEverything) {
   // PDGAN's initialization window: no filtering before warmup ends.
   AuxiliaryAuditAggregator audit{models::ClassifierArch::Mlp, geometry, auxiliary,
-                                 /*warmup_rounds=*/3, 406};
+                                 /*warmup_rounds=*/3};
   std::vector<Upload> updates;
   updates.push_back(make_update(0, good_psi, false));
   updates.push_back(make_update(1, std::vector<float>(good_psi.size(), 1.0f), true));
@@ -148,8 +148,7 @@ TEST_F(AuxAuditFixture, WarmupPhaseAcceptsEverything) {
 
 TEST(AuxAudit, EmptyAuxiliaryRejected) {
   EXPECT_THROW((void)AuxiliaryAuditAggregator(models::ClassifierArch::Mlp,
-                                              models::ImageGeometry{}, data::Dataset{}, 0,
-                                              1),
+                                              models::ImageGeometry{}, data::Dataset{}, 0),
                std::invalid_argument);
 }
 

@@ -285,7 +285,7 @@ TEST_F(ParityFixture, ShardedRemoteMatchesLocalForEveryStrategy) {
       {"aux_audit",
        [&] {
          return std::make_unique<defenses::AuxiliaryAuditAggregator>(
-             models::ClassifierArch::Mlp, geometry, auxiliary, 0, 861);
+             models::ClassifierArch::Mlp, geometry, auxiliary, 0);
        }},
       {"spectral",
        [&] {

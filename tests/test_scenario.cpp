@@ -160,8 +160,6 @@ TEST(ApplyScenarioValues, ParsesAxesAndRejectsUnknownKeys) {
       {"scenario_defenses", "krum,fedcpa"},
       {"scenario_regimes", "iid,dirichlet:0.5"},
       {"scenario_fractions", "0.2,0.4"},
-      {"scenario_rounds", "5"},
-      {"train_samples", "999"},  // non-scenario keys are ignored here
   };
   apply_scenario_values(matrix, values);
   ASSERT_EQ(matrix.attack_axis.size(), 2u);
@@ -171,7 +169,6 @@ TEST(ApplyScenarioValues, ParsesAxesAndRejectsUnknownKeys) {
   ASSERT_EQ(matrix.regime_axis.size(), 2u);
   EXPECT_EQ(matrix.regime_axis[1].scheme, data::PartitionScheme::Dirichlet);
   ASSERT_EQ(matrix.fraction_axis.size(), 2u);
-  EXPECT_EQ(matrix.base.rounds, 5u);
 
   std::map<std::string, std::string> bad{{"scenario_planets", "mars"}};
   EXPECT_THROW(apply_scenario_values(matrix, bad), std::invalid_argument);
@@ -179,13 +176,36 @@ TEST(ApplyScenarioValues, ParsesAxesAndRejectsUnknownKeys) {
   EXPECT_THROW(apply_scenario_values(matrix, bad_fraction), std::invalid_argument);
 }
 
+TEST(ApplyScenarioValues, BaseKeysAndAxesArriveInOneMap) {
+  // A --config file and bench_robustness's flags are one map: scenario_*
+  // keys set the axes, every other key the base config, through the same
+  // parser as a descriptor.
+  SweepMatrix matrix = micro_matrix(1);
+  apply_scenario_values(matrix, {{"scenario_shards", "1,2"},
+                                 {"rounds", "5"},
+                                 {"seed", "43"},
+                                 {"kernel_arch", "serial"},
+                                 {"train_samples", "999"}});
+  EXPECT_EQ(matrix.shards_axis, (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(matrix.base.rounds, 5u);
+  EXPECT_EQ(matrix.base.seed, 43u);
+  EXPECT_EQ(matrix.base.kernel_arch, tensor::kernels::KernelArch::Serial);
+  EXPECT_EQ(matrix.base.train_samples, 999u);
+  // Unknown keys of either kind, and a scale (the matrix owns the preset),
+  // are rejected.
+  for (const char* key : {"rouns", "scenario_planets", "scale"}) {
+    SCOPED_TRACE(key);
+    EXPECT_THROW(apply_scenario_values(matrix, {{key, "paper"}}), std::invalid_argument);
+  }
+}
+
 TEST(ApplyScenarioValues, NumbersAreParsedWhole) {
   // A numeric prefix is not a number, and "-1" must not wrap to 2^64 - 1
   // rounds (a sweep that never ends).
   for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
-           {"scenario_rounds", "7x"},
-           {"scenario_rounds", "-1"},
-           {"scenario_rounds", "0"},
+           {"rounds", "7x"},
+           {"rounds", "-1"},
+           {"rounds", "0"},
            {"scenario_fractions", "0.2,0.4x"},
            {"scenario_shards", "1,2x"},
            {"scenario_shards", "-2"},
